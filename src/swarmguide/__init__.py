@@ -6,7 +6,6 @@ per-step transition matrix that every agent can evaluate locally; simulates
 swarms of independent agents under it; and verifies convergence with
 eigenvalue certificates.
 """
-from ._kernels import active_backend
 from .analysis import (
     SpectralReport,
     contraction_certificate,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "active_backend",
     "SpectralReport",
     "contraction_certificate",
     "convergence_rate_bounds",

@@ -1,51 +1,32 @@
-"""Hot inner-loop kernels in two interchangeable flavors.
+"""Hot inner-loop kernels: agent advancement and recurrent column synthesis.
 
-The numba flavor compiles tight per-agent and per-column loops; the numpy
-flavor expresses the same arithmetic with vectorized operations.  Both
-flavors perform the identical sequence of IEEE-754 operations per entry
-(same subtractions, same divisions, accumulation in ascending index order),
-so their outputs are bitwise equal, not merely close.  The test suite
-asserts that equality; simulation outputs therefore do not depend on the
-backend or on how numba parallelizes the agent loop.
-
-Backend selection happens once, at import time:
-
-* ``SWARMGUIDE_BACKEND=numpy`` forces the pure-numpy fallback.
-* ``SWARMGUIDE_BACKEND=numba`` requires the JIT path and fails loudly when
-  numba is not importable.
-* unset, the JIT path is used when numba imports, numpy otherwise.
+Both are vectorized numpy.  Their IEEE-754 operations are fixed (column sums
+accumulate in ascending row order), so ``synth_recurrent`` equals the
+bin-local ``swarmguide.synthesis.dsmc_column`` bit for bit and simulation
+outputs do not depend on how agents are batched.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_VAR = "SWARMGUIDE_BACKEND"
 
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-
-def advance_agents_numpy(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarray:
+def advance_agents(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Move each agent through the cumulative column of its current bin.
 
     ``bins`` holds current bin indices, ``z`` one uniform per agent, ``cum``
     the column-wise cumulative sums of a column-stochastic matrix.  Agent k
-    lands on the first destination i with z[k] < cum[i, bins[k]], clamped to
-    the last bin so float round-off in the final cumulative entry cannot
-    push an agent out of range.
+    lands on the first destination i with z[k] < cum[i, bins[k]].  When
+    float round-off leaves the column total at or below the draw, the agent
+    lands on the column's last positive entry, so it never leaves the
+    column's support.
     """
-    m = cum.shape[0]
     hits = (cum[:, bins] <= z[np.newaxis, :]).sum(axis=0)
-    return np.minimum(hits, m - 1).astype(bins.dtype)
+    # Row at which each column first reaches its total: its last positive entry.
+    last = (cum < cum[-1]).sum(axis=0)
+    return np.minimum(hits, last[bins]).astype(bins.dtype)
 
 
-def synth_recurrent_numpy(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn: float) -> np.ndarray:
+def synth_recurrent(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn: float) -> np.ndarray:
     """Density-feedback transition columns, vectorized.
 
     See ``swarmguide.synthesis.dsmc_recurrent`` for the construction; this
@@ -58,8 +39,7 @@ def synth_recurrent_numpy(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn:
     r = np.zeros((m, m))
     np.divide(diff, np.broadcast_to(x[np.newaxis, :], (m, m)), out=r, where=fill)
     np.fill_diagonal(r, 0.0)
-    # Accumulate column sums in ascending row order to match the loop flavor
-    # bit for bit.
+    # Accumulate column sums in ascending row order, as dsmc_column does.
     off = np.zeros(m)
     for i in range(m):
         off += r[i]
@@ -67,68 +47,3 @@ def synth_recurrent_numpy(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn:
     idx = np.arange(m)
     r[idx, idx] = diag
     return r / (off + diag)[np.newaxis, :]
-
-
-if HAS_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def advance_agents_numba(bins, z, cum):  # pragma: no cover - compiled
-        n = bins.shape[0]
-        m = cum.shape[0]
-        out = np.empty_like(bins)
-        for k in prange(n):
-            j = bins[k]
-            zk = z[k]
-            i = 0
-            while i < m - 1 and cum[i, j] <= zk:
-                i += 1
-            out[k] = i
-        return out
-
-    @njit(parallel=True, cache=True)
-    def synth_recurrent_numba(e, x, adj, d_chsn):  # pragma: no cover - compiled
-        m = e.shape[0]
-        out = np.zeros((m, m))
-        for j in prange(m):
-            xj = x[j]
-            if xj > 0.0:
-                for i in range(m):
-                    if i != j and adj[i, j]:
-                        t = (e[i] - e[j]) / d_chsn
-                        if t > 0.0:
-                            out[i, j] = t / xj
-            off = 0.0
-            for i in range(m):
-                off += out[i, j]
-            if off < 1.0:
-                diag = 1.0 - off
-            else:
-                diag = 0.0
-            out[j, j] = diag
-            total = off + diag
-            for i in range(m):
-                out[i, j] = out[i, j] / total
-        return out
-
-else:  # pragma: no cover - exercised only without numba
-    advance_agents_numba = None
-    synth_recurrent_numba = None
-
-
-def _select():
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if choice not in ("", "numpy", "numba"):
-        raise RuntimeError(f"{ENV_VAR} must be 'numpy' or 'numba', got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{ENV_VAR}=numba but numba is not importable")
-    if choice == "numpy" or not HAS_NUMBA:
-        return "numpy", advance_agents_numpy, synth_recurrent_numpy
-    return "numba", advance_agents_numba, synth_recurrent_numba
-
-
-_BACKEND, advance_agents, synth_recurrent = _select()
-
-
-def active_backend() -> str:
-    """Name of the kernel flavor selected at import time."""
-    return _BACKEND

@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import active_backend
 from .analysis import contraction_certificate
 from .density import total_variation
 from .engine import ALGORITHMS, MODES, Event, Scenario, run_scenario
@@ -224,7 +223,6 @@ def cmd_run(scenario_path, out_dir, seed=None) -> int:
     _write_text(out / "metrics.csv", metrics.to_csv())
     _write_text(out / "final_snapshot.csv", _snapshot_csv(scenario, snapshots[scenario.steps]))
     _write_text(out / "resolved_scenario.txt", render_scenario(scenario))
-    print(f"backend={active_backend()}")
     print(f"final_total_variation={repr(metrics.total_variation[-1])}")
     print(f"wrote {out / 'metrics.csv'}")
     return 0
@@ -300,21 +298,15 @@ def cmd_export_matrix(scenario_path, step, out_path) -> int:
     scenario = load_scenario(scenario_path)
     if not 0 <= step < scenario.steps:
         raise ScenarioFormatError(f"step {step} outside [0, {scenario.steps})")
-    captured = {}
-
-    class _Done(Exception):
-        pass
+    # Run only up to the wanted step; the last matrix the hook sees drives it.
+    head = replace(scenario, steps=step + 1, events=tuple(ev for ev in scenario.events if ev.step <= step + 1))
+    last = {}
 
     def hook(k, matrix):
-        if k == step:
-            captured["matrix"] = matrix.copy()
-            raise _Done
+        last["matrix"] = matrix
 
-    try:
-        run_scenario(scenario, matrix_hook=hook)
-    except _Done:
-        pass
-    matrix = captured["matrix"]
+    run_scenario(head, matrix_hook=hook)
+    matrix = last["matrix"]
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     _write_text(Path(out_path), "\n".join(lines) + "\n")
     print(f"wrote {out_path} ({matrix.shape[0]}x{matrix.shape[1]})")

@@ -12,8 +12,7 @@ before that row is recorded.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,16 +145,14 @@ class MetricsSeries:
     transitions: list[float] = field(default_factory=list)
     cumulative_transitions: list[float] = field(default_factory=list)
     num_agents: list[int] = field(default_factory=list)
-    wall_times: list[float] = field(default_factory=list)
 
-    def append(self, step, tv, transitions, num_agents, wall_time):
+    def append(self, step, tv, transitions, num_agents):
         prior = self.cumulative_transitions[-1] if self.cumulative_transitions else 0.0
         self.steps.append(int(step))
         self.total_variation.append(float(tv))
         self.transitions.append(float(transitions))
         self.cumulative_transitions.append(prior + float(transitions))
         self.num_agents.append(int(num_agents))
-        self.wall_times.append(float(wall_time))
 
     def _cell(self, value: float) -> str:
         # Integral counts print as integers; repr keeps full float precision.
@@ -180,7 +177,8 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
     ids = np.arange(scenario.agents, dtype=np.uint64)
     z = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
     cum = np.cumsum(x0)
-    assignments = np.minimum(np.searchsorted(cum, z, side="right"), x0.size - 1)
+    # Round-off clamp onto the last bin with positive initial density.
+    assignments = np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum())
     return SwarmState(assignments=assignments.astype(np.int64), agent_ids=ids, seed=scenario.seed)
 
 
@@ -251,15 +249,26 @@ def _expected_transitions(x: np.ndarray, matrix: np.ndarray, population: float) 
     return float(population * float(np.dot(x, 1.0 - stay)))
 
 
+def _require_valid(matrix: np.ndarray, topology: Topology, when: str):
+    report = validate_markov(matrix, topology)
+    if not report.ok():
+        raise RuntimeError(
+            f"synthesized matrix failed validation {when}: "
+            f"column sum deviation {report.max_column_sum_deviation!r}, "
+            f"min entry {report.min_entry!r}, "
+            f"{len(report.mask_violations)} mask violations"
+        )
+
+
 def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     """Run a scenario end to end; returns (MetricsSeries, {step: Snapshot}).
 
     Monte Carlo mode simulates individual agents; deterministic mode
     propagates the density vector exactly and scales a nominal population
-    for the metrics.  Every synthesized matrix is audited against the
-    topology before use; an audit failure aborts the run.  ``matrix_hook``
-    is called as matrix_hook(step, matrix) with each matrix about to drive
-    the step from ``step`` to ``step + 1``.
+    for the metrics.  Every matrix is audited against the topology before
+    use (the fixed baseline once, at set-up); an audit failure aborts the
+    run.  ``matrix_hook`` is called as matrix_hook(step, matrix) with each
+    matrix about to drive the step from ``step`` to ``step + 1``.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     m = topology.m
@@ -269,10 +278,14 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     desired_r = desired[recurrent]
     recurrent_adj = topology.adjacency[np.ix_(recurrent, recurrent)]
     params = choose_d_chsn(laplacian_of(topology, recurrent))
-    tt, rt = transient_matrix(partition, topology)
-    baseline = None
-    if scenario.algorithm == "mh":
+    if scenario.algorithm == "dsmc":
+        tt, rt = transient_matrix(partition, topology)
+    else:
+        # One fixed matrix: audit it once and freeze it so no hook can alter
+        # it after the audit.
         baseline = metropolis_hastings(desired, topology, partition)
+        _require_valid(baseline, topology, "before step 0")
+        baseline.flags.writeable = False
 
     events_at: dict[int, list[Event]] = {}
     for ev in scenario.events:
@@ -303,24 +316,16 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                 counts = x * population
             snapshots[step] = Snapshot(step=step, counts=counts, density=x.copy())
 
-    start = time.perf_counter()
-    metrics.append(0, total_variation(x, desired), 0.0, population, 0.0)
+    metrics.append(0, total_variation(x, desired), 0.0, population)
     record_snapshot(0)
 
     for k in range(scenario.steps):
         if scenario.algorithm == "dsmc":
             block = dsmc_recurrent(x[recurrent], desired_r, recurrent_adj, params)
             matrix = assemble(tt, rt, block, partition)
+            _require_valid(matrix, topology, f"at step {k}")
         else:
             matrix = baseline
-        report = validate_markov(matrix, topology)
-        if not report.ok():
-            raise RuntimeError(
-                f"synthesized matrix failed validation at step {k}: "
-                f"column sum deviation {report.max_column_sum_deviation!r}, "
-                f"min entry {report.min_entry!r}, "
-                f"{len(report.mask_violations)} mask violations"
-            )
         if matrix_hook is not None:
             matrix_hook(k, matrix)
 
@@ -338,12 +343,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             for ev in events_at.get(k + 1, ()):
                 population = population - math.floor(ev.fraction * population)
 
-        metrics.append(k + 1, total_variation(x, desired), transitions, population, time.perf_counter() - start)
+        metrics.append(k + 1, total_variation(x, desired), transitions, population)
         record_snapshot(k + 1)
 
     return metrics, snapshots
-
-
-def scenario_with(scenario: Scenario, **changes) -> Scenario:
-    """Copy a scenario with some fields replaced."""
-    return replace(scenario, **changes)

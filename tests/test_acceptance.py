@@ -9,14 +9,16 @@ criterion.
 """
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmguide._kernels as _kernels
+import swarmguide.engine as engine
 from swarmguide import (
     Scenario,
     SynthesisParams,
@@ -32,9 +34,15 @@ from swarmguide import (
     run_scenario,
     validate_markov,
 )
-from swarmguide.engine import scenario_with
 
-from testutil import positive_density, random_connected_topology, random_density, zero_sum_vector
+from testutil import (
+    advance_by_bin_oracle,
+    local_recurrent_oracle,
+    positive_density,
+    random_connected_topology,
+    random_density,
+    zero_sum_vector,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 LETTER_E = REPO / "scenarios" / "letter_e.txt"
@@ -66,7 +74,7 @@ def letter_e_runs():
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     hook = _auditing_hook(topology)
     dsmc_metrics, _ = run_scenario(scenario, matrix_hook=hook)
-    mh_metrics, _ = run_scenario(scenario_with(scenario, algorithm="mh"), matrix_hook=hook)
+    mh_metrics, _ = run_scenario(replace(scenario, algorithm="mh"), matrix_hook=hook)
     return {"scenario": scenario, "dsmc": dsmc_metrics, "mh": mh_metrics}
 
 
@@ -249,30 +257,29 @@ def test_criterion_09_every_synthesized_matrix_is_valid(letter_e_runs):
     )
 
 
-def test_criterion_10_metrics_bytes_identical_across_backends(letter_e_runs, tmp_path):
-    # Same seed, different kernel flavors and parallelism: the numba path
-    # fans agents across threads, the numpy path is a single vectorized
-    # sweep.  The metrics files must match byte for byte, and both must
-    # match the in-process run.
-    outputs = {}
-    for backend in ("numba", "numpy"):
-        env = dict(os.environ)
-        env["SWARMGUIDE_BACKEND"] = backend
-        out = tmp_path / backend
-        proc = subprocess.run(
-            [sys.executable, "-m", "swarmguide", "run", "--scenario", str(LETTER_E), "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[backend] = (out / "metrics.csv").read_bytes()
+def test_criterion_10_metrics_bytes_identical_cli_in_process_oracle(letter_e_runs, tmp_path, monkeypatch):
+    # The CLI in a fresh interpreter, the in-process run, and an in-process
+    # run whose synthesis and sampling are swapped for bin-local oracles (one
+    # dsmc_column per bin, one binary search per occupied bin) must write the
+    # same metrics bytes.
+    out = tmp_path / "cli"
+    proc = subprocess.run(
+        [sys.executable, "-m", "swarmguide", "run", "--scenario", str(LETTER_E), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cli = (out / "metrics.csv").read_bytes()
     in_process = letter_e_runs["dsmc"].to_csv().encode("utf-8")
-    ok = outputs["numba"] == outputs["numpy"] == in_process
+    monkeypatch.setattr(engine, "dsmc_recurrent", local_recurrent_oracle)
+    monkeypatch.setattr(_kernels, "advance_agents", advance_by_bin_oracle)
+    oracle_metrics, _ = run_scenario(letter_e_runs["scenario"])
+    oracle = oracle_metrics.to_csv().encode("utf-8")
+    ok = cli == in_process == oracle
     _report(
-        "criterion-10 byte-identical metrics across backends",
+        "criterion-10 byte-identical metrics across CLI, in-process and bin-local oracle runs",
         ok,
-        f"{len(outputs['numba'])} bytes, numba==numpy: {outputs['numba'] == outputs['numpy']}, "
-        f"subprocess==in-process: {outputs['numba'] == in_process}",
+        f"{len(cli)} bytes, subprocess==in-process: {cli == in_process}, "
+        f"in-process==oracle: {in_process == oracle}",
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,20 @@ def test_initial_swarm_concentrated_start():
     assert swarm.num_agents == 50
     assert np.array_equal(swarm.assignments, np.zeros(50, dtype=np.int64))
     assert np.array_equal(swarm.agent_ids, np.arange(50, dtype=np.uint64))
+
+
+def test_initial_swarm_round_off_lands_on_a_populated_bin(monkeypatch):
+    # Weights 1, 4, 1, 0 normalize to a cumulative total of 1 - 1.1e-16; a
+    # draw above it must land on bin 2, the last one with initial density.
+    s = Scenario(
+        2, 2, 1, 3, 1, "dsmc", 3, "monte-carlo", ((1, 1), (1, 1)),
+        init_weights=((1, 4), (1, 0)),
+    )
+    assert np.cumsum(s.initial_density())[-1] < 1.0
+    monkeypatch.setattr(
+        engine_module, "uniform_stream", lambda seed, stream, step, ids: np.full(ids.size, 1.0 - 2.0**-53)
+    )
+    assert initial_swarm(s).assignments.tolist() == [2, 2, 2]
 
 
 def test_initial_swarm_roughly_uniform():
@@ -260,6 +276,26 @@ def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
     with pytest.raises(RuntimeError, match="failed validation at step 0"):
         run_scenario(RING_SCENARIO)
 
+    # The fixed baseline matrix is rejected once, before any step runs.
+    def broken_baseline(desired, topology, partition):
+        mat = np.eye(topology.m)
+        mat[0, 0] = 1.2
+        return mat
+
+    hooked = []
+    monkeypatch.setattr(engine_module, "metropolis_hastings", broken_baseline)
+    with pytest.raises(RuntimeError, match="failed validation before step 0"):
+        run_scenario(replace(RING_SCENARIO, algorithm="mh"), matrix_hook=lambda k, mat: hooked.append(k))
+    assert hooked == []
+
+
+def test_run_scenario_baseline_matrix_is_read_only():
+    def scribble(k, mat):
+        mat[0, 0] = 0.5
+
+    with pytest.raises(ValueError, match="read-only"):
+        run_scenario(replace(RING_SCENARIO, algorithm="mh"), matrix_hook=scribble)
+
 
 def test_metrics_csv_format():
     metrics, _ = run_scenario(RING_SCENARIO)
@@ -298,7 +334,7 @@ def test_deterministic_feedback_error_norm_never_increases():
 
 
 def test_metrics_invariants_on_monte_carlo_run():
-    scenario = engine_module.scenario_with(
+    scenario = replace(
         RING_SCENARIO, mode="monte-carlo", steps=40, agents=300, seed=11,
         events=(Event(step=20, kind="remove_fraction", fraction=0.25),),
     )

@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from swarmguide import Topology, make_topology
+from swarmguide import Topology, dsmc_column, make_topology
 
 
 def brute_force_grid_adjacency(rows: int, cols: int, hop: int) -> np.ndarray:
@@ -105,18 +105,50 @@ def flow_oracle(e: np.ndarray, x: np.ndarray, adjacency: np.ndarray, d: float) -
 
 
 def advance_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Agent moves by a scalar linear scan of each cumulative column."""
+    """Agent moves by a scalar linear scan of each cumulative column.
+
+    A draw at or above the column total (float round-off) lands on the first
+    row that reaches the total, the column's last positive entry.
+    """
     m = cum.shape[0]
     out = np.empty_like(bins)
     for k in range(len(bins)):
         j = int(bins[k])
-        dest = m - 1
+        dest = next(i for i in range(m) if cum[i, j] >= cum[m - 1, j])
         for i in range(m):
             if z[k] < cum[i, j]:
                 dest = i
                 break
         out[k] = dest
     return out
+
+
+def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Agent moves by one binary search per occupied bin over its cumulative
+    column, with the same round-off rule as ``advance_oracle``."""
+    out = np.empty_like(bins)
+    for j in np.unique(bins):
+        here = bins == j
+        col = cum[:, j]
+        out[here] = np.minimum(np.searchsorted(col, z[here], side="right"), (col < col[-1]).sum())
+    return out
+
+
+def local_recurrent_oracle(current_r, desired_r, recurrent_adjacency, params) -> np.ndarray:
+    """Recurrent block built column by column from bin-local data only, by
+    ``dsmc_column`` on each bin and its neighbors; a drop-in for
+    ``dsmc_recurrent``."""
+    x = np.asarray(current_r, dtype=float)
+    v = np.asarray(desired_r, dtype=float)
+    m_r = x.size
+    block = np.empty((m_r, m_r))
+    for j in range(m_r):
+        nbrs = np.nonzero(recurrent_adjacency[:, j])[0]
+        nbrs = nbrs[nbrs != j]
+        local_x = np.concatenate([[x[j]], x[nbrs]])
+        local_v = np.concatenate([[v[j]], v[nbrs]])
+        block[:, j] = dsmc_column(j, local_x, local_v, nbrs, params, m_r)
+    return block
 
 
 def random_column_stochastic(rng: np.random.Generator, topology: Topology) -> np.ndarray:
