@@ -35,12 +35,14 @@ from .engine import (
 from .graph import (
     LaplacianView,
     Partition,
+    Stencil,
     Topology,
     build_grid_topology,
     is_strongly_connected,
     laplacian_of,
     make_topology,
     partition_states,
+    stencil_of,
 )
 from .synthesis import (
     SynthesisParams,
@@ -81,12 +83,14 @@ __all__ = [
     "step_agents",
     "LaplacianView",
     "Partition",
+    "Stencil",
     "Topology",
     "build_grid_topology",
     "is_strongly_connected",
     "laplacian_of",
     "make_topology",
     "partition_states",
+    "stencil_of",
     "SynthesisParams",
     "ValidationReport",
     "assemble",

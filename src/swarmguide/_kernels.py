@@ -1,29 +1,46 @@
 """Hot inner-loop kernels: agent advancement and recurrent column synthesis.
 
-Both are vectorized numpy.  Their IEEE-754 operations are fixed (column sums
-accumulate in ascending row order), so ``synth_recurrent`` equals the
-bin-local ``swarmguide.synthesis.dsmc_column`` bit for bit and simulation
-outputs do not depend on how agents are batched.
+Both are vectorized numpy.  ``advance_agents`` works on a transition matrix
+held in stencil layout (see ``swarmguide.graph.Stencil``): column j of the
+matrix is row j of an m x w value array, whose slot s moves an agent to bin
+``rows[j, s]``.  A dense matrix is the same layout with w = m and every row
+of ``rows`` equal to 0..m-1.
+
+Their IEEE-754 operations are fixed (cumulative and column sums accumulate
+in ascending destination order), so ``synth_recurrent`` equals the bin-local
+``swarmguide.synthesis.dsmc_column`` bit for bit, sampling a stencil equals
+sampling its dense matrix, and simulation outputs do not depend on how
+agents are batched.
 """
 from __future__ import annotations
 
 import numpy as np
 
+# Most entries one gather of cumulative stencil rows may hold (32 MB of
+# float64); larger swarms are advanced in chunks of agents.
+GATHER_ENTRIES = 1 << 22
 
-def advance_agents(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Move each agent through the cumulative column of its current bin.
 
-    ``bins`` holds current bin indices, ``z`` one uniform per agent, ``cum``
-    the column-wise cumulative sums of a column-stochastic matrix.  Agent k
-    lands on the first destination i with z[k] < cum[i, bins[k]].  When
-    float round-off leaves the column total at or below the draw, the agent
-    lands on the column's last positive entry, so it never leaves the
+def advance_agents(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Move each agent through the matrix column of its current bin.
+
+    ``bins`` holds current bin indices and ``z`` one uniform per agent.
+    ``values[j]`` is column j of a column-stochastic matrix over the
+    ascending destinations ``rows[j]``, padded with zeros.  Agent k lands
+    on the first destination whose cumulative probability exceeds z[k].
+    When float round-off leaves the column total at or below the draw, the
+    agent lands on the column's last positive entry, so it never leaves the
     column's support.
     """
-    hits = (cum[:, bins] <= z[np.newaxis, :]).sum(axis=0)
-    # Row at which each column first reaches its total: its last positive entry.
-    last = (cum < cum[-1]).sum(axis=0)
-    return np.minimum(hits, last[bins]).astype(bins.dtype)
+    cum = np.cumsum(values, axis=1)
+    # Slot at which each column first reaches its total: its last positive entry.
+    last = (cum < cum[:, -1:]).sum(axis=1)
+    hits = np.empty(bins.shape, dtype=np.int64)
+    chunk = max(1, GATHER_ENTRIES // cum.shape[1])
+    for lo in range(0, bins.size, chunk):
+        part = slice(lo, lo + chunk)
+        hits[part] = (cum[bins[part]] <= z[part, np.newaxis]).sum(axis=1)
+    return rows[bins, np.minimum(hits, last[bins])].astype(bins.dtype, copy=False)
 
 
 def synth_recurrent(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn: float) -> np.ndarray:

@@ -21,7 +21,9 @@ sections::
 ``a``-``z`` weights 10-35.  Weights are normalized into a density.  An
 optional ``init_map:`` section with the same syntax gives the initial
 density; without it agents start uniformly over all bins.  ``event`` lines
-may repeat.  Blank lines are ignored outside the grid sections.
+may repeat.  Blank lines are ignored outside the grid sections.  Grids of
+more than ``MAX_BINS`` bins and swarms of more than ``MAX_AGENTS`` agents are
+refused while parsing, before anything is allocated for them.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
@@ -44,12 +46,22 @@ from .graph import Topology, build_grid_topology, laplacian_of, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
+    "MAX_AGENTS",
+    "MAX_BINS",
     "ScenarioFormatError",
     "parse_scenario",
     "load_scenario",
     "render_scenario",
     "main",
 ]
+
+# Size limits.  A run still builds dense tables over bin pairs: the
+# adjacency, the recurrent Laplacian at set-up and the recurrent block every
+# step, about 28 bytes per pair at the peak (0.48 GB at 64x64 bins with a
+# full target, about 3 GB at the limit).  Each agent costs about 100 bytes
+# per step, 1 GB at the limit.
+MAX_BINS = 10_000
+MAX_AGENTS = 10_000_000
 
 _REQUIRED_KEYS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
 _INT_KEYS = ("rows", "cols", "hop", "agents", "steps", "seed")
@@ -136,6 +148,15 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ScenarioFormatError(f"{key} must be an integer, got {value!r}", lineno) from None
         values[key] = value
+        if key == "agents" and int(value) > MAX_AGENTS:
+            raise ScenarioFormatError(f"agents={value} exceeds the limit of {MAX_AGENTS} agents", lineno)
+        if key in ("rows", "cols") and "rows" in values and "cols" in values:
+            bins = int(values["rows"]) * int(values["cols"])
+            if bins > MAX_BINS:
+                raise ScenarioFormatError(
+                    f"a {values['rows']}x{values['cols']} grid has {bins} bins, above the limit of {MAX_BINS}",
+                    lineno,
+                )
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:

@@ -5,6 +5,20 @@ as a deterministic density recursion, synthesizing the transition matrix
 every step (density feedback) or once up front (baseline chain), applying
 scheduled events, and recording per-step metrics.
 
+A run works in the stencil layout of ``swarmguide.graph.Stencil``: column j
+of each step's matrix is an m x w value array's row j, over bin j's
+ascending destinations.  ``stencil_plan`` lays a run out once, at set-up:
+the stencil, the columns that never change (transient routing for the
+feedback rule, the whole baseline chain) and the flat gather from the dense
+recurrent block into the remaining slots.  Each step then gathers the
+recurrent block from ``dsmc_recurrent`` into the stencil and audits and
+samples the stencil only, at O(m w) cost.  A dense m x m matrix is
+built only where one is needed: for a ``matrix_hook`` (which is how
+``export-matrix`` reads it) and for deterministic mode, whose ``matrix @ x``
+keeps its summation order.  Because adding 0.0 is exact, stencil column
+sums and cumulative sums equal the dense ones entry for entry, so both
+layouts give the same bytes.
+
 Time indexing: row k of the metrics describes the swarm after k transitions.
 An event scheduled at step k is applied once the swarm arrives at step k,
 before that row is recorded.
@@ -19,7 +33,17 @@ import numpy as np
 from . import _kernels
 from ._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
 from .density import check_density, empirical_density, from_weight_map, total_variation
-from .graph import Partition, Topology, build_grid_topology, laplacian_of, partition_states
+from .graph import (
+    Partition,
+    Stencil,
+    Topology,
+    build_grid_topology,
+    laplacian_of,
+    partition_states,
+    stencil_of,
+)
+# ``assemble`` is no longer called here; it stays importable from the engine
+# because the per-layer benchmark traces it under this module's name.
 from .synthesis import (
     COLUMN_SUM_TOL,
     SynthesisParams,
@@ -39,6 +63,8 @@ __all__ = [
     "SwarmState",
     "Snapshot",
     "MetricsSeries",
+    "StencilPlan",
+    "stencil_plan",
     "initial_swarm",
     "step_agents",
     "propagate_density",
@@ -194,21 +220,28 @@ def _check_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
     return mat
 
 
-def step_agents(swarm: SwarmState, matrix, step: int) -> SwarmState:
+def step_agents(swarm: SwarmState, matrix, step: int, stencil: Stencil | None = None) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
 
-    Each agent draws its own uniform from the move stream for ``step`` and
-    walks the cumulative column of its current bin, stopping at the first
-    destination whose cumulative probability exceeds the draw.  Agents are
-    independent, so evaluation order and batching cannot change the result.
+    ``matrix`` is a dense column-stochastic matrix, checked here, or, with
+    ``stencil``, the matrix's values in that stencil's slots, which the
+    caller has audited.  Each agent draws its own uniform from the move
+    stream for ``step`` and walks the cumulative column of its current bin,
+    stopping at the first destination whose cumulative probability exceeds
+    the draw.  Agents are independent, so evaluation order and batching
+    cannot change the result.
     """
-    m = np.asarray(matrix).shape[0]
-    mat = _check_matrix(matrix, m)
+    if stencil is None:
+        m = np.asarray(matrix).shape[0]
+        values = _check_matrix(matrix, m).T
+        rows = np.broadcast_to(np.arange(m), (m, m))
+    else:
+        m = stencil.m
+        values, rows = matrix, stencil.rows
     if swarm.num_agents and (swarm.assignments.min() < 0 or swarm.assignments.max() >= m):
         raise ValueError(f"agent assignments must lie in [0, {m})")
-    cum = np.ascontiguousarray(np.cumsum(mat, axis=0))
     z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
-    assignments = _kernels.advance_agents(swarm.assignments, z, cum)
+    assignments = _kernels.advance_agents(swarm.assignments, z, values, rows)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
 
@@ -260,6 +293,98 @@ def _require_valid(matrix: np.ndarray, topology: Topology, when: str):
         )
 
 
+def _gather_index(stencil: Stencil, row_at: np.ndarray, col_at: np.ndarray, n_cols: int):
+    """Flat indices that copy a dense matrix into stencil slots.
+
+    The dense matrix holds destination bin i in row ``row_at[i]`` and source
+    bin j in column ``col_at[j]``, -1 marking a bin it lacks.  Returns
+    (slots, src): flat slot ``slots[k]`` takes flat entry ``src[k]``.
+    """
+    r = row_at[stencil.rows]
+    c = np.broadcast_to(col_at[:, np.newaxis], r.shape)
+    slots = np.flatnonzero(stencil.real & (r >= 0) & (c >= 0))
+    return slots, r.ravel()[slots] * n_cols + c.ravel()[slots]
+
+
+def _gather(values: np.ndarray, slots: np.ndarray, src: np.ndarray, dense: np.ndarray) -> int:
+    """Copy ``dense`` into stencil ``values``; returns its nonzeros left out."""
+    picked = np.take(dense, src)
+    np.put(values, slots, picked)
+    return int(np.count_nonzero(dense)) - int(np.count_nonzero(picked))
+
+
+def _audit(values: np.ndarray, off_stencil: int, when: str):
+    # Column sums accumulate slot by slot, in ascending destination order.
+    deviation = float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max())
+    min_entry = float(values.min())
+    if not (deviation <= COLUMN_SUM_TOL and min_entry >= 0.0 and off_stencil == 0):
+        raise RuntimeError(
+            f"synthesized matrix failed validation {when}: "
+            f"column sum deviation {deviation!r}, min entry {min_entry!r}, "
+            f"entries off the stencil: {off_stencil}"
+        )
+
+
+@dataclass(frozen=True)
+class StencilPlan:
+    """A run laid out once over the bin stencil.
+
+    ``fixed`` holds, in stencil slots, the values that never change during
+    the run: the transient columns for the feedback rule, every column for
+    the baseline chain.  Slot ``block_slots[k]`` of a step's values takes
+    flat entry ``block_src[k]`` of the dense recurrent block.
+    """
+
+    stencil: Stencil
+    fixed: np.ndarray
+    block_slots: np.ndarray
+    block_src: np.ndarray
+    m_r: int
+
+    def step_values(self, block, when: str) -> np.ndarray:
+        """Audited stencil values of the matrix with recurrent block ``block``.
+
+        Raises RuntimeError when an entry is negative, a column sum is off
+        by more than COLUMN_SUM_TOL, or the block has mass off the stencil.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.shape != (self.m_r, self.m_r):
+            raise ValueError(f"recurrent block must be {(self.m_r, self.m_r)}, got {block.shape}")
+        values = self.fixed.copy()
+        _audit(values, _gather(values, self.block_slots, self.block_src, block), when)
+        return values
+
+
+def stencil_plan(topology: Topology, partition: Partition, baseline=None) -> StencilPlan:
+    """Lay a run out over the stencil of ``topology``.
+
+    With ``baseline``, a dense matrix in bin numbering, every column is
+    fixed.  Without it the transient columns come from ``transient_matrix``
+    and each step fills the recurrent ones from the dense recurrent block.
+    """
+    stencil = stencil_of(topology)
+    m, m_t, m_r = topology.m, partition.m_t, partition.m_r
+    pos = np.empty(m, dtype=np.int64)
+    pos[partition.ordering] = np.arange(m)
+    transient_at = np.where(pos < m_t, pos, -1)
+    recurrent_at = np.where(pos >= m_t, pos - m_t, -1)
+    if baseline is None:
+        tt, rt = transient_matrix(partition, topology)
+        sources = [(tt, transient_at, transient_at), (rt, recurrent_at, transient_at)]
+    else:
+        every = np.arange(m)
+        sources = [(np.asarray(baseline, dtype=float), every, every)]
+    fixed = np.zeros(stencil.rows.shape)
+    off_stencil = 0
+    for source, row_at, col_at in sources:
+        off_stencil += _gather(fixed, *_gather_index(stencil, row_at, col_at, source.shape[1]), source)
+    if off_stencil:
+        _audit(fixed, off_stencil, "before step 0")
+    fixed.flags.writeable = False
+    block_slots, block_src = _gather_index(stencil, recurrent_at, recurrent_at, m_r)
+    return StencilPlan(stencil=stencil, fixed=fixed, block_slots=block_slots, block_src=block_src, m_r=m_r)
+
+
 def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     """Run a scenario end to end; returns (MetricsSeries, {step: Snapshot}).
 
@@ -268,7 +393,8 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     for the metrics.  Every matrix is audited against the topology before
     use (the fixed baseline once, at set-up); an audit failure aborts the
     run.  ``matrix_hook`` is called as matrix_hook(step, matrix) with each
-    matrix about to drive the step from ``step`` to ``step + 1``.
+    matrix about to drive the step from ``step`` to ``step + 1``, as a
+    read-only dense array.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     m = topology.m
@@ -278,14 +404,14 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     desired_r = desired[recurrent]
     recurrent_adj = topology.adjacency[np.ix_(recurrent, recurrent)]
     params = choose_d_chsn(laplacian_of(topology, recurrent))
-    if scenario.algorithm == "dsmc":
-        tt, rt = transient_matrix(partition, topology)
-    else:
+    baseline = None
+    if scenario.algorithm == "mh":
         # One fixed matrix: audit it once and freeze it so no hook can alter
         # it after the audit.
         baseline = metropolis_hastings(desired, topology, partition)
         _require_valid(baseline, topology, "before step 0")
         baseline.flags.writeable = False
+    plan = stencil_plan(topology, partition, baseline)
 
     events_at: dict[int, list[Event]] = {}
     for ev in scenario.events:
@@ -320,17 +446,19 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     record_snapshot(0)
 
     for k in range(scenario.steps):
-        if scenario.algorithm == "dsmc":
+        if baseline is None:
             block = dsmc_recurrent(x[recurrent], desired_r, recurrent_adj, params)
-            matrix = assemble(tt, rt, block, partition)
-            _require_valid(matrix, topology, f"at step {k}")
+            values, matrix = plan.step_values(block, f"at step {k}"), None
         else:
-            matrix = baseline
+            values, matrix = plan.fixed, baseline
+        if matrix is None and (matrix_hook is not None or not monte_carlo):
+            matrix = plan.stencil.densify(values)
+            matrix.flags.writeable = False
         if matrix_hook is not None:
             matrix_hook(k, matrix)
 
         if monte_carlo:
-            moved = step_agents(swarm, matrix, k)
+            moved = step_agents(swarm, values, k, stencil=plan.stencil)
             transitions = int((moved.assignments != swarm.assignments).sum())
             swarm = moved
             for ev in events_at.get(k + 1, ()):

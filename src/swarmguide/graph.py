@@ -1,5 +1,6 @@
-"""Bin topology, connectivity checks, recurrent/transient partitioning, and
-Laplacian views of the self-loop-free neighbor graph."""
+"""Bin topology, its per-bin neighbour stencil, connectivity checks,
+recurrent/transient partitioning, and Laplacian views of the self-loop-free
+neighbor graph."""
 from __future__ import annotations
 
 from collections import deque
@@ -11,10 +12,12 @@ from .density import check_density
 
 __all__ = [
     "Topology",
+    "Stencil",
     "Partition",
     "LaplacianView",
     "make_topology",
     "build_grid_topology",
+    "stencil_of",
     "is_strongly_connected",
     "partition_states",
     "laplacian_of",
@@ -57,9 +60,51 @@ def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
         raise ValueError(f"grid needs at least one row and one column, got {rows}x{cols}")
     if hop < 1:
         raise ValueError(f"hop must be at least 1, got {hop}")
-    r, c = np.divmod(np.arange(rows * cols), cols)
-    dist = np.abs(r[:, np.newaxis] - r) + np.abs(c[:, np.newaxis] - c)
-    return make_topology(dist <= hop)
+    i, j = np.arange(rows), np.arange(cols)
+    row_gap = np.abs(i[:, np.newaxis] - i)
+    col_gap = np.abs(j[:, np.newaxis] - j)
+    # adj[r1, c1, r2, c2]; broadcasting builds no m x m distance table.
+    adj = row_gap[:, np.newaxis, :, np.newaxis] <= hop - col_gap[np.newaxis, :, np.newaxis, :]
+    return make_topology(adj.reshape(rows * cols, rows * cols))
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """Each bin's one-step destinations in a padded m x w layout.
+
+    Row j of ``rows`` lists, in ascending order, the bins an agent in bin j
+    may move to; ``real`` marks those slots.  The remaining padded slots
+    point at bin j itself.  Matrix column j is then held as ``values[j]``,
+    with 0.0 in the padded slots, so a cumulative sum along a row equals the
+    dense column's cumulative sum at the listed bins entry for entry.
+    """
+
+    rows: np.ndarray
+    real: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return int(self.rows.shape[0])
+
+    def densify(self, values) -> np.ndarray:
+        """Dense m x m matrix with column j holding ``values[j]`` at ``rows[j]``."""
+        dense = np.zeros((self.m, self.m))
+        dense[self.rows[self.real], np.nonzero(self.real)[0]] = np.asarray(values)[self.real]
+        return dense
+
+
+def stencil_of(topology: Topology) -> Stencil:
+    """The stencil of ``topology``: row j lists the bins adjacent to bin j."""
+    m = topology.m
+    src, dst = np.nonzero(topology.adjacency)  # row-major: dst ascends within each src
+    size = np.bincount(src, minlength=m)
+    slot = np.arange(dst.size) - np.repeat(np.cumsum(size) - size, size)
+    rows = np.repeat(np.arange(m), size.max()).reshape(m, -1)
+    rows[src, slot] = dst
+    real = np.arange(rows.shape[1]) < size[:, np.newaxis]
+    for arr in (rows, real):
+        arr.flags.writeable = False
+    return Stencil(rows=rows, real=real)
 
 
 def _as_subset(m: int, subset) -> np.ndarray:

@@ -183,25 +183,19 @@ def transient_matrix(partition: Partition, topology: Topology) -> tuple[np.ndarr
     rt = np.zeros((m_r, m_t))
     if m_t == 0:
         return tt, rt
-    block_pos = {int(b): p for p, b in enumerate(partition.ordering)}
-    adj = topology.adjacency
-    member = np.zeros(topology.m, dtype=bool)
+    pos = np.empty(topology.m, dtype=np.int64)
+    pos[partition.ordering] = np.arange(topology.m)
+    closer = partition.recurrent
     for k, layer in enumerate(partition.layers):
-        member[:] = False
-        targets_are_recurrent = k == 0
-        member[partition.recurrent if targets_are_recurrent else partition.layers[k - 1]] = True
-        for b in layer:
-            targets = np.nonzero(adj[b] & member)[0]
-            if targets.size == 0:
-                raise ValueError(f"transient bin {int(b)} has no neighbor one layer closer to the support")
-            share = 1.0 / targets.size
-            col = block_pos[int(b)]
-            for t in targets:
-                row = block_pos[int(t)]
-                if targets_are_recurrent:
-                    rt[row - m_t, col] = share
-                else:
-                    tt[row, col] = share
+        # hit[i, j]: bin j of this layer may move to bin i one layer closer.
+        hit = topology.adjacency[np.ix_(closer, layer)]
+        count = hit.sum(axis=0)
+        if not count.all():
+            raise ValueError(f"transient bin {int(layer[count == 0][0])} has no neighbor one layer closer to the support")
+        i, j = np.nonzero(hit)
+        out, first_row = (rt, m_t) if k == 0 else (tt, 0)
+        out[pos[closer[i]] - first_row, pos[layer[j]]] = 1.0 / count[j]
+        closer = layer
     return tt, rt
 
 

@@ -31,6 +31,7 @@ from swarmguide import (
     laplacian_of,
     linear_error_update,
     load_scenario,
+    render_scenario,
     run_scenario,
     validate_markov,
 )
@@ -279,6 +280,34 @@ def test_criterion_10_metrics_bytes_identical_cli_in_process_oracle(letter_e_run
     ok = cli == in_process == oracle
     _report(
         "criterion-10 byte-identical metrics across CLI, in-process and bin-local oracle runs",
+        ok,
+        f"{len(cli)} bytes, subprocess==in-process: {cli == in_process}, "
+        f"in-process==oracle: {in_process == oracle}",
+    )
+
+
+def test_criterion_10_mh_metrics_bytes_identical_cli_in_process_oracle(letter_e_runs, tmp_path, monkeypatch):
+    # The same three-way byte check for the fixed baseline chain, whose
+    # sampling runs on the stencil values gathered once at set-up.
+    scenario = replace(letter_e_runs["scenario"], algorithm="mh")
+    path = tmp_path / "letter_e_mh.txt"
+    path.write_text(render_scenario(scenario), encoding="utf-8")
+    out = tmp_path / "cli"
+    proc = subprocess.run(
+        [sys.executable, "-m", "swarmguide", "run", "--scenario", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cli = (out / "metrics.csv").read_bytes()
+    in_process = letter_e_runs["mh"].to_csv().encode("utf-8")
+    monkeypatch.setattr(_kernels, "advance_agents", advance_by_bin_oracle)
+    oracle_metrics, _ = run_scenario(scenario)
+    oracle = oracle_metrics.to_csv().encode("utf-8")
+    ok = cli == in_process == oracle
+    _report(
+        "criterion-10 byte-identical mh metrics across CLI, in-process and bin-local oracle runs",
         ok,
         f"{len(cli)} bytes, subprocess==in-process: {cli == in_process}, "
         f"in-process==oracle: {in_process == oracle}",

@@ -15,7 +15,7 @@ from swarmguide import (
     parse_scenario,
     render_scenario,
 )
-from swarmguide.cli import main
+from swarmguide.cli import MAX_AGENTS, MAX_BINS, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -116,6 +116,21 @@ def test_parse_errors_carry_line_numbers(mutate, fragment, lineno):
     assert fragment in str(err.value)
     if lineno is not None:
         assert f"line {lineno}:" in str(err.value)
+
+
+def test_parse_refuses_oversized_grids_and_swarms():
+    # A 5000x5000 grid is refused at its cols= line, before the 25-million
+    # character map is read or any m x m table is allocated.
+    huge = MINI.replace("rows=2", "rows=5000").replace("cols=2", "cols=5000")
+    huge = huge.replace("map:\n11\n6c\n", "map:\n" + ("#" * 5000 + "\n") * 5000)
+    with pytest.raises(ScenarioFormatError, match=f"line 2: a 5000x5000 grid has 25000000 bins, above the limit of {MAX_BINS}"):
+        parse_scenario(huge)
+    with pytest.raises(ScenarioFormatError, match=f"line 4: agents={MAX_AGENTS + 1} exceeds the limit"):
+        parse_scenario(MINI.replace("agents=40", f"agents={MAX_AGENTS + 1}"))
+    assert parse_scenario(MINI.replace("agents=40", f"agents={MAX_AGENTS}")).agents == MAX_AGENTS
+    # Whichever of rows= and cols= comes second carries the error.
+    with pytest.raises(ScenarioFormatError, match=f"line 2: a 2x{MAX_BINS // 2 + 1} grid"):
+        parse_scenario(MINI.replace("rows=2\ncols=2", f"cols={MAX_BINS // 2 + 1}\nrows=2"))
 
 
 def _read(path: Path) -> str:

@@ -1,19 +1,32 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmguide._kernels as _kernels
 import swarmguide.engine as engine_module
 from swarmguide import (
     Event,
     Scenario,
+    Stencil,
     SwarmState,
     apply_event,
+    assemble,
+    build_grid_topology,
+    dsmc_recurrent,
     initial_swarm,
+    load_scenario,
+    partition_states,
     propagate_density,
     run_scenario,
+    stencil_of,
     step_agents,
+    transient_matrix,
 )
+
+LETTER_E = Path(__file__).resolve().parent.parent / "scenarios" / "letter_e.txt"
 
 RING_SCENARIO = Scenario(
     rows=2,
@@ -287,6 +300,87 @@ def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
     with pytest.raises(RuntimeError, match="failed validation before step 0"):
         run_scenario(replace(RING_SCENARIO, algorithm="mh"), matrix_hook=lambda k, mat: hooked.append(k))
     assert hooked == []
+
+
+@pytest.mark.parametrize(
+    "defect,fragment",
+    [
+        ("negative", "min entry -0.1"),
+        ("column sum", "column sum deviation 0.1999"),
+        ("off stencil", "entries off the stencil: 1"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["deterministic", "monte-carlo"])
+def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment, mode):
+    # Ring bins 0 and 3 are diagonal neighbours, outside each other's stencil.
+    def broken(current_r, desired_r, adjacency, params):
+        mat = np.eye(len(np.asarray(current_r)))
+        if defect == "negative":
+            mat[0, 0], mat[1, 0] = 1.1, -0.1
+        elif defect == "column sum":
+            mat[0, 0] = 1.2
+        else:
+            mat[3, 0] = 1e-3
+        return mat
+
+    monkeypatch.setattr(engine_module, "dsmc_recurrent", broken)
+    hooked = []
+    with pytest.raises(RuntimeError, match=f"failed validation at step 0: .*{fragment}"):
+        run_scenario(replace(RING_SCENARIO, mode=mode), matrix_hook=lambda k, mat: hooked.append(k))
+    assert hooked == []
+
+
+def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
+    # Every hooked matrix equals the dense assembly of the same blocks bit for
+    # bit, and the sampler gets exactly its stencil values, zero-padded.
+    scenario = replace(load_scenario(LETTER_E), steps=30, events=())
+    topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
+    partition = partition_states(topology, scenario.desired_density())
+    tt, rt = transient_matrix(partition, topology)
+    stencil = stencil_of(topology)
+    blocks, hooked, sampled = [], [], []
+
+    def recording_synthesis(*args):
+        blocks.append(dsmc_recurrent(*args))
+        return blocks[-1]
+
+    def recording_advance(bins, z, values, rows):
+        sampled.append((values.copy(), rows))
+        return advance(bins, z, values, rows)
+
+    advance = _kernels.advance_agents
+    monkeypatch.setattr(engine_module, "dsmc_recurrent", recording_synthesis)
+    monkeypatch.setattr(_kernels, "advance_agents", recording_advance)
+    run_scenario(scenario, matrix_hook=lambda k, mat: hooked.append(mat))
+    assert len(blocks) == len(hooked) == len(sampled) == 30
+    for block, mat, (values, rows) in zip(blocks, hooked, sampled):
+        assert mat.tobytes() == assemble(tt, rt, block, partition).tobytes()
+        assert not mat.flags.writeable
+        assert np.array_equal(rows, stencil.rows)
+        assert np.array_equal(values[stencil.real], mat[rows[stencil.real], np.nonzero(stencil.real)[0]])
+        assert not values[~stencil.real].any()
+
+
+def test_monte_carlo_steps_stay_on_the_stencil(monkeypatch):
+    # 40x40 bins, hop 2, 20000 agents: an m x agents gather alone would be
+    # 256 MB, and the dense path peaked at about 350 MB under tracemalloc.
+    letter = load_scenario(LETTER_E)
+    scenario = Scenario(
+        rows=40, cols=40, hop=2, agents=20000, steps=2, algorithm="dsmc", seed=3, mode="monte-carlo",
+        weights=tuple(tuple(w for w in row for _ in range(2)) for row in letter.weights for _ in range(2)),
+    )
+
+    def no_dense(self, values):
+        raise AssertionError("a Monte Carlo step without a hook built a dense matrix")
+
+    monkeypatch.setattr(Stencil, "densify", no_dense)
+    tracemalloc.start()
+    try:
+        run_scenario(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96e6
 
 
 def test_run_scenario_baseline_matrix_is_read_only():

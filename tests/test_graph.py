@@ -7,6 +7,7 @@ from swarmguide import (
     laplacian_of,
     make_topology,
     partition_states,
+    stencil_of,
 )
 
 from testutil import bfs_distances, brute_force_grid_adjacency, random_connected_topology
@@ -20,6 +21,26 @@ def test_grid_adjacency_matches_scalar_oracle(rows, cols, hop):
     topo = build_grid_topology(rows, cols, hop)
     assert topo.m == rows * cols
     assert np.array_equal(topo.adjacency, brute_force_grid_adjacency(rows, cols, hop))
+
+
+def test_stencil_matches_scalar_grid_oracle():
+    rng = np.random.default_rng(31)
+    cases = [(1, 1, 1), (1, 5, 2), (4, 4, 1)]
+    cases += [tuple(int(v) for v in rng.integers(1, 9, size=2)) + (int(rng.integers(1, 5)),) for _ in range(25)]
+    cases += [(r, c, r + c + int(rng.integers(0, 3))) for r, c in rng.integers(1, 7, size=(5, 2)).tolist()]
+    for rows, cols, hop in cases:
+        stencil = stencil_of(build_grid_topology(rows, cols, hop))
+        m = rows * cols
+        adj = np.zeros((m, m), dtype=bool)
+        for j in range(m):
+            dest = stencil.rows[j][stencil.real[j]]
+            assert np.all(np.diff(dest) > 0)
+            assert np.all(stencil.rows[j][~stencil.real[j]] == j)
+            adj[j, dest] = True
+        assert np.array_equal(adj, brute_force_grid_adjacency(rows, cols, hop))
+        width = stencil.rows.shape[1]
+        assert width == adj.sum(axis=1).max() <= min(m, 2 * hop * (hop + 1) + 1)
+        assert not stencil.rows.flags.writeable and not stencil.real.flags.writeable
 
 
 def test_grid_rejects_bad_dimensions():

@@ -203,7 +203,7 @@ def test_transient_columns_split_uniformly_one_layer_closer():
         targets = np.nonzero(stacked)[0]
         # Mass goes somewhere, in equal shares, summing to one.
         assert targets.size > 0
-        assert np.allclose(stacked[targets], 1.0 / targets.size, atol=1e-15)
+        assert np.all(stacked[targets] == 1.0 / targets.size)
         assert abs(stacked.sum() - 1.0) < 1e-12
         # Every target really is a neighbor exactly one layer closer.
         ordering = part.ordering

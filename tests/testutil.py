@@ -123,15 +123,26 @@ def advance_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarr
     return out
 
 
-def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Agent moves by one binary search per occupied bin over its cumulative
-    column, with the same round-off rule as ``advance_oracle``."""
+def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Agent moves from stencil values by one binary search per occupied bin
+    over that bin's dense cumulative column, with the same round-off rule as
+    ``advance_oracle``; a drop-in for ``_kernels.advance_agents``."""
+    m = values.shape[0]
     out = np.empty_like(bins)
     for j in np.unique(bins):
         here = bins == j
-        col = cum[:, j]
+        dense = np.zeros(m)
+        np.add.at(dense, rows[j], values[j])  # padded slots add an exact 0.0
+        col = np.cumsum(dense)
         out[here] = np.minimum(np.searchsorted(col, z[here], side="right"), (col < col[-1]).sum())
     return out
+
+
+def dense_layout(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dense m x m matrix as (values, rows) for ``_kernels.advance_agents``:
+    stencil width m, every bin listing all bins as destinations."""
+    m = matrix.shape[0]
+    return np.ascontiguousarray(matrix.T), np.broadcast_to(np.arange(m), (m, m))
 
 
 def local_recurrent_oracle(current_r, desired_r, recurrent_adjacency, params) -> np.ndarray:
