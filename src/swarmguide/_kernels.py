@@ -1,16 +1,19 @@
 """Hot inner-loop kernels: agent advancement and recurrent column synthesis.
 
-Both are vectorized numpy.  ``advance_agents`` works on a transition matrix
-held in stencil layout (see ``swarmguide.graph.Stencil``): column j of the
-matrix is row j of an m x w value array, whose slot s moves an agent to bin
-``rows[j, s]``.  A dense matrix is the same layout with w = m and every row
-of ``rows`` equal to 0..m-1.
+Both are vectorized numpy and both work in stencil layout (see
+``swarmguide.graph.Stencil``): column j of a transition matrix is row j of
+an m x w value array, whose slot s moves an agent to bin ``rows[j, s]``.
+``synth_recurrent`` writes the recurrent columns straight into that layout,
+w slots per bin, with no dense block.  ``advance_agents`` samples it; a
+dense matrix is the same layout with w = m and every row of ``rows`` equal
+to 0..m-1.
 
 Their IEEE-754 operations are fixed (cumulative and column sums accumulate
-in ascending destination order), so ``synth_recurrent`` equals the bin-local
-``swarmguide.synthesis.dsmc_column`` bit for bit, sampling a stencil equals
-sampling its dense matrix, and simulation outputs do not depend on how
-agents are batched.
+slot by slot in ascending destination order, and padded slots add an exact
+0.0), so ``synth_recurrent`` equals the bin-local
+``swarmguide.synthesis.dsmc_column`` and a dense synthesis over every row
+bit for bit, sampling a stencil equals sampling its dense matrix, and
+simulation outputs do not depend on how agents are batched.
 """
 from __future__ import annotations
 
@@ -43,24 +46,21 @@ def advance_agents(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np
     return rows[bins, np.minimum(hits, last[bins])].astype(bins.dtype, copy=False)
 
 
-def synth_recurrent(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn: float) -> np.ndarray:
-    """Density-feedback transition columns, vectorized.
+def synth_recurrent(e: np.ndarray, x: np.ndarray, rows: np.ndarray, own: np.ndarray, d_chsn: float) -> np.ndarray:
+    """Density-feedback transition columns in stencil layout.
 
-    See ``swarmguide.synthesis.dsmc_recurrent`` for the construction; this
-    kernel assumes validated inputs.  Bins with zero density get an identity
-    column.
+    See ``swarmguide.synthesis.dsmc_recurrent``; this kernel assumes valid
+    inputs.  ``own[j]`` marks the slot of ``rows[j]`` that keeps bin j's
+    leftover mass; padded slots point at j, whose zero error difference
+    never draws flow.
     """
-    m = e.shape[0]
-    diff = (e[:, np.newaxis] - e[np.newaxis, :]) / d_chsn
-    fill = adj & (diff > 0.0) & (x[np.newaxis, :] > 0.0)
-    r = np.zeros((m, m))
-    np.divide(diff, np.broadcast_to(x[np.newaxis, :], (m, m)), out=r, where=fill)
-    np.fill_diagonal(r, 0.0)
-    # Accumulate column sums in ascending row order, as dsmc_column does.
-    off = np.zeros(m)
-    for i in range(m):
-        off += r[i]
+    diff = (e[rows] - e[:, np.newaxis]) / d_chsn
+    r = np.zeros(rows.shape)
+    np.divide(diff, x[:, np.newaxis], out=r, where=(diff > 0.0) & (x[:, np.newaxis] > 0.0))
+    # Column sums accumulate slot by slot in ascending destination order, as in dsmc_column.
+    off = np.zeros(rows.shape[0])
+    for s in range(rows.shape[1]):
+        off += r[:, s]
     diag = np.where(off < 1.0, 1.0 - off, 0.0)
-    idx = np.arange(m)
-    r[idx, idx] = diag
-    return r / (off + diag)[np.newaxis, :]
+    r[own] = diag
+    return r / (off + diag)[:, np.newaxis]

@@ -27,8 +27,9 @@ refused while parsing, before anything is allocated for them.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
-for a topology, ``export-matrix`` dumps one synthesized matrix.  All output
-files are UTF-8 with LF line endings and ``.`` decimal separators.
+for a topology of at most ``MAX_VERIFY_BINS`` bins, ``export-matrix`` dumps
+one synthesized matrix.  All output files are UTF-8 with LF line endings and
+``.`` decimal separators.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from .synthesis import choose_d_chsn
 __all__ = [
     "MAX_AGENTS",
     "MAX_BINS",
+    "MAX_VERIFY_BINS",
     "ScenarioFormatError",
     "parse_scenario",
     "load_scenario",
@@ -55,13 +57,16 @@ __all__ = [
     "main",
 ]
 
-# Size limits.  A run still builds dense tables over bin pairs: the
-# adjacency, the recurrent Laplacian at set-up and the recurrent block every
-# step, about 28 bytes per pair at the peak (0.48 GB at 64x64 bins with a
-# full target, about 3 GB at the limit).  Each agent costs about 100 bytes
-# per step, 1 GB at the limit.
+# Size limits.  A run builds the boolean adjacency over bin pairs at set-up,
+# a few bytes per pair at the peak (50 MB at 64x64 bins); an ``mh`` run also
+# builds its fixed matrix densely, about 26 bytes per pair (0.44 GB at 64x64
+# bins, about 2.6 GB at the limit).  Each agent costs about 100 bytes per
+# step, 1 GB at the limit.  ``verify`` works on dense float m x m tables and
+# runs five O(m^3) eigenvalue solves: at its limit of 50x50 bins it takes
+# about 6 s and 0.44 GB on 2 vCPUs.
 MAX_BINS = 10_000
 MAX_AGENTS = 10_000_000
+MAX_VERIFY_BINS = 2_500
 
 _REQUIRED_KEYS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
 _INT_KEYS = ("rows", "cols", "hop", "agents", "steps", "seed")
@@ -300,6 +305,8 @@ def cmd_verify(rows=None, cols=None, hop=None, fixture=None) -> int:
         if rows is None or cols is None or hop is None:
             print("error: verify needs --rows, --cols and --hop, or --fixture", file=sys.stderr)
             return 2
+        if rows * cols > MAX_VERIFY_BINS:
+            raise ScenarioFormatError(f"a {rows}x{cols} grid has {rows * cols} bins, above the verify limit of {MAX_VERIFY_BINS}")
         topology = build_grid_topology(rows, cols, hop)
         print(f"topology={rows}x{cols} hop={hop}")
     print(f"bins={topology.m}")

@@ -9,15 +9,15 @@ A run works in the stencil layout of ``swarmguide.graph.Stencil``: column j
 of each step's matrix is an m x w value array's row j, over bin j's
 ascending destinations.  ``stencil_plan`` lays a run out once, at set-up:
 the stencil, the columns that never change (transient routing for the
-feedback rule, the whole baseline chain) and the flat gather from the dense
-recurrent block into the remaining slots.  Each step then gathers the
-recurrent block from ``dsmc_recurrent`` into the stencil and audits and
-samples the stencil only, at O(m w) cost.  A dense m x m matrix is
-built only where one is needed: for a ``matrix_hook`` (which is how
-``export-matrix`` reads it) and for deterministic mode, whose ``matrix @ x``
-keeps its summation order.  Because adding 0.0 is exact, stencil column
-sums and cumulative sums equal the dense ones entry for entry, so both
-layouts give the same bytes.
+feedback rule, the whole baseline chain) and the recurrent bins' own
+stencil, slot for slot as their rows of the run's stencil.  Each step
+``dsmc_recurrent`` writes the recurrent columns straight into those slots,
+with no dense block, and the step is audited and sampled over the stencil
+at O(m w) cost.  A dense m x m matrix is built only for a ``matrix_hook``
+(which is how ``export-matrix`` reads it) and for deterministic mode's
+``matrix @ x``, which keeps its summation order.  Because adding 0.0 is
+exact, stencil column sums and cumulative sums equal the dense ones entry
+for entry, so both layouts give the same bytes.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
 An event scheduled at step k is applied once the swarm arrives at step k,
@@ -33,6 +33,9 @@ import numpy as np
 from . import _kernels
 from ._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
 from .density import check_density, empirical_density, from_weight_map, total_variation
+# ``assemble``, ``laplacian_of`` and ``transient_matrix`` are no longer called
+# here; they stay importable from the engine because the per-layer benchmark
+# traces them under this module's name.
 from .graph import (
     Partition,
     Stencil,
@@ -42,11 +45,8 @@ from .graph import (
     partition_states,
     stencil_of,
 )
-# ``assemble`` is no longer called here; it stays importable from the engine
-# because the per-layer benchmark traces it under this module's name.
 from .synthesis import (
     COLUMN_SUM_TOL,
-    SynthesisParams,
     assemble,
     choose_d_chsn,
     dsmc_recurrent,
@@ -277,11 +277,6 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
     )
 
 
-def _expected_transitions(x: np.ndarray, matrix: np.ndarray, population: float) -> float:
-    stay = np.diag(matrix)
-    return float(population * float(np.dot(x, 1.0 - stay)))
-
-
 def _require_valid(matrix: np.ndarray, topology: Topology, when: str):
     report = validate_markov(matrix, topology)
     if not report.ok():
@@ -293,35 +288,14 @@ def _require_valid(matrix: np.ndarray, topology: Topology, when: str):
         )
 
 
-def _gather_index(stencil: Stencil, row_at: np.ndarray, col_at: np.ndarray, n_cols: int):
-    """Flat indices that copy a dense matrix into stencil slots.
-
-    The dense matrix holds destination bin i in row ``row_at[i]`` and source
-    bin j in column ``col_at[j]``, -1 marking a bin it lacks.  Returns
-    (slots, src): flat slot ``slots[k]`` takes flat entry ``src[k]``.
-    """
-    r = row_at[stencil.rows]
-    c = np.broadcast_to(col_at[:, np.newaxis], r.shape)
-    slots = np.flatnonzero(stencil.real & (r >= 0) & (c >= 0))
-    return slots, r.ravel()[slots] * n_cols + c.ravel()[slots]
-
-
-def _gather(values: np.ndarray, slots: np.ndarray, src: np.ndarray, dense: np.ndarray) -> int:
-    """Copy ``dense`` into stencil ``values``; returns its nonzeros left out."""
-    picked = np.take(dense, src)
-    np.put(values, slots, picked)
-    return int(np.count_nonzero(dense)) - int(np.count_nonzero(picked))
-
-
-def _audit(values: np.ndarray, off_stencil: int, when: str):
+def _audit(values: np.ndarray, when: str):
     # Column sums accumulate slot by slot, in ascending destination order.
     deviation = float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max())
     min_entry = float(values.min())
-    if not (deviation <= COLUMN_SUM_TOL and min_entry >= 0.0 and off_stencil == 0):
+    if not (deviation <= COLUMN_SUM_TOL and min_entry >= 0.0):
         raise RuntimeError(
             f"synthesized matrix failed validation {when}: "
-            f"column sum deviation {deviation!r}, min entry {min_entry!r}, "
-            f"entries off the stencil: {off_stencil}"
+            f"column sum deviation {deviation!r}, min entry {min_entry!r}"
         )
 
 
@@ -331,27 +305,28 @@ class StencilPlan:
 
     ``fixed`` holds, in stencil slots, the values that never change during
     the run: the transient columns for the feedback rule, every column for
-    the baseline chain.  Slot ``block_slots[k]`` of a step's values takes
-    flat entry ``block_src[k]`` of the dense recurrent block.
+    the baseline chain.  ``neighbours`` is the stencil of the ``recurrent``
+    bins in their own numbering, slot for slot as their rows of
+    ``stencil``, so synthesized values drop into those rows unchanged.
     """
 
     stencil: Stencil
     fixed: np.ndarray
-    block_slots: np.ndarray
-    block_src: np.ndarray
-    m_r: int
+    recurrent: np.ndarray
+    neighbours: Stencil
 
-    def step_values(self, block, when: str) -> np.ndarray:
-        """Audited stencil values of the matrix with recurrent block ``block``.
+    def step_values(self, synthesized, when: str) -> np.ndarray:
+        """Audited stencil values with the recurrent rows ``synthesized``.
 
-        Raises RuntimeError when an entry is negative, a column sum is off
-        by more than COLUMN_SUM_TOL, or the block has mass off the stencil.
+        Raises RuntimeError when an entry is negative or a column sum is off
+        by more than COLUMN_SUM_TOL.
         """
-        block = np.asarray(block, dtype=float)
-        if block.shape != (self.m_r, self.m_r):
-            raise ValueError(f"recurrent block must be {(self.m_r, self.m_r)}, got {block.shape}")
+        synthesized = np.asarray(synthesized, dtype=float)
+        if synthesized.shape != self.neighbours.rows.shape:
+            raise ValueError(f"recurrent values must be {self.neighbours.rows.shape}, got {synthesized.shape}")
         values = self.fixed.copy()
-        _audit(values, _gather(values, self.block_slots, self.block_src, block), when)
+        values[self.recurrent] = synthesized
+        _audit(values, when)
         return values
 
 
@@ -359,30 +334,23 @@ def stencil_plan(topology: Topology, partition: Partition, baseline=None) -> Ste
     """Lay a run out over the stencil of ``topology``.
 
     With ``baseline``, a dense matrix in bin numbering, every column is
-    fixed.  Without it the transient columns come from ``transient_matrix``
-    and each step fills the recurrent ones from the dense recurrent block.
+    fixed.  Without it each transient bin splits its mass evenly over its
+    neighbours one layer closer to the support, the columns of
+    ``transient_matrix``, and each step fills the recurrent ones.
     """
     stencil = stencil_of(topology)
-    m, m_t, m_r = topology.m, partition.m_t, partition.m_r
-    pos = np.empty(m, dtype=np.int64)
-    pos[partition.ordering] = np.arange(m)
-    transient_at = np.where(pos < m_t, pos, -1)
-    recurrent_at = np.where(pos >= m_t, pos - m_t, -1)
     if baseline is None:
-        tt, rt = transient_matrix(partition, topology)
-        sources = [(tt, transient_at, transient_at), (rt, recurrent_at, transient_at)]
+        layer = np.zeros(topology.m, dtype=np.int64)
+        for k, bins in enumerate(partition.layers):
+            layer[bins] = k + 1
+        closer = stencil.real & (layer[stencil.rows] == layer[:, np.newaxis] - 1)
+        fixed = np.zeros(stencil.rows.shape)
+        np.divide(1.0, closer.sum(axis=1, keepdims=True), out=fixed, where=closer)
     else:
-        every = np.arange(m)
-        sources = [(np.asarray(baseline, dtype=float), every, every)]
-    fixed = np.zeros(stencil.rows.shape)
-    off_stencil = 0
-    for source, row_at, col_at in sources:
-        off_stencil += _gather(fixed, *_gather_index(stencil, row_at, col_at, source.shape[1]), source)
-    if off_stencil:
-        _audit(fixed, off_stencil, "before step 0")
+        fixed = stencil.sparsify(baseline)
     fixed.flags.writeable = False
-    block_slots, block_src = _gather_index(stencil, recurrent_at, recurrent_at, m_r)
-    return StencilPlan(stencil=stencil, fixed=fixed, block_slots=block_slots, block_src=block_src, m_r=m_r)
+    recurrent = partition.recurrent
+    return StencilPlan(stencil=stencil, fixed=fixed, recurrent=recurrent, neighbours=stencil.restrict(recurrent))
 
 
 def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
@@ -400,10 +368,6 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     m = topology.m
     desired = check_density(scenario.desired_density(), name="desired density")
     partition = partition_states(topology, desired)
-    recurrent = partition.recurrent
-    desired_r = desired[recurrent]
-    recurrent_adj = topology.adjacency[np.ix_(recurrent, recurrent)]
-    params = choose_d_chsn(laplacian_of(topology, recurrent))
     baseline = None
     if scenario.algorithm == "mh":
         # One fixed matrix: audit it once and freeze it so no hook can alter
@@ -412,6 +376,10 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         _require_valid(baseline, topology, "before step 0")
         baseline.flags.writeable = False
     plan = stencil_plan(topology, partition, baseline)
+    recurrent, neighbours = plan.recurrent, plan.neighbours
+    desired_r = desired[recurrent]
+    # partition_states has checked that the recurrent bins are connected.
+    params = choose_d_chsn(neighbours)
 
     events_at: dict[int, list[Event]] = {}
     for ev in scenario.events:
@@ -447,8 +415,8 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
 
     for k in range(scenario.steps):
         if baseline is None:
-            block = dsmc_recurrent(x[recurrent], desired_r, recurrent_adj, params)
-            values, matrix = plan.step_values(block, f"at step {k}"), None
+            synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, params)
+            values, matrix = plan.step_values(synthesized, f"at step {k}"), None
         else:
             values, matrix = plan.fixed, baseline
         if matrix is None and (matrix_hook is not None or not monte_carlo):
@@ -466,8 +434,9 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             x = empirical_density(swarm, m)
             population = swarm.num_agents
         else:
-            transitions = _expected_transitions(x, matrix, population)
-            x = propagate_density(x, matrix)
+            # Stay probabilities sit in the self slots; the values are audited already.
+            transitions = float(population * float(np.dot(x, 1.0 - values[plan.stencil.own])))
+            x = check_density(matrix @ x, name="propagated density")
             for ev in events_at.get(k + 1, ()):
                 population = population - math.floor(ev.fraction * population)
 

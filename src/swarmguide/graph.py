@@ -3,8 +3,8 @@ recurrent/transient partitioning, and Laplacian views of the self-loop-free
 neighbor graph."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class Stencil:
     """Each bin's one-step destinations in a padded m x w layout.
 
     Row j of ``rows`` lists, in ascending order, the bins an agent in bin j
-    may move to; ``real`` marks those slots.  The remaining padded slots
-    point at bin j itself.  Matrix column j is then held as ``values[j]``,
-    with 0.0 in the padded slots, so a cumulative sum along a row equals the
+    may move to, in the slots ``real`` marks; every other slot is padding
+    that points at bin j itself.  Matrix column j is held as ``values[j]``,
+    0.0 in the padded slots, so a cumulative sum along a row equals the
     dense column's cumulative sum at the listed bins entry for entry.
     """
 
@@ -86,11 +86,48 @@ class Stencil:
     def m(self) -> int:
         return int(self.rows.shape[0])
 
+    @property
+    def max_degree(self) -> int:
+        """Largest number of destinations of a bin other than itself."""
+        return int(self.real.sum(axis=1).max()) - 1
+
+    @cached_property
+    def own(self) -> np.ndarray:
+        """Marks, in each row, the one real slot where an agent stays put."""
+        return self.real & (self.rows == np.arange(self.m)[:, np.newaxis])
+
+    @cached_property
+    def _dense_index(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rows[self.real], np.nonzero(self.real)[0]
+
     def densify(self, values) -> np.ndarray:
         """Dense m x m matrix with column j holding ``values[j]`` at ``rows[j]``."""
         dense = np.zeros((self.m, self.m))
-        dense[self.rows[self.real], np.nonzero(self.real)[0]] = np.asarray(values)[self.real]
+        dense[self._dense_index] = np.asarray(values)[self.real]
         return dense
+
+    def sparsify(self, dense) -> np.ndarray:
+        """Stencil values of a dense m x m matrix: the inverse of ``densify``
+        for a matrix that is zero off the stencil."""
+        values = np.zeros(self.rows.shape)
+        values[self.real] = np.asarray(dense, dtype=float)[self._dense_index]
+        return values
+
+    def restrict(self, bins) -> Stencil:
+        """The stencil of the subgraph on ascending ``bins``, in their numbering.
+
+        Row k keeps the slots of row ``bins[k]``; a destination outside
+        ``bins`` becomes a padded slot, so the real slots still ascend.
+        """
+        bins = np.asarray(bins)
+        at = np.full(self.m, -1)
+        at[bins] = np.arange(bins.size)
+        sub = at[self.rows[bins]]
+        real = self.real[bins] & (sub >= 0)
+        rows = np.where(real, sub, np.arange(bins.size)[:, np.newaxis])
+        for arr in (rows, real):
+            arr.flags.writeable = False
+        return Stencil(rows=rows, real=real)
 
 
 def stencil_of(topology: Topology) -> Stencil:
@@ -121,24 +158,20 @@ def _as_subset(m: int, subset) -> np.ndarray:
 def is_strongly_connected(topology: Topology, subset=None) -> bool:
     """True when every bin of ``subset`` reaches every other inside it.
 
-    Transitions are symmetric, so plain graph search over the induced
-    subgraph settles strong connectivity.  ``subset`` defaults to all bins.
+    Transitions are symmetric, so a graph search over the induced subgraph,
+    one frontier at a time, settles strong connectivity.  ``subset``
+    defaults to all bins.
     """
     if subset is None:
         subset = np.arange(topology.m)
     idx = _as_subset(topology.m, subset)
-    member = np.zeros(topology.m, dtype=bool)
-    member[idx] = True
-    seen = np.zeros(topology.m, dtype=bool)
-    seen[idx[0]] = True
-    queue = deque([int(idx[0])])
-    adj = topology.adjacency
-    while queue:
-        i = queue.popleft()
-        for j in np.nonzero(adj[i] & member & ~seen)[0]:
-            seen[j] = True
-            queue.append(int(j))
-    return bool(seen[idx].all())
+    unseen = np.zeros(topology.m, dtype=bool)
+    unseen[idx[1:]] = True
+    frontier = idx[:1]
+    while frontier.size:
+        frontier = np.nonzero(topology.adjacency[frontier].any(axis=0) & unseen)[0]
+        unseen[frontier] = False
+    return not unseen.any()
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .density import check_density, error_vector
-from .graph import LaplacianView, Partition, Topology, partition_states
+from .density import check_density
+from .graph import Partition, Stencil, Topology, partition_states
 
 __all__ = [
     "COLUMN_SUM_TOL",
@@ -56,40 +56,17 @@ class SynthesisParams:
     d_chsn: float
 
 
-def choose_d_chsn(recurrent_graph: LaplacianView) -> SynthesisParams:
-    """Smallest admissible integer divisor: maximum degree plus one."""
+def choose_d_chsn(recurrent_graph) -> SynthesisParams:
+    """Smallest admissible integer divisor: maximum degree plus one.
+
+    ``recurrent_graph`` is anything with a ``max_degree``: a
+    ``LaplacianView`` or the recurrent bins' ``Stencil``.
+    """
     return SynthesisParams(d_chsn=float(recurrent_graph.max_degree) + 1.0)
 
 
-def _check_recurrent_inputs(current_r, desired_r, recurrent_adjacency, params):
-    x = np.asarray(current_r, dtype=float)
-    v = np.asarray(desired_r, dtype=float)
-    adj = np.asarray(recurrent_adjacency, dtype=bool)
-    if x.ndim != 1 or v.shape != x.shape:
-        raise ValueError(f"current and desired shapes {x.shape}, {v.shape} do not match")
-    if adj.shape != (x.size, x.size):
-        raise ValueError(f"adjacency shape {adj.shape} does not match {x.size} bins")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("recurrent adjacency must be symmetric")
-    if (x < 0.0).any():
-        raise ValueError("current density has negative entries")
-    if float(x.sum()) > 1.0 + COLUMN_SUM_TOL:
-        raise ValueError("current density on recurrent bins exceeds 1")
-    if (v <= 0.0).any():
-        raise ValueError("desired density must be positive on every recurrent bin")
-    if abs(float(v.sum()) - 1.0) > COLUMN_SUM_TOL:
-        raise ValueError("desired density on recurrent bins must sum to 1")
-    off_diag = adj & ~np.eye(x.size, dtype=bool)
-    max_degree = int(off_diag.sum(axis=0).max()) if x.size else 0
-    if params.d_chsn <= max_degree:
-        raise ValueError(
-            f"d_chsn={params.d_chsn} must strictly exceed the maximum degree {max_degree}"
-        )
-    return x, v, adj
-
-
-def dsmc_recurrent(current_r, desired_r, recurrent_adjacency, params: SynthesisParams) -> np.ndarray:
-    """Synthesize the recurrent-block transition matrix from density feedback.
+def dsmc_recurrent(current_r, desired_r, stencil: Stencil, params: SynthesisParams) -> np.ndarray:
+    """Synthesize the recurrent columns from density feedback, in stencil layout.
 
     Parameters
     ----------
@@ -99,26 +76,29 @@ def dsmc_recurrent(current_r, desired_r, recurrent_adjacency, params: SynthesisP
     desired_r : array of shape (m_r,)
         Target density on the recurrent bins, strictly positive, summing
         to 1.
-    recurrent_adjacency : bool array of shape (m_r, m_r)
-        Symmetric adjacency among the recurrent bins, True diagonal.
+    stencil : Stencil
+        The recurrent bins' stencil in their own numbering, for instance
+        ``stencil_of(topology).restrict(recurrent)``.
     params : SynthesisParams
-        Divisor ``d_chsn``, strictly above the maximum self-loop-free degree.
+        Divisor ``d_chsn``, strictly above ``stencil.max_degree``.
 
     Returns
     -------
     numpy.ndarray
-        Column-stochastic (m_r, m_r) matrix, zero outside the adjacency
-        mask.  Column j is built from the error e = desired - current: each
-        adjacent pair with e[i] > e[j] receives flow (e[i] - e[j]) / d_chsn,
-        converted to a probability by dividing by the density x[j]; the
-        leftover goes to the diagonal, and columns whose requested outflow
-        exceeds their density are rescaled to sum to one.  Bins with zero
-        density keep an identity column, and the whole matrix is exactly the
-        identity when current equals desired.
+        Values shaped like ``stencil.rows``: row j is column j of the
+        column-stochastic recurrent block over ``stencil.rows[j]``, zero in
+        padded slots (``stencil.densify`` gives the dense block).  Each
+        neighbour i with e[i] > e[j], e = desired - current, receives flow
+        (e[i] - e[j]) / d_chsn, divided by the density x[j] to make it a
+        probability; the leftover stays in bin j, and columns asking for more
+        than x[j] are rescaled to sum to one.  Bins with zero density keep all
+        their mass, and the whole matrix is exactly the identity when current
+        equals desired.  Inputs are not validated: a run checks its densities
+        and derives ``d_chsn`` once, at set-up.
     """
-    x, v, adj = _check_recurrent_inputs(current_r, desired_r, recurrent_adjacency, params)
-    e = error_vector(v, x)
-    return _kernels.synth_recurrent(e, x, adj, float(params.d_chsn))
+    x = np.asarray(current_r, dtype=float)
+    e = np.asarray(desired_r, dtype=float) - x
+    return _kernels.synth_recurrent(e, x, stencil.rows, stencil.own, float(params.d_chsn))
 
 
 def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams, m_r: int) -> np.ndarray:
@@ -126,8 +106,9 @@ def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams,
 
     ``x_local`` and ``v_local`` list bin j's own density and target first,
     then the values for ``neighbor_ids`` in the same order.  The result
-    equals column j of ``dsmc_recurrent`` on the full state bit for bit,
-    which is what lets each bin's column be computed where the bin lives.
+    equals column j of the densified ``dsmc_recurrent`` on the full state
+    bit for bit, which is what lets each bin's column be computed where the
+    bin lives.
     """
     ids = np.asarray(neighbor_ids, dtype=np.int64)
     x_local = np.asarray(x_local, dtype=float)

@@ -27,7 +27,6 @@ from swarmguide import (
     contraction_certificate,
     convergence_rate_bounds,
     dsmc_column,
-    dsmc_recurrent,
     laplacian_of,
     linear_error_update,
     load_scenario,
@@ -38,6 +37,7 @@ from swarmguide import (
 
 from testutil import (
     advance_by_bin_oracle,
+    dense_dsmc,
     local_recurrent_oracle,
     positive_density,
     random_connected_topology,
@@ -221,7 +221,7 @@ def test_criterion_08_local_columns_equal_global_matrix():
         v = positive_density(rng, m)
         x = random_density(rng, m, zero_frac=0.25)
         params = choose_d_chsn(laplacian_of(topo))
-        full = dsmc_recurrent(x, v, topo.adjacency, params)
+        full = dense_dsmc(x, v, topo, params)
         j = int(rng.integers(0, m))
         neighbors = np.nonzero(topo.adjacency[:, j] & (np.arange(m) != j))[0]
         col = dsmc_column(

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,15 @@ from swarmguide import (
     ScenarioFormatError,
     SynthesisParams,
     build_grid_topology,
-    dsmc_recurrent,
     load_scenario,
     metropolis_hastings,
     parse_scenario,
     render_scenario,
 )
-from swarmguide.cli import MAX_AGENTS, MAX_BINS, main
+import swarmguide.cli as cli
+from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_VERIFY_BINS, main
+
+from testutil import dense_dsmc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -262,6 +265,29 @@ def test_cmd_verify_disconnected_fixture_fails(capsys):
     assert "connected" in err
 
 
+def test_cmd_verify_refuses_oversized_grids_before_building_them(monkeypatch, capsys):
+    # Only grids within the limit get as far as building a topology; an
+    # oversized one is refused with exit code 2 and nothing allocated for it.
+    class Built(Exception):
+        pass
+
+    def build(rows, cols, hop):
+        raise Built
+
+    monkeypatch.setattr(cli, "build_grid_topology", build)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--rows", "1000", "--cols", "1000", "--hop", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1e6
+    assert f"a 1000x1000 grid has 1000000 bins, above the verify limit of {MAX_VERIFY_BINS}" in capsys.readouterr().err
+    with pytest.raises(Built):
+        main(["verify", "--rows", "1", "--cols", str(MAX_VERIFY_BINS), "--hop", "1"])
+
+
 def test_cmd_verify_usage_errors(capsys):
     assert main(["verify"]) == 2
     assert "needs" in capsys.readouterr().err
@@ -277,10 +303,10 @@ def test_cmd_export_matrix_first_step_matches_library(tmp_path):
     ]) == 0
     got = np.array([[float(v) for v in line.split(",")] for line in _read(out).splitlines()])
     topo = build_grid_topology(2, 2, 1)
-    expected = dsmc_recurrent(
+    expected = dense_dsmc(
         np.array([0.65, 0.35, 0.0, 0.0]),
         np.array([0.05, 0.05, 0.3, 0.6]),
-        topo.adjacency,
+        topo,
         SynthesisParams(d_chsn=3.0),
     )
     assert np.array_equal(got, expected)

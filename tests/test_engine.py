@@ -280,14 +280,17 @@ def test_run_scenario_hook_exceptions_propagate():
 
 
 def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
-    def broken(current_r, desired_r, adjacency, params):
-        mat = np.eye(len(np.asarray(current_r)))
-        mat[0, 0] = 1.2
-        return mat
+    # Synthesized values come in stencil layout: every bin stays put, and
+    # bin 0's column sums to 1.2.
+    def broken(current_r, desired_r, stencil, params):
+        values = stencil.own.astype(float)
+        values[0][stencil.own[0]] = 1.2
+        return values
 
     monkeypatch.setattr(engine_module, "dsmc_recurrent", broken)
-    with pytest.raises(RuntimeError, match="failed validation at step 0"):
-        run_scenario(RING_SCENARIO)
+    for mode in ("deterministic", "monte-carlo"):
+        with pytest.raises(RuntimeError, match="failed validation at step 0"):
+            run_scenario(replace(RING_SCENARIO, mode=mode))
 
     # The fixed baseline matrix is rejected once, before any step runs.
     def broken_baseline(desired, topology, partition):
@@ -307,21 +310,21 @@ def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
     [
         ("negative", "min entry -0.1"),
         ("column sum", "column sum deviation 0.1999"),
-        ("off stencil", "entries off the stencil: 1"),
     ],
 )
 @pytest.mark.parametrize("mode", ["deterministic", "monte-carlo"])
 def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment, mode):
-    # Ring bins 0 and 3 are diagonal neighbours, outside each other's stencil.
-    def broken(current_r, desired_r, adjacency, params):
-        mat = np.eye(len(np.asarray(current_r)))
+    # A defect injected in stencil layout stops the run before any hook sees
+    # the matrix.  Mass outside the stencil has no slot to go in; the
+    # property tests check that synthesis puts none in the padded slots.
+    def broken(current_r, desired_r, stencil, params):
+        assert stencil.rows[0].tolist() == [0, 1, 2]  # bin 0, then its two neighbours
+        values = stencil.own.astype(float)
         if defect == "negative":
-            mat[0, 0], mat[1, 0] = 1.1, -0.1
-        elif defect == "column sum":
-            mat[0, 0] = 1.2
+            values[0, :2] = 1.1, -0.1
         else:
-            mat[3, 0] = 1e-3
-        return mat
+            values[0, 0] = 1.2
+        return values
 
     monkeypatch.setattr(engine_module, "dsmc_recurrent", broken)
     hooked = []
@@ -340,9 +343,10 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
     stencil = stencil_of(topology)
     blocks, hooked, sampled = [], [], []
 
-    def recording_synthesis(*args):
-        blocks.append(dsmc_recurrent(*args))
-        return blocks[-1]
+    def recording_synthesis(current_r, desired_r, neighbours, params):
+        values = dsmc_recurrent(current_r, desired_r, neighbours, params)
+        blocks.append(neighbours.densify(values))
+        return values
 
     def recording_advance(bins, z, values, rows):
         sampled.append((values.copy(), rows))
@@ -381,6 +385,23 @@ def test_monte_carlo_steps_stay_on_the_stencil(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 96e6
+
+
+def test_full_target_run_builds_no_dense_recurrent_block():
+    # 64x64 bins, all of them recurrent.  The boolean topology and its
+    # construction temporaries peak at about 50 MB; one dense 4096 x 4096
+    # float table, such as a recurrent Laplacian or block, would add 134 MB.
+    scenario = Scenario(
+        rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm="dsmc", seed=1, mode="monte-carlo",
+        weights=tuple(tuple(1 + (r + c) % 3 for c in range(64)) for r in range(64)),
+    )
+    tracemalloc.start()
+    try:
+        run_scenario(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_run_scenario_baseline_matrix_is_read_only():

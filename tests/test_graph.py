@@ -10,7 +10,7 @@ from swarmguide import (
     stencil_of,
 )
 
-from testutil import bfs_distances, brute_force_grid_adjacency, random_connected_topology
+from testutil import bfs_distances, brute_force_grid_adjacency, connected_oracle, random_connected_topology
 
 
 @pytest.mark.parametrize(
@@ -41,6 +41,35 @@ def test_stencil_matches_scalar_grid_oracle():
         width = stencil.rows.shape[1]
         assert width == adj.sum(axis=1).max() <= min(m, 2 * hop * (hop + 1) + 1)
         assert not stencil.rows.flags.writeable and not stencil.real.flags.writeable
+
+
+def test_restricted_stencil_is_the_induced_subgraph_slot_for_slot():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        rows, cols, hop = (int(v) for v in rng.integers(1, [8, 8, 4]))
+        full = stencil_of(build_grid_topology(rows, cols, hop))
+        bins = np.nonzero(rng.random(full.m) < rng.uniform(0.2, 1.0))[0]
+        if bins.size == 0:
+            continue
+        sub = full.restrict(bins)
+        induced = brute_force_grid_adjacency(rows, cols, hop)[np.ix_(bins, bins)]
+        assert sub.rows.shape == (bins.size, full.rows.shape[1])
+        for k in range(bins.size):
+            assert sub.rows[k][sub.real[k]].tolist() == np.nonzero(induced[k])[0].tolist()
+            assert np.all(sub.rows[k][~sub.real[k]] == k)
+            # Slot s of row k is slot s of row bins[k], renumbered.
+            assert np.array_equal(bins[sub.rows[k][sub.real[k]]], full.rows[bins[k]][sub.real[k]])
+            assert np.flatnonzero(sub.own[k]).size == 1 and sub.rows[k][sub.own[k]][0] == k
+        assert sub.max_degree == induced.sum(axis=1).max() - 1
+
+
+def test_sparsify_inverts_densify():
+    rng = np.random.default_rng(33)
+    stencil = stencil_of(build_grid_topology(5, 6, 2))
+    values = rng.random(stencil.rows.shape) * stencil.real
+    dense = stencil.densify(values)
+    assert np.array_equal(stencil.sparsify(dense), values)
+    assert np.array_equal(stencil.densify(stencil.sparsify(dense)), dense)
 
 
 def test_grid_rejects_bad_dimensions():
@@ -96,6 +125,23 @@ def test_connectivity_on_random_tree_backed_graphs():
         m = int(rng.integers(2, 40))
         topo = random_connected_topology(rng, m)
         assert is_strongly_connected(topo)
+
+
+def test_connectivity_matches_one_bin_at_a_time_search():
+    # Random grids and random subsets of their bins, including single bins,
+    # scattered sparse subsets and subsets listed out of order.
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for _ in range(300):
+        rows, cols, hop = (int(v) for v in rng.integers(1, [9, 9, 4]))
+        topo = build_grid_topology(rows, cols, hop)
+        keep = rng.random(topo.m) < rng.uniform(0.1, 1.0)
+        keep[int(rng.integers(0, topo.m))] = True
+        subset = rng.permutation(np.nonzero(keep)[0])
+        got = is_strongly_connected(topo, subset)
+        assert got == connected_oracle(topo.adjacency, subset)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_disconnected_blocks_detected():

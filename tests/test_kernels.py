@@ -16,12 +16,10 @@ from testutil import (
 
 def _random_instance(rng, zero_frac=0.3):
     m = int(rng.integers(2, 45))
-    topo = random_connected_topology(rng, m)
+    stencil = stencil_of(random_connected_topology(rng, m))
     x = random_density(rng, m, zero_frac=zero_frac)
     v = positive_density(rng, m)
-    adj = np.ascontiguousarray(topo.adjacency)
-    d = float(np.asarray(adj & ~np.eye(m, dtype=bool)).sum(axis=0).max() + 1)
-    return error_vector(v, x), x, adj, d
+    return error_vector(v, x), x, stencil, float(stencil.max_degree + 1)
 
 
 def test_advance_numpy_matches_scalar_oracle():
@@ -114,8 +112,8 @@ def test_advance_round_off_stays_on_the_column_support():
 
 def test_synth_zero_density_bins_keep_identity_columns():
     rng = np.random.default_rng(24)
-    e, x, adj, d = _random_instance(rng, zero_frac=0.6)
-    out = _kernels.synth_recurrent(e, x, adj, d)
+    e, x, stencil, d = _random_instance(rng, zero_frac=0.6)
+    out = stencil.densify(_kernels.synth_recurrent(e, x, stencil.rows, stencil.own, d))
     for j in np.nonzero(x == 0.0)[0]:
         col = np.zeros(len(x))
         col[j] = 1.0

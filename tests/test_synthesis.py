@@ -12,12 +12,14 @@ from swarmguide import (
     make_topology,
     metropolis_hastings,
     partition_states,
+    stencil_of,
     transient_matrix,
     validate_markov,
 )
 
 from testutil import (
     bfs_distances,
+    dense_dsmc,
     flow_oracle,
     positive_density,
     random_connected_topology,
@@ -35,13 +37,16 @@ def test_choose_d_chsn_is_max_degree_plus_one():
     assert choose_d_chsn(laplacian_of(RING)).d_chsn == 3.0
     assert choose_d_chsn(laplacian_of(build_grid_topology(3, 3, 1))).d_chsn == 5.0
     assert choose_d_chsn(laplacian_of(build_grid_topology(1, 2, 1))).d_chsn == 2.0
+    # The same divisor from a stencil, and from a stencil restricted to a subset.
+    assert choose_d_chsn(stencil_of(build_grid_topology(3, 3, 1))).d_chsn == 5.0
+    assert choose_d_chsn(stencil_of(build_grid_topology(3, 3, 1)).restrict([0, 1, 2, 5])).d_chsn == 3.0
 
 
 def test_ring_first_step_matrix_hand_values():
     # Hand-built from e = v - x0 = (-0.6, -0.3, 0.3, 0.6), d = 3:
     # column 0 moves 0.1 to bin 1 and 0.3 to bin 2 out of density 0.65,
     # column 1 moves 0.3 to bin 3 out of density 0.35, empty columns stay put.
-    mat = dsmc_recurrent(RING_X0, RING_V, RING.adjacency, RING_PARAMS)
+    mat = dense_dsmc(RING_X0, RING_V, RING, RING_PARAMS)
     expected = np.array(
         [
             [5 / 13, 0.0, 0.0, 0.0],
@@ -57,7 +62,7 @@ def test_ring_first_step_matrix_hand_values():
 def test_ring_two_step_density_series():
     x = RING_X0
     for expected in ([0.25, 0.15, 0.3, 0.3], [0.15, 0.05, 0.8 / 3, 1.6 / 3]):
-        mat = dsmc_recurrent(x, RING_V, RING.adjacency, RING_PARAMS)
+        mat = dense_dsmc(x, RING_V, RING, RING_PARAMS)
         x = mat @ x
         assert np.allclose(x, expected, atol=1e-12, rtol=0.0)
 
@@ -68,7 +73,7 @@ def test_fixed_point_gives_exact_identity():
         topo = random_connected_topology(rng, int(rng.integers(2, 40)))
         v = positive_density(rng, topo.m)
         params = choose_d_chsn(laplacian_of(topo))
-        mat = dsmc_recurrent(v, v, topo.adjacency, params)
+        mat = dense_dsmc(v, v, topo, params)
         assert np.array_equal(mat, np.eye(topo.m))
 
 
@@ -81,7 +86,7 @@ def test_synthesis_agrees_with_scalar_flow_oracle():
         v = positive_density(rng, topo.m)
         x = random_density(rng, topo.m, zero_frac=0.3)
         params = choose_d_chsn(laplacian_of(topo))
-        mat = dsmc_recurrent(x, v, topo.adjacency, params)
+        mat = dense_dsmc(x, v, topo, params)
         e = v - x
         expected = flow_oracle(e, x, topo.adjacency, params.d_chsn)
         assert np.abs(mat @ x - expected).max() < 1e-12
@@ -94,7 +99,7 @@ def test_synthesized_matrices_are_valid_markov():
         v = positive_density(rng, topo.m)
         x = random_density(rng, topo.m, zero_frac=0.2)
         params = choose_d_chsn(laplacian_of(topo))
-        mat = dsmc_recurrent(x, v, topo.adjacency, params)
+        mat = dense_dsmc(x, v, topo, params)
         report = validate_markov(mat, topo)
         assert report.ok()
 
@@ -107,7 +112,7 @@ def test_saturated_column_spends_exactly_its_density():
     v = np.array([0.899, 0.1, 0.001])
     x = np.array([0.001, 0.0005, 0.9985])
     params = choose_d_chsn(laplacian_of(topo))
-    mat = dsmc_recurrent(x, v, topo.adjacency, params)
+    mat = dense_dsmc(x, v, topo, params)
     assert mat[0, 1] == 1.0
     assert mat[1, 1] == 0.0
     assert mat[2, 1] == 0.0
@@ -117,33 +122,15 @@ def test_saturated_column_spends_exactly_its_density():
     assert validate_markov(mat, topo).ok()
 
 
-def test_dsmc_rejects_inadmissible_inputs():
-    with pytest.raises(ValueError, match="exceed the maximum degree"):
-        dsmc_recurrent(RING_X0, RING_V, RING.adjacency, SynthesisParams(d_chsn=2.0))
-    with pytest.raises(ValueError, match="negative"):
-        dsmc_recurrent([-0.1, 0.5, 0.3, 0.3], RING_V, RING.adjacency, RING_PARAMS)
-    with pytest.raises(ValueError, match="positive"):
-        dsmc_recurrent(RING_X0, [0.0, 0.1, 0.3, 0.6], RING.adjacency, RING_PARAMS)
-    with pytest.raises(ValueError, match="sum to 1"):
-        dsmc_recurrent(RING_X0, [0.1, 0.1, 0.3, 0.6], RING.adjacency, RING_PARAMS)
-    with pytest.raises(ValueError, match="exceeds 1"):
-        dsmc_recurrent([0.65, 0.65, 0.0, 0.0], RING_V, RING.adjacency, RING_PARAMS)
-    with pytest.raises(ValueError, match="do not match"):
-        dsmc_recurrent([0.5, 0.5], RING_V, RING.adjacency, RING_PARAMS)
-    asym = RING.adjacency.copy()
-    asym[0, 1] = False
-    with pytest.raises(ValueError, match="symmetric"):
-        dsmc_recurrent(RING_X0, RING_V, asym, RING_PARAMS)
-
-
 def test_dsmc_does_not_mutate_inputs():
     x = RING_X0.copy()
     v = RING_V.copy()
-    adj = RING.adjacency.copy()
-    dsmc_recurrent(x, v, adj, RING_PARAMS)
+    stencil = stencil_of(RING)
+    rows, real = stencil.rows.copy(), stencil.real.copy()
+    dsmc_recurrent(x, v, stencil, RING_PARAMS)
     assert np.array_equal(x, RING_X0)
     assert np.array_equal(v, RING_V)
-    assert np.array_equal(adj, RING.adjacency)
+    assert np.array_equal(stencil.rows, rows) and np.array_equal(stencil.real, real)
 
 
 def test_local_column_equals_global_column_exactly():
@@ -154,7 +141,7 @@ def test_local_column_equals_global_column_exactly():
         v = positive_density(rng, m)
         x = random_density(rng, m, zero_frac=0.3)
         params = choose_d_chsn(laplacian_of(topo))
-        full = dsmc_recurrent(x, v, topo.adjacency, params)
+        full = dense_dsmc(x, v, topo, params)
         for j in range(m):
             neighbors = np.nonzero(topo.adjacency[:, j] & (np.arange(m) != j))[0]
             # Feed the neighbors in a scrambled order: result may not depend on it.

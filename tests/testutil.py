@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from swarmguide import Topology, dsmc_column, make_topology
+from swarmguide import Topology, dsmc_column, dsmc_recurrent, make_topology, stencil_of
 
 
 def brute_force_grid_adjacency(rows: int, cols: int, hop: int) -> np.ndarray:
@@ -145,21 +145,65 @@ def dense_layout(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(matrix.T), np.broadcast_to(np.arange(m), (m, m))
 
 
-def local_recurrent_oracle(current_r, desired_r, recurrent_adjacency, params) -> np.ndarray:
-    """Recurrent block built column by column from bin-local data only, by
-    ``dsmc_column`` on each bin and its neighbors; a drop-in for
-    ``dsmc_recurrent``."""
+def local_recurrent_oracle(current_r, desired_r, stencil, params) -> np.ndarray:
+    """Recurrent values built column by column from bin-local data only, by
+    ``dsmc_column`` on each bin and its stencil neighbours, then laid into
+    the stencil's slots; a drop-in for ``dsmc_recurrent``."""
     x = np.asarray(current_r, dtype=float)
     v = np.asarray(desired_r, dtype=float)
     m_r = x.size
-    block = np.empty((m_r, m_r))
+    values = np.zeros(stencil.rows.shape)
     for j in range(m_r):
-        nbrs = np.nonzero(recurrent_adjacency[:, j])[0]
+        real = stencil.real[j]
+        nbrs = stencil.rows[j][real]
         nbrs = nbrs[nbrs != j]
         local_x = np.concatenate([[x[j]], x[nbrs]])
         local_v = np.concatenate([[v[j]], v[nbrs]])
-        block[:, j] = dsmc_column(j, local_x, local_v, nbrs, params, m_r)
-    return block
+        col = dsmc_column(j, local_x, local_v, nbrs, params, m_r)
+        values[j, real] = col[stencil.rows[j][real]]
+    return values
+
+
+def dense_recurrent_oracle(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn: float) -> np.ndarray:
+    """The recurrent block as one dense m_r x m_r computation over the full
+    adjacency, with column sums accumulated over every row in ascending
+    order; the construction that predates the stencil layout."""
+    m = e.shape[0]
+    diff = (e[:, np.newaxis] - e[np.newaxis, :]) / d_chsn
+    fill = adj & (diff > 0.0) & (x[np.newaxis, :] > 0.0)
+    r = np.zeros((m, m))
+    np.divide(diff, np.broadcast_to(x[np.newaxis, :], (m, m)), out=r, where=fill)
+    np.fill_diagonal(r, 0.0)
+    off = np.zeros(m)
+    for i in range(m):
+        off += r[i]
+    diag = np.where(off < 1.0, 1.0 - off, 0.0)
+    idx = np.arange(m)
+    r[idx, idx] = diag
+    return r / (off + diag)[np.newaxis, :]
+
+
+def dense_dsmc(current, desired, topology: Topology, params) -> np.ndarray:
+    """``dsmc_recurrent`` over every bin of ``topology``, as a dense matrix."""
+    stencil = stencil_of(topology)
+    return stencil.densify(dsmc_recurrent(current, desired, stencil, params))
+
+
+def connected_oracle(adjacency: np.ndarray, subset) -> bool:
+    """Connectivity of the subgraph induced on ``subset`` by a queue-based
+    search that visits one bin at a time."""
+    idx = np.unique(np.asarray(subset, dtype=np.int64))
+    member = np.zeros(adjacency.shape[0], dtype=bool)
+    member[idx] = True
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen[idx[0]] = True
+    queue = deque([int(idx[0])])
+    while queue:
+        i = queue.popleft()
+        for j in np.nonzero(adjacency[i] & member & ~seen)[0]:
+            seen[j] = True
+            queue.append(int(j))
+    return bool(seen[idx].all())
 
 
 def random_column_stochastic(rng: np.random.Generator, topology: Topology) -> np.ndarray:
