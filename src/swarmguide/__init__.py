@@ -52,6 +52,7 @@ from .synthesis import (
     dsmc_column,
     dsmc_recurrent,
     metropolis_hastings,
+    mh_recurrent,
     transient_matrix,
     validate_markov,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "dsmc_column",
     "dsmc_recurrent",
     "metropolis_hastings",
+    "mh_recurrent",
     "transient_matrix",
     "validate_markov",
     "ScenarioFormatError",

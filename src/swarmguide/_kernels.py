@@ -14,14 +14,21 @@ slot by slot in ascending destination order, and padded slots add an exact
 ``swarmguide.synthesis.dsmc_column`` and a dense synthesis over every row
 bit for bit, sampling a stencil equals sampling its dense matrix, and
 simulation outputs do not depend on how agents are batched.
+
+``advance_agents`` samples in two passes, because feedback synthesis
+leaves most agents where they are.  First the stay test: with s the first
+slot of bin b's row that lists b itself and cum its cumulative row
+(cum[-1] read as 0), an agent in b with cum[s-1] <= z < cum[s] stays.
+That is what the full search returns: the cumulative row never decreases,
+so exactly s entries are <= z, and since cum[s-1] < cum[s] <= total the
+round-off clamp cannot cut below s either.  A slot with an empty window,
+such as a zero self slot or padding ahead of it, settles nobody.  Then
+only the movers search their column, one slot at a time over a w x m
+cumulative table, so no agents x w temporary is ever built.
 """
 from __future__ import annotations
 
 import numpy as np
-
-# Most entries one gather of cumulative stencil rows may hold (32 MB of
-# float64); larger swarms are advanced in chunks of agents.
-GATHER_ENTRIES = 1 << 22
 
 
 def advance_agents(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -29,21 +36,36 @@ def advance_agents(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np
 
     ``bins`` holds current bin indices and ``z`` one uniform per agent.
     ``values[j]`` is column j of a column-stochastic matrix over the
-    ascending destinations ``rows[j]``, padded with zeros.  Agent k lands
-    on the first destination whose cumulative probability exceeds z[k].
+    ascending destinations ``rows[j]``, padded with zeros; ``rows[j]``
+    lists bin j itself, as in every stencil and dense layout.  Agent k
+    lands on the first destination whose cumulative probability exceeds
+    z[k].
     When float round-off leaves the column total at or below the draw, the
     agent lands on the column's last positive entry, so it never leaves the
     column's support.
+
+    Agents whose draw falls in their bin's stay window are settled first,
+    with two lookups each; only the others search the column slot by slot.
     """
-    cum = np.cumsum(values, axis=1)
+    m, w = values.shape
+    # cum[s + 1, j]: cumulative probability of column j through slot s,
+    # summed slot by slot as np.cumsum(values, axis=1) would; cum[0] = 0.
+    cum = np.zeros((w + 1, m))
+    np.cumsum(values.T, axis=0, out=cum[1:])
     # Slot at which each column first reaches its total: its last positive entry.
-    last = (cum < cum[:, -1:]).sum(axis=1)
-    hits = np.empty(bins.shape, dtype=np.int64)
-    chunk = max(1, GATHER_ENTRIES // cum.shape[1])
-    for lo in range(0, bins.size, chunk):
-        part = slice(lo, lo + chunk)
-        hits[part] = (cum[bins[part]] <= z[part, np.newaxis]).sum(axis=1)
-    return rows[bins, np.minimum(hits, last[bins])].astype(bins.dtype, copy=False)
+    last = (cum[1:] < cum[-1]).sum(axis=0)
+    bin_ids = np.arange(m)
+    own = np.argmax(rows == bin_ids[:, np.newaxis], axis=1)
+    # Stay window [lo, hi) of the first slot listing the bin itself.
+    lo, hi = cum[own, bin_ids], cum[own + 1, bin_ids]
+    movers = np.nonzero((z < lo[bins]) | (z >= hi[bins]))[0]
+    out = bins.copy()
+    from_bin, draw = bins[movers], z[movers]
+    hits = np.zeros(movers.size, dtype=np.int64)
+    for row in cum[1:]:
+        hits += row.take(from_bin) <= draw
+    out[movers] = rows[from_bin, np.minimum(hits, last[from_bin])]
+    return out
 
 
 def synth_recurrent(e: np.ndarray, x: np.ndarray, rows: np.ndarray, own: np.ndarray, d_chsn: float) -> np.ndarray:

@@ -58,9 +58,9 @@ __all__ = [
 ]
 
 # Size limits.  A run builds the boolean adjacency over bin pairs at set-up,
-# a few bytes per pair at the peak (50 MB at 64x64 bins); an ``mh`` run also
-# builds its fixed matrix densely, about 26 bytes per pair (0.44 GB at 64x64
-# bins, about 2.6 GB at the limit).  Each agent costs about 100 bytes per
+# a few bytes per pair at the peak (50 MB at 64x64 bins, for either
+# algorithm); deterministic mode and a matrix hook add a dense float matrix,
+# 8 bytes per pair (0.8 GB at the limit).  Each agent costs about 100 bytes per
 # step, 1 GB at the limit.  ``verify`` works on dense float m x m tables and
 # runs five O(m^3) eigenvalue solves: at its limit of 50x50 bins it takes
 # about 6 s and 0.44 GB on 2 vCPUs.

@@ -8,11 +8,11 @@ scheduled events, and recording per-step metrics.
 A run works in the stencil layout of ``swarmguide.graph.Stencil``: column j
 of each step's matrix is an m x w value array's row j, over bin j's
 ascending destinations.  ``stencil_plan`` lays a run out once, at set-up:
-the stencil, the columns that never change (transient routing for the
-feedback rule, the whole baseline chain) and the recurrent bins' own
-stencil, slot for slot as their rows of the run's stencil.  Each step
-``dsmc_recurrent`` writes the recurrent columns straight into those slots,
-with no dense block, and the step is audited and sampled over the stencil
+the stencil, the transient columns, which never change, and the recurrent
+bins' own stencil, slot for slot as their rows of the run's stencil.  The
+recurrent columns are written straight into those slots, with no dense
+block: by ``dsmc_recurrent`` every step, or by ``mh_recurrent`` once, for
+the baseline chain.  Each matrix is audited and sampled over the stencil
 at O(m w) cost.  A dense m x m matrix is built only for a ``matrix_hook``
 (which is how ``export-matrix`` reads it) and for deterministic mode's
 ``matrix @ x``, which keeps its summation order.  Because adding 0.0 is
@@ -33,9 +33,10 @@ import numpy as np
 from . import _kernels
 from ._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
 from .density import check_density, empirical_density, from_weight_map, total_variation
-# ``assemble``, ``laplacian_of`` and ``transient_matrix`` are no longer called
-# here; they stay importable from the engine because the per-layer benchmark
-# traces them under this module's name.
+# ``assemble``, ``laplacian_of``, ``metropolis_hastings`` and
+# ``transient_matrix`` are no longer called here; they stay importable from
+# the engine because the per-layer benchmark traces them under this module's
+# name.
 from .graph import (
     Partition,
     Stencil,
@@ -51,6 +52,7 @@ from .synthesis import (
     choose_d_chsn,
     dsmc_recurrent,
     metropolis_hastings,
+    mh_recurrent,
     transient_matrix,
     validate_markov,
 )
@@ -277,8 +279,8 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
     )
 
 
-def _require_valid(matrix: np.ndarray, topology: Topology, when: str):
-    report = validate_markov(matrix, topology)
+def _require_valid(values: np.ndarray, stencil: Stencil, when: str):
+    report = validate_markov(values, stencil)
     if not report.ok():
         raise RuntimeError(
             f"synthesized matrix failed validation {when}: "
@@ -303,11 +305,11 @@ def _audit(values: np.ndarray, when: str):
 class StencilPlan:
     """A run laid out once over the bin stencil.
 
-    ``fixed`` holds, in stencil slots, the values that never change during
-    the run: the transient columns for the feedback rule, every column for
-    the baseline chain.  ``neighbours`` is the stencil of the ``recurrent``
-    bins in their own numbering, slot for slot as their rows of
-    ``stencil``, so synthesized values drop into those rows unchanged.
+    ``fixed`` holds, in stencil slots, the transient columns, which never
+    change during the run, and zero recurrent rows.  ``neighbours`` is the
+    stencil of the ``recurrent`` bins in their own numbering, slot for slot
+    as their rows of ``stencil``, so recurrent values drop into those rows
+    unchanged.
     """
 
     stencil: Stencil
@@ -315,39 +317,39 @@ class StencilPlan:
     recurrent: np.ndarray
     neighbours: Stencil
 
+    def with_recurrent(self, recurrent_values) -> np.ndarray:
+        """Stencil values of the whole matrix, given its recurrent rows."""
+        recurrent_values = np.asarray(recurrent_values, dtype=float)
+        if recurrent_values.shape != self.neighbours.rows.shape:
+            raise ValueError(f"recurrent values must be {self.neighbours.rows.shape}, got {recurrent_values.shape}")
+        values = self.fixed.copy()
+        values[self.recurrent] = recurrent_values
+        return values
+
     def step_values(self, synthesized, when: str) -> np.ndarray:
         """Audited stencil values with the recurrent rows ``synthesized``.
 
         Raises RuntimeError when an entry is negative or a column sum is off
         by more than COLUMN_SUM_TOL.
         """
-        synthesized = np.asarray(synthesized, dtype=float)
-        if synthesized.shape != self.neighbours.rows.shape:
-            raise ValueError(f"recurrent values must be {self.neighbours.rows.shape}, got {synthesized.shape}")
-        values = self.fixed.copy()
-        values[self.recurrent] = synthesized
+        values = self.with_recurrent(synthesized)
         _audit(values, when)
         return values
 
 
-def stencil_plan(topology: Topology, partition: Partition, baseline=None) -> StencilPlan:
+def stencil_plan(topology: Topology, partition: Partition) -> StencilPlan:
     """Lay a run out over the stencil of ``topology``.
 
-    With ``baseline``, a dense matrix in bin numbering, every column is
-    fixed.  Without it each transient bin splits its mass evenly over its
-    neighbours one layer closer to the support, the columns of
-    ``transient_matrix``, and each step fills the recurrent ones.
+    Each transient bin splits its mass evenly over its neighbours one layer
+    closer to the support, the columns of ``transient_matrix``.
     """
     stencil = stencil_of(topology)
-    if baseline is None:
-        layer = np.zeros(topology.m, dtype=np.int64)
-        for k, bins in enumerate(partition.layers):
-            layer[bins] = k + 1
-        closer = stencil.real & (layer[stencil.rows] == layer[:, np.newaxis] - 1)
-        fixed = np.zeros(stencil.rows.shape)
-        np.divide(1.0, closer.sum(axis=1, keepdims=True), out=fixed, where=closer)
-    else:
-        fixed = stencil.sparsify(baseline)
+    layer = np.zeros(topology.m, dtype=np.int64)
+    for k, bins in enumerate(partition.layers):
+        layer[bins] = k + 1
+    closer = stencil.real & (layer[stencil.rows] == layer[:, np.newaxis] - 1)
+    fixed = np.zeros(stencil.rows.shape)
+    np.divide(1.0, closer.sum(axis=1, keepdims=True), out=fixed, where=closer)
     fixed.flags.writeable = False
     recurrent = partition.recurrent
     return StencilPlan(stencil=stencil, fixed=fixed, recurrent=recurrent, neighbours=stencil.restrict(recurrent))
@@ -368,16 +370,20 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     m = topology.m
     desired = check_density(scenario.desired_density(), name="desired density")
     partition = partition_states(topology, desired)
-    baseline = None
+    plan = stencil_plan(topology, partition)
+    recurrent, neighbours = plan.recurrent, plan.neighbours
+    desired_r = desired[recurrent]
+    monte_carlo = scenario.mode == "monte-carlo"
+    baseline = baseline_matrix = None
     if scenario.algorithm == "mh":
         # One fixed matrix: audit it once and freeze it so no hook can alter
         # it after the audit.
-        baseline = metropolis_hastings(desired, topology, partition)
-        _require_valid(baseline, topology, "before step 0")
+        baseline = plan.with_recurrent(mh_recurrent(desired_r, neighbours))
+        _require_valid(baseline, plan.stencil, "before step 0")
         baseline.flags.writeable = False
-    plan = stencil_plan(topology, partition, baseline)
-    recurrent, neighbours = plan.recurrent, plan.neighbours
-    desired_r = desired[recurrent]
+        if matrix_hook is not None or not monte_carlo:
+            baseline_matrix = plan.stencil.densify(baseline)
+            baseline_matrix.flags.writeable = False
     # partition_states has checked that the recurrent bins are connected.
     params = choose_d_chsn(neighbours)
 
@@ -385,7 +391,6 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     for ev in scenario.events:
         events_at.setdefault(ev.step, []).append(ev)
 
-    monte_carlo = scenario.mode == "monte-carlo"
     swarm = initial_swarm(scenario) if monte_carlo else None
     if monte_carlo:
         for ev in events_at.get(0, ()):
@@ -418,7 +423,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, params)
             values, matrix = plan.step_values(synthesized, f"at step {k}"), None
         else:
-            values, matrix = plan.fixed, baseline
+            values, matrix = baseline, baseline_matrix
         if matrix is None and (matrix_hook is not None or not monte_carlo):
             matrix = plan.stencil.densify(values)
             matrix.flags.writeable = False

@@ -12,10 +12,12 @@ which entry [i, j] is the probability that an agent in bin j moves to bin i:
   toward the desired support, one distance layer per step, with no
   self-loops.
 * ``metropolis_hastings``: a density-independent baseline with the same
-  stationary distribution, for comparison runs.
+  stationary distribution, for comparison runs, as a dense matrix;
+  ``mh_recurrent`` gives its recurrent columns in stencil layout.
 
 ``assemble`` stitches blocks back into original bin numbering and
-``validate_markov`` audits any matrix against a topology.
+``validate_markov`` audits any matrix against a topology, or stencil
+values against their stencil.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ __all__ = [
     "transient_matrix",
     "assemble",
     "metropolis_hastings",
+    "mh_recurrent",
     "validate_markov",
 ]
 
@@ -246,13 +249,40 @@ def metropolis_hastings(desired, topology: Topology, partition: Partition | None
     return assemble(m1, m2, m3, partition)
 
 
+def mh_recurrent(desired_r, stencil: Stencil) -> np.ndarray:
+    """The recurrent columns of ``metropolis_hastings``, in stencil layout.
+
+    ``stencil`` is the recurrent bins' stencil in their own numbering, and
+    the values returned are shaped like ``stencil.rows``.  Every entry
+    equals the dense matrix's bit for bit: acceptances use the same
+    operations, and the rejected mass is what is left after adding the
+    moves slot by slot in ascending destination order, as the dense loop
+    adds them (a padded or self slot adds an exact 0.0).  Inputs are not
+    validated: a run checks its target once, at the scenario boundary.
+    """
+    v = np.asarray(desired_r, dtype=float)
+    moves = stencil.real & ~stencil.own
+    degree = moves.sum(axis=1)
+    # accept / deg(j), accept = min(1, v[i] deg(j) / (v[j] deg(i))).
+    ratio = np.zeros(stencil.rows.shape)
+    np.divide(v[stencil.rows] * degree[:, np.newaxis], v[:, np.newaxis] * degree[stencil.rows], out=ratio, where=moves)
+    values = np.zeros(stencil.rows.shape)
+    np.divide(np.minimum(1.0, ratio), degree[:, np.newaxis], out=values, where=moves)
+    off = np.zeros(stencil.m)
+    for s in range(stencil.rows.shape[1]):
+        off += values[:, s]
+    values[stencil.own] = np.maximum(0.0, 1.0 - off)
+    return values
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Audit of a candidate transition matrix.
 
     ``mask_violations`` lists (destination, source) pairs that carry
-    probability across transitions the topology forbids.  The report never
-    raises; callers decide severity via ``ok``.
+    probability across transitions the topology forbids, destination -1
+    for a padded stencil slot.  The report never raises; callers decide
+    severity via ``ok``.
     """
 
     max_column_sum_deviation: float
@@ -267,12 +297,26 @@ class ValidationReport:
         )
 
 
-def validate_markov(matrix, topology: Topology) -> ValidationReport:
+def validate_markov(matrix, topology: Topology | Stencil) -> ValidationReport:
     """Measure column sums, entry signs, and mask violations of ``matrix``.
 
     Entry [i, j] moves bin j mass to bin i, so it is allowed exactly when
-    ``topology.adjacency[j, i]`` holds.
+    ``topology.adjacency[j, i]`` holds.  With a ``Stencil`` in place of the
+    topology, ``matrix`` holds its values (column j in ``matrix[j]``) and
+    the audit costs O(m w): column sums accumulate slot by slot, and mass
+    in a padded slot of column j, which lists no destination, is reported
+    as the pair (-1, j).
     """
+    if isinstance(topology, Stencil):
+        values = np.asarray(matrix, dtype=float)
+        if values.shape != topology.rows.shape:
+            raise ValueError(f"stencil values must be {topology.rows.shape}, got {values.shape}")
+        padded = np.nonzero(((values != 0.0) & ~topology.real).any(axis=1))[0]
+        return ValidationReport(
+            max_column_sum_deviation=float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max()),
+            min_entry=float(values.min()),
+            mask_violations=tuple((-1, j) for j in padded.tolist()),
+        )
     m = np.asarray(matrix, dtype=float)
     if m.shape != (topology.m, topology.m):
         raise ValueError(f"matrix shape {m.shape} does not match {topology.m} bins")

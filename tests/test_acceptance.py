@@ -9,6 +9,7 @@ criterion.
 """
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swarmguide
 import swarmguide._kernels as _kernels
 import swarmguide.engine as engine
 from swarmguide import (
@@ -53,6 +55,20 @@ RING = REPO / "scenarios" / "cycle4.txt"
 # verdict lines replayed by conftest at the end of the session.
 AUDITS: list = []
 VERDICTS: list = []
+
+
+def _cli_run(scenario: str, out) -> subprocess.CompletedProcess:
+    """``python -m swarmguide run`` in a fresh interpreter that imports the
+    same package as this process, installed or not."""
+    package_root = str(Path(swarmguide.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "swarmguide", "run", "--scenario", scenario, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -264,12 +280,7 @@ def test_criterion_10_metrics_bytes_identical_cli_in_process_oracle(letter_e_run
     # dsmc_column per bin, one binary search per occupied bin) must write the
     # same metrics bytes.
     out = tmp_path / "cli"
-    proc = subprocess.run(
-        [sys.executable, "-m", "swarmguide", "run", "--scenario", str(LETTER_E), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = _cli_run(str(LETTER_E), out)
     assert proc.returncode == 0, proc.stderr
     cli = (out / "metrics.csv").read_bytes()
     in_process = letter_e_runs["dsmc"].to_csv().encode("utf-8")
@@ -293,12 +304,7 @@ def test_criterion_10_mh_metrics_bytes_identical_cli_in_process_oracle(letter_e_
     path = tmp_path / "letter_e_mh.txt"
     path.write_text(render_scenario(scenario), encoding="utf-8")
     out = tmp_path / "cli"
-    proc = subprocess.run(
-        [sys.executable, "-m", "swarmguide", "run", "--scenario", str(path), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = _cli_run(str(path), out)
     assert proc.returncode == 0, proc.stderr
     cli = (out / "metrics.csv").read_bytes()
     in_process = letter_e_runs["mh"].to_csv().encode("utf-8")

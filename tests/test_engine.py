@@ -280,26 +280,21 @@ def test_run_scenario_hook_exceptions_propagate():
 
 
 def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
-    # Synthesized values come in stencil layout: every bin stays put, and
-    # bin 0's column sums to 1.2.
-    def broken(current_r, desired_r, stencil, params):
+    # Recurrent values come in stencil layout: every bin stays put, and bin
+    # 0's column sums to 1.2.
+    def broken(stencil):
         values = stencil.own.astype(float)
         values[0][stencil.own[0]] = 1.2
         return values
 
-    monkeypatch.setattr(engine_module, "dsmc_recurrent", broken)
+    monkeypatch.setattr(engine_module, "dsmc_recurrent", lambda current_r, desired_r, stencil, params: broken(stencil))
     for mode in ("deterministic", "monte-carlo"):
         with pytest.raises(RuntimeError, match="failed validation at step 0"):
             run_scenario(replace(RING_SCENARIO, mode=mode))
 
     # The fixed baseline matrix is rejected once, before any step runs.
-    def broken_baseline(desired, topology, partition):
-        mat = np.eye(topology.m)
-        mat[0, 0] = 1.2
-        return mat
-
+    monkeypatch.setattr(engine_module, "mh_recurrent", lambda desired_r, stencil: broken(stencil))
     hooked = []
-    monkeypatch.setattr(engine_module, "metropolis_hastings", broken_baseline)
     with pytest.raises(RuntimeError, match="failed validation before step 0"):
         run_scenario(replace(RING_SCENARIO, algorithm="mh"), matrix_hook=lambda k, mat: hooked.append(k))
     assert hooked == []
@@ -393,6 +388,22 @@ def test_full_target_run_builds_no_dense_recurrent_block():
     # float table, such as a recurrent Laplacian or block, would add 134 MB.
     scenario = Scenario(
         rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm="dsmc", seed=1, mode="monte-carlo",
+        weights=tuple(tuple(1 + (r + c) % 3 for c in range(64)) for r in range(64)),
+    )
+    tracemalloc.start()
+    try:
+        run_scenario(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_full_target_baseline_run_builds_no_dense_matrix():
+    # The same 64x64 full-target grid under the fixed baseline chain, which
+    # is laid into stencil slots as well: the dense build peaked at 437 MB.
+    scenario = Scenario(
+        rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm="mh", seed=1, mode="monte-carlo",
         weights=tuple(tuple(1 + (r + c) % 3 for c in range(64)) for r in range(64)),
     )
     tracemalloc.start()

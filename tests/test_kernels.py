@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from swarmguide import _kernels, build_grid_topology, stencil_of
@@ -61,15 +63,22 @@ def test_stencil_advance_matches_oracle_on_densified_columns():
         assert stencil.real[bins, np.argmax(stencil.rows[bins] == got[:, np.newaxis], axis=1)].all()
 
 
-def test_advance_agents_in_chunks_gives_the_same_bins(monkeypatch):
+def test_advance_agents_builds_no_agents_by_slots_temporary():
+    # 10**6 agents on a 30x30 hop-3 stencil (w = 25), nearly all of them
+    # moving: one agents x w float gather alone would take 200 MB.
     rng = np.random.default_rng(26)
-    stencil = stencil_of(build_grid_topology(6, 7, 2))
-    values = _random_stencil_values(rng, stencil)
-    bins = rng.integers(0, stencil.m, size=1000)
-    z = rng.random(1000)
-    whole = _kernels.advance_agents(bins, z, values, stencil.rows)
-    monkeypatch.setattr(_kernels, "GATHER_ENTRIES", 3 * stencil.rows.shape[1] + 1)
-    assert np.array_equal(_kernels.advance_agents(bins, z, values, stencil.rows), whole)
+    stencil = stencil_of(build_grid_topology(30, 30, 3))
+    assert stencil.rows.shape == (900, 25)
+    values = _random_stencil_values(rng, stencil, zero_prob=0.0)
+    bins = rng.integers(0, stencil.m, size=10**6)
+    z = rng.random(10**6)
+    tracemalloc.start()
+    try:
+        _kernels.advance_agents(bins, z, values, stencil.rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
 
 
 def test_advance_clamps_to_last_bin():

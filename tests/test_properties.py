@@ -1,9 +1,11 @@
-"""Property tests of density-feedback synthesis on random small grids.
+"""Property tests on random small grids and scenarios.
 
 Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
-the cases.  Runs are derandomized, so the suite sees the same examples
-every time.
+the cases, for synthesis; stencils, columns and draws at the edges of
+each stay window for the agent sampler; and whole scenarios for the
+scenario file format.  Runs are derandomized, so the suite sees the same
+examples every time.
 """
 from __future__ import annotations
 
@@ -11,9 +13,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmguide import build_grid_topology, choose_d_chsn, dsmc_column, dsmc_recurrent, stencil_of
+from swarmguide import (
+    Event,
+    Scenario,
+    _kernels,
+    build_grid_topology,
+    choose_d_chsn,
+    dsmc_column,
+    dsmc_recurrent,
+    metropolis_hastings,
+    mh_recurrent,
+    parse_scenario,
+    partition_states,
+    render_scenario,
+    stencil_of,
+)
+from swarmguide.engine import stencil_plan
 
-from testutil import dense_recurrent_oracle
+from testutil import advance_by_bin_oracle, dense_recurrent_oracle
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -80,3 +97,136 @@ def test_synthesis_stays_on_recurrent_neighbours(instance):
     assert (values >= 0.0).all()
     adjacency = topology.adjacency[np.ix_(recurrent, recurrent)]
     assert not neighbours.densify(values)[~adjacency].any()
+
+
+@st.composite
+def connected_targets(draw):
+    """(topology, target) with the target's support grown one neighbour at a
+    time from a single bin, so it is connected; weights vary over it."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    topology = build_grid_topology(rows, cols, hop)
+    support = {draw(st.integers(0, topology.m - 1))}
+    for _ in range(draw(st.integers(0, topology.m - 1))):
+        frontier = sorted(set(np.nonzero(topology.adjacency[sorted(support)].any(axis=0))[0].tolist()) - support)
+        if not frontier:
+            break
+        support.add(draw(st.sampled_from(frontier)))
+    target = np.zeros(topology.m)
+    for b in sorted(support):
+        target[b] = draw(st.floats(1e-3, 1.0))
+    return topology, target / target.sum()
+
+
+@SETTINGS
+@given(connected_targets())
+def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance):
+    topology, target = instance
+    partition = partition_states(topology, target)
+    plan = stencil_plan(topology, partition)
+    values = plan.with_recurrent(mh_recurrent(target[plan.recurrent], plan.neighbours))
+    assert not values[~plan.stencil.real].any()
+    dense = metropolis_hastings(target, topology, partition)
+    assert plan.stencil.densify(values).tobytes() == dense.tobytes()
+
+
+# Column kinds for the sampler: random, identity, zero self slot, and a
+# total that rounds below 1.
+RANDOM, IDENTITY, ZERO_SELF, SHORT = range(4)
+
+
+@st.composite
+def sampler_cases(draw):
+    """(stencil, values) over a random grid, at times restricted to a subset
+    of its bins so that padded slots sit ahead of the self slot, with every
+    column kind mixed in."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    stencil = stencil_of(build_grid_topology(rows, cols, hop))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=stencil.m, max_size=stencil.m).filter(any))
+        stencil = stencil.restrict(np.nonzero(keep)[0])
+    m = stencil.m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = np.array(draw(st.lists(st.integers(RANDOM, SHORT), min_size=m, max_size=m)))
+    zero_prob = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    raw = rng.random(stencil.rows.shape) * (rng.random(stencil.rows.shape) >= zero_prob) * stencil.real
+    raw[kinds == ZERO_SELF] *= ~stencil.own[kinds == ZERO_SELF]
+    # Keep one positive real slot other than the self slot in every column;
+    # a bin with no other destination keeps everything.
+    alone = stencil.real.sum(axis=1) == 1
+    other = stencil.real & ~stencil.own
+    first_other = np.argmax(other, axis=1)
+    has_other = other.any(axis=1)
+    raw[np.nonzero(has_other)[0], first_other[has_other]] += 1e-3
+    raw[stencil.own & alone[:, np.newaxis]] = 1.0
+    values = raw / raw.sum(axis=1, keepdims=True)
+    values[kinds == IDENTITY] = stencil.own[kinds == IDENTITY]
+    values[kinds == SHORT] *= 1.0 - 2.0**-45
+    return stencil, values
+
+
+def _edge_draws(rng, stencil, values, bins):
+    # Per agent, a uniform draw or an edge of its bin's stay window: the
+    # window of the first slot that lists the bin itself.
+    cum = np.cumsum(values, axis=1)
+    own = np.argmax(stencil.rows == np.arange(stencil.m)[:, np.newaxis], axis=1)
+    hi = cum[bins, own[bins]]
+    lo = np.where(own[bins] > 0, cum[bins, own[bins] - 1], 0.0)
+    options = np.stack([
+        rng.random(bins.size), lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0),
+        np.zeros(bins.size), np.full(bins.size, 1.0 - 2.0**-53),
+    ])
+    pick = rng.integers(0, options.shape[0], size=bins.size)
+    return np.minimum(options[pick, np.arange(bins.size)], 1.0 - 2.0**-53)
+
+
+@SETTINGS
+@given(sampler_cases(), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_sampler_equals_the_per_bin_oracle_and_stays_on_the_stencil(case, agents, seed):
+    stencil, values = case
+    rng = np.random.default_rng(seed)
+    bins = rng.integers(0, stencil.m, size=agents)
+    z = _edge_draws(rng, stencil, values, bins)
+    got = _kernels.advance_agents(bins, z, values, stencil.rows)
+    assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+    # No move leaves the stencil: every agent lands on a real slot of its bin.
+    assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
+
+
+def _grids(rows, cols):
+    return st.lists(
+        st.lists(st.integers(0, 35), min_size=cols, max_size=cols).map(tuple), min_size=rows, max_size=rows
+    ).map(tuple)
+
+
+@st.composite
+def scenarios(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 1000))
+    events = draw(st.lists(
+        st.builds(
+            Event,
+            step=st.integers(0, steps),
+            kind=st.just("remove_fraction"),
+            fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+        max_size=4,
+    ))
+    return Scenario(
+        rows=rows,
+        cols=cols,
+        hop=draw(st.integers(1, 5)),
+        agents=draw(st.integers(1, 10**6)),
+        steps=steps,
+        algorithm=draw(st.sampled_from(["dsmc", "mh"])),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        mode=draw(st.sampled_from(["monte-carlo", "deterministic"])),
+        weights=draw(_grids(rows, cols)),
+        init_weights=draw(st.none() | _grids(rows, cols)),
+        events=tuple(events),
+    )
+
+
+@SETTINGS
+@given(scenarios())
+def test_scenario_text_round_trips(scenario):
+    assert parse_scenario(render_scenario(scenario)) == scenario

@@ -353,6 +353,38 @@ def test_validate_markov_reports_each_defect():
         validate_markov(np.eye(2), topo)
 
 
+def test_validate_markov_audits_stencil_values_like_their_dense_matrix():
+    # The same 1x3 path in stencil layout: the end bins have one padded
+    # slot each, which must stay empty.
+    topo = build_grid_topology(1, 3, 1)
+    stencil = stencil_of(topo)
+    good = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
+    values = stencil.sparsify(good)
+    report = validate_markov(values, stencil)
+    assert report == validate_markov(good, topo)
+    assert report.ok()
+
+    bad_sum = values.copy()
+    bad_sum[0, 0] = 0.6
+    assert validate_markov(bad_sum, stencil).max_column_sum_deviation == pytest.approx(0.1, abs=1e-12)
+
+    negative = values.copy()
+    negative[0, :2] = -0.1, 1.1
+    assert validate_markov(negative, stencil).min_entry == pytest.approx(-0.1, abs=1e-15)
+
+    # Mass moved into bin 2's padded slot keeps the column sum at 1.
+    padded = values.copy()
+    assert not stencil.real[2, 2]
+    padded[2, 1:] = 0.25, 0.25
+    report = validate_markov(padded, stencil)
+    assert report.max_column_sum_deviation == 0.0
+    assert report.mask_violations == ((-1, 2),)
+    assert not report.ok()
+
+    with pytest.raises(ValueError, match="stencil values"):
+        validate_markov(np.eye(4), stencil)
+
+
 def test_validate_markov_tolerance_is_callers_choice():
     topo = build_grid_topology(1, 2, 1)
     mat = np.array([[0.5, 0.5], [0.5 + 2e-9, 0.5]])
