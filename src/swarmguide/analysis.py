@@ -69,20 +69,16 @@ def convergence_rate_bounds(laplacian_view: LaplacianView, d_chsn: float) -> tup
 
     Writing the update as e(k+1) = (I - L/d) e(k), the drop
     ||e(k)||^2 - ||e(k+1)||^2 equals e(k)' S e(k) with
-    S = (2 d L - L L) / d^2.  On zero-sum errors the Rayleigh quotient of S
-    is sandwiched between the smallest eigenvalue of S + J/m (J the all-ones
-    matrix, which shifts only the constant direction) and the largest
-    eigenvalue of S.  Returns (rate_lower, rate_upper); a positive lower
-    bound certifies geometric decay of ||e||^2 at factor (1 - rate_lower).
+    S = (2 d L - L L) / d^2, whose eigenvalues are f(u) = u (2 d - u) / d^2
+    over the Laplacian eigenvalues u.  Zero-sum errors are orthogonal to the
+    constant direction, so their Rayleigh quotient of S lies between the
+    smallest f(u) over the other directions (capped at 1) and the largest
+    f(u).  Returns (rate_lower, rate_upper) of ``contraction_certificate``;
+    a positive lower bound certifies geometric decay of ||e||^2 at factor
+    (1 - rate_lower).
     """
-    d = _check_d_chsn(laplacian_view, d_chsn)
-    lap = laplacian_view.laplacian
-    m = lap.shape[0]
-    s = (2.0 * d * lap - lap @ lap) / (d * d)
-    ones = np.full((m, m), 1.0 / m)
-    rate_lower = float(symmetric_eigenvalues(s + ones)[0])
-    rate_upper = float(symmetric_eigenvalues(s)[-1])
-    return rate_lower, rate_upper
+    report = contraction_certificate(laplacian_view, d_chsn)
+    return report.rate_lower, report.rate_upper
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,13 @@ class SpectralReport:
     """Eigenvalue evidence that the error recursion contracts.
 
     ``zero_sum_radius`` is the spectral radius of the error-update matrix
-    restricted to the zero-sum subspace, computed as the radius of
-    I - L/d - J/m (J the all-ones matrix), which deflates the eigenvalue 1
-    of the constant direction.  ``lyapunov_margin`` is the smallest
-    eigenvalue of I - G'G for that deflated G: positive means the identity
-    works as a quadratic Lyapunov certificate.  Flags report rather than
-    assert, so a failing graph still yields a readable report.
+    G = I - L/d restricted to the zero-sum subspace: the largest |1 - u/d|
+    over the Laplacian eigenvalues u but the smallest, whose eigenvector is
+    the constant direction (0 for a single bin).  ``lyapunov_margin`` is the
+    smallest eigenvalue of I - G'G on that subspace, capped at 1: positive
+    means the identity works as a quadratic Lyapunov certificate.  Flags
+    report rather than assert, so a failing graph still yields a readable
+    report.
     """
 
     laplacian_eigs: np.ndarray
@@ -161,29 +158,25 @@ class SpectralReport:
 def contraction_certificate(laplacian_view: LaplacianView, d_chsn: float) -> SpectralReport:
     """Spectral audit of the error recursion on a recurrent graph.
 
-    Connectivity is read off the spectrum (second-smallest Laplacian
-    eigenvalue positive); a disconnected graph is reported with failing
-    flags rather than raised, so callers can print the evidence.
+    Every value comes from the one spectrum u of L, ascending.  L is
+    symmetric with the constant vector in its kernel, so u[0] belongs to the
+    constant direction and u[1:] to the zero-sum subspace, where the update
+    acts as 1 - u/d.  Connectivity is read off the spectrum (second-smallest
+    Laplacian eigenvalue positive); a disconnected graph is reported with
+    failing flags rather than raised, so callers can print the evidence.
     """
     d = _check_d_chsn(laplacian_view, d_chsn)
-    lap = laplacian_view.laplacian
-    m = lap.shape[0]
-    eigs = symmetric_eigenvalues(lap)
-    connected = m == 1 or float(eigs[1]) > CERT_TOL
-    deflated = np.eye(m) - lap / d - np.full((m, m), 1.0 / m)
-    deflated_eigs = symmetric_eigenvalues(deflated)
-    radius = float(np.abs(deflated_eigs).max())
-    gram = deflated.T @ deflated
-    margin = float(symmetric_eigenvalues(np.eye(m) - gram)[0])
-    rate_lower, rate_upper = convergence_rate_bounds(laplacian_view, d)
+    eigs = symmetric_eigenvalues(laplacian_view.laplacian)
+    shrink = eigs * (2.0 * d - eigs) / (d * d)
+    update = 1.0 - eigs[1:] / d
     eigs.flags.writeable = False
     return SpectralReport(
         laplacian_eigs=eigs,
-        zero_sum_radius=radius,
-        rate_lower=rate_lower,
-        rate_upper=rate_upper,
+        zero_sum_radius=float(np.abs(update).max(initial=0.0)),
+        rate_lower=float(shrink[1:].min(initial=1.0)),
+        rate_upper=float(shrink.max()),
         d_chsn=d,
         max_degree=laplacian_view.max_degree,
-        lyapunov_margin=margin,
-        connected=connected,
+        lyapunov_margin=float((1.0 - update * update).min(initial=1.0)),
+        connected=eigs.size == 1 or float(eigs[1]) > CERT_TOL,
     )

@@ -21,9 +21,10 @@ sections::
 ``a``-``z`` weights 10-35.  Weights are normalized into a density.  An
 optional ``init_map:`` section with the same syntax gives the initial
 density; without it agents start uniformly over all bins.  ``event`` lines
-may repeat.  Blank lines are ignored outside the grid sections.  Grids of
-more than ``MAX_BINS`` bins and swarms of more than ``MAX_AGENTS`` agents are
-refused while parsing, before anything is allocated for them.
+may repeat.  Blank lines are ignored outside the grid sections.  Sizes and
+counts below 1, grids of more than ``MAX_BINS`` bins and swarms of more than
+``MAX_AGENTS`` agents are refused at their line while parsing, before
+anything is allocated for them.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
@@ -59,14 +60,14 @@ __all__ = [
 
 # Size limits.  A run builds the boolean adjacency over bin pairs at set-up,
 # a few bytes per pair at the peak (50 MB at 64x64 bins, for either
-# algorithm); deterministic mode and a matrix hook add a dense float matrix,
-# 8 bytes per pair (0.8 GB at the limit).  Each agent costs about 100 bytes per
-# step, 1 GB at the limit.  ``verify`` works on dense float m x m tables and
-# runs five O(m^3) eigenvalue solves: at its limit of 50x50 bins it takes
-# about 6 s and 0.44 GB on 2 vCPUs.
+# algorithm and mode); only a matrix hook, as ``export-matrix`` uses, adds a
+# dense float matrix, 8 bytes per pair (0.8 GB at the limit).  Each agent
+# costs about 100 bytes per step, 1 GB at the limit.  ``verify`` takes one
+# O(m^3) eigenvalue solve of the dense float Laplacian: at its limit of
+# 60x60 bins it takes about 4-5 s and 0.35 GB peak RSS on 2 vCPUs.
 MAX_BINS = 10_000
 MAX_AGENTS = 10_000_000
-MAX_VERIFY_BINS = 2_500
+MAX_VERIFY_BINS = 3_600
 
 _REQUIRED_KEYS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
 _INT_KEYS = ("rows", "cols", "hop", "agents", "steps", "seed")
@@ -153,6 +154,8 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ScenarioFormatError(f"{key} must be an integer, got {value!r}", lineno) from None
         values[key] = value
+        if key in ("rows", "cols", "hop", "agents", "steps") and int(value) < 1:
+            raise ScenarioFormatError(f"{key} must be at least 1, got {value}", lineno)
         if key == "agents" and int(value) > MAX_AGENTS:
             raise ScenarioFormatError(f"agents={value} exceeds the limit of {MAX_AGENTS} agents", lineno)
         if key in ("rows", "cols") and "rows" in values and "cols" in values:

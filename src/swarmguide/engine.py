@@ -13,11 +13,12 @@ bins' own stencil, slot for slot as their rows of the run's stencil.  The
 recurrent columns are written straight into those slots, with no dense
 block: by ``dsmc_recurrent`` every step, or by ``mh_recurrent`` once, for
 the baseline chain.  Each matrix is audited and sampled over the stencil
-at O(m w) cost.  A dense m x m matrix is built only for a ``matrix_hook``
-(which is how ``export-matrix`` reads it) and for deterministic mode's
-``matrix @ x``, which keeps its summation order.  Because adding 0.0 is
-exact, stencil column sums and cumulative sums equal the dense ones entry
-for entry, so both layouts give the same bytes.
+at O(m w) cost, and a deterministic step moves the density over the
+stencil too: each destination adds its sources' mass in ascending source
+order, slot by slot, so no BLAS kernel chooses the summation order.  A dense
+m x m matrix is built only for a ``matrix_hook``, which is how
+``export-matrix`` reads it.  Because adding 0.0 is exact, stencil column
+sums and cumulative sums equal the dense ones entry for entry.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
 An event scheduled at step k is applied once the swarm arrives at step k,
@@ -381,9 +382,8 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         baseline = plan.with_recurrent(mh_recurrent(desired_r, neighbours))
         _require_valid(baseline, plan.stencil, "before step 0")
         baseline.flags.writeable = False
-        if matrix_hook is not None or not monte_carlo:
+        if matrix_hook is not None:
             baseline_matrix = plan.stencil.densify(baseline)
-            baseline_matrix.flags.writeable = False
     # partition_states has checked that the recurrent bins are connected.
     params = choose_d_chsn(neighbours)
 
@@ -421,13 +421,12 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     for k in range(scenario.steps):
         if baseline is None:
             synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, params)
-            values, matrix = plan.step_values(synthesized, f"at step {k}"), None
+            values = plan.step_values(synthesized, f"at step {k}")
         else:
-            values, matrix = baseline, baseline_matrix
-        if matrix is None and (matrix_hook is not None or not monte_carlo):
-            matrix = plan.stencil.densify(values)
-            matrix.flags.writeable = False
+            values = baseline
         if matrix_hook is not None:
+            matrix = plan.stencil.densify(values) if baseline_matrix is None else baseline_matrix
+            matrix.flags.writeable = False
             matrix_hook(k, matrix)
 
         if monte_carlo:
@@ -439,9 +438,12 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             x = empirical_density(swarm, m)
             population = swarm.num_agents
         else:
-            # Stay probabilities sit in the self slots; the values are audited already.
-            transitions = float(population * float(np.dot(x, 1.0 - values[plan.stencil.own])))
-            x = check_density(matrix @ x, name="propagated density")
+            # Stay probabilities sit in the self slots; the values are audited
+            # already.  Both sums run in a fixed order: bins ascending, and
+            # each destination's sources ascending, a padded slot adding 0.0.
+            transitions = float(population * float(np.cumsum(x * (1.0 - values[plan.stencil.own]))[-1]))
+            flow = (values * x[:, np.newaxis]).ravel()
+            x = check_density(np.bincount(plan.stencil.rows.ravel(), weights=flow, minlength=m), name="propagated density")
             for ev in events_at.get(k + 1, ()):
                 population = population - math.floor(ev.fraction * population)
 

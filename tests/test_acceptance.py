@@ -10,6 +10,7 @@ criterion.
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -57,18 +58,25 @@ AUDITS: list = []
 VERDICTS: list = []
 
 
-def _cli_run(scenario: str, out) -> subprocess.CompletedProcess:
+def _cli_run(scenario: str, out, **env) -> subprocess.CompletedProcess:
     """``python -m swarmguide run`` in a fresh interpreter that imports the
-    same package as this process, installed or not."""
+    same package as this process, installed or not.  ``env`` adds variables
+    to the child's environment only; a None value removes one."""
     package_root = str(Path(swarmguide.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    child = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run(
         [sys.executable, "-m", "swarmguide", "run", "--scenario", scenario, "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env={key: value for key, value in child.items() if value is not None},
     )
+
+
+def _openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return platform.machine().lower() in ("x86_64", "amd64") and "openblas" in str(blas.get("name", "")).lower()
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -318,3 +326,21 @@ def test_criterion_10_mh_metrics_bytes_identical_cli_in_process_oracle(letter_e_
         f"{len(cli)} bytes, subprocess==in-process: {cli == in_process}, "
         f"in-process==oracle: {in_process == oracle}",
     )
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS, on x86-64")
+@pytest.mark.parametrize("algorithm", ["dsmc", "mh"])
+def test_deterministic_bytes_do_not_depend_on_the_blas_kernel(tmp_path, algorithm):
+    # OPENBLAS_CORETYPE makes OpenBLAS use another CPU's kernels, which sum
+    # a matrix-vector product in another order; deterministic steps sum over
+    # the stencil in a fixed order instead, so the files keep their bytes.
+    scenario = replace(load_scenario(LETTER_E), algorithm=algorithm, mode="deterministic")
+    path = tmp_path / "letter_e.txt"
+    path.write_text(render_scenario(scenario), encoding="utf-8")
+    outputs = []
+    for coretype in (None, "Nehalem"):
+        out = tmp_path / str(coretype)
+        proc = _cli_run(str(path), out, OPENBLAS_CORETYPE=coretype)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "final_snapshot.csv")])
+    assert outputs[0] == outputs[1]

@@ -11,7 +11,7 @@ from swarmguide import (
     symmetric_eigenvalues,
 )
 
-from testutil import random_connected_topology, zero_sum_vector
+from testutil import five_solve_certificate, random_connected_topology, zero_sum_vector
 
 RING_VIEW = laplacian_of(build_grid_topology(2, 2, 1))
 
@@ -133,15 +133,18 @@ def test_contraction_certificate_large_grid():
     assert report.laplacian_eigs[-1] <= 2.0 * 4 + 1e-9
 
 
+DISCONNECTED_VIEW = LaplacianView(
+    subset=np.arange(2),
+    degree=np.zeros(2, dtype=np.int64),
+    max_degree=0,
+    laplacian=np.zeros((2, 2)),
+)
+
+
 def test_certificate_reports_disconnection_instead_of_raising():
-    # Two isolated bins, built by hand: the deflated update keeps a unit
-    # eigenvalue, so contraction fails and the report says so.
-    view = LaplacianView(
-        subset=np.arange(2),
-        degree=np.zeros(2, dtype=np.int64),
-        max_degree=0,
-        laplacian=np.zeros((2, 2)),
-    )
+    # Two isolated bins, built by hand: the update keeps a unit eigenvalue
+    # on the zero-sum subspace, so contraction fails and the report says so.
+    view = DISCONNECTED_VIEW
     report = contraction_certificate(view, 1.0)
     assert not report.connected
     assert report.zero_sum_radius == pytest.approx(1.0, abs=1e-12)
@@ -173,3 +176,30 @@ def test_key_values_lists_every_certificate():
     assert kv["connected"] == "true"
     assert kv["certificates_ok"] == "true"
     assert float(kv["zero_sum_radius"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        view = laplacian_of(random_connected_topology(rng, int(rng.integers(1, 40))))
+        yield view, view.max_degree + 1.0
+        yield view, view.max_degree + 0.5 + 4.0 * float(rng.random())
+    for rows, cols in ((1, 1), (1, 5), (3, 4), (6, 6), (9, 7)):
+        for hop in (1, 2, 3):
+            view = laplacian_of(build_grid_topology(rows, cols, hop))
+            yield view, view.max_degree + 1.0
+    yield DISCONNECTED_VIEW, 1.0
+    yield DISCONNECTED_VIEW, 2.5
+
+
+def test_certificate_from_one_spectrum_equals_the_five_solve_oracle():
+    # Each value the report derives from the Laplacian spectrum alone equals
+    # its dense-table definition, checked with five separate solves.
+    for view, d in _certificate_cases():
+        got, want = contraction_certificate(view, d), five_solve_certificate(view, d)
+        for name in ("zero_sum_radius", "rate_lower", "rate_upper", "lyapunov_margin"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+        assert np.array_equal(got.laplacian_eigs, want.laplacian_eigs)
+        assert got.connected == want.connected
+        assert got.certificates_ok == want.certificates_ok
+        assert convergence_rate_bounds(view, d) == (got.rate_lower, got.rate_upper)

@@ -136,6 +136,33 @@ def test_parse_refuses_oversized_grids_and_swarms():
         parse_scenario(MINI.replace("rows=2\ncols=2", f"cols={MAX_BINS // 2 + 1}\nrows=2"))
 
 
+@pytest.mark.parametrize(
+    "old,new,lineno",
+    [
+        ("rows=2", "rows=-2", 1),
+        ("rows=2", "rows=-1", 1),
+        ("cols=2", "cols=-3", 2),
+        ("hop=1", "hop=0", 3),
+        ("agents=40", "agents=0", 4),
+        ("steps=3", "steps=-1", 5),
+    ],
+)
+def test_parse_refuses_sizes_below_one_at_their_line(tmp_path, capsys, old, new, lineno):
+    # A negative row count once sent the map parser back over earlier lines
+    # (a duplicate key or map: section), a negative column count blamed the
+    # map rows, hop=0 parsed and failed only once the run started, and
+    # agents or steps below 1 were refused with no line number.
+    key, _, value = new.partition("=")
+    text = MINI.replace(old, new)
+    with pytest.raises(ScenarioFormatError, match=f"^line {lineno}: {key} must be at least 1, got {value}$"):
+        parse_scenario(text)
+    path = tmp_path / "scenario.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"line {lineno}: {key} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _read(path: Path) -> str:
     data = path.read_bytes()
     assert b"\r" not in data

@@ -23,8 +23,12 @@ from swarmguide import (
     run_scenario,
     stencil_of,
     step_agents,
+    total_variation,
     transient_matrix,
 )
+from swarmguide.engine import ALGORITHMS, MODES
+
+from testutil import dense_replay
 
 LETTER_E = Path(__file__).resolve().parent.parent / "scenarios" / "letter_e.txt"
 
@@ -360,17 +364,18 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         assert not values[~stencil.real].any()
 
 
-def test_monte_carlo_steps_stay_on_the_stencil(monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+def test_steps_without_a_hook_stay_on_the_stencil(monkeypatch, mode):
     # 40x40 bins, hop 2, 20000 agents: an m x agents gather alone would be
     # 256 MB, and the dense path peaked at about 350 MB under tracemalloc.
     letter = load_scenario(LETTER_E)
     scenario = Scenario(
-        rows=40, cols=40, hop=2, agents=20000, steps=2, algorithm="dsmc", seed=3, mode="monte-carlo",
+        rows=40, cols=40, hop=2, agents=20000, steps=2, algorithm="dsmc", seed=3, mode=mode,
         weights=tuple(tuple(w for w in row for _ in range(2)) for row in letter.weights for _ in range(2)),
     )
 
     def no_dense(self, values):
-        raise AssertionError("a Monte Carlo step without a hook built a dense matrix")
+        raise AssertionError("a step without a hook built a dense matrix")
 
     monkeypatch.setattr(Stencil, "densify", no_dense)
     tracemalloc.start()
@@ -382,12 +387,16 @@ def test_monte_carlo_steps_stay_on_the_stencil(monkeypatch):
     assert peak < 96e6
 
 
-def test_full_target_run_builds_no_dense_recurrent_block():
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_full_target_run_builds_no_dense_matrix(algorithm, mode):
     # 64x64 bins, all of them recurrent.  The boolean topology and its
     # construction temporaries peak at about 50 MB; one dense 4096 x 4096
-    # float table, such as a recurrent Laplacian or block, would add 134 MB.
+    # float table, such as a recurrent Laplacian, block or matrix, would add
+    # 134 MB (a dense baseline build peaked at 437 MB, a dense deterministic
+    # step at 154 MB).
     scenario = Scenario(
-        rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm="dsmc", seed=1, mode="monte-carlo",
+        rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm=algorithm, seed=1, mode=mode,
         weights=tuple(tuple(1 + (r + c) % 3 for c in range(64)) for r in range(64)),
     )
     tracemalloc.start()
@@ -399,20 +408,17 @@ def test_full_target_run_builds_no_dense_recurrent_block():
     assert peak < 64e6
 
 
-def test_full_target_baseline_run_builds_no_dense_matrix():
-    # The same 64x64 full-target grid under the fixed baseline chain, which
-    # is laid into stencil slots as well: the dense build peaked at 437 MB.
-    scenario = Scenario(
-        rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm="mh", seed=1, mode="monte-carlo",
-        weights=tuple(tuple(1 + (r + c) % 3 for c in range(64)) for r in range(64)),
-    )
-    tracemalloc.start()
-    try:
-        run_scenario(scenario)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_deterministic_steps_equal_the_dense_product_on_letter_e(algorithm):
+    # Every step moves the density over the stencil in a fixed order; the
+    # dense product of the hooked matrix, in whatever order BLAS sums it,
+    # lands within round-off of it.
+    scenario = replace(load_scenario(LETTER_E), algorithm=algorithm, mode="deterministic")
+    densities, tv, replayed = dense_replay(scenario)
+    assert np.abs(replayed - densities[1:]).max() <= 1e-15
+    desired = scenario.desired_density()
+    replayed_tv = np.array([total_variation(x, desired) for x in replayed])
+    assert np.abs(replayed_tv - tv[1:]).max() <= 1e-12
 
 
 def test_run_scenario_baseline_matrix_is_read_only():

@@ -3,9 +3,9 @@
 Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
 the cases, for synthesis; stencils, columns and draws at the edges of
-each stay window for the agent sampler; and whole scenarios for the
-scenario file format.  Runs are derandomized, so the suite sees the same
-examples every time.
+each stay window for the agent sampler; deterministic runs, replayed one
+dense product at a time; and whole scenarios for the scenario file format.
+Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
 
@@ -27,10 +27,12 @@ from swarmguide import (
     partition_states,
     render_scenario,
     stencil_of,
+    total_variation,
 )
+from swarmguide.density import SUM_TOL
 from swarmguide.engine import stencil_plan
 
-from testutil import advance_by_bin_oracle, dense_recurrent_oracle
+from testutil import advance_by_bin_oracle, dense_recurrent_oracle, dense_replay
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -99,20 +101,24 @@ def test_synthesis_stays_on_recurrent_neighbours(instance):
     assert not neighbours.densify(values)[~adjacency].any()
 
 
-@st.composite
-def connected_targets(draw):
-    """(topology, target) with the target's support grown one neighbour at a
-    time from a single bin, so it is connected; weights vary over it."""
-    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    topology = build_grid_topology(rows, cols, hop)
+def _connected_support(draw, topology) -> list[int]:
+    """Bins grown one neighbour at a time from a single bin, so connected."""
     support = {draw(st.integers(0, topology.m - 1))}
     for _ in range(draw(st.integers(0, topology.m - 1))):
         frontier = sorted(set(np.nonzero(topology.adjacency[sorted(support)].any(axis=0))[0].tolist()) - support)
         if not frontier:
             break
         support.add(draw(st.sampled_from(frontier)))
+    return sorted(support)
+
+
+@st.composite
+def connected_targets(draw):
+    """(topology, target) with a connected support; weights vary over it."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    topology = build_grid_topology(rows, cols, hop)
     target = np.zeros(topology.m)
-    for b in sorted(support):
+    for b in _connected_support(draw, topology):
         target[b] = draw(st.floats(1e-3, 1.0))
     return topology, target / target.sum()
 
@@ -127,6 +133,40 @@ def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance
     assert not values[~plan.stencil.real].any()
     dense = metropolis_hastings(target, topology, partition)
     assert plan.stencil.densify(values).tobytes() == dense.tobytes()
+
+
+@st.composite
+def deterministic_scenarios(draw):
+    """Deterministic runs of either algorithm on a random grid: a target map
+    with a connected support and zero bins around it, and an optional
+    initial map that may leave bins empty."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    topology = build_grid_topology(rows, cols, hop)
+    weights = np.zeros(topology.m, dtype=int)
+    for b in _connected_support(draw, topology):
+        weights[b] = draw(st.integers(1, 35))
+    init = None
+    if draw(st.booleans()):
+        init = np.array(draw(st.lists(st.integers(0, 35), min_size=topology.m, max_size=topology.m).filter(any)))
+
+    def grid(w):
+        return tuple(tuple(int(v) for v in row) for row in w.reshape(rows, cols))
+
+    return Scenario(
+        rows=rows, cols=cols, hop=hop, agents=100, steps=draw(st.integers(1, 30)),
+        algorithm=draw(st.sampled_from(["dsmc", "mh"])), seed=0, mode="deterministic",
+        weights=grid(weights), init_weights=None if init is None else grid(init),
+    )
+
+
+@SETTINGS
+@given(deterministic_scenarios())
+def test_deterministic_steps_equal_the_dense_product_and_keep_the_mass(scenario):
+    densities, tv, replayed = dense_replay(scenario)
+    assert np.abs(replayed - densities[1:]).max() <= 1e-15
+    desired = scenario.desired_density()
+    assert max(abs(total_variation(x, desired) - t) for x, t in zip(replayed, tv[1:])) <= 1e-12
+    assert np.abs(densities.sum(axis=1) - 1.0).max() <= SUM_TOL
 
 
 # Column kinds for the sampler: random, identity, zero self slot, and a

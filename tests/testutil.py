@@ -11,7 +11,18 @@ from collections import deque
 
 import numpy as np
 
-from swarmguide import Topology, dsmc_column, dsmc_recurrent, make_topology, stencil_of
+from swarmguide import (
+    LaplacianView,
+    SpectralReport,
+    Topology,
+    dsmc_column,
+    dsmc_recurrent,
+    make_topology,
+    run_scenario,
+    stencil_of,
+    symmetric_eigenvalues,
+)
+from swarmguide.analysis import CERT_TOL
 
 
 def brute_force_grid_adjacency(rows: int, cols: int, hop: int) -> np.ndarray:
@@ -211,3 +222,44 @@ def random_column_stochastic(rng: np.random.Generator, topology: Topology) -> np
     m = topology.m
     raw = rng.random((m, m)) * topology.adjacency.T
     return raw / raw.sum(axis=0, keepdims=True)
+
+
+def five_solve_certificate(view: LaplacianView, d: float) -> SpectralReport:
+    """The certificate from five eigenvalue solves of dense m x m tables:
+    the radius of the deflated update I - L/d - J/m, the smallest
+    eigenvalue of I - G'G for that deflated G, and the rates as the extreme
+    eigenvalues of S + J/m and of S = (2 d L - L L) / d^2."""
+    lap = view.laplacian
+    m = lap.shape[0]
+    eigs = symmetric_eigenvalues(lap)
+    deflated = np.eye(m) - lap / d - np.full((m, m), 1.0 / m)
+    s = (2.0 * d * lap - lap @ lap) / (d * d)
+    return SpectralReport(
+        laplacian_eigs=eigs,
+        zero_sum_radius=float(np.abs(symmetric_eigenvalues(deflated)).max()),
+        rate_lower=float(symmetric_eigenvalues(s + np.full((m, m), 1.0 / m))[0]),
+        rate_upper=float(symmetric_eigenvalues(s)[-1]),
+        d_chsn=d,
+        max_degree=view.max_degree,
+        lyapunov_margin=float(symmetric_eigenvalues(np.eye(m) - deflated.T @ deflated)[0]),
+        connected=m == 1 or float(eigs[1]) > CERT_TOL,
+    )
+
+
+def dense_replay(scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A deterministic run replayed one dense product at a time.
+
+    Returns the run's densities x_0..x_K (one row per step), its total
+    variation series, and M_k @ x_k for the matrix M_k the run hooks at each
+    step k, which should reproduce x_{k+1}.  The run is deterministic, so a
+    second run hooks exactly the matrices the first one used.
+    """
+    metrics, snapshots = run_scenario(scenario, snapshot_steps=range(scenario.steps + 1))
+    densities = np.array([snapshots[k].density for k in range(scenario.steps + 1)])
+    replayed = np.empty((scenario.steps, densities.shape[1]))
+
+    def hook(k, matrix):
+        replayed[k] = matrix @ densities[k]
+
+    run_scenario(scenario, matrix_hook=hook)
+    return densities, np.array(metrics.total_variation), replayed
