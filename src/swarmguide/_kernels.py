@@ -1,7 +1,7 @@
 """Hot inner-loop kernels: agent advancement and recurrent column synthesis.
 
 Both are vectorized numpy and both work in stencil layout (see
-``swarmguide.graph.Stencil``): column j of a transition matrix is row j of
+``swarmguide.graph.Topology``): column j of a transition matrix is row j of
 an m x w value array, whose slot s moves an agent to bin ``rows[j, s]``.
 ``synth_recurrent`` writes the recurrent columns straight into that layout,
 w slots per bin, with no dense block.  ``advance_agents`` samples it; a

@@ -44,7 +44,7 @@ import numpy as np
 from .analysis import contraction_certificate
 from .density import total_variation
 from .engine import ALGORITHMS, MODES, Event, Scenario, run_scenario
-from .graph import Topology, build_grid_topology, laplacian_of, make_topology
+from .graph import build_grid_topology, laplacian_of, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
@@ -58,13 +58,14 @@ __all__ = [
     "main",
 ]
 
-# Size limits.  A run builds the boolean adjacency over bin pairs at set-up,
-# a few bytes per pair at the peak (50 MB at 64x64 bins, for either
-# algorithm and mode); only a matrix hook, as ``export-matrix`` uses, adds a
-# dense float matrix, 8 bytes per pair (0.8 GB at the limit).  Each agent
-# costs about 100 bytes per step, 1 GB at the limit.  ``verify`` takes one
-# O(m^3) eigenvalue solve of the dense float Laplacian: at its limit of
-# 60x60 bins it takes about 4-5 s and 0.35 GB peak RSS on 2 vCPUs.
+# Size limits.  A run without a matrix hook holds nothing larger than the
+# bins' stencil, O(m w) for m bins of at most w destinations (set-up of
+# 100x100 bins at hop 2 peaks at 6 MB).  What bounds ``MAX_BINS`` is the
+# hook, as ``export-matrix`` uses it: a dense float matrix, 8 bytes per bin
+# pair (0.8 GB at the limit).  Each agent costs about 100 bytes per step,
+# 1 GB at the limit.  ``verify`` takes one O(m^3) eigenvalue solve of the
+# dense float Laplacian: at its limit of 60x60 bins it takes about 2-3 s and
+# 0.33 GB peak RSS on 2 vCPUs.
 MAX_BINS = 10_000
 MAX_AGENTS = 10_000_000
 MAX_VERIFY_BINS = 3_600
@@ -308,6 +309,9 @@ def cmd_verify(rows=None, cols=None, hop=None, fixture=None) -> int:
         if rows is None or cols is None or hop is None:
             print("error: verify needs --rows, --cols and --hop, or --fixture", file=sys.stderr)
             return 2
+        for flag, value in (("--rows", rows), ("--cols", cols), ("--hop", hop)):
+            if value < 1:
+                raise ScenarioFormatError(f"{flag} must be at least 1, got {value}")
         if rows * cols > MAX_VERIFY_BINS:
             raise ScenarioFormatError(f"a {rows}x{cols} grid has {rows * cols} bins, above the verify limit of {MAX_VERIFY_BINS}")
         topology = build_grid_topology(rows, cols, hop)

@@ -5,11 +5,12 @@ as a deterministic density recursion, synthesizing the transition matrix
 every step (density feedback) or once up front (baseline chain), applying
 scheduled events, and recording per-step metrics.
 
-A run works in the stencil layout of ``swarmguide.graph.Stencil``: column j
-of each step's matrix is an m x w value array's row j, over bin j's
-ascending destinations.  ``stencil_plan`` lays a run out once, at set-up:
-the stencil, the transient columns, which never change, and the recurrent
-bins' own stencil, slot for slot as their rows of the run's stencil.  The
+A run works in the stencil layout of ``swarmguide.graph.Topology``: column
+j of each step's matrix is an m x w value array's row j, over bin j's
+ascending destinations.  The grid topology is built as that stencil
+straight away, and ``stencil_plan`` lays a run out over it once, at set-up:
+the transient columns, which never change, and the recurrent bins' own
+stencil, slot for slot as their rows of the run's stencil.  The
 recurrent columns are written straight into those slots, with no dense
 block: by ``dsmc_recurrent`` every step, or by ``mh_recurrent`` once, for
 the baseline chain.  Each matrix is audited and sampled over the stencil
@@ -38,17 +39,10 @@ from .density import check_density, empirical_density, from_weight_map, total_va
 # ``transient_matrix`` are no longer called here; they stay importable from
 # the engine because the per-layer benchmark traces them under this module's
 # name.
-from .graph import (
-    Partition,
-    Stencil,
-    Topology,
-    build_grid_topology,
-    laplacian_of,
-    partition_states,
-    stencil_of,
-)
+from .graph import Partition, Topology, build_grid_topology, laplacian_of, partition_states
 from .synthesis import (
     COLUMN_SUM_TOL,
+    _transient_values,
     assemble,
     choose_d_chsn,
     dsmc_recurrent,
@@ -115,10 +109,13 @@ class Scenario:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.agents < 1:
-            raise ValueError(f"agents must be at least 1, got {self.agents}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        for name in ("rows", "cols", "hop", "agents", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("weights", "init_weights"):
+            grid = getattr(self, name)
+            if grid is not None and (len(grid) != self.rows or any(len(row) != self.cols for row in grid)):
+                raise ValueError(f"{name} must be {self.rows}x{self.cols}, one row of {self.cols} weights per grid row")
         for ev in self.events:
             if ev.kind != "remove_fraction":
                 raise ValueError(f"unknown event kind {ev.kind!r}")
@@ -223,7 +220,7 @@ def _check_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
     return mat
 
 
-def step_agents(swarm: SwarmState, matrix, step: int, stencil: Stencil | None = None) -> SwarmState:
+def step_agents(swarm: SwarmState, matrix, step: int, stencil: Topology | None = None) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
 
     ``matrix`` is a dense column-stochastic matrix, checked here, or, with
@@ -280,7 +277,7 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
     )
 
 
-def _require_valid(values: np.ndarray, stencil: Stencil, when: str):
+def _require_valid(values: np.ndarray, stencil: Topology, when: str):
     report = validate_markov(values, stencil)
     if not report.ok():
         raise RuntimeError(
@@ -313,10 +310,10 @@ class StencilPlan:
     unchanged.
     """
 
-    stencil: Stencil
+    stencil: Topology
     fixed: np.ndarray
     recurrent: np.ndarray
-    neighbours: Stencil
+    neighbours: Topology
 
     def with_recurrent(self, recurrent_values) -> np.ndarray:
         """Stencil values of the whole matrix, given its recurrent rows."""
@@ -339,21 +336,12 @@ class StencilPlan:
 
 
 def stencil_plan(topology: Topology, partition: Partition) -> StencilPlan:
-    """Lay a run out over the stencil of ``topology``.
-
-    Each transient bin splits its mass evenly over its neighbours one layer
-    closer to the support, the columns of ``transient_matrix``.
-    """
-    stencil = stencil_of(topology)
-    layer = np.zeros(topology.m, dtype=np.int64)
-    for k, bins in enumerate(partition.layers):
-        layer[bins] = k + 1
-    closer = stencil.real & (layer[stencil.rows] == layer[:, np.newaxis] - 1)
-    fixed = np.zeros(stencil.rows.shape)
-    np.divide(1.0, closer.sum(axis=1, keepdims=True), out=fixed, where=closer)
+    """Lay a run out over ``topology``, with the transient columns of
+    ``transient_matrix`` in their stencil slots."""
+    fixed = _transient_values(partition, topology)
     fixed.flags.writeable = False
     recurrent = partition.recurrent
-    return StencilPlan(stencil=stencil, fixed=fixed, recurrent=recurrent, neighbours=stencil.restrict(recurrent))
+    return StencilPlan(stencil=topology, fixed=fixed, recurrent=recurrent, neighbours=topology.restrict(recurrent))
 
 
 def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):

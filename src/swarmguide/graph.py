@@ -1,6 +1,12 @@
-"""Bin topology, its per-bin neighbour stencil, connectivity checks,
+"""Bin topology as each bin's padded neighbour stencil, connectivity checks,
 recurrent/transient partitioning, and Laplacian views of the self-loop-free
-neighbor graph."""
+neighbour graph.
+
+``Topology`` is the one graph representation: every search, partition and
+Laplacian here reads a bin's neighbours off its stencil row, at O(m w)
+cost for m bins of at most w destinations.  A dense adjacency table is
+only ever read by ``make_topology``, which converts one given from outside.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,12 +18,10 @@ from .density import check_density
 
 __all__ = [
     "Topology",
-    "Stencil",
     "Partition",
     "LaplacianView",
     "make_topology",
     "build_grid_topology",
-    "stencil_of",
     "is_strongly_connected",
     "partition_states",
     "laplacian_of",
@@ -26,61 +30,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Topology:
-    """Allowable one-step transitions between bins.
-
-    ``adjacency[i, j]`` is True when an agent may move between bins ``i`` and
-    ``j`` in one step.  The table is symmetric with an all-True diagonal
-    (staying put is always allowed).  Bins are indexed 0..m-1.
-    """
-
-    m: int
-    adjacency: np.ndarray
-
-
-def make_topology(adjacency: np.ndarray) -> Topology:
-    """Validate an adjacency table and freeze it into a Topology."""
-    adj = np.asarray(adjacency, dtype=bool).copy()
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-    if not adj.diagonal().all():
-        raise ValueError("adjacency diagonal must be True: staying put is always allowed")
-    adj.flags.writeable = False
-    return Topology(m=adj.shape[0], adjacency=adj)
-
-
-def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
-    """Grid of ``rows`` x ``cols`` bins, numbered row-major.
-
-    Two bins are adjacent when the Manhattan distance between their cells is
-    at most ``hop``, so ``hop`` bounds how far an agent may travel per step.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid needs at least one row and one column, got {rows}x{cols}")
-    if hop < 1:
-        raise ValueError(f"hop must be at least 1, got {hop}")
-    i, j = np.arange(rows), np.arange(cols)
-    row_gap = np.abs(i[:, np.newaxis] - i)
-    col_gap = np.abs(j[:, np.newaxis] - j)
-    # adj[r1, c1, r2, c2]; broadcasting builds no m x m distance table.
-    adj = row_gap[:, np.newaxis, :, np.newaxis] <= hop - col_gap[np.newaxis, :, np.newaxis, :]
-    return make_topology(adj.reshape(rows * cols, rows * cols))
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Each bin's one-step destinations in a padded m x w layout.
+    """Allowable one-step transitions between bins, as each bin's padded
+    neighbour stencil.
 
     Row j of ``rows`` lists, in ascending order, the bins an agent in bin j
-    may move to, in the slots ``real`` marks; every other slot is padding
-    that points at bin j itself.  Matrix column j is held as ``values[j]``,
-    0.0 in the padded slots, so a cumulative sum along a row equals the
-    dense column's cumulative sum at the listed bins entry for entry.
+    may move to, itself included, in the slots ``real`` marks; every other
+    slot is padding that points at bin j itself.  Transitions are symmetric
+    and staying put is always allowed.  Bins are indexed 0..m-1.  Matrix
+    column j is held as ``values[j]``, 0.0 in the padded slots, so a
+    cumulative sum along a row equals the dense column's cumulative sum at
+    the listed bins entry for entry.
     """
 
     rows: np.ndarray
     real: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.rows, self.real):
+            arr.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -113,8 +80,8 @@ class Stencil:
         values[self.real] = np.asarray(dense, dtype=float)[self._dense_index]
         return values
 
-    def restrict(self, bins) -> Stencil:
-        """The stencil of the subgraph on ascending ``bins``, in their numbering.
+    def restrict(self, bins) -> Topology:
+        """The subgraph on ascending ``bins``, in their numbering.
 
         Row k keeps the slots of row ``bins[k]``; a destination outside
         ``bins`` becomes a padded slot, so the real slots still ascend.
@@ -124,24 +91,56 @@ class Stencil:
         at[bins] = np.arange(bins.size)
         sub = at[self.rows[bins]]
         real = self.real[bins] & (sub >= 0)
-        rows = np.where(real, sub, np.arange(bins.size)[:, np.newaxis])
-        for arr in (rows, real):
-            arr.flags.writeable = False
-        return Stencil(rows=rows, real=real)
+        return Topology(rows=np.where(real, sub, np.arange(bins.size)[:, np.newaxis]), real=real)
 
 
-def stencil_of(topology: Topology) -> Stencil:
-    """The stencil of ``topology``: row j lists the bins adjacent to bin j."""
-    m = topology.m
-    src, dst = np.nonzero(topology.adjacency)  # row-major: dst ascends within each src
-    size = np.bincount(src, minlength=m)
-    slot = np.arange(dst.size) - np.repeat(np.cumsum(size) - size, size)
+def _compacted(dest: np.ndarray, valid: np.ndarray) -> Topology:
+    """The stencil whose row j lists ``dest[j][valid[j]]``, which ascend,
+    moved to the left in order and padded with bin j."""
+    size = valid.sum(axis=1)
+    m = size.size
     rows = np.repeat(np.arange(m), size.max()).reshape(m, -1)
-    rows[src, slot] = dst
     real = np.arange(rows.shape[1]) < size[:, np.newaxis]
-    for arr in (rows, real):
-        arr.flags.writeable = False
-    return Stencil(rows=rows, real=real)
+    rows[real] = dest[valid]
+    return Topology(rows=rows, real=real)
+
+
+def make_topology(adjacency: np.ndarray) -> Topology:
+    """Validate a boolean adjacency table and convert it to its stencil.
+
+    ``adjacency[i, j]`` is True when an agent may move between bins ``i``
+    and ``j`` in one step; it must be symmetric with an all-True diagonal.
+    """
+    adj = np.asarray(adjacency, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+    if not np.array_equal(adj, adj.T):
+        raise ValueError("adjacency must be symmetric")
+    if not adj.diagonal().all():
+        raise ValueError("adjacency diagonal must be True: staying put is always allowed")
+    return _compacted(np.broadcast_to(np.arange(adj.shape[0]), adj.shape), adj)
+
+
+def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
+    """Grid of ``rows`` x ``cols`` bins, numbered row-major.
+
+    Two bins are adjacent when the Manhattan distance between their cells is
+    at most ``hop``, so ``hop`` bounds how far an agent may travel per step.
+    The stencil comes straight from the offsets (dr, dc) within that
+    distance, in row-major order, so each bin's destinations ascend; no
+    table over bin pairs is built.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError(f"grid needs at least one row and one column, got {rows}x{cols}")
+    if hop < 1:
+        raise ValueError(f"hop must be at least 1, got {hop}")
+    dr, dc = np.meshgrid(np.arange(1 - rows, rows), np.arange(1 - cols, cols), indexing="ij")
+    near = np.abs(dr) + np.abs(dc) <= hop
+    dr, dc = dr[near], dc[near]
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    to_r, to_c = r[:, np.newaxis] + dr, c[:, np.newaxis] + dc
+    valid = (to_r >= 0) & (to_r < rows) & (to_c >= 0) & (to_c < cols)
+    return _compacted(to_r * cols + to_c, valid)
 
 
 def _as_subset(m: int, subset) -> np.ndarray:
@@ -167,11 +166,23 @@ def is_strongly_connected(topology: Topology, subset=None) -> bool:
     idx = _as_subset(topology.m, subset)
     unseen = np.zeros(topology.m, dtype=bool)
     unseen[idx[1:]] = True
-    frontier = idx[:1]
-    while frontier.size:
-        frontier = np.nonzero(topology.adjacency[frontier].any(axis=0) & unseen)[0]
-        unseen[frontier] = False
+    _search(topology, idx[:1], unseen)
     return not unseen.any()
+
+
+def _search(topology: Topology, frontier: np.ndarray, unseen: np.ndarray) -> list[np.ndarray]:
+    """Graph search from ``frontier`` over the bins ``unseen`` marks, one
+    frontier at a time, unmarking what it reaches.  Returns the frontiers
+    reached, each ascending: the bins at distance 1, 2, ...  A padded slot
+    points back into its frontier, which is never unseen."""
+    layers = []
+    while True:
+        reached = topology.rows[frontier].ravel()
+        frontier = np.unique(reached[unseen[reached]])
+        if frontier.size == 0:
+            return layers
+        unseen[frontier] = False
+        layers.append(frontier)
 
 
 @dataclass(frozen=True)
@@ -213,19 +224,10 @@ def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
         raise ValueError("desired density must be positive on at least one bin")
     if not is_strongly_connected(topology, recurrent):
         raise ValueError("bins with positive desired density must form a connected subgraph")
-    dist = np.full(topology.m, -1, dtype=np.int64)
-    dist[recurrent] = 0
-    frontier = recurrent
-    layers: list[np.ndarray] = []
-    while True:
-        reach = topology.adjacency[frontier].any(axis=0) & (dist < 0)
-        nxt = np.nonzero(reach)[0]
-        if nxt.size == 0:
-            break
-        dist[nxt] = len(layers) + 1
-        layers.append(nxt)
-        frontier = nxt
-    stranded = np.nonzero(dist < 0)[0]
+    unseen = np.ones(topology.m, dtype=bool)
+    unseen[recurrent] = False
+    layers = _search(topology, recurrent, unseen)
+    stranded = np.nonzero(unseen)[0]
     if stranded.size:
         raise ValueError(f"bins {stranded.tolist()} cannot reach any bin with positive desired density")
     if layers:
@@ -252,17 +254,21 @@ def laplacian_of(topology: Topology, subset=None) -> LaplacianView:
     """Laplacian view over ``subset`` (default: all bins).
 
     The induced subgraph must be connected; self-loops are dropped before
-    counting degrees, so ``max_degree`` is the largest neighbor count.
+    counting degrees, so ``max_degree`` is the largest neighbor count.  The
+    entries are placed from the subset's stencil, so the dense Laplacian is
+    the only m x m table built.
     """
     if subset is None:
         subset = np.arange(topology.m)
     idx = _as_subset(topology.m, subset)
     if not is_strongly_connected(topology, idx):
         raise ValueError("Laplacian view requires a connected subset")
-    sub = topology.adjacency[np.ix_(idx, idx)].astype(float)
-    np.fill_diagonal(sub, 0.0)
-    degree = sub.sum(axis=1).astype(np.int64)
-    lap = np.diag(degree.astype(float)) - sub
+    sub = topology.restrict(idx)
+    edges = sub.real & ~sub.own
+    degree = edges.sum(axis=1)
+    lap = np.zeros((idx.size, idx.size))
+    lap[np.nonzero(edges)[0], sub.rows[edges]] = -1.0
+    lap[np.diag_indices(idx.size)] = degree
     for arr in (idx, degree, lap):
         arr.flags.writeable = False
     return LaplacianView(subset=idx, degree=degree, max_degree=int(degree.max()), laplacian=lap)

@@ -11,13 +11,15 @@ which entry [i, j] is the probability that an agent in bin j moves to bin i:
 * ``transient_matrix``: shortest-path columns that drain the remaining bins
   toward the desired support, one distance layer per step, with no
   self-loops.
-* ``metropolis_hastings``: a density-independent baseline with the same
-  stationary distribution, for comparison runs, as a dense matrix;
-  ``mh_recurrent`` gives its recurrent columns in stencil layout.
+* ``mh_recurrent``: a density-independent baseline with the same
+  stationary distribution, for comparison runs; ``metropolis_hastings``
+  gives the whole chain as a dense matrix.
 
-``assemble`` stitches blocks back into original bin numbering and
-``validate_markov`` audits any matrix against a topology, or stencil
-values against their stencil.
+Every builder works in the stencil layout of ``swarmguide.graph.Topology``:
+column j is row j of an m x w value array over bin j's destinations.  The
+dense ``transient_matrix`` and ``metropolis_hastings`` are those values
+densified, ``assemble`` stitches dense blocks back into original bin
+numbering, and ``validate_markov`` audits stencil values.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .density import check_density
-from .graph import Partition, Stencil, Topology, partition_states
+from .graph import Partition, Topology, partition_states
 
 __all__ = [
     "COLUMN_SUM_TOL",
@@ -63,12 +65,12 @@ def choose_d_chsn(recurrent_graph) -> SynthesisParams:
     """Smallest admissible integer divisor: maximum degree plus one.
 
     ``recurrent_graph`` is anything with a ``max_degree``: a
-    ``LaplacianView`` or the recurrent bins' ``Stencil``.
+    ``LaplacianView`` or the recurrent bins' ``Topology``.
     """
     return SynthesisParams(d_chsn=float(recurrent_graph.max_degree) + 1.0)
 
 
-def dsmc_recurrent(current_r, desired_r, stencil: Stencil, params: SynthesisParams) -> np.ndarray:
+def dsmc_recurrent(current_r, desired_r, stencil: Topology, params: SynthesisParams) -> np.ndarray:
     """Synthesize the recurrent columns from density feedback, in stencil layout.
 
     Parameters
@@ -79,9 +81,9 @@ def dsmc_recurrent(current_r, desired_r, stencil: Stencil, params: SynthesisPara
     desired_r : array of shape (m_r,)
         Target density on the recurrent bins, strictly positive, summing
         to 1.
-    stencil : Stencil
+    stencil : Topology
         The recurrent bins' stencil in their own numbering, for instance
-        ``stencil_of(topology).restrict(recurrent)``.
+        ``topology.restrict(recurrent)``.
     params : SynthesisParams
         Divisor ``d_chsn``, strictly above ``stencil.max_degree``.
 
@@ -151,6 +153,21 @@ def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams,
     return col / (off + diag)
 
 
+def _transient_values(partition: Partition, topology: Topology) -> np.ndarray:
+    """The transient columns in stencil slots, recurrent rows zero.
+
+    A transient bin splits its mass evenly over its neighbours one distance
+    layer closer to the support, the recurrent bins for the nearest layer.
+    """
+    layer = np.zeros(topology.m, dtype=np.int64)
+    for k, bins in enumerate(partition.layers):
+        layer[bins] = k + 1
+    closer = topology.real & (layer[topology.rows] == layer[:, np.newaxis] - 1)
+    values = np.zeros(topology.rows.shape)
+    np.divide(1.0, closer.sum(axis=1, keepdims=True), out=values, where=closer)
+    return values
+
+
 def transient_matrix(partition: Partition, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     """Shortest-path columns for the transient bins.
 
@@ -162,25 +179,9 @@ def transient_matrix(partition: Partition, topology: Topology) -> tuple[np.ndarr
     any mass, so renumbered ``tt`` is strictly lower triangular and all
     transient mass reaches the support in at most max-layer steps.
     """
-    m_t, m_r = partition.m_t, partition.m_r
-    tt = np.zeros((m_t, m_t))
-    rt = np.zeros((m_r, m_t))
-    if m_t == 0:
-        return tt, rt
-    pos = np.empty(topology.m, dtype=np.int64)
-    pos[partition.ordering] = np.arange(topology.m)
-    closer = partition.recurrent
-    for k, layer in enumerate(partition.layers):
-        # hit[i, j]: bin j of this layer may move to bin i one layer closer.
-        hit = topology.adjacency[np.ix_(closer, layer)]
-        count = hit.sum(axis=0)
-        if not count.all():
-            raise ValueError(f"transient bin {int(layer[count == 0][0])} has no neighbor one layer closer to the support")
-        i, j = np.nonzero(hit)
-        out, first_row = (rt, m_t) if k == 0 else (tt, 0)
-        out[pos[closer[i]] - first_row, pos[layer[j]]] = 1.0 / count[j]
-        closer = layer
-    return tt, rt
+    dense = topology.densify(_transient_values(partition, topology))
+    transient, recurrent = partition.ordering[: partition.m_t], partition.recurrent
+    return dense[np.ix_(transient, transient)], dense[np.ix_(recurrent, transient)]
 
 
 def assemble(m1, m2, m3, partition: Partition) -> np.ndarray:
@@ -212,13 +213,11 @@ def assemble(m1, m2, m3, partition: Partition) -> np.ndarray:
 
 
 def metropolis_hastings(desired, topology: Topology, partition: Partition | None = None) -> np.ndarray:
-    """Density-independent baseline chain with ``desired`` as its fixed point.
+    """Density-independent baseline chain with ``desired`` as its fixed point,
+    as a dense matrix.
 
-    On the recurrent bins this is the classic accept/reject walk: propose a
-    uniform neighbor, accept with min(1, v[i] deg(j) / (v[j] deg(i))), park
-    the rejected mass on the diagonal.  Acceptance is symmetric in flow, so
-    the chain is reversible and leaves ``desired`` invariant.  Transient
-    columns reuse the shortest-path rule.
+    On the recurrent bins this is the classic accept/reject walk of
+    ``mh_recurrent``; transient columns reuse the shortest-path rule.
     """
     v = check_density(desired, name="desired density")
     if v.size != topology.m:
@@ -226,38 +225,23 @@ def metropolis_hastings(desired, topology: Topology, partition: Partition | None
     if partition is None:
         partition = partition_states(topology, v)
     rec = partition.recurrent
-    v_r = v[rec]
-    if (v_r <= 0.0).any():
+    if (v[rec] <= 0.0).any():
         raise ValueError("desired density must be positive on every recurrent bin")
-    sub = topology.adjacency[np.ix_(rec, rec)].copy()
-    np.fill_diagonal(sub, False)
-    degree = sub.sum(axis=0)
-    m_r = rec.size
-    m3 = np.zeros((m_r, m_r))
-    for j in range(m_r):
-        if degree[j] == 0:
-            m3[j, j] = 1.0
-            continue
-        off = 0.0
-        for i in np.nonzero(sub[:, j])[0]:
-            accept = min(1.0, (v_r[i] * degree[j]) / (v_r[j] * degree[i]))
-            p = accept / degree[j]
-            m3[i, j] = p
-            off += p
-        m3[j, j] = max(0.0, 1.0 - off)
-    m1, m2 = transient_matrix(partition, topology)
-    return assemble(m1, m2, m3, partition)
+    values = _transient_values(partition, topology)
+    values[rec] = mh_recurrent(v[rec], topology.restrict(rec))
+    return topology.densify(values)
 
 
-def mh_recurrent(desired_r, stencil: Stencil) -> np.ndarray:
-    """The recurrent columns of ``metropolis_hastings``, in stencil layout.
+def mh_recurrent(desired_r, stencil: Topology) -> np.ndarray:
+    """The recurrent columns of the Metropolis-Hastings chain, in stencil layout.
 
     ``stencil`` is the recurrent bins' stencil in their own numbering, and
-    the values returned are shaped like ``stencil.rows``.  Every entry
-    equals the dense matrix's bit for bit: acceptances use the same
-    operations, and the rejected mass is what is left after adding the
-    moves slot by slot in ascending destination order, as the dense loop
-    adds them (a padded or self slot adds an exact 0.0).  Inputs are not
+    the values returned are shaped like ``stencil.rows``.  Column j proposes
+    a uniform neighbour i and accepts with min(1, v[i] deg(j) / (v[j]
+    deg(i))); the rejected mass, what is left after adding the moves slot
+    by slot in ascending destination order (a padded or self slot adds an
+    exact 0.0), stays in bin j.  Acceptance is symmetric in flow, so the
+    chain is reversible and leaves ``desired_r`` invariant.  Inputs are not
     validated: a run checks its target once, at the scenario boundary.
     """
     v = np.asarray(desired_r, dtype=float)
@@ -279,10 +263,10 @@ def mh_recurrent(desired_r, stencil: Stencil) -> np.ndarray:
 class ValidationReport:
     """Audit of a candidate transition matrix.
 
-    ``mask_violations`` lists (destination, source) pairs that carry
-    probability across transitions the topology forbids, destination -1
-    for a padded stencil slot.  The report never raises; callers decide
-    severity via ``ok``.
+    ``mask_violations`` lists (-1, source) for each column that carries
+    probability in a padded stencil slot, a transition the topology does
+    not list.  The report never raises; callers decide severity via
+    ``ok``.
     """
 
     max_column_sum_deviation: float
@@ -297,35 +281,20 @@ class ValidationReport:
         )
 
 
-def validate_markov(matrix, topology: Topology | Stencil) -> ValidationReport:
-    """Measure column sums, entry signs, and mask violations of ``matrix``.
+def validate_markov(values, topology: Topology) -> ValidationReport:
+    """Measure column sums, entry signs, and mask violations of stencil values.
 
-    Entry [i, j] moves bin j mass to bin i, so it is allowed exactly when
-    ``topology.adjacency[j, i]`` holds.  With a ``Stencil`` in place of the
-    topology, ``matrix`` holds its values (column j in ``matrix[j]``) and
-    the audit costs O(m w): column sums accumulate slot by slot, and mass
-    in a padded slot of column j, which lists no destination, is reported
-    as the pair (-1, j).
+    ``values`` holds a matrix in the stencil layout of ``topology``, column j
+    in ``values[j]``, and the audit costs O(m w).  Column sums accumulate
+    slot by slot, and mass in a padded slot of column j, which lists no
+    destination, is reported as the pair (-1, j).
     """
-    if isinstance(topology, Stencil):
-        values = np.asarray(matrix, dtype=float)
-        if values.shape != topology.rows.shape:
-            raise ValueError(f"stencil values must be {topology.rows.shape}, got {values.shape}")
-        padded = np.nonzero(((values != 0.0) & ~topology.real).any(axis=1))[0]
-        return ValidationReport(
-            max_column_sum_deviation=float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max()),
-            min_entry=float(values.min()),
-            mask_violations=tuple((-1, j) for j in padded.tolist()),
-        )
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (topology.m, topology.m):
-        raise ValueError(f"matrix shape {m.shape} does not match {topology.m} bins")
-    deviation = float(np.abs(m.sum(axis=0) - 1.0).max())
-    min_entry = float(m.min())
-    bad_i, bad_j = np.nonzero((m != 0.0) & ~topology.adjacency.T)
-    violations = tuple(zip(bad_i.tolist(), bad_j.tolist()))
+    values = np.asarray(values, dtype=float)
+    if values.shape != topology.rows.shape:
+        raise ValueError(f"stencil values must be {topology.rows.shape}, got {values.shape}")
+    padded = np.nonzero(((values != 0.0) & ~topology.real).any(axis=1))[0]
     return ValidationReport(
-        max_column_sum_deviation=deviation,
-        min_entry=min_entry,
-        mask_violations=violations,
+        max_column_sum_deviation=float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max()),
+        min_entry=float(values.min()),
+        mask_violations=tuple((-1, j) for j in padded.tolist()),
     )

@@ -35,11 +35,12 @@ from swarmguide import (
     load_scenario,
     render_scenario,
     run_scenario,
-    validate_markov,
 )
 
 from testutil import (
+    adjacency_of,
     advance_by_bin_oracle,
+    dense_audit,
     dense_dsmc,
     local_recurrent_oracle,
     positive_density,
@@ -88,7 +89,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def _auditing_hook(topology):
     def hook(step, matrix):
-        AUDITS.append(validate_markov(matrix, topology))
+        AUDITS.append(dense_audit(matrix, topology))
 
     return hook
 
@@ -247,7 +248,7 @@ def test_criterion_08_local_columns_equal_global_matrix():
         params = choose_d_chsn(laplacian_of(topo))
         full = dense_dsmc(x, v, topo, params)
         j = int(rng.integers(0, m))
-        neighbors = np.nonzero(topo.adjacency[:, j] & (np.arange(m) != j))[0]
+        neighbors = np.nonzero(adjacency_of(topo)[:, j] & (np.arange(m) != j))[0]
         col = dsmc_column(
             j,
             np.concatenate([[x[j]], x[neighbors]]),

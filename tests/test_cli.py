@@ -13,12 +13,13 @@ from swarmguide import (
     load_scenario,
     metropolis_hastings,
     parse_scenario,
+    partition_states,
     render_scenario,
 )
 import swarmguide.cli as cli
 from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_VERIFY_BINS, main
 
-from testutil import dense_dsmc
+from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -315,6 +316,22 @@ def test_cmd_verify_refuses_oversized_grids_before_building_them(monkeypatch, ca
         main(["verify", "--rows", "1", "--cols", str(MAX_VERIFY_BINS), "--hop", "1"])
 
 
+@pytest.mark.parametrize(
+    "args,flag,value",
+    [
+        (["--rows", "-100", "--cols", "-100", "--hop", "1"], "--rows", -100),
+        (["--rows", "0", "--cols", "5", "--hop", "1"], "--rows", 0),
+        (["--rows", "5", "--cols", "-1", "--hop", "1"], "--cols", -1),
+        (["--rows", "5", "--cols", "5", "--hop", "0"], "--hop", 0),
+    ],
+)
+def test_cmd_verify_refuses_sizes_below_one(capsys, args, flag, value):
+    # Refused as usage errors before the bin count is read: (-100) x (-100)
+    # is not a 10000-bin grid.
+    assert main(["verify", *args]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+
+
 def test_cmd_verify_usage_errors(capsys):
     assert main(["verify"]) == 2
     assert "needs" in capsys.readouterr().err
@@ -347,6 +364,8 @@ def test_cmd_export_matrix_baseline_is_metropolis(tmp_path):
     got = np.array([[float(v) for v in line.split(",")] for line in _read(out).splitlines()])
     topo = build_grid_topology(2, 2, 1)
     v = np.array([1.0, 1.0, 6.0, 12.0]) / 20.0
+    expected = dense_mh_oracle(v, brute_force_grid_adjacency(2, 2, 1), partition_states(topo, v))
+    assert np.array_equal(got, expected)
     assert np.array_equal(got, metropolis_hastings(v, topo))
 
 

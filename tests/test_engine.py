@@ -10,8 +10,8 @@ import swarmguide.engine as engine_module
 from swarmguide import (
     Event,
     Scenario,
-    Stencil,
     SwarmState,
+    Topology,
     apply_event,
     assemble,
     build_grid_topology,
@@ -21,14 +21,12 @@ from swarmguide import (
     partition_states,
     propagate_density,
     run_scenario,
-    stencil_of,
     step_agents,
     total_variation,
-    transient_matrix,
 )
-from swarmguide.engine import ALGORITHMS, MODES
+from swarmguide.engine import ALGORITHMS, MODES, stencil_plan
 
-from testutil import dense_replay
+from testutil import brute_force_grid_adjacency, dense_replay, dense_transient_oracle
 
 LETTER_E = Path(__file__).resolve().parent.parent / "scenarios" / "letter_e.txt"
 
@@ -70,6 +68,25 @@ def test_scenario_validation():
             2, 2, 1, 10, 5, "dsmc", 0, "deterministic", ((1, 1), (1, 1)),
             events=(Event(step=1, kind="add_agents", fraction=0.5),),
         )
+
+
+@pytest.mark.parametrize(
+    "field,changes",
+    [
+        ("rows", dict(rows=0)),
+        ("cols", dict(cols=-2)),
+        ("hop", dict(hop=0)),
+        ("weights", dict(weights=((1, 1), (1, 1), (1, 1)))),
+        ("weights", dict(weights=((1, 1), (1,)))),
+        ("init_weights", dict(init_weights=((1, 0, 0), (0, 0, 0), (0, 0, 0)))),
+        ("init_weights", dict(init_weights=((1, 1, 0), (0, 0)))),
+    ],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_scenario_refuses_bad_sizes_and_grid_shapes(field, changes, mode):
+    # Refused when built, naming the field, rather than part way into a run.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        replace(RING_SCENARIO, mode=mode, **changes)
 
 
 def test_scenario_sorts_events_and_derives_densities():
@@ -333,13 +350,13 @@ def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment,
 
 
 def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
-    # Every hooked matrix equals the dense assembly of the same blocks bit for
-    # bit, and the sampler gets exactly its stencil values, zero-padded.
+    # Every hooked matrix equals the dense assembly of the same recurrent
+    # blocks and of the transient blocks built from the scalar adjacency, bit
+    # for bit, and the sampler gets exactly its stencil values, zero-padded.
     scenario = replace(load_scenario(LETTER_E), steps=30, events=())
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     partition = partition_states(topology, scenario.desired_density())
-    tt, rt = transient_matrix(partition, topology)
-    stencil = stencil_of(topology)
+    tt, rt = dense_transient_oracle(partition, brute_force_grid_adjacency(scenario.rows, scenario.cols, scenario.hop))
     blocks, hooked, sampled = [], [], []
 
     def recording_synthesis(current_r, desired_r, neighbours, params):
@@ -359,9 +376,9 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
     for block, mat, (values, rows) in zip(blocks, hooked, sampled):
         assert mat.tobytes() == assemble(tt, rt, block, partition).tobytes()
         assert not mat.flags.writeable
-        assert np.array_equal(rows, stencil.rows)
-        assert np.array_equal(values[stencil.real], mat[rows[stencil.real], np.nonzero(stencil.real)[0]])
-        assert not values[~stencil.real].any()
+        assert np.array_equal(rows, topology.rows)
+        assert np.array_equal(values[topology.real], mat[rows[topology.real], np.nonzero(topology.real)[0]])
+        assert not values[~topology.real].any()
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -377,7 +394,7 @@ def test_steps_without_a_hook_stay_on_the_stencil(monkeypatch, mode):
     def no_dense(self, values):
         raise AssertionError("a step without a hook built a dense matrix")
 
-    monkeypatch.setattr(Stencil, "densify", no_dense)
+    monkeypatch.setattr(Topology, "densify", no_dense)
     tracemalloc.start()
     try:
         run_scenario(scenario)
@@ -390,11 +407,11 @@ def test_steps_without_a_hook_stay_on_the_stencil(monkeypatch, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_full_target_run_builds_no_dense_matrix(algorithm, mode):
-    # 64x64 bins, all of them recurrent.  The boolean topology and its
-    # construction temporaries peak at about 50 MB; one dense 4096 x 4096
-    # float table, such as a recurrent Laplacian, block or matrix, would add
-    # 134 MB (a dense baseline build peaked at 437 MB, a dense deterministic
-    # step at 154 MB).
+    # 64x64 bins, all of them recurrent.  One dense 4096 x 4096 float table,
+    # such as a recurrent Laplacian, block or matrix, would add 134 MB (a
+    # dense baseline build peaked at 437 MB, a dense deterministic step at
+    # 154 MB, and the boolean adjacency with its construction temporaries,
+    # which the topology no longer holds, at about 50 MB).
     scenario = Scenario(
         rows=64, cols=64, hop=1, agents=1000, steps=1, algorithm=algorithm, seed=1, mode=mode,
         weights=tuple(tuple(1 + (r + c) % 3 for c in range(64)) for r in range(64)),
@@ -406,6 +423,24 @@ def test_full_target_run_builds_no_dense_matrix(algorithm, mode):
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_set_up_of_a_100x100_grid_builds_no_table_over_bin_pairs():
+    # 100x100 bins, hop 2, a disc target with transient bins around it.  The
+    # stencil and the plan take a few MB; the boolean adjacency over bin
+    # pairs alone is 100 MB, and set-up through it peaked at 286 MB.
+    r, c = np.divmod(np.arange(10_000), 100)
+    desired = ((r - 50) ** 2 + (c - 50) ** 2 <= 30**2).astype(float)
+    desired /= desired.sum()
+    tracemalloc.start()
+    try:
+        topology = build_grid_topology(100, 100, 2)
+        plan = stencil_plan(topology, partition_states(topology, desired))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.stencil.rows.shape == (10_000, 13)
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -7,10 +7,15 @@ from swarmguide import (
     laplacian_of,
     make_topology,
     partition_states,
-    stencil_of,
 )
 
-from testutil import bfs_distances, brute_force_grid_adjacency, connected_oracle, random_connected_topology
+from testutil import (
+    adjacency_of,
+    bfs_distances,
+    brute_force_grid_adjacency,
+    connected_oracle,
+    random_connected_topology,
+)
 
 
 @pytest.mark.parametrize(
@@ -20,7 +25,20 @@ from testutil import bfs_distances, brute_force_grid_adjacency, connected_oracle
 def test_grid_adjacency_matches_scalar_oracle(rows, cols, hop):
     topo = build_grid_topology(rows, cols, hop)
     assert topo.m == rows * cols
-    assert np.array_equal(topo.adjacency, brute_force_grid_adjacency(rows, cols, hop))
+    assert np.array_equal(adjacency_of(topo), brute_force_grid_adjacency(rows, cols, hop))
+
+
+def test_grid_topology_equals_the_converted_scalar_adjacency():
+    # Every grid up to 8x8, with hops up to 11 >= rows + cols, so that some
+    # grids are complete graphs: the stencil built from Manhattan offsets
+    # equals the conversion of the scalar adjacency slot for slot.
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            for hop in range(1, 12):
+                topo = build_grid_topology(rows, cols, hop)
+                oracle = make_topology(brute_force_grid_adjacency(rows, cols, hop))
+                assert np.array_equal(topo.rows, oracle.rows), (rows, cols, hop)
+                assert np.array_equal(topo.real, oracle.real), (rows, cols, hop)
 
 
 def test_stencil_matches_scalar_grid_oracle():
@@ -29,7 +47,7 @@ def test_stencil_matches_scalar_grid_oracle():
     cases += [tuple(int(v) for v in rng.integers(1, 9, size=2)) + (int(rng.integers(1, 5)),) for _ in range(25)]
     cases += [(r, c, r + c + int(rng.integers(0, 3))) for r, c in rng.integers(1, 7, size=(5, 2)).tolist()]
     for rows, cols, hop in cases:
-        stencil = stencil_of(build_grid_topology(rows, cols, hop))
+        stencil = build_grid_topology(rows, cols, hop)
         m = rows * cols
         adj = np.zeros((m, m), dtype=bool)
         for j in range(m):
@@ -47,7 +65,7 @@ def test_restricted_stencil_is_the_induced_subgraph_slot_for_slot():
     rng = np.random.default_rng(32)
     for _ in range(100):
         rows, cols, hop = (int(v) for v in rng.integers(1, [8, 8, 4]))
-        full = stencil_of(build_grid_topology(rows, cols, hop))
+        full = build_grid_topology(rows, cols, hop)
         bins = np.nonzero(rng.random(full.m) < rng.uniform(0.2, 1.0))[0]
         if bins.size == 0:
             continue
@@ -65,7 +83,7 @@ def test_restricted_stencil_is_the_induced_subgraph_slot_for_slot():
 
 def test_sparsify_inverts_densify():
     rng = np.random.default_rng(33)
-    stencil = stencil_of(build_grid_topology(5, 6, 2))
+    stencil = build_grid_topology(5, 6, 2)
     values = rng.random(stencil.rows.shape) * stencil.real
     dense = stencil.densify(values)
     assert np.array_equal(stencil.sparsify(dense), values)
@@ -94,10 +112,28 @@ def test_make_topology_validation():
         make_topology(nodiag)
 
 
+def test_make_topology_lists_each_bins_neighbours_ascending():
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        adj = np.eye(int(rng.integers(1, 30)), dtype=bool)
+        adj |= np.triu(rng.random(adj.shape) < rng.uniform(0.0, 0.6), 1)
+        adj |= adj.T
+        topo = make_topology(adj)
+        assert topo.rows.shape == (adj.shape[0], adj.sum(axis=1).max())
+        for j in range(topo.m):
+            assert topo.rows[j][topo.real[j]].tolist() == np.nonzero(adj[j])[0].tolist()
+            assert np.all(topo.rows[j][~topo.real[j]] == j)
+            assert topo.real[j].tolist() == sorted(topo.real[j].tolist(), reverse=True)
+
+
 def test_topology_is_frozen():
-    topo = build_grid_topology(2, 2, 1)
-    with pytest.raises(ValueError):
-        topo.adjacency[0, 1] = False
+    for topo in (build_grid_topology(2, 2, 1), make_topology(np.ones((3, 3), dtype=bool))):
+        with pytest.raises(ValueError):
+            topo.rows[0, 1] = 0
+        with pytest.raises(ValueError):
+            topo.real[0, 1] = False
+        with pytest.raises(AttributeError):
+            topo.rows = topo.rows.copy()
 
 
 def test_connectivity_full_grid_and_subsets():
@@ -139,7 +175,7 @@ def test_connectivity_matches_one_bin_at_a_time_search():
         keep[int(rng.integers(0, topo.m))] = True
         subset = rng.permutation(np.nonzero(keep)[0])
         got = is_strongly_connected(topo, subset)
-        assert got == connected_oracle(topo.adjacency, subset)
+        assert got == connected_oracle(brute_force_grid_adjacency(rows, cols, hop), subset)
         outcomes.add(got)
     assert outcomes == {True, False}
 
@@ -171,7 +207,7 @@ def test_partition_layers_match_bfs_distance_oracle():
     v = np.zeros(20)
     v[[0, 5, 10, 15]] = 0.25
     part = partition_states(topo, v)
-    dist = bfs_distances(topo.adjacency, part.recurrent)
+    dist = bfs_distances(brute_force_grid_adjacency(4, 5, 1), part.recurrent)
     assert np.array_equal(part.recurrent, [0, 5, 10, 15])
     for k, layer in enumerate(part.layers):
         assert np.array_equal(np.sort(dist[layer]), np.full(layer.size, k + 1))

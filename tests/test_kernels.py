@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 
-from swarmguide import _kernels, build_grid_topology, stencil_of
+from swarmguide import _kernels, build_grid_topology
 from swarmguide.density import error_vector
 
 from testutil import (
@@ -18,7 +18,7 @@ from testutil import (
 
 def _random_instance(rng, zero_frac=0.3):
     m = int(rng.integers(2, 45))
-    stencil = stencil_of(random_connected_topology(rng, m))
+    stencil = random_connected_topology(rng, m)
     x = random_density(rng, m, zero_frac=zero_frac)
     v = positive_density(rng, m)
     return error_vector(v, x), x, stencil, float(stencil.max_degree + 1)
@@ -50,7 +50,7 @@ def _random_stencil_values(rng, stencil, zero_prob=0.3):
 def test_stencil_advance_matches_oracle_on_densified_columns():
     rng = np.random.default_rng(25)
     for _ in range(40):
-        stencil = stencil_of(random_connected_topology(rng, int(rng.integers(1, 30))))
+        stencil = random_connected_topology(rng, int(rng.integers(1, 30)))
         values = _random_stencil_values(rng, stencil)
         cum = np.cumsum(stencil.densify(values), axis=0)
         n = int(rng.integers(1, 300))
@@ -67,7 +67,7 @@ def test_advance_agents_builds_no_agents_by_slots_temporary():
     # 10**6 agents on a 30x30 hop-3 stencil (w = 25), nearly all of them
     # moving: one agents x w float gather alone would take 200 MB.
     rng = np.random.default_rng(26)
-    stencil = stencil_of(build_grid_topology(30, 30, 3))
+    stencil = build_grid_topology(30, 30, 3)
     assert stencil.rows.shape == (900, 25)
     values = _random_stencil_values(rng, stencil, zero_prob=0.0)
     bins = rng.integers(0, stencil.m, size=10**6)
@@ -108,7 +108,7 @@ def test_advance_round_off_stays_on_the_column_support():
     assert np.array_equal(got, advance_oracle(bins, z, cum))
 
     # The same column on a 2x3 grid, where corner bin 0 has one padded slot.
-    stencil = stencil_of(build_grid_topology(2, 3, 1))
+    stencil = build_grid_topology(2, 3, 1)
     assert stencil.rows[0].tolist() == [0, 1, 3, 0] and stencil.real[0].tolist() == [True, True, True, False]
     values = np.zeros(stencil.rows.shape)
     values[np.arange(6), np.argmax(stencil.rows == np.arange(6)[:, np.newaxis], axis=1)] = 1.0

@@ -21,18 +21,27 @@ from swarmguide import (
     choose_d_chsn,
     dsmc_column,
     dsmc_recurrent,
+    is_strongly_connected,
     metropolis_hastings,
     mh_recurrent,
     parse_scenario,
     partition_states,
     render_scenario,
-    stencil_of,
     total_variation,
 )
 from swarmguide.density import SUM_TOL
 from swarmguide.engine import stencil_plan
 
-from testutil import advance_by_bin_oracle, dense_recurrent_oracle, dense_replay
+from testutil import (
+    adjacency_of,
+    advance_by_bin_oracle,
+    bfs_distances,
+    brute_force_grid_adjacency,
+    connected_oracle,
+    dense_mh_oracle,
+    dense_recurrent_oracle,
+    dense_replay,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -56,7 +65,7 @@ def instances(draw):
 
 def _recurrent_view(topology, target):
     recurrent = np.nonzero(target > 0.0)[0]
-    neighbours = stencil_of(topology).restrict(recurrent)
+    neighbours = topology.restrict(recurrent)
     return recurrent, neighbours, choose_d_chsn(neighbours)
 
 
@@ -67,7 +76,7 @@ def test_stencil_synthesis_equals_bin_local_columns_and_dense_reference(instance
     recurrent, neighbours, params = _recurrent_view(topology, target)
     x, v = current[recurrent], target[recurrent]
     dense = neighbours.densify(dsmc_recurrent(x, v, neighbours, params))
-    adjacency = topology.adjacency[np.ix_(recurrent, recurrent)]
+    adjacency = adjacency_of(topology)[np.ix_(recurrent, recurrent)]
     assert dense.tobytes() == dense_recurrent_oracle(v - x, x, adjacency, params.d_chsn).tobytes()
     for j in range(recurrent.size):
         nbrs = neighbours.rows[j][neighbours.real[j] & ~neighbours.own[j]]
@@ -97,15 +106,16 @@ def test_synthesis_stays_on_recurrent_neighbours(instance):
     values = dsmc_recurrent(current[recurrent], target[recurrent], neighbours, params)
     assert not values[~neighbours.real].any()
     assert (values >= 0.0).all()
-    adjacency = topology.adjacency[np.ix_(recurrent, recurrent)]
+    adjacency = adjacency_of(topology)[np.ix_(recurrent, recurrent)]
     assert not neighbours.densify(values)[~adjacency].any()
 
 
 def _connected_support(draw, topology) -> list[int]:
     """Bins grown one neighbour at a time from a single bin, so connected."""
+    adjacency = adjacency_of(topology)
     support = {draw(st.integers(0, topology.m - 1))}
     for _ in range(draw(st.integers(0, topology.m - 1))):
-        frontier = sorted(set(np.nonzero(topology.adjacency[sorted(support)].any(axis=0))[0].tolist()) - support)
+        frontier = sorted(set(np.nonzero(adjacency[sorted(support)].any(axis=0))[0].tolist()) - support)
         if not frontier:
             break
         support.add(draw(st.sampled_from(frontier)))
@@ -131,8 +141,41 @@ def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance
     plan = stencil_plan(topology, partition)
     values = plan.with_recurrent(mh_recurrent(target[plan.recurrent], plan.neighbours))
     assert not values[~plan.stencil.real].any()
-    dense = metropolis_hastings(target, topology, partition)
+    dense = dense_mh_oracle(target, adjacency_of(topology), partition)
     assert plan.stencil.densify(values).tobytes() == dense.tobytes()
+    assert metropolis_hastings(target, topology, partition).tobytes() == dense.tobytes()
+
+
+@st.composite
+def grid_subsets(draw):
+    """(rows, cols, hop, subset): a random grid and a nonempty set of its
+    bins, connected or not."""
+    rows, cols, hop = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    keep = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols).filter(any))
+    return rows, cols, hop, np.nonzero(keep)[0]
+
+
+@SETTINGS
+@given(grid_subsets())
+def test_partition_and_connectivity_equal_the_scalar_searches(instance):
+    # Against queue-based searches over the scalar grid adjacency: the
+    # connectivity of any subset, and for a connected target support the
+    # partition's layers, which hold the bins at each distance, ascending.
+    rows, cols, hop, subset = instance
+    topology = build_grid_topology(rows, cols, hop)
+    adjacency = brute_force_grid_adjacency(rows, cols, hop)
+    connected = is_strongly_connected(topology, subset)
+    assert connected == connected_oracle(adjacency, subset)
+    if not connected:
+        return
+    target = np.zeros(topology.m)
+    target[subset] = 1.0 / subset.size
+    partition = partition_states(topology, target)
+    dist = bfs_distances(adjacency, subset)
+    assert np.array_equal(partition.recurrent, subset)
+    assert len(partition.layers) == dist.max()
+    for k, layer in enumerate(partition.layers):
+        assert layer.tolist() == np.nonzero(dist == k + 1)[0].tolist()
 
 
 @st.composite
@@ -180,7 +223,7 @@ def sampler_cases(draw):
     of its bins so that padded slots sit ahead of the self slot, with every
     column kind mixed in."""
     rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    stencil = stencil_of(build_grid_topology(rows, cols, hop))
+    stencil = build_grid_topology(rows, cols, hop)
     if draw(st.booleans()):
         keep = draw(st.lists(st.booleans(), min_size=stencil.m, max_size=stencil.m).filter(any))
         stencil = stencil.restrict(np.nonzero(keep)[0])

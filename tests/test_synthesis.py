@@ -12,14 +12,17 @@ from swarmguide import (
     make_topology,
     metropolis_hastings,
     partition_states,
-    stencil_of,
     transient_matrix,
     validate_markov,
 )
 
 from testutil import (
+    adjacency_of,
     bfs_distances,
+    brute_force_grid_adjacency,
+    dense_audit,
     dense_dsmc,
+    dense_transient_oracle,
     flow_oracle,
     positive_density,
     random_connected_topology,
@@ -37,9 +40,9 @@ def test_choose_d_chsn_is_max_degree_plus_one():
     assert choose_d_chsn(laplacian_of(RING)).d_chsn == 3.0
     assert choose_d_chsn(laplacian_of(build_grid_topology(3, 3, 1))).d_chsn == 5.0
     assert choose_d_chsn(laplacian_of(build_grid_topology(1, 2, 1))).d_chsn == 2.0
-    # The same divisor from a stencil, and from a stencil restricted to a subset.
-    assert choose_d_chsn(stencil_of(build_grid_topology(3, 3, 1))).d_chsn == 5.0
-    assert choose_d_chsn(stencil_of(build_grid_topology(3, 3, 1)).restrict([0, 1, 2, 5])).d_chsn == 3.0
+    # The same divisor from a topology, and from a topology restricted to a subset.
+    assert choose_d_chsn(build_grid_topology(3, 3, 1)).d_chsn == 5.0
+    assert choose_d_chsn(build_grid_topology(3, 3, 1).restrict([0, 1, 2, 5])).d_chsn == 3.0
 
 
 def test_ring_first_step_matrix_hand_values():
@@ -88,7 +91,7 @@ def test_synthesis_agrees_with_scalar_flow_oracle():
         params = choose_d_chsn(laplacian_of(topo))
         mat = dense_dsmc(x, v, topo, params)
         e = v - x
-        expected = flow_oracle(e, x, topo.adjacency, params.d_chsn)
+        expected = flow_oracle(e, x, adjacency_of(topo), params.d_chsn)
         assert np.abs(mat @ x - expected).max() < 1e-12
 
 
@@ -99,9 +102,9 @@ def test_synthesized_matrices_are_valid_markov():
         v = positive_density(rng, topo.m)
         x = random_density(rng, topo.m, zero_frac=0.2)
         params = choose_d_chsn(laplacian_of(topo))
-        mat = dense_dsmc(x, v, topo, params)
-        report = validate_markov(mat, topo)
-        assert report.ok()
+        values = dsmc_recurrent(x, v, topo, params)
+        assert validate_markov(values, topo).ok()
+        assert dense_audit(topo.densify(values), topo).ok()
 
 
 def test_saturated_column_spends_exactly_its_density():
@@ -119,18 +122,17 @@ def test_saturated_column_spends_exactly_its_density():
     after = mat @ x
     inflow = ((v[1] - x[1]) - (v[2] - x[2])) / 3.0
     assert after[1] == pytest.approx(inflow, abs=1e-15)
-    assert validate_markov(mat, topo).ok()
+    assert validate_markov(topo.sparsify(mat), topo).ok()
 
 
 def test_dsmc_does_not_mutate_inputs():
     x = RING_X0.copy()
     v = RING_V.copy()
-    stencil = stencil_of(RING)
-    rows, real = stencil.rows.copy(), stencil.real.copy()
-    dsmc_recurrent(x, v, stencil, RING_PARAMS)
+    rows, real = RING.rows.copy(), RING.real.copy()
+    dsmc_recurrent(x, v, RING, RING_PARAMS)
     assert np.array_equal(x, RING_X0)
     assert np.array_equal(v, RING_V)
-    assert np.array_equal(stencil.rows, rows) and np.array_equal(stencil.real, real)
+    assert np.array_equal(RING.rows, rows) and np.array_equal(RING.real, real)
 
 
 def test_local_column_equals_global_column_exactly():
@@ -143,7 +145,7 @@ def test_local_column_equals_global_column_exactly():
         params = choose_d_chsn(laplacian_of(topo))
         full = dense_dsmc(x, v, topo, params)
         for j in range(m):
-            neighbors = np.nonzero(topo.adjacency[:, j] & (np.arange(m) != j))[0]
+            neighbors = np.nonzero(adjacency_of(topo)[:, j] & (np.arange(m) != j))[0]
             # Feed the neighbors in a scrambled order: result may not depend on it.
             perm = rng.permutation(neighbors.size)
             nbr = neighbors[perm]
@@ -180,7 +182,9 @@ def test_transient_columns_split_uniformly_one_layer_closer():
     topo, part = _e_partition()
     tt, rt = transient_matrix(part, topo)
     assert tt.shape == (17, 17) and rt.shape == (3, 17)
-    dist = bfs_distances(topo.adjacency, part.recurrent)
+    adjacency = brute_force_grid_adjacency(4, 5, 1)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((tt, rt), dense_transient_oracle(part, adjacency)))
+    dist = bfs_distances(adjacency, part.recurrent)
     pos = {int(b): k for k, b in enumerate(part.ordering)}
     for b in range(topo.m):
         if dist[b] == 0:
@@ -196,12 +200,12 @@ def test_transient_columns_split_uniformly_one_layer_closer():
         ordering = part.ordering
         for t in targets:
             orig = int(ordering[t])
-            assert topo.adjacency[b, orig]
+            assert adjacency[b, orig]
             assert dist[orig] == dist[b] - 1
         # And every such neighbor is a target.
         wanted = [
             int(u)
-            for u in np.nonzero(topo.adjacency[b])[0]
+            for u in np.nonzero(adjacency[b])[0]
             if dist[u] == dist[b] - 1
         ]
         assert sorted(int(ordering[t]) for t in targets) == sorted(wanted)
@@ -257,7 +261,7 @@ def test_assembled_matrix_never_returns_to_transient_bins():
     # keeps any mass.
     assert np.array_equal(full[np.ix_(transient, part.recurrent)], np.zeros((17, 3)))
     assert np.array_equal(np.diag(full)[transient], np.zeros(17))
-    assert validate_markov(full, topo).ok()
+    assert dense_audit(full, topo).ok()
 
 
 def test_metropolis_uniform_target_on_ring():
@@ -291,7 +295,7 @@ def test_metropolis_keeps_target_stationary():
         v = positive_density(rng, topo.m)
         mat = metropolis_hastings(v, topo)
         assert np.abs(mat @ v - v).max() < 1e-12
-        assert validate_markov(mat, topo).ok()
+        assert dense_audit(mat, topo).ok()
 
 
 def test_metropolis_detailed_balance():
@@ -311,7 +315,7 @@ def test_metropolis_with_transient_bins_still_fixes_target():
     part = partition_states(topo, v)
     mat = metropolis_hastings(v, topo, part)
     assert np.abs(mat @ v - v).max() < 1e-12
-    assert validate_markov(mat, topo).ok()
+    assert dense_audit(mat, topo).ok()
 
 
 def test_metropolis_single_recurrent_bin():
@@ -321,8 +325,10 @@ def test_metropolis_single_recurrent_bin():
 
 
 def test_validate_markov_reports_each_defect():
+    # A 1x3 path in stencil layout: the end bins have one padded slot each,
+    # which must stay empty.
     topo = build_grid_topology(1, 3, 1)
-    good = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
+    good = topo.sparsify(np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]]))
     report = validate_markov(good, topo)
     assert report.ok()
     assert report.max_column_sum_deviation == 0.0
@@ -336,58 +342,47 @@ def test_validate_markov_reports_each_defect():
     assert report.max_column_sum_deviation == pytest.approx(0.1, abs=1e-12)
 
     negative = good.copy()
-    negative[0, 0] = -0.1
-    negative[1, 0] = 1.1
+    negative[0, :2] = -0.1, 1.1
     report = validate_markov(negative, topo)
     assert not report.ok()
     assert report.min_entry == pytest.approx(-0.1, abs=1e-15)
 
-    leaky = good.copy()
-    leaky[2, 0] = 0.25
-    leaky[1, 0] = 0.25
-    report = validate_markov(leaky, topo)
-    assert not report.ok()
-    assert report.mask_violations == ((2, 0),)
-
-    with pytest.raises(ValueError, match="shape"):
-        validate_markov(np.eye(2), topo)
-
-
-def test_validate_markov_audits_stencil_values_like_their_dense_matrix():
-    # The same 1x3 path in stencil layout: the end bins have one padded
-    # slot each, which must stay empty.
-    topo = build_grid_topology(1, 3, 1)
-    stencil = stencil_of(topo)
-    good = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
-    values = stencil.sparsify(good)
-    report = validate_markov(values, stencil)
-    assert report == validate_markov(good, topo)
-    assert report.ok()
-
-    bad_sum = values.copy()
-    bad_sum[0, 0] = 0.6
-    assert validate_markov(bad_sum, stencil).max_column_sum_deviation == pytest.approx(0.1, abs=1e-12)
-
-    negative = values.copy()
-    negative[0, :2] = -0.1, 1.1
-    assert validate_markov(negative, stencil).min_entry == pytest.approx(-0.1, abs=1e-15)
-
     # Mass moved into bin 2's padded slot keeps the column sum at 1.
-    padded = values.copy()
-    assert not stencil.real[2, 2]
-    padded[2, 1:] = 0.25, 0.25
-    report = validate_markov(padded, stencil)
+    leaky = good.copy()
+    assert not topo.real[2, 2]
+    leaky[2, 1:] = 0.25, 0.25
+    report = validate_markov(leaky, topo)
     assert report.max_column_sum_deviation == 0.0
     assert report.mask_violations == ((-1, 2),)
     assert not report.ok()
 
     with pytest.raises(ValueError, match="stencil values"):
-        validate_markov(np.eye(4), stencil)
+        validate_markov(np.eye(4), topo)
+
+
+def test_validate_markov_audits_stencil_values_like_their_dense_matrix():
+    # Stencil values and their dense matrix get the same report from the
+    # dense audit oracle, whatever the defect; mass off the stencil has no
+    # stencil slot, and the oracle names its (destination, source) pair.
+    topo = build_grid_topology(1, 3, 1)
+    good = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
+    bad_sum = good.copy()
+    bad_sum[0, 0] = 0.6
+    negative = good.copy()
+    negative[:2, 0] = -0.1, 1.1
+    for mat in (good, bad_sum, negative):
+        assert validate_markov(topo.sparsify(mat), topo) == dense_audit(mat, topo)
+    leaky = good.copy()
+    leaky[2, 0] = 0.25
+    leaky[1, 0] = 0.25
+    report = dense_audit(leaky, topo)
+    assert report.mask_violations == ((2, 0),)
+    assert not report.ok()
 
 
 def test_validate_markov_tolerance_is_callers_choice():
     topo = build_grid_topology(1, 2, 1)
     mat = np.array([[0.5, 0.5], [0.5 + 2e-9, 0.5]])
-    report = validate_markov(mat, topo)
+    report = validate_markov(topo.sparsify(mat), topo)
     assert not report.ok()
     assert report.ok(column_sum_tol=1e-8)

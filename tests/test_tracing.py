@@ -25,7 +25,8 @@ spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
 
 
-@pytest.mark.parametrize("algorithm,mode", [("dsmc", "monte-carlo"), ("dsmc", "deterministic"), ("mh", "monte-carlo")])
+@pytest.mark.parametrize("mode", ["monte-carlo", "deterministic"])
+@pytest.mark.parametrize("algorithm", ["dsmc", "mh"])
 def test_tracer_wraps_live_names_and_finds_the_set_up(tmp_path, algorithm, mode):
     steps = 3
     scenario = replace(load_scenario(LETTER_E), steps=steps, events=(), algorithm=algorithm, mode=mode)

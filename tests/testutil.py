@@ -13,16 +13,26 @@ import numpy as np
 
 from swarmguide import (
     LaplacianView,
+    Partition,
     SpectralReport,
     Topology,
+    ValidationReport,
+    assemble,
     dsmc_column,
     dsmc_recurrent,
     make_topology,
     run_scenario,
-    stencil_of,
     symmetric_eigenvalues,
 )
 from swarmguide.analysis import CERT_TOL
+
+
+def adjacency_of(topology: Topology) -> np.ndarray:
+    """The dense boolean adjacency of ``topology``: [j, i] is True when bin
+    j's stencil lists bin i as a destination, as it lists j itself."""
+    adj = np.zeros((topology.m, topology.m), dtype=bool)
+    adj[np.nonzero(topology.real)[0], topology.rows[topology.real]] = True
+    return adj
 
 
 def brute_force_grid_adjacency(rows: int, cols: int, hop: int) -> np.ndarray:
@@ -196,8 +206,69 @@ def dense_recurrent_oracle(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn
 
 def dense_dsmc(current, desired, topology: Topology, params) -> np.ndarray:
     """``dsmc_recurrent`` over every bin of ``topology``, as a dense matrix."""
-    stencil = stencil_of(topology)
-    return stencil.densify(dsmc_recurrent(current, desired, stencil, params))
+    return topology.densify(dsmc_recurrent(current, desired, topology, params))
+
+
+def dense_transient_oracle(partition: Partition, adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``transient_matrix`` from the dense adjacency, one distance layer at a
+    time: each bin of a layer splits its mass evenly over the adjacent bins
+    one layer closer, scattered into the blocks of ``partition.ordering``."""
+    m_t, m_r = partition.m_t, partition.m_r
+    tt = np.zeros((m_t, m_t))
+    rt = np.zeros((m_r, m_t))
+    pos = np.empty(adjacency.shape[0], dtype=np.int64)
+    pos[partition.ordering] = np.arange(adjacency.shape[0])
+    closer = partition.recurrent
+    for k, layer in enumerate(partition.layers):
+        # hit[i, j]: bin j of this layer may move to bin i one layer closer.
+        hit = adjacency[np.ix_(closer, layer)]
+        count = hit.sum(axis=0)
+        assert count.all(), "a transient bin has no neighbour one layer closer"
+        i, j = np.nonzero(hit)
+        out, first_row = (rt, m_t) if k == 0 else (tt, 0)
+        out[pos[closer[i]] - first_row, pos[layer[j]]] = 1.0 / count[j]
+        closer = layer
+    return tt, rt
+
+
+def dense_mh_oracle(desired, adjacency: np.ndarray, partition: Partition) -> np.ndarray:
+    """The Metropolis-Hastings chain as one dense matrix, its recurrent
+    columns built one at a time by scalar loops over the adjacency, its
+    transient columns by ``dense_transient_oracle``."""
+    v_r = np.asarray(desired, dtype=float)[partition.recurrent]
+    sub = adjacency[np.ix_(partition.recurrent, partition.recurrent)].copy()
+    np.fill_diagonal(sub, False)
+    degree = sub.sum(axis=0)
+    m_r = partition.m_r
+    m3 = np.zeros((m_r, m_r))
+    for j in range(m_r):
+        if degree[j] == 0:
+            m3[j, j] = 1.0
+            continue
+        off = 0.0
+        for i in np.nonzero(sub[:, j])[0]:
+            accept = min(1.0, (v_r[i] * degree[j]) / (v_r[j] * degree[i]))
+            p = accept / degree[j]
+            m3[i, j] = p
+            off += p
+        m3[j, j] = max(0.0, 1.0 - off)
+    m1, m2 = dense_transient_oracle(partition, adjacency)
+    return assemble(m1, m2, m3, partition)
+
+
+def dense_audit(matrix, topology: Topology) -> ValidationReport:
+    """``validate_markov`` for a dense m x m matrix: column sums, entry signs,
+    and the (destination, source) pairs that carry mass across a transition
+    the topology does not list."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (topology.m, topology.m):
+        raise ValueError(f"matrix shape {m.shape} does not match {topology.m} bins")
+    bad_i, bad_j = np.nonzero((m != 0.0) & ~adjacency_of(topology).T)
+    return ValidationReport(
+        max_column_sum_deviation=float(np.abs(m.sum(axis=0) - 1.0).max()),
+        min_entry=float(m.min()),
+        mask_violations=tuple(zip(bad_i.tolist(), bad_j.tolist())),
+    )
 
 
 def connected_oracle(adjacency: np.ndarray, subset) -> bool:
@@ -220,7 +291,7 @@ def connected_oracle(adjacency: np.ndarray, subset) -> bool:
 def random_column_stochastic(rng: np.random.Generator, topology: Topology) -> np.ndarray:
     """Random matrix that is column-stochastic and respects the adjacency."""
     m = topology.m
-    raw = rng.random((m, m)) * topology.adjacency.T
+    raw = rng.random((m, m)) * adjacency_of(topology).T
     return raw / raw.sum(axis=0, keepdims=True)
 
 
