@@ -4,9 +4,7 @@ Both are vectorized numpy and both work in stencil layout (see
 ``swarmguide.graph.Topology``): column j of a transition matrix is row j of
 an m x w value array, whose slot s moves an agent to bin ``rows[j, s]``.
 ``synth_recurrent`` writes the recurrent columns straight into that layout,
-w slots per bin, with no dense block.  ``advance_agents`` samples it; a
-dense matrix is the same layout with w = m and every row of ``rows`` equal
-to 0..m-1.
+w slots per bin, with no dense block, and ``advance_agents`` samples it.
 
 Their IEEE-754 operations are fixed (cumulative and column sums accumulate
 slot by slot in ascending destination order, and padded slots add an exact
@@ -37,12 +35,11 @@ def advance_agents(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np
     ``bins`` holds current bin indices and ``z`` one uniform per agent.
     ``values[j]`` is column j of a column-stochastic matrix over the
     ascending destinations ``rows[j]``, padded with zeros; ``rows[j]``
-    lists bin j itself, as in every stencil and dense layout.  Agent k
-    lands on the first destination whose cumulative probability exceeds
-    z[k].
-    When float round-off leaves the column total at or below the draw, the
-    agent lands on the column's last positive entry, so it never leaves the
-    column's support.
+    lists bin j itself, as in every stencil.  Agent k lands on the first
+    destination whose cumulative probability exceeds z[k].  When float
+    round-off leaves the column total at or below the draw, the agent lands
+    on the column's last positive entry, so it never leaves the column's
+    support.
 
     Agents whose draw falls in their bin's stay window are settled first,
     with two lookups each; only the others search the column slot by slot.

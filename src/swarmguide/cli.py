@@ -22,9 +22,9 @@ sections::
 optional ``init_map:`` section with the same syntax gives the initial
 density; without it agents start uniformly over all bins.  ``event`` lines
 may repeat.  Blank lines are ignored outside the grid sections.  Sizes and
-counts below 1, grids of more than ``MAX_BINS`` bins and swarms of more than
-``MAX_AGENTS`` agents are refused at their line while parsing, before
-anything is allocated for them.
+counts below 1, grids of more than ``MAX_BINS`` bins or ``MAX_STENCIL_SLOTS``
+stencil slots and swarms of more than ``MAX_AGENTS`` agents are refused at
+their line while parsing, before anything is allocated for them.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
@@ -43,13 +43,14 @@ import numpy as np
 
 from .analysis import contraction_certificate
 from .density import total_variation
-from .engine import ALGORITHMS, MODES, Event, Scenario, run_scenario
+from .engine import ALGORITHMS, Event, Scenario, _cell, run_scenario
 from .graph import build_grid_topology, laplacian_of, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
     "MAX_AGENTS",
     "MAX_BINS",
+    "MAX_STENCIL_SLOTS",
     "MAX_VERIFY_BINS",
     "ScenarioFormatError",
     "parse_scenario",
@@ -60,13 +61,19 @@ __all__ = [
 
 # Size limits.  A run without a matrix hook holds nothing larger than the
 # bins' stencil, O(m w) for m bins of at most w destinations (set-up of
-# 100x100 bins at hop 2 peaks at 6 MB).  What bounds ``MAX_BINS`` is the
-# hook, as ``export-matrix`` uses it: a dense float matrix, 8 bytes per bin
-# pair (0.8 GB at the limit).  Each agent costs about 100 bytes per step,
-# 1 GB at the limit.  ``verify`` takes one O(m^3) eigenvalue solve of the
-# dense float Laplacian: at its limit of 60x60 bins it takes about 2-3 s and
-# 0.33 GB peak RSS on 2 vCPUs.
+# 100x100 bins at hop 2 peaks at 6 MB).  Set-up lays the grid out as the m
+# bins times the offsets within ``hop`` that fit the grid, and
+# ``MAX_STENCIL_SLOTS`` bounds that product: a one-step run peaks at 30-48
+# bytes a slot under tracemalloc (100x100 bins at hop 20, 8.4e6 slots: 405
+# MB), so about 1 GB at the limit, where 100x100 bins at full reach would
+# take 11.5 GB.  What bounds ``MAX_BINS`` is the hook, as ``export-matrix``
+# uses it: a dense float matrix, 8 bytes per bin pair (0.8 GB at the
+# limit).  Each agent costs about 100 bytes per step, 1 GB at the limit.
+# ``verify`` takes one O(m^3) eigenvalue solve of the dense float
+# Laplacian: at its limit of 60x60 bins it takes about 2-3 s and 0.33 GB
+# peak RSS on 2 vCPUs.
 MAX_BINS = 10_000
+MAX_STENCIL_SLOTS = 20_000_000
 MAX_AGENTS = 10_000_000
 MAX_VERIFY_BINS = 3_600
 
@@ -84,6 +91,15 @@ class ScenarioFormatError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+def _check_stencil(rows: int, cols: int, hop: int, line: int | None = None):
+    """Refuse a grid whose set-up stencil exceeds ``MAX_STENCIL_SLOTS``."""
+    reach = min(hop, rows - 1)
+    slots = rows * cols * sum(2 * min(hop - abs(dr), cols - 1) + 1 for dr in range(-reach, reach + 1))
+    if slots > MAX_STENCIL_SLOTS:
+        message = f"a {rows}x{cols} grid at hop {hop} has {slots} stencil slots, above the limit of {MAX_STENCIL_SLOTS}"
+        raise ScenarioFormatError(message, line)
 
 
 def _parse_grid(lines, start: int, rows: int, cols: int, label: str):
@@ -139,11 +155,13 @@ def parse_scenario(text: str) -> Scenario:
                     f"event must be remove_fraction,<step>,<fraction>, got {value!r}", lineno
                 )
             try:
-                step = int(parts[1])
-                fraction = float(parts[2])
+                step, fraction = int(parts[1]), float(parts[2])
             except ValueError:
                 raise ScenarioFormatError(f"malformed event numbers in {value!r}", lineno) from None
-            events.append(Event(step=step, kind="remove_fraction", fraction=fraction))
+            try:
+                events.append(Event(step=step, kind="remove_fraction", fraction=fraction))
+            except ValueError as exc:
+                raise ScenarioFormatError(str(exc), lineno) from None
             continue
         if key not in _REQUIRED_KEYS:
             raise ScenarioFormatError(f"unknown key {key!r}", lineno)
@@ -166,16 +184,14 @@ def parse_scenario(text: str) -> Scenario:
                     f"a {values['rows']}x{values['cols']} grid has {bins} bins, above the limit of {MAX_BINS}",
                     lineno,
                 )
+        if key in ("rows", "cols", "hop") and all(k in values for k in ("rows", "cols", "hop")):
+            _check_stencil(int(values["rows"]), int(values["cols"]), int(values["hop"]), lineno)
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ScenarioFormatError(f"missing required keys: {', '.join(missing)}")
     if "map" not in grids:
         raise ScenarioFormatError("missing map: section")
-    if values["algorithm"] not in ALGORITHMS:
-        raise ScenarioFormatError(f"unknown algorithm {values['algorithm']!r}, expected one of {ALGORITHMS}")
-    if values["mode"] not in MODES:
-        raise ScenarioFormatError(f"unknown mode {values['mode']!r}, expected one of {MODES}")
     try:
         return Scenario(
             rows=int(values["rows"]),
@@ -238,9 +254,8 @@ def _snapshot_csv(scenario: Scenario, snapshot) -> str:
     lines = ["bin,row,col,desired,count,density"]
     for b in range(desired.size):
         r, c = divmod(b, scenario.cols)
-        count = snapshot.counts[b]
-        count_cell = str(int(count)) if float(count).is_integer() else repr(float(count))
-        lines.append(f"{b},{r},{c},{repr(float(desired[b]))},{count_cell},{repr(float(snapshot.density[b]))}")
+        density = repr(float(snapshot.density[b]))
+        lines.append(f"{b},{r},{c},{repr(float(desired[b]))},{_cell(snapshot.counts[b])},{density}")
     return "\n".join(lines) + "\n"
 
 
@@ -282,10 +297,7 @@ def cmd_compare(scenario_path, algorithms, out_dir, checkpoints=None) -> int:
         metrics, _ = run_scenario(replace(scenario, algorithm=algo))
         _write_text(out / f"metrics_{algo}.csv", metrics.to_csv())
         for s in marks:
-            tv = metrics.total_variation[s]
-            cum = metrics.cumulative_transitions[s]
-            cum_cell = str(int(cum)) if float(cum).is_integer() else repr(float(cum))
-            summary.append(f"{algo},{s},{repr(tv)},{cum_cell}")
+            summary.append(f"{algo},{s},{repr(metrics.total_variation[s])},{_cell(metrics.cumulative_transitions[s])}")
         print(f"{algo}: final_total_variation={repr(metrics.total_variation[-1])}")
     _write_text(out / "summary.csv", "\n".join(summary) + "\n")
     print(f"wrote {out / 'summary.csv'}")
@@ -314,6 +326,7 @@ def cmd_verify(rows=None, cols=None, hop=None, fixture=None) -> int:
                 raise ScenarioFormatError(f"{flag} must be at least 1, got {value}")
         if rows * cols > MAX_VERIFY_BINS:
             raise ScenarioFormatError(f"a {rows}x{cols} grid has {rows * cols} bins, above the verify limit of {MAX_VERIFY_BINS}")
+        _check_stencil(rows, cols, hop)
         topology = build_grid_topology(rows, cols, hop)
         print(f"topology={rows}x{cols} hop={hop}")
     print(f"bins={topology.m}")

@@ -13,13 +13,14 @@ the transient columns, which never change, and the recurrent bins' own
 stencil, slot for slot as their rows of the run's stencil.  The
 recurrent columns are written straight into those slots, with no dense
 block: by ``dsmc_recurrent`` every step, or by ``mh_recurrent`` once, for
-the baseline chain.  Each matrix is audited and sampled over the stencil
-at O(m w) cost, and a deterministic step moves the density over the
-stencil too: each destination adds its sources' mass in ascending source
-order, slot by slot, so no BLAS kernel chooses the summation order.  A dense
-m x m matrix is built only for a ``matrix_hook``, which is how
-``export-matrix`` reads it.  Because adding 0.0 is exact, stencil column
-sums and cumulative sums equal the dense ones entry for entry.
+the baseline chain.  Each matrix is audited over the stencil at O(m w)
+cost, then ``step_agents`` samples it or ``propagate_density`` moves the
+density through it, both from its stencil values.  The density step adds
+each destination's sources in ascending order, slot by slot, so no BLAS
+kernel chooses the summation order.  A dense m x m matrix is built only for
+a ``matrix_hook``, which is how ``export-matrix`` reads it; a dense matrix M
+over topology t steps as ``t.sparsify(M)``.  Because adding 0.0 is exact,
+stencil column sums and cumulative sums equal the dense ones entry for entry.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
 An event scheduled at step k is applied once the swarm arrives at step k,
@@ -81,6 +82,12 @@ class Event:
     kind: str
     fraction: float
 
+    def __post_init__(self):
+        if self.kind != "remove_fraction":
+            raise ValueError(f"unknown event kind {self.kind!r}")
+        if not 0.0 < self.fraction < 1.0:
+            raise ValueError(f"removal fraction must be in (0, 1), got {self.fraction}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -117,12 +124,8 @@ class Scenario:
             if grid is not None and (len(grid) != self.rows or any(len(row) != self.cols for row in grid)):
                 raise ValueError(f"{name} must be {self.rows}x{self.cols}, one row of {self.cols} weights per grid row")
         for ev in self.events:
-            if ev.kind != "remove_fraction":
-                raise ValueError(f"unknown event kind {ev.kind!r}")
             if not 0 <= ev.step <= self.steps:
                 raise ValueError(f"event at step {ev.step} is outside [0, {self.steps}]")
-            if not 0.0 < ev.fraction < 1.0:
-                raise ValueError(f"removal fraction must be in (0, 1), got {ev.fraction}")
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
 
     def desired_density(self) -> np.ndarray:
@@ -162,6 +165,14 @@ class Snapshot:
     density: np.ndarray
 
 
+def _cell(value: float) -> str:
+    """A count as a CSV cell: integral values print as integers, anything
+    else as its repr, which keeps full float precision."""
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
 @dataclass
 class MetricsSeries:
     """Per-step metrics, one row per recorded step."""
@@ -180,18 +191,12 @@ class MetricsSeries:
         self.cumulative_transitions.append(prior + float(transitions))
         self.num_agents.append(int(num_agents))
 
-    def _cell(self, value: float) -> str:
-        # Integral counts print as integers; repr keeps full float precision.
-        if float(value).is_integer():
-            return str(int(value))
-        return repr(float(value))
-
     def to_csv(self) -> str:
         lines = ["step,total_variation,transitions,cumulative_transitions,num_agents"]
         for k in range(len(self.steps)):
             lines.append(
                 f"{self.steps[k]},{repr(self.total_variation[k])},"
-                f"{self._cell(self.transitions[k])},{self._cell(self.cumulative_transitions[k])},"
+                f"{_cell(self.transitions[k])},{_cell(self.cumulative_transitions[k])},"
                 f"{self.num_agents[k]}"
             )
         return "\n".join(lines) + "\n"
@@ -208,48 +213,38 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
     return SwarmState(assignments=assignments.astype(np.int64), agent_ids=ids, seed=scenario.seed)
 
 
-def _check_matrix(matrix: np.ndarray, m: int) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=float)
-    if mat.shape != (m, m):
-        raise ValueError(f"matrix shape {mat.shape} does not match {m} bins")
-    if (mat < 0.0).any():
-        raise ValueError("matrix has negative entries")
-    dev = float(np.abs(mat.sum(axis=0) - 1.0).max())
-    if dev > COLUMN_SUM_TOL:
-        raise ValueError(f"matrix column sums deviate from 1 by {dev!r}, tolerance {COLUMN_SUM_TOL}")
-    return mat
-
-
-def step_agents(swarm: SwarmState, matrix, step: int, stencil: Topology | None = None) -> SwarmState:
+def step_agents(swarm: SwarmState, values: np.ndarray, step: int, stencil: Topology) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
 
-    ``matrix`` is a dense column-stochastic matrix, checked here, or, with
-    ``stencil``, the matrix's values in that stencil's slots, which the
-    caller has audited.  Each agent draws its own uniform from the move
-    stream for ``step`` and walks the cumulative column of its current bin,
+    ``values`` holds the matrix in ``stencil``'s slots (a dense matrix M over
+    ``stencil`` passes as ``stencil.sparsify(M)``), and the caller has
+    audited it, as a run audits every matrix it steps through; it is not
+    checked again.  Each agent draws its own uniform from the move stream
+    for ``step`` and walks the cumulative column of its current bin,
     stopping at the first destination whose cumulative probability exceeds
     the draw.  Agents are independent, so evaluation order and batching
     cannot change the result.
     """
-    if stencil is None:
-        m = np.asarray(matrix).shape[0]
-        values = _check_matrix(matrix, m).T
-        rows = np.broadcast_to(np.arange(m), (m, m))
-    else:
-        m = stencil.m
-        values, rows = matrix, stencil.rows
+    m = stencil.m
     if swarm.num_agents and (swarm.assignments.min() < 0 or swarm.assignments.max() >= m):
         raise ValueError(f"agent assignments must lie in [0, {m})")
     z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
-    assignments = _kernels.advance_agents(swarm.assignments, z, values, rows)
+    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
 
-def propagate_density(x, matrix) -> np.ndarray:
-    """One deterministic density step, matrix @ x, validated on both ends."""
-    xv = check_density(x, name="density")
-    mat = _check_matrix(matrix, xv.size)
-    return check_density(mat @ xv, name="propagated density")
+def propagate_density(x, values: np.ndarray, stencil: Topology) -> np.ndarray:
+    """One deterministic density step through the matrix in ``stencil``'s slots.
+
+    ``values`` is audited by the caller, as for ``step_agents``, and ``x``
+    is a density the caller has checked: in a run, the previous step's
+    result.  Neither is checked again; the returned density is.  Each
+    destination adds its sources' mass in ascending source order, slot by
+    slot, a padded slot adding 0.0, so no BLAS kernel picks the order.
+    """
+    flow = (values * np.asarray(x)[:, np.newaxis]).ravel()
+    moved = np.bincount(stencil.rows.ravel(), weights=flow, minlength=stencil.m)
+    return check_density(moved, name="propagated density")
 
 
 def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
@@ -259,10 +254,6 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
     agent's removal-stream draw for the event step, so the victims are a
     uniform sample independent of everything the move stream did.
     """
-    if event.kind != "remove_fraction":
-        raise ValueError(f"unknown event kind {event.kind!r}")
-    if not 0.0 < event.fraction < 1.0:
-        raise ValueError(f"removal fraction must be in (0, 1), got {event.fraction}")
     doomed = math.floor(event.fraction * swarm.num_agents)
     if doomed == 0:
         return swarm
@@ -418,7 +409,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             matrix_hook(k, matrix)
 
         if monte_carlo:
-            moved = step_agents(swarm, values, k, stencil=plan.stencil)
+            moved = step_agents(swarm, values, k, plan.stencil)
             transitions = int((moved.assignments != swarm.assignments).sum())
             swarm = moved
             for ev in events_at.get(k + 1, ()):
@@ -426,12 +417,10 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             x = empirical_density(swarm, m)
             population = swarm.num_agents
         else:
-            # Stay probabilities sit in the self slots; the values are audited
-            # already.  Both sums run in a fixed order: bins ascending, and
-            # each destination's sources ascending, a padded slot adding 0.0.
+            # Stay probabilities sit in the self slots; the leavers are summed
+            # over bins in ascending order.
             transitions = float(population * float(np.cumsum(x * (1.0 - values[plan.stencil.own]))[-1]))
-            flow = (values * x[:, np.newaxis]).ravel()
-            x = check_density(np.bincount(plan.stencil.rows.ravel(), weights=flow, minlength=m), name="propagated density")
+            x = propagate_density(x, values, plan.stencil)
             for ev in events_at.get(k + 1, ()):
                 population = population - math.floor(ev.fraction * population)
 

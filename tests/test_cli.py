@@ -17,7 +17,7 @@ from swarmguide import (
     render_scenario,
 )
 import swarmguide.cli as cli
-from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_VERIFY_BINS, main
+from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_VERIFY_BINS, main
 
 from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle
 
@@ -109,6 +109,7 @@ def test_blank_lines_ignored_between_keys():
         (lambda t: t.replace("seed=5", "event=remove_fraction,9,0.5\nseed=5"), "outside", None),
         (lambda t: t.replace("seed=5", "event=remove_fraction,1\nseed=5"), "event must be", 7),
         (lambda t: t.replace("seed=5", "event=remove_fraction,x,0.5\nseed=5"), "malformed event", 7),
+        (lambda t: t.replace("seed=5", "event=remove_fraction,1,1.5\nseed=5"), "fraction must be in (0, 1), got 1.5", 7),
         (lambda t: t.replace("seed=5", "seed 5"), "expected key=value", 7),
         (lambda t: "map:\n" + t, "before rows= and cols=", 1),
         (lambda t: t + "map:\n11\n6c\n", "duplicate map", 12),
@@ -135,6 +136,37 @@ def test_parse_refuses_oversized_grids_and_swarms():
     # Whichever of rows= and cols= comes second carries the error.
     with pytest.raises(ScenarioFormatError, match=f"line 2: a 2x{MAX_BINS // 2 + 1} grid"):
         parse_scenario(MINI.replace("rows=2\ncols=2", f"cols={MAX_BINS // 2 + 1}\nrows=2"))
+
+
+def test_parse_refuses_grids_whose_stencil_does_not_fit():
+    # 100x100 bins at hop 198 pass the bin limit, but set-up would lay out
+    # 10^4 bins x 199^2 offsets.  Refused at whichever of rows=, cols= and
+    # hop= comes last, before anything is built.
+    wide = MINI.replace("rows=2", "rows=100").replace("cols=2", "cols=100").replace("hop=1", "hop=198")
+    slots = 10_000 * 199**2
+    message = f"a 100x100 grid at hop 198 has {slots} stencil slots, above the limit of {MAX_STENCIL_SLOTS}"
+    with pytest.raises(ScenarioFormatError, match=f"^line 3: {message}$"):
+        parse_scenario(wide)
+    with pytest.raises(ScenarioFormatError, match="^line 3: a 100x100 grid at hop 198"):
+        parse_scenario(wide.replace("rows=100\ncols=100\nhop=198", "hop=198\nrows=100\ncols=100"))
+    # At hop 2 the same grid fits; what is refused next is the 2x2 map.
+    with pytest.raises(ScenarioFormatError, match="map row must have 100 characters"):
+        parse_scenario(wide.replace("hop=198", "hop=2"))
+
+
+@pytest.mark.parametrize("rows,cols,hop", [(1, 1, 1), (1, 7, 3), (5, 2, 9), (4, 6, 2), (9, 9, 4), (3, 8, 30)])
+def test_stencil_limit_counts_the_offsets_that_fit_the_grid(monkeypatch, rows, cols, hop):
+    # The offsets (dr, dc) within hop, clipped to the grid, are the
+    # neighbours of the centre bin of a (2 rows - 1) x (2 cols - 1) grid.
+    centre = brute_force_grid_adjacency(2 * rows - 1, 2 * cols - 1, hop)[(rows - 1) * (2 * cols - 1) + cols - 1]
+    slots = rows * cols * int(centre.sum())
+    text = MINI.replace("rows=2", f"rows={rows}").replace("cols=2", f"cols={cols}").replace("hop=1", f"hop={hop}")
+    text = text.replace("map:\n11\n6c\n", "map:\n" + ("#" * cols + "\n") * rows)
+    monkeypatch.setattr(cli, "MAX_STENCIL_SLOTS", slots)
+    assert parse_scenario(text).hop == hop
+    monkeypatch.setattr(cli, "MAX_STENCIL_SLOTS", slots - 1)
+    with pytest.raises(ScenarioFormatError, match=f"^line 3: .* has {slots} stencil slots"):
+        parse_scenario(text)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +344,9 @@ def test_cmd_verify_refuses_oversized_grids_before_building_them(monkeypatch, ca
     assert code == 2
     assert peak < 1e6
     assert f"a 1000x1000 grid has 1000000 bins, above the verify limit of {MAX_VERIFY_BINS}" in capsys.readouterr().err
+    # 60x60 bins fit the verify limit, but not at a hop that reaches across the grid.
+    assert main(["verify", "--rows", "60", "--cols", "60", "--hop", "118"]) == 2
+    assert f"a 60x60 grid at hop 118 has {3600 * 119**2} stencil slots" in capsys.readouterr().err
     with pytest.raises(Built):
         main(["verify", "--rows", "1", "--cols", str(MAX_VERIFY_BINS), "--hop", "1"])
 

@@ -43,4 +43,10 @@ def test_tracer_wraps_live_names_and_finds_the_set_up(tmp_path, algorithm, mode)
     assert metrics["engine.run_scenario.calls"] == 1
     synthesized = steps if algorithm == "dsmc" else 0
     assert metrics["synthesis.dsmc_recurrent.calls"] == metrics["kernels.synth_recurrent.calls"] == synthesized
-    assert metrics["kernels.advance_agents.calls"] == (steps if mode == "monte-carlo" else 0)
+    monte_carlo = mode == "monte-carlo"
+    assert metrics["kernels.advance_agents.calls"] == metrics["engine.step_agents.calls"] == (steps if monte_carlo else 0)
+    # A deterministic run steps through the library's own density step.
+    assert metrics["engine.propagate_density.calls"] == (0 if monte_carlo else steps)
+    # The dense builders are traced but no run calls them.
+    for name in ("graph.laplacian_of", "synthesis.transient_matrix", "synthesis.metropolis_hastings", "synthesis.assemble"):
+        assert metrics[f"{name}.calls"] == 0, name
