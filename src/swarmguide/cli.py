@@ -44,7 +44,7 @@ import numpy as np
 from .analysis import contraction_certificate
 from .density import total_variation
 from .engine import ALGORITHMS, Event, Scenario, _cell, run_scenario
-from .graph import build_grid_topology, laplacian_of, make_topology
+from .graph import _grid_offsets, build_grid_topology, laplacian_of, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
@@ -62,16 +62,16 @@ __all__ = [
 # Size limits.  A run without a matrix hook holds nothing larger than the
 # bins' stencil, O(m w) for m bins of at most w destinations (set-up of
 # 100x100 bins at hop 2 peaks at 6 MB).  Set-up lays the grid out as the m
-# bins times the offsets within ``hop`` that fit the grid, and
-# ``MAX_STENCIL_SLOTS`` bounds that product: a one-step run peaks at 30-48
-# bytes a slot under tracemalloc (100x100 bins at hop 20, 8.4e6 slots: 405
-# MB), so about 1 GB at the limit, where 100x100 bins at full reach would
-# take 11.5 GB.  What bounds ``MAX_BINS`` is the hook, as ``export-matrix``
-# uses it: a dense float matrix, 8 bytes per bin pair (0.8 GB at the
-# limit).  Each agent costs about 100 bytes per step, 1 GB at the limit.
-# ``verify`` takes one O(m^3) eigenvalue solve of the dense float
-# Laplacian: at its limit of 60x60 bins it takes about 2-3 s and 0.33 GB
-# peak RSS on 2 vCPUs.
+# bins times the offsets within ``hop`` that fit it, as counted by
+# ``graph._grid_offsets``, and ``MAX_STENCIL_SLOTS`` bounds that product: a
+# one-step run peaks at 30-48 bytes a slot under tracemalloc (largest
+# measured: 100x100 bins at hop 20, 8.4e6 slots, 405 MB).  Extrapolated, not
+# measured: about 1 GB at the limit, 11.5 GB for 100x100 bins at full reach.
+# What bounds ``MAX_BINS`` is the hook, as ``export-matrix`` uses it: a dense
+# float matrix, 8 bytes per bin pair (0.8 GB at the limit).  Each agent
+# costs about 100 bytes per step, 1 GB at the limit.  ``verify`` takes one
+# O(m^3) eigenvalue solve of the dense float Laplacian: at its limit of
+# 60x60 bins it takes about 2-3 s and 0.33 GB peak RSS on 2 vCPUs.
 MAX_BINS = 10_000
 MAX_STENCIL_SLOTS = 20_000_000
 MAX_AGENTS = 10_000_000
@@ -95,8 +95,7 @@ class ScenarioFormatError(ValueError):
 
 def _check_stencil(rows: int, cols: int, hop: int, line: int | None = None):
     """Refuse a grid whose set-up stencil exceeds ``MAX_STENCIL_SLOTS``."""
-    reach = min(hop, rows - 1)
-    slots = rows * cols * sum(2 * min(hop - abs(dr), cols - 1) + 1 for dr in range(-reach, reach + 1))
+    slots = rows * cols * _grid_offsets(rows, cols, hop)[0].size
     if slots > MAX_STENCIL_SLOTS:
         message = f"a {rows}x{cols} grid at hop {hop} has {slots} stencil slots, above the limit of {MAX_STENCIL_SLOTS}"
         raise ScenarioFormatError(message, line)
@@ -233,13 +232,10 @@ def render_scenario(scenario: Scenario) -> str:
     ]
     for ev in scenario.events:
         lines.append(f"event={ev.kind},{ev.step},{repr(ev.fraction)}")
-    lines.append("map:")
-    for row in scenario.weights:
-        lines.append("".join(_RENDER_CHARS[w] for w in row))
-    if scenario.init_weights is not None:
-        lines.append("init_map:")
-        for row in scenario.init_weights:
-            lines.append("".join(_RENDER_CHARS[w] for w in row))
+    for label, grid in (("map", scenario.weights), ("init_map", scenario.init_weights)):
+        if grid is not None:
+            lines.append(f"{label}:")
+            lines.extend("".join(_RENDER_CHARS[w] for w in row) for row in grid)
     return "\n".join(lines) + "\n"
 
 
@@ -398,10 +394,7 @@ def main(argv=None) -> int:
         if args.command == "export-matrix":
             return cmd_export_matrix(args.scenario, args.step, args.out)
         parser.error(f"unknown command {args.command!r}")
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ScenarioFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

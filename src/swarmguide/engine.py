@@ -37,9 +37,8 @@ from . import _kernels
 from ._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
 from .density import check_density, empirical_density, from_weight_map, total_variation
 # ``assemble``, ``laplacian_of``, ``metropolis_hastings`` and
-# ``transient_matrix`` are no longer called here; they stay importable from
-# the engine because the per-layer benchmark traces them under this module's
-# name.
+# ``transient_matrix`` are no longer called here; they stay importable from the
+# engine because the per-layer benchmark traces them under this module's name.
 from .graph import Partition, Topology, build_grid_topology, laplacian_of, partition_states
 from .synthesis import (
     COLUMN_SUM_TOL,
@@ -238,10 +237,13 @@ def propagate_density(x, values: np.ndarray, stencil: Topology) -> np.ndarray:
 
     ``values`` is audited by the caller, as for ``step_agents``, and ``x``
     is a density the caller has checked: in a run, the previous step's
-    result.  Neither is checked again; the returned density is.  Each
-    destination adds its sources' mass in ascending source order, slot by
-    slot, a padded slot adding 0.0, so no BLAS kernel picks the order.
+    result.  Only the shape of ``x`` is checked, so that it cannot broadcast;
+    the returned density is checked in full.  Each destination adds its
+    sources' mass in ascending source order, a padded slot adding 0.0, so
+    no BLAS kernel picks the order.
     """
+    if np.shape(x) != (stencil.m,):
+        raise ValueError(f"density has shape {np.shape(x)}, expected ({stencil.m},)")
     flow = (values * np.asarray(x)[:, np.newaxis]).ravel()
     moved = np.bincount(stencil.rows.ravel(), weights=flow, minlength=stencil.m)
     return check_density(moved, name="propagated density")
@@ -273,8 +275,7 @@ def _require_valid(values: np.ndarray, stencil: Topology, when: str):
     if not report.ok():
         raise RuntimeError(
             f"synthesized matrix failed validation {when}: "
-            f"column sum deviation {report.max_column_sum_deviation!r}, "
-            f"min entry {report.min_entry!r}, "
+            f"column sum deviation {report.max_column_sum_deviation!r}, min entry {report.min_entry!r}, "
             f"{len(report.mask_violations)} mask violations"
         )
 

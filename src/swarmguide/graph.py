@@ -121,6 +121,14 @@ def make_topology(adjacency: np.ndarray) -> Topology:
     return _compacted(np.broadcast_to(np.arange(adj.shape[0]), adj.shape), adj)
 
 
+def _grid_offsets(rows: int, cols: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (dr, dc) within ``hop`` that fit the grid, row-major; set-up lays
+    every bin over all of them before compacting: ``rows * cols * dr.size`` slots."""
+    dr, dc = np.meshgrid(np.arange(1 - rows, rows), np.arange(1 - cols, cols), indexing="ij")
+    near = np.abs(dr) + np.abs(dc) <= hop
+    return dr[near], dc[near]
+
+
 def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
     """Grid of ``rows`` x ``cols`` bins, numbered row-major.
 
@@ -134,9 +142,7 @@ def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
         raise ValueError(f"grid needs at least one row and one column, got {rows}x{cols}")
     if hop < 1:
         raise ValueError(f"hop must be at least 1, got {hop}")
-    dr, dc = np.meshgrid(np.arange(1 - rows, rows), np.arange(1 - cols, cols), indexing="ij")
-    near = np.abs(dr) + np.abs(dc) <= hop
-    dr, dc = dr[near], dc[near]
+    dr, dc = _grid_offsets(rows, cols, hop)
     r, c = np.divmod(np.arange(rows * cols), cols)
     to_r, to_c = r[:, np.newaxis] + dr, c[:, np.newaxis] + dc
     valid = (to_r >= 0) & (to_r < rows) & (to_c >= 0) & (to_c < cols)

@@ -202,6 +202,12 @@ def test_propagate_density_rejects_bad_inputs():
     t = complete_graph(2)
     with pytest.raises(ValueError, match="propagated density sums to"):
         propagate_density(np.array([0.5, 0.5]), t.sparsify(np.array([[0.9, 0.0], [0.0, 1.0]])), t)
+    # A density over the wrong number of bins must not broadcast across them.
+    with pytest.raises(ValueError, match="shape"):
+        propagate_density(np.array([0.5]), t.sparsify(np.full((2, 2), 0.5)), t)
+    t3 = complete_graph(3)
+    with pytest.raises(ValueError, match="shape"):
+        propagate_density(np.array([0.5, 0.5]), t3.sparsify(np.eye(3)), t3)
 
 
 def test_apply_event_removes_floor_of_fraction():
