@@ -16,6 +16,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# The same constants and shift counts as numpy scalars, made once.
+_GAMMA_U64, _MIX_A_U64, _MIX_B_U64 = np.uint64(_GAMMA), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U64 = {n: np.uint64(n) for n in (11, 27, 30, 31)}
 
 # Stream tags keep draws for different purposes statistically independent.
 PLACEMENT_STREAM = 0
@@ -46,13 +49,17 @@ def uniform_stream(seed: int, stream: int, step: int, ids: np.ndarray) -> np.nda
     depends only on (seed, stream, step, ids[k]).
     """
     key = round_key(seed, stream, step)
+    # Hashed in place on one buffer; ``shifted`` takes each right shift.
     z = np.asarray(ids).astype(np.uint64)
-    z = z * np.uint64(_GAMMA)
-    z = z ^ np.uint64(key)
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_A)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_B)
-    z = z ^ (z >> np.uint64(31))
+    shifted = np.empty_like(z)
+    z *= _GAMMA_U64
+    z ^= np.uint64(key)
+    z ^= np.right_shift(z, _U64[30], out=shifted)
+    z *= _MIX_A_U64
+    z ^= np.right_shift(z, _U64[27], out=shifted)
+    z *= _MIX_B_U64
+    z ^= np.right_shift(z, _U64[31], out=shifted)
     # Top 53 bits scale to the unit interval without rounding bias.
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    out = np.right_shift(z, _U64[11], out=z).astype(np.float64)
+    out *= 2.0**-53
+    return out

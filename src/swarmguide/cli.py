@@ -23,8 +23,10 @@ optional ``init_map:`` section with the same syntax gives the initial
 density; without it agents start uniformly over all bins.  ``event`` lines
 may repeat.  Blank lines are ignored outside the grid sections.  Sizes and
 counts below 1, grids of more than ``MAX_BINS`` bins or ``MAX_STENCIL_SLOTS``
-stencil slots and swarms of more than ``MAX_AGENTS`` agents are refused at
-their line while parsing, before anything is allocated for them.
+stencil slots and swarms of more than ``MAX_AGENTS`` agents (the limits of
+``swarmguide.engine``) are refused at their line while parsing, before
+anything is allocated for them, as are an unknown ``algorithm`` or
+``mode`` and an event step outside [0, ``steps``].
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,8 +46,21 @@ import numpy as np
 
 from .analysis import contraction_certificate
 from .density import total_variation
-from .engine import ALGORITHMS, Event, Scenario, _cell, run_scenario
-from .graph import _grid_offsets, build_grid_topology, laplacian_of, make_topology
+from .engine import (
+    ALGORITHMS,
+    MAX_AGENTS,
+    MAX_BINS,
+    MAX_STENCIL_SLOTS,
+    MODES,
+    Event,
+    Scenario,
+    _cell,
+    _require_agents,
+    _require_choice,
+    check_grid_size,
+    run_scenario,
+)
+from .graph import build_grid_topology, laplacian_of, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
@@ -59,24 +75,12 @@ __all__ = [
     "main",
 ]
 
-# Size limits.  A run without a matrix hook holds nothing larger than the
-# bins' stencil, O(m w) for m bins of at most w destinations (set-up of
-# 100x100 bins at hop 2 peaks at 6 MB).  Set-up lays the grid out as the m
-# bins times the offsets within ``hop`` that fit it, as counted by
-# ``graph._grid_offsets``, and ``MAX_STENCIL_SLOTS`` bounds that product: a
-# one-step run peaks at 30-48 bytes a slot under tracemalloc (largest
-# measured: 100x100 bins at hop 20, 8.4e6 slots, 405 MB).  Extrapolated, not
-# measured: about 1 GB at the limit, 11.5 GB for 100x100 bins at full reach.
-# What bounds ``MAX_BINS`` is the hook, as ``export-matrix`` uses it: a dense
-# float matrix, 8 bytes per bin pair (0.8 GB at the limit).  Each agent
-# costs about 100 bytes per step, 1 GB at the limit.  ``verify`` takes one
-# O(m^3) eigenvalue solve of the dense float Laplacian: at its limit of
-# 60x60 bins it takes about 2-3 s and 0.33 GB peak RSS on 2 vCPUs.
-MAX_BINS = 10_000
-MAX_STENCIL_SLOTS = 20_000_000
-MAX_AGENTS = 10_000_000
+# ``verify`` takes one O(m^3) eigenvalue solve of the dense float
+# Laplacian: at its limit of 60x60 bins it takes about 2-3 s and 0.33 GB
+# peak RSS on 2 vCPUs.  The limits of a run are in ``swarmguide.engine``.
 MAX_VERIFY_BINS = 3_600
 
+_CHOICES = {"algorithm": ALGORITHMS, "mode": MODES}
 _REQUIRED_KEYS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
 _INT_KEYS = ("rows", "cols", "hop", "agents", "steps", "seed")
 _WEIGHT_CHARS = {".": 0, "#": 1}
@@ -93,12 +97,13 @@ class ScenarioFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-def _check_stencil(rows: int, cols: int, hop: int, line: int | None = None):
-    """Refuse a grid whose set-up stencil exceeds ``MAX_STENCIL_SLOTS``."""
-    slots = rows * cols * _grid_offsets(rows, cols, hop)[0].size
-    if slots > MAX_STENCIL_SLOTS:
-        message = f"a {rows}x{cols} grid at hop {hop} has {slots} stencil slots, above the limit of {MAX_STENCIL_SLOTS}"
-        raise ScenarioFormatError(message, line)
+@contextmanager
+def _at_line(line: int | None):
+    """Report a ValueError raised inside as a ScenarioFormatError at ``line``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc), line) from None
 
 
 def _parse_grid(lines, start: int, rows: int, cols: int, label: str):
@@ -125,6 +130,7 @@ def parse_scenario(text: str) -> Scenario:
     lines = text.split("\n")
     values: dict[str, str] = {}
     events: list[Event] = []
+    event_lines: list[int] = []
     grids: dict[str, tuple] = {}
     lineno = 0
     total = len(lines)
@@ -157,10 +163,9 @@ def parse_scenario(text: str) -> Scenario:
                 step, fraction = int(parts[1]), float(parts[2])
             except ValueError:
                 raise ScenarioFormatError(f"malformed event numbers in {value!r}", lineno) from None
-            try:
+            with _at_line(lineno):
                 events.append(Event(step=step, kind="remove_fraction", fraction=fraction))
-            except ValueError as exc:
-                raise ScenarioFormatError(str(exc), lineno) from None
+            event_lines.append(lineno)
             continue
         if key not in _REQUIRED_KEYS:
             raise ScenarioFormatError(f"unknown key {key!r}", lineno)
@@ -174,24 +179,26 @@ def parse_scenario(text: str) -> Scenario:
         values[key] = value
         if key in ("rows", "cols", "hop", "agents", "steps") and int(value) < 1:
             raise ScenarioFormatError(f"{key} must be at least 1, got {value}", lineno)
-        if key == "agents" and int(value) > MAX_AGENTS:
-            raise ScenarioFormatError(f"agents={value} exceeds the limit of {MAX_AGENTS} agents", lineno)
-        if key in ("rows", "cols") and "rows" in values and "cols" in values:
-            bins = int(values["rows"]) * int(values["cols"])
-            if bins > MAX_BINS:
-                raise ScenarioFormatError(
-                    f"a {values['rows']}x{values['cols']} grid has {bins} bins, above the limit of {MAX_BINS}",
-                    lineno,
-                )
-        if key in ("rows", "cols", "hop") and all(k in values for k in ("rows", "cols", "hop")):
-            _check_stencil(int(values["rows"]), int(values["cols"]), int(values["hop"]), lineno)
+        if key == "agents":
+            with _at_line(lineno):
+                _require_agents(int(value))
+        if key in _CHOICES:
+            with _at_line(lineno):
+                _require_choice(key, value, _CHOICES[key])
+        if key in ("rows", "cols", "hop") and "rows" in values and "cols" in values:
+            # The bins once rows= and cols= are both read, the stencil once hop= is too.
+            with _at_line(lineno):
+                check_grid_size(int(values["rows"]), int(values["cols"]), int(values["hop"]) if "hop" in values else None)
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ScenarioFormatError(f"missing required keys: {', '.join(missing)}")
     if "map" not in grids:
         raise ScenarioFormatError("missing map: section")
-    try:
+    for ev, line in zip(events, event_lines):
+        with _at_line(line):
+            ev.require_within(int(values["steps"]))
+    with _at_line(None):
         return Scenario(
             rows=int(values["rows"]),
             cols=int(values["cols"]),
@@ -205,8 +212,6 @@ def parse_scenario(text: str) -> Scenario:
             init_weights=grids.get("init_map"),
             events=tuple(events),
         )
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from None
 
 
 def load_scenario(path) -> Scenario:
@@ -275,8 +280,8 @@ def cmd_compare(scenario_path, algorithms, out_dir, checkpoints=None) -> int:
     if not algos:
         raise ScenarioFormatError("no algorithms given")
     for a in algos:
-        if a not in ALGORITHMS:
-            raise ScenarioFormatError(f"unknown algorithm {a!r}, expected one of {ALGORITHMS}")
+        with _at_line(None):
+            _require_choice("algorithm", a, ALGORITHMS)
     if checkpoints is None:
         marks = sorted({min(s, scenario.steps) for s in (0, 250, 750)})
     else:
@@ -322,7 +327,8 @@ def cmd_verify(rows=None, cols=None, hop=None, fixture=None) -> int:
                 raise ScenarioFormatError(f"{flag} must be at least 1, got {value}")
         if rows * cols > MAX_VERIFY_BINS:
             raise ScenarioFormatError(f"a {rows}x{cols} grid has {rows * cols} bins, above the verify limit of {MAX_VERIFY_BINS}")
-        _check_stencil(rows, cols, hop)
+        with _at_line(None):
+            check_grid_size(rows, cols, hop)
         topology = build_grid_topology(rows, cols, hop)
         print(f"topology={rows}x{cols} hop={hop}")
     print(f"bins={topology.m}")

@@ -15,7 +15,8 @@ recurrent columns are written straight into those slots, with no dense
 block: by ``dsmc_recurrent`` every step, or by ``mh_recurrent`` once, for
 the baseline chain.  Each matrix is audited over the stencil at O(m w)
 cost, then ``step_agents`` samples it or ``propagate_density`` moves the
-density through it, both from its stencil values.  The density step adds
+density through it, both from its stencil values.  The baseline's sampler
+tables, a guide table included, are built once, after its audit.  The density step adds
 each destination's sources in ascending order, slot by slot, so no BLAS
 kernel chooses the summation order.  A dense m x m matrix is built only for
 a ``matrix_hook``, which is how ``export-matrix`` reads it; a dense matrix M
@@ -39,7 +40,7 @@ from .density import check_density, empirical_density, from_weight_map, total_va
 # ``assemble``, ``laplacian_of``, ``metropolis_hastings`` and
 # ``transient_matrix`` are no longer called here; they stay importable from the
 # engine because the per-layer benchmark traces them under this module's name.
-from .graph import Partition, Topology, build_grid_topology, laplacian_of, partition_states
+from .graph import Partition, Topology, _grid_offsets, build_grid_topology, laplacian_of, partition_states
 from .synthesis import (
     COLUMN_SUM_TOL,
     _transient_values,
@@ -55,6 +56,10 @@ from .synthesis import (
 __all__ = [
     "ALGORITHMS",
     "MODES",
+    "MAX_AGENTS",
+    "MAX_BINS",
+    "MAX_STENCIL_SLOTS",
+    "check_grid_size",
     "Event",
     "Scenario",
     "SwarmState",
@@ -72,6 +77,49 @@ __all__ = [
 ALGORITHMS = ("dsmc", "mh")
 MODES = ("monte-carlo", "deterministic")
 
+# Size limits, enforced when a Scenario is built.  A run without a matrix
+# hook holds nothing larger than the bins' stencil, O(m w) for m bins of at
+# most w destinations (set-up of 100x100 bins at hop 2 peaks at 6 MB).
+# Set-up lays the grid out as the m bins times the offsets within ``hop``
+# that fit it, as counted by ``graph._grid_offsets``, and
+# ``MAX_STENCIL_SLOTS`` bounds that product: a one-step run peaks at 30-48
+# bytes a slot under tracemalloc (largest measured: 100x100 bins at hop 20,
+# 8.4e6 slots, 405 MB).  Extrapolated, not measured: about 1 GB at the
+# limit, 11.5 GB for 100x100 bins at full reach.  What bounds ``MAX_BINS``
+# is the hook, as ``export-matrix`` uses it: a dense float matrix, 8 bytes
+# per bin pair (0.8 GB at the limit).  Each agent costs about 100 bytes per
+# step, 1 GB at the limit.
+MAX_BINS = 10_000
+MAX_STENCIL_SLOTS = 20_000_000
+MAX_AGENTS = 10_000_000
+
+
+def check_grid_size(rows: int, cols: int, hop: int | None = None):
+    """Refuse a grid of more than ``MAX_BINS`` bins or, given ``hop``, one
+    whose set-up stencil has more than ``MAX_STENCIL_SLOTS`` slots.
+
+    Raises ValueError; nothing the size of the grid is built.
+    """
+    bins = rows * cols
+    if bins > MAX_BINS:
+        raise ValueError(f"a {rows}x{cols} grid has {bins} bins, above the limit of {MAX_BINS}")
+    if hop is not None:
+        slots = bins * _grid_offsets(rows, cols, hop)[0].size
+        if slots > MAX_STENCIL_SLOTS:
+            raise ValueError(
+                f"a {rows}x{cols} grid at hop {hop} has {slots} stencil slots, above the limit of {MAX_STENCIL_SLOTS}"
+            )
+
+
+def _require_agents(agents: int):
+    if agents > MAX_AGENTS:
+        raise ValueError(f"agents={agents} exceeds the limit of {MAX_AGENTS} agents")
+
+
+def _require_choice(name: str, value: str, options: tuple[str, ...]):
+    if value not in options:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {options}")
+
 
 @dataclass(frozen=True)
 class Event:
@@ -87,6 +135,11 @@ class Event:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"removal fraction must be in (0, 1), got {self.fraction}")
 
+    def require_within(self, steps: int):
+        """Refuse an event outside a run of ``steps`` steps."""
+        if not 0 <= self.step <= steps:
+            raise ValueError(f"event at step {self.step} is outside [0, {steps}]")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -95,7 +148,8 @@ class Scenario:
     ``weights`` is the desired-density weight grid (row-major bins) and
     ``init_weights`` the optional initial-density grid; both are small
     nonnegative integers as written in scenario files.  ``init_weights``
-    of None means agents start uniformly over all bins.
+    of None means agents start uniformly over all bins.  A scenario beyond
+    the size limits is refused here, before any of it is built.
     """
 
     rows: int
@@ -111,20 +165,19 @@ class Scenario:
     events: tuple[Event, ...] = ()
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        _require_choice("algorithm", self.algorithm, ALGORITHMS)
+        _require_choice("mode", self.mode, MODES)
         for name in ("rows", "cols", "hop", "agents", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_grid_size(self.rows, self.cols, self.hop)
+        _require_agents(self.agents)
         for name in ("weights", "init_weights"):
             grid = getattr(self, name)
             if grid is not None and (len(grid) != self.rows or any(len(row) != self.cols for row in grid)):
                 raise ValueError(f"{name} must be {self.rows}x{self.cols}, one row of {self.cols} weights per grid row")
         for ev in self.events:
-            if not 0 <= ev.step <= self.steps:
-                raise ValueError(f"event at step {ev.step} is outside [0, {self.steps}]")
+            ev.require_within(self.steps)
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
 
     def desired_density(self) -> np.ndarray:
@@ -212,7 +265,9 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
     return SwarmState(assignments=assignments.astype(np.int64), agent_ids=ids, seed=scenario.seed)
 
 
-def step_agents(swarm: SwarmState, values: np.ndarray, step: int, stencil: Topology) -> SwarmState:
+def step_agents(
+    swarm: SwarmState, values: np.ndarray, step: int, stencil: Topology, guide: _kernels.Guide | None = None
+) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
 
     ``values`` holds the matrix in ``stencil``'s slots (a dense matrix M over
@@ -222,13 +277,15 @@ def step_agents(swarm: SwarmState, values: np.ndarray, step: int, stencil: Topol
     for ``step`` and walks the cumulative column of its current bin,
     stopping at the first destination whose cumulative probability exceeds
     the draw.  Agents are independent, so evaluation order and batching
-    cannot change the result.
+    cannot change the result.  A matrix that drives many steps may pass
+    ``guide``, its ``_kernels.build_guide(values, stencil.rows)``, built
+    once; the moves are the same.
     """
     m = stencil.m
     if swarm.num_agents and (swarm.assignments.min() < 0 or swarm.assignments.max() >= m):
         raise ValueError(f"agent assignments must lie in [0, {m})")
     z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
-    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows)
+    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, guide=guide)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
 
@@ -355,13 +412,15 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     recurrent, neighbours = plan.recurrent, plan.neighbours
     desired_r = desired[recurrent]
     monte_carlo = scenario.mode == "monte-carlo"
-    baseline = baseline_matrix = None
+    baseline = baseline_matrix = guide = None
     if scenario.algorithm == "mh":
         # One fixed matrix: audit it once and freeze it so no hook can alter
-        # it after the audit.
+        # it after the audit; agents sample it through tables built once.
         baseline = plan.with_recurrent(mh_recurrent(desired_r, neighbours))
         _require_valid(baseline, plan.stencil, "before step 0")
         baseline.flags.writeable = False
+        if monte_carlo:
+            guide = _kernels.build_guide(baseline, plan.stencil.rows)
         if matrix_hook is not None:
             baseline_matrix = plan.stencil.densify(baseline)
     # partition_states has checked that the recurrent bins are connected.
@@ -410,7 +469,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             matrix_hook(k, matrix)
 
         if monte_carlo:
-            moved = step_agents(swarm, values, k, plan.stencil)
+            moved = step_agents(swarm, values, k, plan.stencil, guide)
             transitions = int((moved.assignments != swarm.assignments).sum())
             swarm = moved
             for ev in events_at.get(k + 1, ()):

@@ -17,6 +17,7 @@ from swarmguide import (
     render_scenario,
 )
 import swarmguide.cli as cli
+import swarmguide.engine as engine
 from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_VERIFY_BINS, main
 
 from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle
@@ -104,9 +105,9 @@ def test_blank_lines_ignored_between_keys():
         (lambda t: t.replace("11\n6c", "111\n6c"), "must have 2 characters", 10),
         (lambda t: t.replace("11\n6c", "11\n6!"), "invalid weight character", 11),
         (lambda t: t.replace("11\n6c\n", "11"), "file ended", None),
-        (lambda t: t.replace("algorithm=dsmc", "algorithm=magic"), "unknown algorithm", None),
-        (lambda t: t.replace("mode=monte-carlo", "mode=psychic"), "unknown mode", None),
-        (lambda t: t.replace("seed=5", "event=remove_fraction,9,0.5\nseed=5"), "outside", None),
+        (lambda t: t.replace("algorithm=dsmc", "algorithm=magic"), "unknown algorithm", 6),
+        (lambda t: t.replace("mode=monte-carlo", "mode=psychic"), "unknown mode", 8),
+        (lambda t: t.replace("seed=5", "event=remove_fraction,9,0.5\nseed=5"), "outside", 7),
         (lambda t: t.replace("seed=5", "event=remove_fraction,1\nseed=5"), "event must be", 7),
         (lambda t: t.replace("seed=5", "event=remove_fraction,x,0.5\nseed=5"), "malformed event", 7),
         (lambda t: t.replace("seed=5", "event=remove_fraction,1,1.5\nseed=5"), "fraction must be in (0, 1), got 1.5", 7),
@@ -162,9 +163,9 @@ def test_stencil_limit_counts_the_offsets_that_fit_the_grid(monkeypatch, rows, c
     slots = rows * cols * int(centre.sum())
     text = MINI.replace("rows=2", f"rows={rows}").replace("cols=2", f"cols={cols}").replace("hop=1", f"hop={hop}")
     text = text.replace("map:\n11\n6c\n", "map:\n" + ("#" * cols + "\n") * rows)
-    monkeypatch.setattr(cli, "MAX_STENCIL_SLOTS", slots)
+    monkeypatch.setattr(engine, "MAX_STENCIL_SLOTS", slots)
     assert parse_scenario(text).hop == hop
-    monkeypatch.setattr(cli, "MAX_STENCIL_SLOTS", slots - 1)
+    monkeypatch.setattr(engine, "MAX_STENCIL_SLOTS", slots - 1)
     with pytest.raises(ScenarioFormatError, match=f"^line 3: .* has {slots} stencil slots"):
         parse_scenario(text)
 

@@ -7,6 +7,7 @@ import pytest
 
 import swarmguide._kernels as _kernels
 import swarmguide.engine as engine_module
+import swarmguide.graph as graph_module
 from swarmguide import (
     Event,
     Scenario,
@@ -25,7 +26,7 @@ from swarmguide import (
     step_agents,
     total_variation,
 )
-from swarmguide.engine import ALGORITHMS, MODES, stencil_plan
+from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MODES, stencil_plan
 
 from testutil import brute_force_grid_adjacency, dense_replay, dense_transient_oracle
 
@@ -88,6 +89,29 @@ def test_scenario_refuses_bad_sizes_and_grid_shapes(field, changes, mode):
     # Refused when built, naming the field, rather than part way into a run.
     with pytest.raises(ValueError, match=f"^{field} must be"):
         replace(RING_SCENARIO, mode=mode, **changes)
+
+
+def test_scenario_refuses_oversized_runs_before_building_them(monkeypatch):
+    # 100x100 bins at hop 198 pass the bin limit, but set-up would lay out
+    # 10^4 bins x 199^2 offsets, about 11.5 GB.  A library caller is refused
+    # when the Scenario is built, and no topology is.
+    def build(*args, **kwargs):
+        raise AssertionError("build_grid_topology was called")
+
+    monkeypatch.setattr(engine_module, "build_grid_topology", build)
+    monkeypatch.setattr(graph_module, "build_grid_topology", build)
+    flat = tuple((1,) * 100 for _ in range(100))
+    slots = 10_000 * 199**2
+    message = f"^a 100x100 grid at hop 198 has {slots} stencil slots, above the limit of {MAX_STENCIL_SLOTS}$"
+    with pytest.raises(ValueError, match=message):
+        Scenario(100, 100, 198, 10, 5, "dsmc", 0, "monte-carlo", flat)
+    fits = Scenario(100, 100, 2, 10, 5, "dsmc", 0, "monte-carlo", flat)
+    with pytest.raises(ValueError, match=message):
+        replace(fits, hop=198)
+    with pytest.raises(ValueError, match=f"^a 101x100 grid has 10100 bins, above the limit of {MAX_BINS}$"):
+        replace(fits, rows=101, weights=flat + flat[:1])
+    with pytest.raises(ValueError, match=f"^agents={MAX_AGENTS + 1} exceeds the limit of {MAX_AGENTS} agents$"):
+        replace(fits, agents=MAX_AGENTS + 1)
 
 
 def test_scenario_sorts_events_and_derives_densities():
@@ -381,7 +405,9 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         blocks.append(neighbours.densify(values))
         return values
 
-    def recording_advance(bins, z, values, rows):
+    def recording_advance(bins, z, values, rows, guide=None):
+        # Only the fixed baseline chain is sampled through a prebuilt guide.
+        assert guide is None
         sampled.append((values.copy(), rows))
         return advance(bins, z, values, rows)
 
@@ -396,6 +422,33 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         assert np.array_equal(rows, topology.rows)
         assert np.array_equal(values[topology.real], mat[rows[topology.real], np.nonzero(topology.real)[0]])
         assert not values[~topology.real].any()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch, algorithm, mode):
+    # The fixed chain's sampler tables are built at set-up and handed to
+    # every step; a feedback matrix changes every step and is sampled
+    # without them.
+    builds, guides = [], []
+    build, advance = _kernels.build_guide, _kernels.advance_agents
+
+    def counting_build(values, rows):
+        builds.append(build(values, rows))
+        return builds[-1]
+
+    def recording_advance(bins, z, values, rows, guide=None):
+        guides.append(guide)
+        return advance(bins, z, values, rows, guide=guide)
+
+    monkeypatch.setattr(_kernels, "build_guide", counting_build)
+    monkeypatch.setattr(_kernels, "advance_agents", recording_advance)
+    scenario = replace(load_scenario(LETTER_E), steps=12, events=(), algorithm=algorithm, mode=mode)
+    run_scenario(scenario)
+    guided = algorithm == "mh" and mode == "monte-carlo"
+    assert len(builds) == (1 if guided else 0)
+    assert len(guides) == (12 if mode == "monte-carlo" else 0)
+    assert all(g is (builds[0] if guided else None) for g in guides)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -72,13 +72,44 @@ def test_advance_agents_builds_no_agents_by_slots_temporary():
     values = _random_stencil_values(rng, stencil, zero_prob=0.0)
     bins = rng.integers(0, stencil.m, size=10**6)
     z = rng.random(10**6)
-    tracemalloc.start()
-    try:
-        _kernels.advance_agents(bins, z, values, stencil.rows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 80e6
+    # The same bound holds for the path through a prebuilt guide, built
+    # before tracing as a run builds it at set-up.
+    guide = _kernels.build_guide(values, stencil.rows)
+    for prebuilt in (None, guide):
+        tracemalloc.start()
+        try:
+            _kernels.advance_agents(bins, z, values, stencil.rows, guide=prebuilt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+
+
+def test_guide_table_hand_case():
+    # Bin 0's boundaries 1/4 and 3/4 lie on cell edges, so every cell has
+    # one destination.  Bin 1's boundary 0.3 lies inside cell 19 (0.3 * 64 =
+    # 19.2), which is left to the search.  Bin 2's zero slots ahead of its
+    # only positive one are passed from the first draw on.  Bin 3's first
+    # boundary lies 2^-54 above the edge of cell 16, so inside it, and its
+    # column total 3/4 sends every draw above it to the last positive slot.
+    rows = np.array([[0, 1, 2]] * 4)
+    values = np.array([[0.25, 0.5, 0.25], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0], [0.25 + 2.0**-54, 0.5 - 2.0**-54, 0.0]])
+    guide = _kernels.build_guide(values, rows)
+    assert _kernels.GUIDE_CELLS == 64
+    assert guide.table[0].tolist() == [0] * 16 + [1] * 32 + [2] * 16
+    assert guide.table[1].tolist() == [0] * 19 + [-1] + [1] * 44
+    assert guide.table[2].tolist() == [2] * 64
+    assert guide.table[3].tolist() == [0] * 16 + [-1] + [1] * 47
+    cells = np.arange(64)
+    bins = np.repeat(np.arange(4), 2 * 64)
+    z = np.tile(np.concatenate([cells / 64, (cells + 1) / 64 - 2.0**-53]), 4)
+    expected = advance_by_bin_oracle(bins, z, values, rows)
+    assert np.array_equal(_kernels.advance_agents(bins, z, values, rows, guide=guide), expected)
+    # The first and last draws of each cell land on its table entry; those
+    # of the cells left to the search land on either side of the boundary.
+    for ends in expected.reshape(4, 2, 64).transpose(1, 0, 2):
+        assert np.array_equal(np.where(guide.table >= 0, ends, -1), guide.table)
+    assert expected.reshape(4, 2, 64)[[1, 3], :, [19, 16]].tolist() == [[0, 1], [0, 1]]
 
 
 def test_advance_clamps_to_last_bin():

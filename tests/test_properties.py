@@ -3,7 +3,8 @@
 Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
 the cases, for synthesis; stencils, columns and draws at the edges of
-each stay window for the agent sampler; deterministic runs, replayed one
+each stay window for the agent sampler, and at the edges of each guide
+cell and cumulative boundary for the guided one; deterministic runs, replayed one
 dense product at a time; and whole scenarios for the scenario file format.
 Runs are derandomized, so the suite sees the same examples every time.
 """
@@ -273,6 +274,40 @@ def test_sampler_equals_the_per_bin_oracle_and_stays_on_the_stencil(case, agents
     assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
     # No move leaves the stencil: every agent lands on a real slot of its bin.
     assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
+
+
+def _guide_draws(rng, values, bins):
+    # Per agent, a draw on the 2^-53 grid, as the move stream makes them:
+    # uniform, 0, the largest below 1, a cell edge c/64 or the draw below
+    # it, or the first draw at or above one of its bin's cumulative
+    # boundaries or the draw below that.
+    top = 2.0**53 - 1.0
+    boundary = np.ceil(np.cumsum(values, axis=1)[bins, rng.integers(0, values.shape[1], bins.size)] * 2.0**53)
+    edge = rng.integers(0, _kernels.GUIDE_CELLS + 1, bins.size) * 2.0**47
+    options = np.stack([
+        np.floor(rng.random(bins.size) * 2.0**53), np.zeros(bins.size), np.full(bins.size, top),
+        edge, edge - 1.0, boundary, boundary - 1.0,
+    ])
+    pick = rng.integers(0, options.shape[0], size=bins.size)
+    return np.clip(options[pick, np.arange(bins.size)], 0.0, top) * 2.0**-53
+
+
+@SETTINGS
+@given(sampler_cases(), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_guided_sampler_equals_the_per_bin_oracle(case, agents, seed):
+    stencil, values = case
+    rng = np.random.default_rng(seed)
+    guide = _kernels.build_guide(values, stencil.rows)
+    bins = rng.integers(0, stencil.m, size=agents)
+    z = _guide_draws(rng, values, bins)
+    got = _kernels.advance_agents(bins, z, values, stencil.rows, guide=guide)
+    assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+    # Every settled cell holds the oracle's answer at its first and last
+    # draws; that answer never decreases as the draw grows, so it holds at
+    # every draw in between.
+    cell_bins, cells = np.nonzero(guide.table >= 0)
+    for end in (cells * 2.0**-6, (cells + 1) * 2.0**-6 - 2.0**-53):
+        assert np.array_equal(guide.table[cell_bins, cells], advance_by_bin_oracle(cell_bins, end, values, stencil.rows))
 
 
 def _grids(rows, cols):

@@ -85,3 +85,11 @@ def test_scalar_and_vector_hash_agree():
     for pos, agent in enumerate(ids.tolist()):
         h = mix64(((agent * 0x9E3779B97F4A7C15) & (2**64 - 1)) ^ key)
         assert z[pos] == (h >> 11) * 2.0**-53
+
+
+def test_draws_leave_the_ids_untouched():
+    # The hash runs in place, on a copy of the ids.
+    for ids in (np.arange(100, dtype=np.uint64), np.arange(100, dtype=np.int64)):
+        before = ids.copy()
+        uniform_stream(3, MOVE_STREAM, 2, ids)
+        assert np.array_equal(ids, before) and ids.dtype == before.dtype

@@ -144,10 +144,11 @@ def advance_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarr
     return out
 
 
-def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray, guide=None) -> np.ndarray:
     """Agent moves from stencil values by one binary search per occupied bin
     over that bin's dense cumulative column, with the same round-off rule as
-    ``advance_oracle``; a drop-in for ``_kernels.advance_agents``."""
+    ``advance_oracle``; a drop-in for ``_kernels.advance_agents``, whose
+    prebuilt ``guide`` it ignores."""
     m = values.shape[0]
     out = np.empty_like(bins)
     for j in np.unique(bins):
