@@ -1,6 +1,7 @@
-"""Hot inner-loop kernels: agent advancement and recurrent column synthesis.
+"""Hot inner-loop kernels: agent advancement, recurrent column synthesis and
+the slot-order column sum.
 
-Both are vectorized numpy and both work in stencil layout (see
+All are vectorized numpy and all work in stencil layout (see
 ``swarmguide.graph.Topology``): column j of a transition matrix is row j of
 an m x w value array, whose slot s moves an agent to bin ``rows[j, s]``.
 ``synth_recurrent`` writes the recurrent columns straight into that layout,
@@ -11,7 +12,9 @@ slot by slot in ascending destination order, and padded slots add an exact
 0.0), so ``synth_recurrent`` equals the bin-local
 ``swarmguide.synthesis.dsmc_column`` and a dense synthesis over every row
 bit for bit, sampling a stencil equals sampling its dense matrix, and
-simulation outputs do not depend on how agents are batched.
+simulation outputs do not depend on how agents are batched.  Every
+stencil column sum, in synthesis, in the baseline chain and in the audit,
+is ``column_sums``.
 
 ``advance_agents`` samples in two passes, because feedback synthesis
 leaves most agents where they are.  First the stay test: with s the first
@@ -149,6 +152,19 @@ def advance_agents(
     return out
 
 
+def column_sums(values: np.ndarray) -> np.ndarray:
+    """Each column's total: row j of the m x w ``values``, added slot by slot
+    in ascending destination order.
+
+    Bit for bit ``np.cumsum(values, axis=1)[:, -1]``, in w vector adds
+    rather than an m x w temporary.
+    """
+    total = values[:, 0].copy()
+    for s in range(1, values.shape[1]):
+        total += values[:, s]
+    return total
+
+
 def synth_recurrent(e: np.ndarray, x: np.ndarray, rows: np.ndarray, own: np.ndarray, d_chsn: float) -> np.ndarray:
     """Density-feedback transition columns in stencil layout.
 
@@ -160,10 +176,8 @@ def synth_recurrent(e: np.ndarray, x: np.ndarray, rows: np.ndarray, own: np.ndar
     diff = (e[rows] - e[:, np.newaxis]) / d_chsn
     r = np.zeros(rows.shape)
     np.divide(diff, x[:, np.newaxis], out=r, where=(diff > 0.0) & (x[:, np.newaxis] > 0.0))
-    # Column sums accumulate slot by slot in ascending destination order, as in dsmc_column.
-    off = np.zeros(rows.shape[0])
-    for s in range(rows.shape[1]):
-        off += r[:, s]
+    # The same ascending-slot order as dsmc_column; the self slots are still 0.0.
+    off = column_sums(r)
     diag = np.where(off < 1.0, 1.0 - off, 0.0)
     r[own] = diag
     return r / (off + diag)[:, np.newaxis]

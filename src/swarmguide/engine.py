@@ -8,20 +8,23 @@ scheduled events, and recording per-step metrics.
 A run works in the stencil layout of ``swarmguide.graph.Topology``: column
 j of each step's matrix is an m x w value array's row j, over bin j's
 ascending destinations.  The grid topology is built as that stencil
-straight away, and ``stencil_plan`` lays a run out over it once, at set-up:
-the transient columns, which never change, and the recurrent bins' own
-stencil, slot for slot as their rows of the run's stencil.  The
-recurrent columns are written straight into those slots, with no dense
-block: by ``dsmc_recurrent`` every step, or by ``mh_recurrent`` once, for
-the baseline chain.  Each matrix is audited over the stencil at O(m w)
-cost, then ``step_agents`` samples it or ``propagate_density`` moves the
-density through it, both from its stencil values.  The baseline's sampler
-tables, a guide table included, are built once, after its audit.  The density step adds
-each destination's sources in ascending order, slot by slot, so no BLAS
-kernel chooses the summation order.  A dense m x m matrix is built only for
-a ``matrix_hook``, which is how ``export-matrix`` reads it; a dense matrix M
-over topology t steps as ``t.sparsify(M)``.  Because adding 0.0 is exact,
-stencil column sums and cumulative sums equal the dense ones entry for entry.
+straight away.  At set-up ``run_scenario`` places the transient columns,
+which never change, in their slots and restricts the stencil to the
+recurrent bins, slot for slot as their rows of the run's stencil.  Every
+matrix a run steps through is built and audited one way: the recurrent
+columns, by ``dsmc_recurrent`` every step or by ``mh_recurrent`` once for
+the baseline chain, are written into a copy of the transient columns, with
+no dense block, and ``validate_markov`` checks signs, column sums (added
+slot by slot by ``_kernels.column_sums``) and padded slots at O(m w) cost.
+Then ``step_agents`` samples it or ``propagate_density`` moves the density
+through it, both from its stencil values.  The baseline's sampler tables,
+a guide table included, are built once, after its audit.  The density step
+adds each destination's sources in ascending order, slot by slot, so no
+BLAS kernel chooses the summation order.  A dense m x m matrix is built
+only for a ``matrix_hook``, which is how ``export-matrix`` reads it; a
+dense matrix M over topology t steps as ``t.sparsify(M)``.  Because adding
+0.0 is exact, stencil column sums and cumulative sums equal the dense ones
+entry for entry.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
 An event scheduled at step k is applied once the swarm arrives at step k,
@@ -40,9 +43,8 @@ from .density import check_density, empirical_density, from_weight_map, total_va
 # ``assemble``, ``laplacian_of``, ``metropolis_hastings`` and
 # ``transient_matrix`` are no longer called here; they stay importable from the
 # engine because the per-layer benchmark traces them under this module's name.
-from .graph import Partition, Topology, _grid_offsets, build_grid_topology, laplacian_of, partition_states
+from .graph import Topology, _grid_offsets, build_grid_topology, laplacian_of, partition_states
 from .synthesis import (
-    COLUMN_SUM_TOL,
     _transient_values,
     assemble,
     choose_d_chsn,
@@ -65,8 +67,6 @@ __all__ = [
     "SwarmState",
     "Snapshot",
     "MetricsSeries",
-    "StencilPlan",
-    "stencil_plan",
     "initial_swarm",
     "step_agents",
     "propagate_density",
@@ -146,10 +146,11 @@ class Scenario:
     """Complete, serializable description of one run.
 
     ``weights`` is the desired-density weight grid (row-major bins) and
-    ``init_weights`` the optional initial-density grid; both are small
-    nonnegative integers as written in scenario files.  ``init_weights``
-    of None means agents start uniformly over all bins.  A scenario beyond
-    the size limits is refused here, before any of it is built.
+    ``init_weights`` the optional initial-density grid; both hold integers
+    in [0, 35], as scenario files write them, and any other entry is
+    refused.  ``init_weights`` of None means agents start uniformly over all
+    bins.  A scenario beyond the size limits is refused here, before any of
+    it is built.
     """
 
     rows: int
@@ -174,8 +175,13 @@ class Scenario:
         _require_agents(self.agents)
         for name in ("weights", "init_weights"):
             grid = getattr(self, name)
-            if grid is not None and (len(grid) != self.rows or any(len(row) != self.cols for row in grid)):
+            if grid is None:
+                continue
+            if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
                 raise ValueError(f"{name} must be {self.rows}x{self.cols}, one row of {self.cols} weights per grid row")
+            w = np.asarray(grid)
+            if w.dtype.kind not in "iu" or w.min() < 0 or w.max() > 35:
+                raise ValueError(f"{name} must be integers in [0, 35], as scenario files write them")
         for ev in self.events:
             ev.require_within(self.steps)
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
@@ -337,94 +343,49 @@ def _require_valid(values: np.ndarray, stencil: Topology, when: str):
         )
 
 
-def _audit(values: np.ndarray, when: str):
-    # Column sums accumulate slot by slot, in ascending destination order.
-    deviation = float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max())
-    min_entry = float(values.min())
-    if not (deviation <= COLUMN_SUM_TOL and min_entry >= 0.0):
-        raise RuntimeError(
-            f"synthesized matrix failed validation {when}: "
-            f"column sum deviation {deviation!r}, min entry {min_entry!r}"
-        )
-
-
-@dataclass(frozen=True)
-class StencilPlan:
-    """A run laid out once over the bin stencil.
-
-    ``fixed`` holds, in stencil slots, the transient columns, which never
-    change during the run, and zero recurrent rows.  ``neighbours`` is the
-    stencil of the ``recurrent`` bins in their own numbering, slot for slot
-    as their rows of ``stencil``, so recurrent values drop into those rows
-    unchanged.
-    """
-
-    stencil: Topology
-    fixed: np.ndarray
-    recurrent: np.ndarray
-    neighbours: Topology
-
-    def with_recurrent(self, recurrent_values) -> np.ndarray:
-        """Stencil values of the whole matrix, given its recurrent rows."""
-        recurrent_values = np.asarray(recurrent_values, dtype=float)
-        if recurrent_values.shape != self.neighbours.rows.shape:
-            raise ValueError(f"recurrent values must be {self.neighbours.rows.shape}, got {recurrent_values.shape}")
-        values = self.fixed.copy()
-        values[self.recurrent] = recurrent_values
-        return values
-
-    def step_values(self, synthesized, when: str) -> np.ndarray:
-        """Audited stencil values with the recurrent rows ``synthesized``.
-
-        Raises RuntimeError when an entry is negative or a column sum is off
-        by more than COLUMN_SUM_TOL.
-        """
-        values = self.with_recurrent(synthesized)
-        _audit(values, when)
-        return values
-
-
-def stencil_plan(topology: Topology, partition: Partition) -> StencilPlan:
-    """Lay a run out over ``topology``, with the transient columns of
-    ``transient_matrix`` in their stencil slots."""
-    fixed = _transient_values(partition, topology)
-    fixed.flags.writeable = False
-    recurrent = partition.recurrent
-    return StencilPlan(stencil=topology, fixed=fixed, recurrent=recurrent, neighbours=topology.restrict(recurrent))
-
-
 def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     """Run a scenario end to end; returns (MetricsSeries, {step: Snapshot}).
 
     Monte Carlo mode simulates individual agents; deterministic mode
     propagates the density vector exactly and scales a nominal population
-    for the metrics.  Every matrix is audited against the topology before
-    use (the fixed baseline once, at set-up); an audit failure aborts the
-    run.  ``matrix_hook`` is called as matrix_hook(step, matrix) with each
-    matrix about to drive the step from ``step`` to ``step + 1``, as a
-    read-only dense array.
+    for the metrics.  Every matrix is audited by ``validate_markov`` against
+    the topology before use (the fixed baseline once, at set-up); an audit
+    failure aborts the run with RuntimeError.  ``matrix_hook`` is called as
+    matrix_hook(step, matrix) with each matrix about to drive the step from
+    ``step`` to ``step + 1``, as a read-only dense array.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     m = topology.m
     desired = check_density(scenario.desired_density(), name="desired density")
     partition = partition_states(topology, desired)
-    plan = stencil_plan(topology, partition)
-    recurrent, neighbours = plan.recurrent, plan.neighbours
+    # The transient columns never change; the recurrent bins' own stencil
+    # matches their rows of the topology slot for slot, so synthesized
+    # values drop into those rows unchanged.
+    fixed = _transient_values(partition, topology)
+    recurrent = partition.recurrent
+    neighbours = topology.restrict(recurrent)
     desired_r = desired[recurrent]
     monte_carlo = scenario.mode == "monte-carlo"
-    baseline = baseline_matrix = guide = None
+
+    def audited(recurrent_values, when: str) -> np.ndarray:
+        values = fixed.copy()
+        values[recurrent] = recurrent_values
+        _require_valid(values, topology, when)
+        return values
+
+    baseline = baseline_matrix = guide = params = None
     if scenario.algorithm == "mh":
         # One fixed matrix: audit it once and freeze it so no hook can alter
         # it after the audit; agents sample it through tables built once.
-        baseline = plan.with_recurrent(mh_recurrent(desired_r, neighbours))
-        _require_valid(baseline, plan.stencil, "before step 0")
+        baseline = audited(mh_recurrent(desired_r, neighbours), "before step 0")
         baseline.flags.writeable = False
         if monte_carlo:
-            guide = _kernels.build_guide(baseline, plan.stencil.rows)
+            guide = _kernels.build_guide(baseline, topology.rows)
         if matrix_hook is not None:
-            baseline_matrix = plan.stencil.densify(baseline)
-    # partition_states has checked that the recurrent bins are connected.
-    params = choose_d_chsn(neighbours)
+            baseline_matrix = topology.densify(baseline)
+    else:
+        # partition_states has checked that the recurrent bins are connected.
+        params = choose_d_chsn(neighbours)
 
     events_at: dict[int, list[Event]] = {}
     for ev in scenario.events:
@@ -459,17 +420,16 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
 
     for k in range(scenario.steps):
         if baseline is None:
-            synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, params)
-            values = plan.step_values(synthesized, f"at step {k}")
+            values = audited(dsmc_recurrent(x[recurrent], desired_r, neighbours, params), f"at step {k}")
         else:
             values = baseline
         if matrix_hook is not None:
-            matrix = plan.stencil.densify(values) if baseline_matrix is None else baseline_matrix
+            matrix = topology.densify(values) if baseline_matrix is None else baseline_matrix
             matrix.flags.writeable = False
             matrix_hook(k, matrix)
 
         if monte_carlo:
-            moved = step_agents(swarm, values, k, plan.stencil, guide)
+            moved = step_agents(swarm, values, k, topology, guide)
             transitions = int((moved.assignments != swarm.assignments).sum())
             swarm = moved
             for ev in events_at.get(k + 1, ()):
@@ -479,8 +439,8 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         else:
             # Stay probabilities sit in the self slots; the leavers are summed
             # over bins in ascending order.
-            transitions = float(population * float(np.cumsum(x * (1.0 - values[plan.stencil.own]))[-1]))
-            x = propagate_density(x, values, plan.stencil)
+            transitions = float(population * float(np.cumsum(x * (1.0 - values[topology.own]))[-1]))
+            x = propagate_density(x, values, topology)
             for ev in events_at.get(k + 1, ()):
                 population = population - math.floor(ev.fraction * population)
 

@@ -67,6 +67,11 @@ class Topology:
     def _dense_index(self) -> tuple[np.ndarray, np.ndarray]:
         return self.rows[self.real], np.nonzero(self.real)[0]
 
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """Flat index of every padded slot into an m x w array, ascending."""
+        return np.flatnonzero(~self.real)
+
     def densify(self, values) -> np.ndarray:
         """Dense m x m matrix with column j holding ``values[j]`` at ``rows[j]``."""
         dense = np.zeros((self.m, self.m))

@@ -19,7 +19,10 @@ Every builder works in the stencil layout of ``swarmguide.graph.Topology``:
 column j is row j of an m x w value array over bin j's destinations.  The
 dense ``transient_matrix`` and ``metropolis_hastings`` are those values
 densified, ``assemble`` stitches dense blocks back into original bin
-numbering, and ``validate_markov`` audits stencil values.
+numbering, and ``validate_markov`` audits stencil values: every matrix a
+run steps through, the transient columns with the recurrent rows written
+in.  Column sums, in ``mh_recurrent`` and in the audit, are
+``_kernels.column_sums``: slot by slot, in ascending destination order.
 """
 from __future__ import annotations
 
@@ -252,10 +255,7 @@ def mh_recurrent(desired_r, stencil: Topology) -> np.ndarray:
     np.divide(v[stencil.rows] * degree[:, np.newaxis], v[:, np.newaxis] * degree[stencil.rows], out=ratio, where=moves)
     values = np.zeros(stencil.rows.shape)
     np.divide(np.minimum(1.0, ratio), degree[:, np.newaxis], out=values, where=moves)
-    off = np.zeros(stencil.m)
-    for s in range(stencil.rows.shape[1]):
-        off += values[:, s]
-    values[stencil.own] = np.maximum(0.0, 1.0 - off)
+    values[stencil.own] = np.maximum(0.0, 1.0 - _kernels.column_sums(values))
     return values
 
 
@@ -286,15 +286,20 @@ def validate_markov(values, topology: Topology) -> ValidationReport:
 
     ``values`` holds a matrix in the stencil layout of ``topology``, column j
     in ``values[j]``, and the audit costs O(m w).  Column sums accumulate
-    slot by slot, and mass in a padded slot of column j, which lists no
-    destination, is reported as the pair (-1, j).
+    slot by slot (``_kernels.column_sums``), and mass in a padded slot of
+    column j, which lists no destination, is reported as the pair (-1, j);
+    the padded slots are read through the topology's cached index.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != topology.rows.shape:
         raise ValueError(f"stencil values must be {topology.rows.shape}, got {values.shape}")
-    padded = np.nonzero(((values != 0.0) & ~topology.real).any(axis=1))[0]
+    violations = ()
+    padded = values.take(topology.padded)
+    if np.count_nonzero(padded):
+        slots = topology.padded[padded != 0.0]
+        violations = tuple((-1, j) for j in np.unique(slots // values.shape[1]).tolist())
     return ValidationReport(
-        max_column_sum_deviation=float(np.abs(np.cumsum(values, axis=1)[:, -1] - 1.0).max()),
+        max_column_sum_deviation=float(np.abs(_kernels.column_sums(values) - 1.0).max()),
         min_entry=float(values.min()),
-        mask_violations=tuple((-1, j) for j in padded.tolist()),
+        mask_violations=violations,
     )

@@ -26,7 +26,8 @@ from swarmguide import (
     step_agents,
     total_variation,
 )
-from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MODES, stencil_plan
+from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MODES
+from swarmguide.synthesis import _transient_values
 
 from testutil import brute_force_grid_adjacency, dense_replay, dense_transient_oracle
 
@@ -82,6 +83,13 @@ def test_scenario_validation():
         ("weights", dict(weights=((1, 1), (1,)))),
         ("init_weights", dict(init_weights=((1, 0, 0), (0, 0, 0), (0, 0, 0)))),
         ("init_weights", dict(init_weights=((1, 1, 0), (0, 0)))),
+        # A scenario file writes each weight as one character, 0 to 35, so
+        # render_scenario has no character for 36 or 0.5, and -1 is no weight.
+        *(
+            (name, {name: ((1, weight), (1, 1))})
+            for name in ("weights", "init_weights")
+            for weight in (36, 0.5, -1)
+        ),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
@@ -367,26 +375,32 @@ def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
     [
         ("negative", "min entry -0.1"),
         ("column sum", "column sum deviation 0.1999"),
+        ("padded slot", ", 1 mask violations$"),
     ],
 )
 @pytest.mark.parametrize("mode", ["deterministic", "monte-carlo"])
 def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment, mode):
     # A defect injected in stencil layout stops the run before any hook sees
-    # the matrix.  Mass outside the stencil has no slot to go in; the
-    # property tests check that synthesis puts none in the padded slots.
+    # the matrix.  On 3x3 bins at hop 1 a bin has 5 slots; corner bin 0, on
+    # the support's edge, lists itself and bins 1 and 3, so its last two
+    # slots are padding.  The padded-slot leak keeps every column sum at 1,
+    # so only the padded-slot check can see it.
     def broken(current_r, desired_r, stencil, params):
-        assert stencil.rows[0].tolist() == [0, 1, 2]  # bin 0, then its two neighbours
+        assert stencil.rows[0].tolist() == [0, 1, 2, 0, 0] and stencil.real[0].tolist() == [1, 1, 1, 0, 0]
         values = stencil.own.astype(float)
         if defect == "negative":
             values[0, :2] = 1.1, -0.1
-        else:
+        elif defect == "column sum":
             values[0, 0] = 1.2
+        else:
+            values[0, 0] = values[0, 4] = 0.5
         return values
 
     monkeypatch.setattr(engine_module, "dsmc_recurrent", broken)
+    scenario = Scenario(3, 3, 1, 100, 2, "dsmc", 7, mode, ((1, 1, 0), (1, 0, 0), (0, 0, 0)))
     hooked = []
     with pytest.raises(RuntimeError, match=f"failed validation at step 0: .*{fragment}"):
-        run_scenario(replace(RING_SCENARIO, mode=mode), matrix_hook=lambda k, mat: hooked.append(k))
+        run_scenario(scenario, matrix_hook=lambda k, mat: hooked.append(k))
     assert hooked == []
 
 
@@ -497,19 +511,23 @@ def test_full_target_run_builds_no_dense_matrix(algorithm, mode):
 
 def test_set_up_of_a_100x100_grid_builds_no_table_over_bin_pairs():
     # 100x100 bins, hop 2, a disc target with transient bins around it.  The
-    # stencil and the plan take a few MB; the boolean adjacency over bin
-    # pairs alone is 100 MB, and set-up through it peaked at 286 MB.
+    # stencil, the transient columns and the recurrent stencil take a few
+    # MB; the boolean adjacency over bin pairs alone is 100 MB, and set-up
+    # through it peaked at 286 MB.
     r, c = np.divmod(np.arange(10_000), 100)
     desired = ((r - 50) ** 2 + (c - 50) ** 2 <= 30**2).astype(float)
     desired /= desired.sum()
     tracemalloc.start()
     try:
         topology = build_grid_topology(100, 100, 2)
-        plan = stencil_plan(topology, partition_states(topology, desired))
+        partition = partition_states(topology, desired)
+        fixed = _transient_values(partition, topology)
+        neighbours = topology.restrict(partition.recurrent)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert plan.stencil.rows.shape == (10_000, 13)
+    assert topology.rows.shape == fixed.shape == (10_000, 13)
+    assert neighbours.rows.shape == (partition.m_r, 13)
     assert peak < 32e6
 
 

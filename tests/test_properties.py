@@ -4,8 +4,10 @@ Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
 the cases, for synthesis; stencils, columns and draws at the edges of
 each stay window for the agent sampler, and at the edges of each guide
-cell and cumulative boundary for the guided one; deterministic runs, replayed one
-dense product at a time; and whole scenarios for the scenario file format.
+cell and cumulative boundary for the guided one; the same columns with
+subnormals and signed zeros, for the slot-order column sum; deterministic
+runs, replayed one dense product at a time; and whole scenarios for the
+scenario file format.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
@@ -31,7 +33,7 @@ from swarmguide import (
     total_variation,
 )
 from swarmguide.density import SUM_TOL
-from swarmguide.engine import stencil_plan
+from swarmguide.synthesis import _transient_values
 
 from testutil import (
     adjacency_of,
@@ -139,11 +141,12 @@ def connected_targets(draw):
 def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance):
     topology, target = instance
     partition = partition_states(topology, target)
-    plan = stencil_plan(topology, partition)
-    values = plan.with_recurrent(mh_recurrent(target[plan.recurrent], plan.neighbours))
-    assert not values[~plan.stencil.real].any()
+    recurrent = partition.recurrent
+    values = _transient_values(partition, topology)
+    values[recurrent] = mh_recurrent(target[recurrent], topology.restrict(recurrent))
+    assert not values[~topology.real].any()
     dense = dense_mh_oracle(target, adjacency_of(topology), partition)
-    assert plan.stencil.densify(values).tobytes() == dense.tobytes()
+    assert topology.densify(values).tobytes() == dense.tobytes()
     assert metropolis_hastings(target, topology, partition).tobytes() == dense.tobytes()
 
 
@@ -246,6 +249,19 @@ def sampler_cases(draw):
     values[kinds == IDENTITY] = stencil.own[kinds == IDENTITY]
     values[kinds == SHORT] *= 1.0 - 2.0**-45
     return stencil, values
+
+
+@SETTINGS
+@given(sampler_cases(), st.integers(0, 2**32 - 1))
+def test_column_sums_equal_the_cumulative_sum_byte_for_byte(case, seed):
+    # Sampler columns (zeros, padded slots, totals below 1) with subnormals
+    # and zeros of either sign scattered over any slot, padding included.
+    _, values = case
+    rng = np.random.default_rng(seed)
+    tiny = rng.integers(1, 2**20, values.shape) * 2.0**-1074 * rng.choice([1.0, -1.0], values.shape)
+    kind = rng.integers(0, 4, values.shape)
+    values = np.select([kind == 1, kind == 2], [tiny, np.copysign(0.0, tiny)], values)
+    assert _kernels.column_sums(values).tobytes() == np.cumsum(values, axis=1)[:, -1].tobytes()
 
 
 def _edge_draws(rng, stencil, values, bins):
