@@ -26,7 +26,8 @@ counts below 1, grids of more than ``MAX_BINS`` bins or ``MAX_STENCIL_SLOTS``
 stencil slots and swarms of more than ``MAX_AGENTS`` agents (the limits of
 ``swarmguide.engine``) are refused at their line while parsing, before
 anything is allocated for them, as are an unknown ``algorithm`` or
-``mode`` and an event step outside [0, ``steps``].
+``mode``, an event step outside [0, ``steps``] and a grid section with
+no positive weight.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
@@ -57,6 +58,7 @@ from .engine import (
     _cell,
     _require_agents,
     _require_choice,
+    _require_some_weight,
     check_grid_size,
     run_scenario,
 )
@@ -121,6 +123,8 @@ def _parse_grid(lines, start: int, rows: int, cols: int, label: str):
                 raise ScenarioFormatError(f"invalid weight character {ch!r} in {label} row", lineno)
             row.append(_WEIGHT_CHARS[ch])
         grid.append(tuple(row))
+    with _at_line(start - 1):
+        _require_some_weight(label, grid)
     # Return the last consumed line so the caller's increment lands past it.
     return tuple(grid), start + rows - 1
 

@@ -15,7 +15,9 @@ matrix a run steps through is built and audited one way: the recurrent
 columns, by ``dsmc_recurrent`` every step or by ``mh_recurrent`` once for
 the baseline chain, are written into a copy of the transient columns, with
 no dense block, and ``validate_markov`` checks signs, column sums (added
-slot by slot by ``_kernels.column_sums``) and padded slots at O(m w) cost.
+slot by slot by ``_kernels.column_sums``) and padded slots at O(m w) cost
+against the audit stencil built at set-up, where only the slots the
+partition allows are real: recurrent to recurrent, transient one layer closer.
 Then ``step_agents`` samples it or ``propagate_density`` moves the density
 through it, both from its stencil values.  The baseline's sampler tables,
 a guide table included, are built once, after its audit.  The density step
@@ -27,8 +29,9 @@ dense matrix M over topology t steps as ``t.sparsify(M)``.  Because adding
 entry for entry.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
-An event scheduled at step k is applied once the swarm arrives at step k,
-before that row is recorded.
+``run_scenario`` makes one pass per row in both modes: for k > 0 it builds
+and audits the matrix of step k - 1 -> k, shows it to the hook and steps
+through it; then it applies the events at step k and records row k.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ from .density import check_density, empirical_density, from_weight_map, total_va
 # engine because the per-layer benchmark traces them under this module's name.
 from .graph import Topology, _grid_offsets, build_grid_topology, laplacian_of, partition_states
 from .synthesis import (
+    _allowed_slots,
     _transient_values,
     assemble,
     choose_d_chsn,
@@ -116,6 +120,11 @@ def _require_agents(agents: int):
         raise ValueError(f"agents={agents} exceeds the limit of {MAX_AGENTS} agents")
 
 
+def _require_some_weight(name: str, grid):
+    if not np.any(grid):
+        raise ValueError(f"{name} must be positive on at least one bin")
+
+
 def _require_choice(name: str, value: str, options: tuple[str, ...]):
     if value not in options:
         raise ValueError(f"unknown {name} {value!r}, expected one of {options}")
@@ -147,10 +156,10 @@ class Scenario:
 
     ``weights`` is the desired-density weight grid (row-major bins) and
     ``init_weights`` the optional initial-density grid; both hold integers
-    in [0, 35], as scenario files write them, and any other entry is
-    refused.  ``init_weights`` of None means agents start uniformly over all
-    bins.  A scenario beyond the size limits is refused here, before any of
-    it is built.
+    in [0, 35], as scenario files write them, at least one of them
+    positive, and any other grid is refused.  ``init_weights`` of None means
+    agents start uniformly over all bins.  A scenario beyond the size limits
+    is refused here, before any of it is built.
     """
 
     rows: int
@@ -182,6 +191,7 @@ class Scenario:
             w = np.asarray(grid)
             if w.dtype.kind not in "iu" or w.min() < 0 or w.max() > 35:
                 raise ValueError(f"{name} must be integers in [0, 35], as scenario files write them")
+            _require_some_weight(name, w)
         for ev in self.events:
             ev.require_within(self.steps)
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
@@ -333,35 +343,25 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
     )
 
 
-def _require_valid(values: np.ndarray, stencil: Topology, when: str):
-    report = validate_markov(values, stencil)
-    if not report.ok():
-        raise RuntimeError(
-            f"synthesized matrix failed validation {when}: "
-            f"column sum deviation {report.max_column_sum_deviation!r}, min entry {report.min_entry!r}, "
-            f"{len(report.mask_violations)} mask violations"
-        )
-
-
 def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     """Run a scenario end to end; returns (MetricsSeries, {step: Snapshot}).
 
     Monte Carlo mode simulates individual agents; deterministic mode
     propagates the density vector exactly and scales a nominal population
-    for the metrics.  Every matrix is audited by ``validate_markov`` against
-    the topology before use (the fixed baseline once, at set-up); an audit
-    failure aborts the run with RuntimeError.  ``matrix_hook`` is called as
-    matrix_hook(step, matrix) with each matrix about to drive the step from
-    ``step`` to ``step + 1``, as a read-only dense array.
+    for the metrics.  Every matrix is audited by ``validate_markov`` before
+    use (the fixed baseline once, at set-up) against the audit stencil: a
+    recurrent bin may send mass only to recurrent bins, a transient bin only
+    one layer closer to the support.  A failure aborts the run with
+    RuntimeError.  ``matrix_hook`` gets (step, matrix) with each matrix about
+    to drive step ``step`` to ``step + 1``, as a read-only dense array.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
-    m = topology.m
     desired = check_density(scenario.desired_density(), name="desired density")
     partition = partition_states(topology, desired)
-    # The transient columns never change; the recurrent bins' own stencil
-    # matches their rows of the topology slot for slot, so synthesized
-    # values drop into those rows unchanged.
+    # The transient columns never change; ``restrict`` keeps slot positions,
+    # so synthesized recurrent values drop into their topology rows unchanged.
     fixed = _transient_values(partition, topology)
+    audit = Topology(rows=topology.rows, real=_allowed_slots(partition, topology))
     recurrent = partition.recurrent
     neighbours = topology.restrict(recurrent)
     desired_r = desired[recurrent]
@@ -370,7 +370,13 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     def audited(recurrent_values, when: str) -> np.ndarray:
         values = fixed.copy()
         values[recurrent] = recurrent_values
-        _require_valid(values, topology, when)
+        report = validate_markov(values, audit)
+        if not report.ok():
+            raise RuntimeError(
+                f"synthesized matrix failed validation {when}: column sum deviation "
+                f"{report.max_column_sum_deviation!r}, min entry {report.min_entry!r}, "
+                f"{len(report.mask_violations)} mask violations"
+            )
         return values
 
     baseline = baseline_matrix = guide = params = None
@@ -387,64 +393,45 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         # partition_states has checked that the recurrent bins are connected.
         params = choose_d_chsn(neighbours)
 
-    events_at: dict[int, list[Event]] = {}
-    for ev in scenario.events:
-        events_at.setdefault(ev.step, []).append(ev)
-
     swarm = initial_swarm(scenario) if monte_carlo else None
-    if monte_carlo:
-        for ev in events_at.get(0, ()):
-            swarm = apply_event(swarm, ev)
-        x = empirical_density(swarm, m)
-        population = swarm.num_agents
-    else:
-        x = check_density(scenario.initial_density(), name="initial density")
-        population = scenario.agents
-        for ev in events_at.get(0, ()):
-            population = population - math.floor(ev.fraction * population)
-
-    metrics = MetricsSeries()
-    snapshots: dict[int, Snapshot] = {}
+    x = check_density(scenario.initial_density(), name="initial density")
+    population = scenario.agents
+    transitions = 0.0
+    metrics, snapshots = MetricsSeries(), {}
     snapshot_wanted = set(int(s) for s in snapshot_steps)
 
-    def record_snapshot(step: int):
-        if step in snapshot_wanted:
-            if monte_carlo:
-                counts = np.bincount(swarm.assignments, minlength=m).astype(float)
-            else:
-                counts = x * population
-            snapshots[step] = Snapshot(step=step, counts=counts, density=x.copy())
-
-    metrics.append(0, total_variation(x, desired), 0.0, population)
-    record_snapshot(0)
-
-    for k in range(scenario.steps):
-        if baseline is None:
-            values = audited(dsmc_recurrent(x[recurrent], desired_r, neighbours, params), f"at step {k}")
-        else:
+    # Pass k steps from k - 1 to k, applies the events at k and records row k.
+    for k in range(scenario.steps + 1):
+        if k > 0:
             values = baseline
-        if matrix_hook is not None:
-            matrix = topology.densify(values) if baseline_matrix is None else baseline_matrix
-            matrix.flags.writeable = False
-            matrix_hook(k, matrix)
+            if values is None:
+                values = audited(dsmc_recurrent(x[recurrent], desired_r, neighbours, params), f"at step {k - 1}")
+            if matrix_hook is not None:
+                matrix = topology.densify(values) if baseline_matrix is None else baseline_matrix
+                matrix.flags.writeable = False
+                matrix_hook(k - 1, matrix)
+            if monte_carlo:
+                moved = step_agents(swarm, values, k - 1, topology, guide)
+                transitions = int((moved.assignments != swarm.assignments).sum())
+                swarm = moved
+            else:
+                # The leavers: all but the self slots' stays, summed over bins in order.
+                transitions = float(population * float(np.cumsum(x * (1.0 - values[topology.own]))[-1]))
+                x = propagate_density(x, values, topology)
 
+        arrivals = [ev for ev in scenario.events if ev.step == k]
         if monte_carlo:
-            moved = step_agents(swarm, values, k, topology, guide)
-            transitions = int((moved.assignments != swarm.assignments).sum())
-            swarm = moved
-            for ev in events_at.get(k + 1, ()):
+            for ev in arrivals:
                 swarm = apply_event(swarm, ev)
-            x = empirical_density(swarm, m)
+            x = empirical_density(swarm, topology.m)
             population = swarm.num_agents
         else:
-            # Stay probabilities sit in the self slots; the leavers are summed
-            # over bins in ascending order.
-            transitions = float(population * float(np.cumsum(x * (1.0 - values[topology.own]))[-1]))
-            x = propagate_density(x, values, topology)
-            for ev in events_at.get(k + 1, ()):
+            for ev in arrivals:
                 population = population - math.floor(ev.fraction * population)
 
-        metrics.append(k + 1, total_variation(x, desired), transitions, population)
-        record_snapshot(k + 1)
+        metrics.append(k, total_variation(x, desired), transitions, population)
+        if k in snapshot_wanted:
+            counts = np.bincount(swarm.assignments, minlength=topology.m) if monte_carlo else x * population
+            snapshots[k] = Snapshot(step=k, counts=counts.astype(float), density=x.copy())
 
     return metrics, snapshots

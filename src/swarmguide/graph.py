@@ -127,9 +127,10 @@ def make_topology(adjacency: np.ndarray) -> Topology:
 
 
 def _grid_offsets(rows: int, cols: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (dr, dc) within ``hop`` that fit the grid, row-major; set-up lays
-    every bin over all of them before compacting: ``rows * cols * dr.size`` slots."""
-    dr, dc = np.meshgrid(np.arange(1 - rows, rows), np.arange(1 - cols, cols), indexing="ij")
+    """Offsets (dr, dc) within ``hop`` that fit the grid, row-major, searched in the box
+    they fit in; set-up lays every bin over all of them: ``rows * cols * dr.size`` slots."""
+    reach_r, reach_c = min(hop, rows - 1), min(hop, cols - 1)
+    dr, dc = np.meshgrid(np.arange(-reach_r, reach_r + 1), np.arange(-reach_c, reach_c + 1), indexing="ij")
     near = np.abs(dr) + np.abs(dc) <= hop
     return dr[near], dc[near]
 

@@ -156,16 +156,21 @@ def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams,
     return col / (off + diag)
 
 
-def _transient_values(partition: Partition, topology: Topology) -> np.ndarray:
-    """The transient columns in stencil slots, recurrent rows zero.
-
-    A transient bin splits its mass evenly over its neighbours one distance
-    layer closer to the support, the recurrent bins for the nearest layer.
-    """
+def _allowed_slots(partition: Partition, topology: Topology) -> np.ndarray:
+    """Marks the real slots the partition lets each column use: a recurrent
+    bin's recurrent neighbours, itself included, and a transient bin's
+    neighbours one distance layer closer to the support."""
     layer = np.zeros(topology.m, dtype=np.int64)
     for k, bins in enumerate(partition.layers):
         layer[bins] = k + 1
-    closer = topology.real & (layer[topology.rows] == layer[:, np.newaxis] - 1)
+    return topology.real & (layer[topology.rows] == np.maximum(layer - 1, 0)[:, np.newaxis])
+
+
+def _transient_values(partition: Partition, topology: Topology) -> np.ndarray:
+    """The transient columns in stencil slots, recurrent rows zero: a
+    transient bin splits its mass evenly over its allowed slots."""
+    closer = _allowed_slots(partition, topology)
+    closer[partition.recurrent] = False
     values = np.zeros(topology.rows.shape)
     np.divide(1.0, closer.sum(axis=1, keepdims=True), out=values, where=closer)
     return values

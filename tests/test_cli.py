@@ -114,6 +114,9 @@ def test_blank_lines_ignored_between_keys():
         (lambda t: t.replace("seed=5", "seed 5"), "expected key=value", 7),
         (lambda t: "map:\n" + t, "before rows= and cols=", 1),
         (lambda t: t + "map:\n11\n6c\n", "duplicate map", 12),
+        # A grid section with no positive weight is refused at its header.
+        (lambda t: t.replace("11\n6c", "..\n00"), "map must be positive on at least one bin", 9),
+        (lambda t: t + "init_map:\n..\n.0\n", "init_map must be positive on at least one bin", 12),
     ],
 )
 def test_parse_errors_carry_line_numbers(mutate, fragment, lineno):

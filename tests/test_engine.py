@@ -83,6 +83,8 @@ def test_scenario_validation():
         ("weights", dict(weights=((1, 1), (1,)))),
         ("init_weights", dict(init_weights=((1, 0, 0), (0, 0, 0), (0, 0, 0)))),
         ("init_weights", dict(init_weights=((1, 1, 0), (0, 0)))),
+        ("weights", dict(weights=((0, 0), (0, 0)))),
+        ("init_weights", dict(init_weights=((0, 0), (0, 0)))),
         # A scenario file writes each weight as one character, 0 to 35, so
         # render_scenario has no character for 36 or 0.5, and -1 is no weight.
         *(
@@ -323,6 +325,28 @@ def test_run_scenario_event_at_step_zero():
     assert metrics.num_agents[0] == 70
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_run_scenario_event_schedule(mode):
+    # Events at step 0, two at step 2 (applied in file order) and one at the
+    # last step; snapshots at event steps see the swarm after the events.
+    s = Scenario(
+        2, 2, 1, 1000, 4, "dsmc", 3, mode, ((1, 1), (6, 12)),
+        events=(
+            Event(step=2, kind="remove_fraction", fraction=0.5),
+            Event(step=0, kind="remove_fraction", fraction=0.1),
+            Event(step=4, kind="remove_fraction", fraction=0.25),
+            Event(step=2, kind="remove_fraction", fraction=0.3),
+        ),
+    )
+    metrics, snapshots = run_scenario(s, snapshot_steps=(0, 1, 2, 4))
+    assert metrics.steps == [0, 1, 2, 3, 4]
+    assert metrics.num_agents == [900, 900, 315, 315, 237]
+    assert sorted(snapshots) == [0, 1, 2, 4]
+    for k, total in ((0, 900), (1, 900), (2, 315), (4, 237)):
+        assert snapshots[k].counts.sum() == pytest.approx(total, rel=1e-12)
+        assert snapshots[k].density.sum() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_run_scenario_baseline_reuses_one_matrix():
     captured = []
     s = Scenario(2, 2, 1, 50, 3, "mh", 5, "deterministic", ((1, 1), (6, 12)))
@@ -376,6 +400,7 @@ def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
         ("negative", "min entry -0.1"),
         ("column sum", "column sum deviation 0.1999"),
         ("padded slot", ", 1 mask violations$"),
+        ("transient bin", ", 1 mask violations$"),
     ],
 )
 @pytest.mark.parametrize("mode", ["deterministic", "monte-carlo"])
@@ -384,7 +409,9 @@ def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment,
     # the matrix.  On 3x3 bins at hop 1 a bin has 5 slots; corner bin 0, on
     # the support's edge, lists itself and bins 1 and 3, so its last two
     # slots are padding.  The padded-slot leak keeps every column sum at 1,
-    # so only the padded-slot check can see it.
+    # so only the padded-slot check can see it.  So does the leak from
+    # recurrent bin 1 into the slot of transient bin 2, which the topology
+    # lists but the recurrent stencil pads.
     def broken(current_r, desired_r, stencil, params):
         assert stencil.rows[0].tolist() == [0, 1, 2, 0, 0] and stencil.real[0].tolist() == [1, 1, 1, 0, 0]
         values = stencil.own.astype(float)
@@ -392,8 +419,11 @@ def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment,
             values[0, :2] = 1.1, -0.1
         elif defect == "column sum":
             values[0, 0] = 1.2
-        else:
+        elif defect == "padded slot":
             values[0, 0] = values[0, 4] = 0.5
+        else:
+            assert stencil.rows[1].tolist() == [0, 1, 1, 1, 1] and stencil.real[1].tolist() == [1, 1, 0, 0, 0]
+            values[1, 1] = values[1, 2] = 0.5
         return values
 
     monkeypatch.setattr(engine_module, "dsmc_recurrent", broken)
@@ -402,6 +432,45 @@ def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment,
     with pytest.raises(RuntimeError, match=f"failed validation at step 0: .*{fragment}"):
         run_scenario(scenario, matrix_hook=lambda k, mat: hooked.append(k))
     assert hooked == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_scenario_audit_refuses_a_baseline_leaking_onto_a_transient_bin(monkeypatch, mode):
+    # Recurrent bin 1 of the support {0, 1, 3} sends half its mass to the
+    # slot of transient bin 2; every column still sums to 1.
+    def leaking(desired_r, stencil):
+        values = stencil.own.astype(float)
+        values[1, 1] = values[1, 2] = 0.5
+        return values
+
+    monkeypatch.setattr(engine_module, "mh_recurrent", leaking)
+    scenario = Scenario(3, 3, 1, 100, 2, "mh", 7, mode, ((1, 1, 0), (1, 0, 0), (0, 0, 0)))
+    hooked = []
+    with pytest.raises(RuntimeError, match="failed validation before step 0: .*, 1 mask violations$"):
+        run_scenario(scenario, matrix_hook=lambda k, mat: hooked.append(k))
+    assert hooked == []
+
+
+@pytest.mark.parametrize("defect", ["own bin", "own layer"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_scenario_audit_refuses_transient_columns_off_their_layers(monkeypatch, defect, algorithm):
+    # 3x3 bins at hop 1 with support {0, 1}: bins 2, 3 and 4 form layer 1.
+    # Transient bin 3 lists bins 0, 3, 4 and 6 and sends all its mass to bin
+    # 0; the broken columns keep half of it, or pass half to bin 4 in the
+    # same layer.  Column sums stay 1 and every slot used is real in the
+    # topology, so only the partition's own slots can refuse them.
+    def broken(partition, topology):
+        values = transient(partition, topology)
+        assert topology.rows[3].tolist() == [0, 3, 4, 6, 3] and values[3].tolist() == [1.0, 0, 0, 0, 0]
+        values[3, 0] = values[3, 1 if defect == "own bin" else 2] = 0.5
+        return values
+
+    transient = _transient_values
+    monkeypatch.setattr(engine_module, "_transient_values", broken)
+    scenario = Scenario(3, 3, 1, 100, 2, algorithm, 7, "deterministic", ((1, 1, 0), (0, 0, 0), (0, 0, 0)))
+    when = "before" if algorithm == "mh" else "at"
+    with pytest.raises(RuntimeError, match=f"failed validation {when} step 0: .*, 1 mask violations$"):
+        run_scenario(scenario)
 
 
 def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
