@@ -1,5 +1,5 @@
-"""Hot inner-loop kernels: agent advancement, recurrent column synthesis and
-the slot-order column sum.
+"""Hot inner-loop kernels: agent advancement, initial placement, recurrent
+column synthesis and the slot-order column sum.
 
 All are vectorized numpy and all work in stencil layout (see
 ``swarmguide.graph.Topology``): column j of a transition matrix is row j of
@@ -30,14 +30,25 @@ cumulative table, so no agents x w temporary is ever built.
 A matrix that drives many steps, the fixed Metropolis-Hastings chain, moves
 most agents, so the stay test settles few.  ``build_guide`` builds its
 tables once instead: the cumulative table, the last positive slots and a
-guide table (Chen and Asau's indexed search) that splits [0, 1) into
-``GUIDE_CELLS`` cells per bin and holds one destination per cell, m x 64
-int64 entries (about 5 MB at 10^4 bins).  It is exact, not an
-approximation.  Draws are multiples of 2^-53, so ``int(z * 64)`` is exact,
-and the full search's answer, round-off clamp included, never decreases as
-the draw grows.  So a cell with no cumulative boundary strictly inside has
-one answer for all its draws.  A cell with one holds -1, and only the
-agents whose draw falls there (about 3% on letter-E) run the search.
+guide table (Chen and Asau's indexed search) that splits [0, 1) into a
+power-of-two number of cells per bin, ``GUIDE_CELLS`` for a matrix, and
+holds one destination per cell, m x 64 int64 entries (about 5 MB at 10^4
+bins).  It is exact, not an approximation.  Draws are multiples of 2^-53,
+so ``int(z * cells)`` is exact, and the full search's answer, round-off
+clamp included, never decreases as the draw grows.  So a cell with no
+cumulative boundary strictly inside has one answer for all its draws.  A
+cell with one holds -1, and only the agents whose draw falls there (about
+3% on letter-E) run the search.
+
+Initial placement samples one fixed distribution over all m bins, a single
+column whose stencil is every bin.  ``placement_guide`` builds its table
+with the smallest power of two >= ``GUIDE_CELLS`` m cells, int32 bins (2^20
+cells, 4 MB, at 10^4 bins): with only m cells, most cells of a uniform
+start would hold a boundary.  ``place`` reads the table in blocks, so its
+only agents-sized array is its result, and the agents in split
+cells (about 1.3% on the 40x40 ``wide_grid`` start) take one
+``np.searchsorted`` with the round-off clamp instead of the slot search,
+since here w = m.
 """
 from __future__ import annotations
 
@@ -46,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 
-GUIDE_CELLS = 64  # guide cells per bin, a power of two so that z * GUIDE_CELLS is exact
-_CELL_SHIFT = 53 - (GUIDE_CELLS.bit_length() - 1)  # a cell spans 2**_CELL_SHIFT draws
+GUIDE_CELLS = 64  # guide cells per bin of a matrix, a power of two so that z * GUIDE_CELLS is exact
+_PLACE_BLOCK = 1 << 16  # agents per block in ``place``
 
 
 class Guide(NamedTuple):
@@ -56,8 +67,8 @@ class Guide(NamedTuple):
     ``cum`` and ``last`` are the cumulative table and the last positive
     slots, which ``advance_agents`` otherwise derives on every call.
     ``table[j, c]`` is the destination of every draw of bin j in
-    [c, c + 1) / GUIDE_CELLS, or -1 where a cumulative boundary lies
-    strictly inside that cell.
+    [c, c + 1) / cells, with ``cells = table.shape[1]``, or -1 where a
+    cumulative boundary lies strictly inside that cell.
     """
 
     cum: np.ndarray
@@ -84,32 +95,62 @@ def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, last: np.nd
     return rows[from_bin, np.minimum(hits, last[from_bin])]
 
 
-def build_guide(values: np.ndarray, rows: np.ndarray) -> Guide:
+def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) -> Guide:
     """The sampler tables of the matrix ``values`` over ``rows``, for
-    ``advance_agents`` to sample it through, step after step.
+    ``advance_agents`` to sample it through, step after step, with
+    ``cells`` guide cells per bin, a power of two.
 
     A draw z = k 2^-53 passes cumulative entry b when b <= z, that is when
     k >= K = ceil(b 2^53), so boundaries and cells are compared as
-    integers.  Cell c of a bin spans the draw indices [c, c + 1) 2^47; with
-    no K strictly inside, every draw in it gets the search's answer at its
-    first draw.
+    integers.  Cell c of a bin spans the draw indices [c, c + 1) 2^shift,
+    with 2^shift = 2^53 / cells; with no K strictly inside, every draw in
+    it gets the search's answer at its first draw.
     """
+    shift = 53 - (cells.bit_length() - 1)  # a cell spans 2**shift draws
     cum, last = _cumulative(values)
     m, w = values.shape
     first = np.ceil(cum[1:] * 2.0**53).astype(np.int64)  # K, w x m, ascending down each column
-    cell = first >> _CELL_SHIFT  # the cell holding K; GUIDE_CELLS or more: none
+    cell = first >> shift  # the cell holding K; cells or more: none
     # Slot s, clamped to the last positive one, answers the cells from the
     # one holding boundary s - 1 up to the one holding boundary s.
     bounds = np.zeros((m, w + 2), dtype=np.int64)
-    bounds[:, 1:-1] = np.minimum(cell, GUIDE_CELLS).T
-    bounds[:, -1] = GUIDE_CELLS
+    bounds[:, 1:-1] = np.minimum(cell, cells).T
+    bounds[:, -1] = cells
     dest = np.take_along_axis(rows, np.minimum(np.arange(w + 1), last[:, np.newaxis]), axis=1)
-    table = np.repeat(dest.ravel(), np.diff(bounds, axis=1).ravel()).reshape(m, GUIDE_CELLS)
+    table = np.repeat(dest.ravel(), np.diff(bounds, axis=1).ravel()).reshape(m, cells)
     # A cell with a boundary strictly inside is left to the search; one on
     # its first draw is passed by all of it.
-    inside = (first & ((1 << _CELL_SHIFT) - 1) != 0) & (cell < GUIDE_CELLS)
-    table.reshape(-1)[(np.arange(m) * GUIDE_CELLS + cell)[inside]] = -1
+    inside = (first & ((1 << shift) - 1) != 0) & (cell < cells)
+    table.reshape(-1)[(np.arange(m) * cells + cell)[inside]] = -1
     return Guide(cum=cum, last=last, table=table)
+
+
+def placement_guide(density: np.ndarray) -> Guide:
+    """The guide of the one distribution ``density`` over all its m bins,
+    for ``place``: one column whose destinations are bins 0 .. m - 1, with
+    the smallest power of two >= ``GUIDE_CELLS`` m cells.  Its table holds
+    int32 bins, 4 MB at 10^4 bins."""
+    m = density.size
+    bins = np.arange(m, dtype=np.int32)[np.newaxis]
+    return build_guide(density[np.newaxis], bins, 1 << (GUIDE_CELLS * m - 1).bit_length())
+
+
+def place(z: np.ndarray, guide: Guide) -> np.ndarray:
+    """The bins of draws ``z`` from the distribution of ``guide``, a
+    ``placement_guide``, for draws that are multiples of 2^-53.
+
+    Bit for bit ``np.minimum(np.searchsorted(cum, z, side="right"), last)``
+    over the cumulative density ``cum`` and its last positive bin ``last``,
+    as the guide holds them.  The cells are read in blocks, so no
+    temporary besides the result is as large as ``z``.
+    """
+    table, cells = guide.table[0], guide.table.shape[1]
+    out = np.empty(z.size, dtype=np.int64)
+    for lo in range(0, z.size, _PLACE_BLOCK):
+        out[lo:lo + _PLACE_BLOCK] = table.take((z[lo:lo + _PLACE_BLOCK] * cells).astype(np.int64))
+    split = np.nonzero(out < 0)[0]
+    out[split] = np.minimum(np.searchsorted(guide.cum[1:, 0], z[split], side="right"), guide.last[0])
+    return out
 
 
 def advance_agents(
@@ -134,8 +175,9 @@ def advance_agents(
     search.
     """
     if guide is not None:
-        cell = (z * GUIDE_CELLS).astype(np.int64)
-        cell += bins * GUIDE_CELLS
+        cells = guide.table.shape[1]
+        cell = (z * cells).astype(np.int64)
+        cell += bins * cells
         out = guide.table.take(cell)
         open_cells = np.nonzero(out < 0)[0]
         out[open_cells] = _search(bins[open_cells], z[open_cells], guide.cum, guide.last, rows)

@@ -33,7 +33,9 @@ Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
 for a topology of at most ``MAX_VERIFY_BINS`` bins, ``export-matrix`` dumps
 one synthesized matrix.  All output files are UTF-8 with LF line endings and
-``.`` decimal separators.
+``.`` decimal separators.  Floats are written as their ``repr`` and integral
+counts as integers; the snapshot and matrix writers format each distinct
+value once.
 """
 from __future__ import annotations
 
@@ -254,14 +256,30 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _texts(values, fmt=repr) -> list:
+    """``fmt(float(v))`` for every entry of ``values``, as nested lists of
+    its shape.  ``fmt`` runs once per distinct value, keyed by bit pattern
+    so that -0.0 and 0.0 stay apart: a snapshot or a dense matrix repeats
+    few values over many entries."""
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    text = np.array([fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return text[inverse].reshape(values.shape).tolist()
+
+
 def _snapshot_csv(scenario: Scenario, snapshot) -> str:
     desired = scenario.desired_density()
-    lines = ["bin,row,col,desired,count,density"]
-    for b in range(desired.size):
-        r, c = divmod(b, scenario.cols)
-        density = repr(float(snapshot.density[b]))
-        lines.append(f"{b},{r},{c},{repr(float(desired[b]))},{_cell(snapshot.counts[b])},{density}")
-    return "\n".join(lines) + "\n"
+    rows, cols = scenario.rows, scenario.cols
+    # Column by column: each distinct row, column and value is formatted once.
+    columns = (
+        map(str, range(desired.size)),
+        [r for r in map(str, range(rows)) for _ in range(cols)],
+        [str(c) for c in range(cols)] * rows,
+        _texts(desired),
+        _texts(snapshot.counts, _cell),
+        _texts(snapshot.density),
+    )
+    return "\n".join(["bin,row,col,desired,count,density", *map(",".join, zip(*columns))]) + "\n"
 
 
 def cmd_run(scenario_path, out_dir, seed=None) -> int:
@@ -361,8 +379,7 @@ def cmd_export_matrix(scenario_path, step, out_path) -> int:
 
     run_scenario(head, matrix_hook=hook)
     matrix = last["matrix"]
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    _write_text(Path(out_path), "\n".join(lines) + "\n")
+    _write_text(Path(out_path), "\n".join(map(",".join, _texts(matrix))) + "\n")
     print(f"wrote {out_path} ({matrix.shape[0]}x{matrix.shape[1]})")
     return 0
 

@@ -20,7 +20,10 @@ against the audit stencil built at set-up, where only the slots the
 partition allows are real: recurrent to recurrent, transient one layer closer.
 Then ``step_agents`` samples it or ``propagate_density`` moves the density
 through it, both from its stencil values.  The baseline's sampler tables,
-a guide table included, are built once, after its audit.  The density step
+a guide table included, are built once, after its audit; initial placement
+reads the initial density through a guide of its own,
+``_kernels.placement_guide``, and a removal event finds its victims with
+one partition of the removal draws.  The density step
 adds each destination's sources in ascending order, slot by slot, so no
 BLAS kernel chooses the summation order.  A dense m x m matrix is built
 only for a ``matrix_hook``, which is how ``export-matrix`` reads it; a
@@ -271,14 +274,18 @@ class MetricsSeries:
 
 
 def initial_swarm(scenario: Scenario) -> SwarmState:
-    """Place agents by inverse-CDF sampling of the initial density."""
+    """Place agents by inverse-CDF sampling of the initial density.
+
+    Agent k lands on the first bin whose cumulative initial density exceeds
+    its placement draw, or on the last bin with positive density when
+    round-off leaves the total at or below the draw.  The draws are read
+    through an exact guide table, ``_kernels.placement_guide``.
+    """
     x0 = check_density(scenario.initial_density(), name="initial density")
     ids = np.arange(scenario.agents, dtype=np.uint64)
     z = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
-    cum = np.cumsum(x0)
-    # Round-off clamp onto the last bin with positive initial density.
-    assignments = np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum())
-    return SwarmState(assignments=assignments.astype(np.int64), agent_ids=ids, seed=scenario.seed)
+    assignments = _kernels.place(z, _kernels.placement_guide(x0))
+    return SwarmState(assignments=assignments, agent_ids=ids, seed=scenario.seed)
 
 
 def step_agents(
@@ -327,15 +334,20 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
 
     Removes floor(fraction * population) agents, chosen by ranking each
     agent's removal-stream draw for the event step, so the victims are a
-    uniform sample independent of everything the move stream did.
+    uniform sample independent of everything the move stream did.  The
+    victims are the ``doomed`` lowest draws, ties broken by position, which
+    is the set ``np.argsort(z, kind="stable")[:doomed]`` picks, found in
+    linear time: every draw below the ``doomed``-th smallest goes, and the
+    draws equal to it go in ascending position until ``doomed`` are gone.
     """
     doomed = math.floor(event.fraction * swarm.num_agents)
     if doomed == 0:
         return swarm
     z = uniform_stream(swarm.seed, REMOVAL_STREAM, event.step, swarm.agent_ids)
-    victims = np.argsort(z, kind="stable")[:doomed]
-    keep = np.ones(swarm.num_agents, dtype=bool)
-    keep[victims] = False
+    cut = np.partition(z, doomed - 1)[doomed - 1]  # the doomed-th lowest draw
+    keep = z >= cut
+    ties = np.nonzero(z == cut)[0]
+    keep[ties[: doomed - np.count_nonzero(~keep)]] = False
     return SwarmState(
         assignments=swarm.assignments[keep],
         agent_ids=swarm.agent_ids[keep],

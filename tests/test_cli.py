@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from swarmguide import (
 )
 import swarmguide.cli as cli
 import swarmguide.engine as engine
+from swarmguide.engine import Snapshot, run_scenario
 from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_VERIFY_BINS, main
 
-from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle
+from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle, snapshot_csv_oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -414,3 +416,40 @@ def test_cmd_export_matrix_step_out_of_range(tmp_path, capsys):
         "--step", "2", "--out", str(tmp_path / "m.csv"),
     ]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("mode", ["monte-carlo", "deterministic"])
+def test_snapshot_csv_matches_the_per_bin_writer(mode):
+    # Both modes' real snapshots: integral counts in Monte Carlo mode,
+    # fractional ones in deterministic mode.
+    scenario = load_scenario(SCENARIOS / "letter_e.txt")
+    scenario = replace(scenario, mode=mode, steps=3, events=())
+    _, snapshots = run_scenario(scenario, snapshot_steps=(0, 3))
+    for snapshot in snapshots.values():
+        assert cli._snapshot_csv(scenario, snapshot) == snapshot_csv_oracle(scenario, snapshot)
+    # Values whose text is easy to get wrong, each twice: signed zeros,
+    # subnormals, 1e-05 (where repr switches to an exponent) and 1e-04, 1e16
+    # (an integral count past 2^53), integral and fractional counts.
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e-04, 1e16, 3.0, 2.5, 1.0 / 3.0]
+    grid = replace(scenario, rows=4, cols=5, hop=1, weights=((1, 0, 2, 0, 3),) * 4, init_weights=None)
+    snapshot = Snapshot(step=0, counts=np.array(special * 2), density=np.array(special[::-1] * 2))
+    text = cli._snapshot_csv(grid, snapshot)
+    assert text == snapshot_csv_oracle(grid, snapshot)
+    assert text.splitlines()[4:11] == [
+        "3,0,3,0.0,2.2250738585072014e-308,1e+16",
+        "4,0,4,0.125,1e-05,0.0001",
+        "5,1,0,0.041666666666666664,0.0001,1e-05",
+        "6,1,1,0.0,10000000000000000,2.2250738585072014e-308",
+        "7,1,2,0.08333333333333333,3,5e-324",
+        "8,1,3,0.0,2.5,-0.0",
+        "9,1,4,0.125,0.3333333333333333,0.0",
+    ]
+
+
+def test_texts_formats_by_bit_pattern_in_the_input_shape():
+    matrix = np.array([[0.0, -0.0, 0.0], [1e-05, 5e-324, 1e-05]])
+    assert cli._texts(matrix) == [["0.0", "-0.0", "0.0"], ["1e-05", "5e-324", "1e-05"]]
+    calls = []
+    assert cli._texts(np.array([2.0, 2.0, -0.0, 0.5]), lambda v: calls.append(v) or repr(v)) == ["2.0", "2.0", "-0.0", "0.5"]
+    assert sorted(calls) == [-0.0, 0.5, 2.0]

@@ -26,10 +26,11 @@ from swarmguide import (
     step_agents,
     total_variation,
 )
+from swarmguide._rng import PLACEMENT_STREAM, uniform_stream
 from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MODES
 from swarmguide.synthesis import _transient_values
 
-from testutil import brute_force_grid_adjacency, dense_replay, dense_transient_oracle
+from testutil import brute_force_grid_adjacency, dense_replay, dense_transient_oracle, stable_removal_oracle
 
 LETTER_E = Path(__file__).resolve().parent.parent / "scenarios" / "letter_e.txt"
 
@@ -171,6 +172,27 @@ def test_initial_swarm_roughly_uniform():
     assert np.all(np.abs(counts - 1000) < 4 * np.sqrt(4000 * 0.25 * 0.75))
 
 
+@pytest.mark.parametrize("side, searchsorted_peak", [(20, 32_007_507), (100, 32_161_043)])
+def test_initial_swarm_peak_is_no_higher_than_one_searchsorted(side, searchsorted_peak):
+    # 10^6 agents from a uniform start over side x side bins.  Placement by
+    # one clamped searchsorted over all draws peaked at these byte counts
+    # under tracemalloc: the ids, the draws and two agents-sized int64
+    # arrays.  The guide reads its cells in blocks, so besides the result it
+    # holds no agents-sized array, only its table (4 MB at 10^4 bins).
+    agents = 10**6
+    s = Scenario(side, side, 1, agents, 1, "dsmc", 3, "monte-carlo", tuple((1,) * side for _ in range(side)))
+    tracemalloc.start()
+    try:
+        swarm = initial_swarm(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= searchsorted_peak
+    cum = np.cumsum(s.initial_density())
+    z = uniform_stream(3, PLACEMENT_STREAM, 0, swarm.agent_ids)
+    assert np.array_equal(swarm.assignments, np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum()))
+
+
 def complete_graph(m: int):
     """The stencil on which every dense m x m matrix steps: all bins adjacent."""
     return make_topology(np.ones((m, m), dtype=bool))
@@ -256,6 +278,33 @@ def test_apply_event_removes_floor_of_fraction():
     # Deterministic: the same event picks the same victims.
     again = apply_event(swarm, Event(step=2, kind="remove_fraction", fraction=0.25))
     assert np.array_equal(again.agent_ids, out.agent_ids)
+
+
+def test_apply_event_picks_the_stable_sort_victims(monkeypatch):
+    # Draws on a coarse grid tie everywhere: below the cut, at it and above
+    # it.  The victims are the lowest draws, ties at the cut taken in
+    # ascending position, exactly as a stable sort ranks them.
+    rng = np.random.default_rng(53)
+    draws = {}
+    monkeypatch.setattr(engine_module, "uniform_stream", lambda seed, stream, step, ids: draws["z"])
+    swarm = SwarmState(np.arange(12) % 5, np.arange(100, 112, dtype=np.uint64), seed=1)
+    hand = np.array([0.5, 0.25, 0.75, 0.25, 0.5, 0.0, 0.5, 0.75, 0.5, 0.25, 0.0, 0.5])
+    # Five draws lie below 0.5 and five tie at it: removing 7 takes the
+    # first two of the ties, at positions 0 and 4.
+    draws["z"] = hand
+    out = apply_event(swarm, Event(step=3, kind="remove_fraction", fraction=7 / 12))
+    assert out.agent_ids.tolist() == [102, 106, 107, 108, 111]
+    cases = [(hand, f) for f in (0.1, 0.2, 0.25, 0.5, 0.99)]
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        cases.append((rng.integers(0, int(rng.integers(1, 6)), n) / 4.0, float(rng.uniform(0.01, 0.99))))
+    for z, fraction in cases:
+        swarm = SwarmState(rng.integers(0, 9, z.size), rng.permutation(z.size).astype(np.uint64), seed=1)
+        draws["z"] = z
+        event = Event(step=3, kind="remove_fraction", fraction=fraction)
+        got, expected = apply_event(swarm, event), stable_removal_oracle(swarm, event, z)
+        assert np.array_equal(got.agent_ids, expected.agent_ids)
+        assert np.array_equal(got.assignments, expected.assignments)
 
 
 def test_apply_event_small_swarm_can_remove_nobody():
@@ -512,12 +561,12 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
 def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch, algorithm, mode):
     # The fixed chain's sampler tables are built at set-up and handed to
     # every step; a feedback matrix changes every step and is sampled
-    # without them.
+    # without them.  Initial placement builds its own one-column guide.
     builds, guides = [], []
     build, advance = _kernels.build_guide, _kernels.advance_agents
 
-    def counting_build(values, rows):
-        builds.append(build(values, rows))
+    def counting_build(values, rows, cells=_kernels.GUIDE_CELLS):
+        builds.append(build(values, rows, cells))
         return builds[-1]
 
     def recording_advance(bins, z, values, rows, guide=None):
@@ -528,6 +577,9 @@ def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch,
     monkeypatch.setattr(_kernels, "advance_agents", recording_advance)
     scenario = replace(load_scenario(LETTER_E), steps=12, events=(), algorithm=algorithm, mode=mode)
     run_scenario(scenario)
+    placements = [g for g in builds if g.table.shape[0] == 1]
+    assert len(placements) == (1 if mode == "monte-carlo" else 0)
+    builds = [g for g in builds if g.table.shape[0] > 1]
     guided = algorithm == "mh" and mode == "monte-carlo"
     assert len(builds) == (1 if guided else 0)
     assert len(guides) == (12 if mode == "monte-carlo" else 0)

@@ -4,6 +4,7 @@ import numpy as np
 
 from swarmguide import _kernels, build_grid_topology
 from swarmguide.density import error_vector
+from swarmguide.engine import MAX_BINS
 
 from testutil import (
     advance_by_bin_oracle,
@@ -110,6 +111,26 @@ def test_guide_table_hand_case():
     for ends in expected.reshape(4, 2, 64).transpose(1, 0, 2):
         assert np.array_equal(np.where(guide.table >= 0, ends, -1), guide.table)
     assert expected.reshape(4, 2, 64)[[1, 3], :, [19, 16]].tolist() == [[0, 1], [0, 1]]
+
+
+def test_placement_guide_at_max_bins_fits_in_8_mb():
+    # A uniform start over MAX_BINS bins: 64 * 10^4 cells round up to 2^20,
+    # one int32 bin each.  The build, table included, stays within 8 MB.
+    density = np.full(MAX_BINS, 1.0 / MAX_BINS)
+    tracemalloc.start()
+    try:
+        guide = _kernels.placement_guide(density)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert guide.table.shape == (1, 2**20)
+    assert guide.table.nbytes <= peak <= 8 * 2**20
+    # More draws than one block of ``place``, so that blocks meet.
+    rng = np.random.default_rng(27)
+    z = np.floor(rng.random(3 * _kernels._PLACE_BLOCK + 5) * 2.0**53) * 2.0**-53
+    cum = np.cumsum(density)
+    expected = np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum())
+    assert np.array_equal(_kernels.place(z, guide), expected)
 
 
 def test_advance_clamps_to_last_bin():

@@ -4,10 +4,10 @@ Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
 the cases, for synthesis; stencils, columns and draws at the edges of
 each stay window for the agent sampler, and at the edges of each guide
-cell and cumulative boundary for the guided one; the same columns with
-subnormals and signed zeros, for the slot-order column sum; deterministic
-runs, replayed one dense product at a time; and whole scenarios for the
-scenario file format.
+cell and cumulative boundary for the guided one and for initial
+placement; the same columns with subnormals and signed zeros, for the
+slot-order column sum; deterministic runs, replayed one dense product at a
+time; and whole scenarios for the scenario file format.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
@@ -32,7 +32,7 @@ from swarmguide import (
     render_scenario,
     total_variation,
 )
-from swarmguide.density import SUM_TOL
+from swarmguide.density import SUM_TOL, from_weight_map
 from swarmguide.synthesis import _transient_values
 
 from testutil import (
@@ -324,6 +324,52 @@ def test_guided_sampler_equals_the_per_bin_oracle(case, agents, seed):
     cell_bins, cells = np.nonzero(guide.table >= 0)
     for end in (cells * 2.0**-6, (cells + 1) * 2.0**-6 - 2.0**-53):
         assert np.array_equal(guide.table[cell_bins, cells], advance_by_bin_oracle(cell_bins, end, values, stencil.rows))
+
+
+@st.composite
+def placement_weights(draw):
+    """A row of weights, zeros among them: the four of a 2x2 grid whose
+    cumulative total rounds below 1, a row of scenario weights, or floats
+    down to 1e-12, small enough to put a boundary inside the last cell."""
+    return draw(st.one_of(
+        st.just((1, 4, 1, 0)),
+        st.lists(st.integers(0, 35), min_size=1, max_size=60).filter(any),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=60).filter(any),
+    ))
+
+
+@SETTINGS
+@given(placement_weights(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_placement_guide_equals_the_clamped_searchsorted(weights, agents, seed):
+    density = from_weight_map(np.array([weights], dtype=float))
+    m = density.size
+    guide = _kernels.placement_guide(density)
+    cells = guide.table.shape[1]
+    assert cells & (cells - 1) == 0 and _kernels.GUIDE_CELLS * m <= cells < 2 * _kernels.GUIDE_CELLS * m
+    cum = np.cumsum(density)
+    last = (cum < cum[-1]).sum()
+
+    def oracle(z):
+        return np.minimum(np.searchsorted(cum, z, side="right"), last)
+
+    # Per agent, a draw on the 2^-53 grid: uniform, 0, the largest below 1,
+    # a cell edge or the draw below it, or the first draw at or above a
+    # cumulative boundary or the draw below that.
+    rng = np.random.default_rng(seed)
+    top = 2.0**53 - 1.0
+    boundary = np.ceil(cum[rng.integers(0, m, agents)] * 2.0**53)
+    edge = rng.integers(0, cells + 1, agents) * (2.0**53 / cells)
+    options = np.stack([
+        np.floor(rng.random(agents) * 2.0**53), np.zeros(agents), np.full(agents, top),
+        edge, edge - 1.0, boundary, boundary - 1.0,
+    ])
+    z = np.clip(options[rng.integers(0, options.shape[0], agents), np.arange(agents)], 0.0, top) * 2.0**-53
+    assert np.array_equal(_kernels.place(z, guide), oracle(z))
+    # Every settled cell holds the oracle's answer at its first and last
+    # draws, and so at every draw in between.
+    settled = np.nonzero(guide.table[0] >= 0)[0]
+    for end in (settled / cells, (settled + 1) / cells - 2.0**-53):
+        assert np.array_equal(guide.table[0, settled], oracle(end))
 
 
 def _grids(rows, cols):

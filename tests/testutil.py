@@ -7,14 +7,17 @@ same code path.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 from swarmguide import (
+    Event,
     LaplacianView,
     Partition,
     SpectralReport,
+    SwarmState,
     Topology,
     ValidationReport,
     assemble,
@@ -25,6 +28,7 @@ from swarmguide import (
     symmetric_eigenvalues,
 )
 from swarmguide.analysis import CERT_TOL
+from swarmguide.engine import _cell
 
 
 def adjacency_of(topology: Topology) -> np.ndarray:
@@ -335,3 +339,24 @@ def dense_replay(scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     run_scenario(scenario, matrix_hook=hook)
     return densities, np.array(metrics.total_variation), replayed
+
+
+def stable_removal_oracle(swarm: SwarmState, event: Event, z: np.ndarray) -> SwarmState:
+    """A removal event by a stable sort of the removal draws ``z``: the
+    floor(fraction * population) lowest draws go, ties broken by position."""
+    doomed = math.floor(event.fraction * swarm.num_agents)
+    keep = np.ones(swarm.num_agents, dtype=bool)
+    keep[np.argsort(z, kind="stable")[:doomed]] = False
+    return SwarmState(assignments=swarm.assignments[keep], agent_ids=swarm.agent_ids[keep], seed=swarm.seed)
+
+
+def snapshot_csv_oracle(scenario, snapshot) -> str:
+    """``final_snapshot.csv`` by one formatted line per bin, three ``repr``
+    calls or integer prints each."""
+    desired = scenario.desired_density()
+    lines = ["bin,row,col,desired,count,density"]
+    for b in range(desired.size):
+        r, c = divmod(b, scenario.cols)
+        density = repr(float(snapshot.density[b]))
+        lines.append(f"{b},{r},{c},{repr(float(desired[b]))},{_cell(snapshot.counts[b])},{density}")
+    return "\n".join(lines) + "\n"
