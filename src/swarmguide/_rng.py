@@ -59,6 +59,7 @@ def uniform_stream(seed: int, stream: int, step: int, ids: np.ndarray) -> np.nda
     z ^= np.right_shift(z, _U64[27], out=shifted)
     z *= _MIX_B_U64
     z ^= np.right_shift(z, _U64[31], out=shifted)
+    del shifted  # so that no more than z and the result are alive at once
     # Top 53 bits scale to the unit interval without rounding bias.
     out = np.right_shift(z, _U64[11], out=z).astype(np.float64)
     out *= 2.0**-53

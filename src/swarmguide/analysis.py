@@ -137,6 +137,7 @@ class SpectralReport:
         def fmt(x: float) -> str:
             return repr(float(x))
 
+        flags = ("connected", "eig_floor_ok", "eig_bound_ok", "contraction_ok", "lyapunov_ok", "certificates_ok")
         return [
             ("max_degree", str(self.max_degree)),
             ("d_chsn_used", fmt(self.d_chsn)),
@@ -146,12 +147,7 @@ class SpectralReport:
             ("rate_lower", fmt(self.rate_lower)),
             ("rate_upper", fmt(self.rate_upper)),
             ("lyapunov_margin", fmt(self.lyapunov_margin)),
-            ("connected", "true" if self.connected else "false"),
-            ("eig_floor_ok", "true" if self.eig_floor_ok else "false"),
-            ("eig_bound_ok", "true" if self.eig_bound_ok else "false"),
-            ("contraction_ok", "true" if self.contraction_ok else "false"),
-            ("lyapunov_ok", "true" if self.lyapunov_ok else "false"),
-            ("certificates_ok", "true" if self.certificates_ok else "false"),
+            *((flag, "true" if getattr(self, flag) else "false") for flag in flags),
         ]
 
 

@@ -21,13 +21,14 @@ sections::
 ``a``-``z`` weights 10-35.  Weights are normalized into a density.  An
 optional ``init_map:`` section with the same syntax gives the initial
 density; without it agents start uniformly over all bins.  ``event`` lines
-may repeat.  Blank lines are ignored outside the grid sections.  Sizes and
-counts below 1, grids of more than ``MAX_BINS`` bins or ``MAX_STENCIL_SLOTS``
-stencil slots and swarms of more than ``MAX_AGENTS`` agents (the limits of
-``swarmguide.engine``) are refused at their line while parsing, before
-anything is allocated for them, as are an unknown ``algorithm`` or
-``mode``, an event step outside [0, ``steps``] and a grid section with
-no positive weight.
+may repeat.  Blank lines are ignored outside the grid sections.  The
+parser checks the syntax and hands each setting at its line to
+``swarmguide.engine._check_setting``, the validator of ``Scenario`` and
+``compare``: sizes below 1, more than ``MAX_BINS`` bins, ``MAX_STENCIL_SLOTS``
+stencil slots or ``MAX_AGENTS`` agents and an unknown ``algorithm`` or
+``mode`` are refused at their line, before anything is allocated for them,
+as are an event step outside [0, ``steps``] and a grid section with no
+positive weight.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
@@ -50,16 +51,15 @@ import numpy as np
 from .analysis import contraction_certificate
 from .density import total_variation
 from .engine import (
-    ALGORITHMS,
     MAX_AGENTS,
     MAX_BINS,
     MAX_STENCIL_SLOTS,
-    MODES,
+    SETTINGS,
     Event,
     Scenario,
+    _CHOICES,
     _cell,
-    _require_agents,
-    _require_choice,
+    _check_setting,
     _require_some_weight,
     check_grid_size,
     run_scenario,
@@ -84,12 +84,9 @@ __all__ = [
 # peak RSS on 2 vCPUs.  The limits of a run are in ``swarmguide.engine``.
 MAX_VERIFY_BINS = 3_600
 
-_CHOICES = {"algorithm": ALGORITHMS, "mode": MODES}
-_REQUIRED_KEYS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
-_INT_KEYS = ("rows", "cols", "hop", "agents", "steps", "seed")
-_WEIGHT_CHARS = {".": 0, "#": 1}
-_WEIGHT_CHARS.update({str(d): d for d in range(10)})
-_WEIGHT_CHARS.update({chr(ord("a") + i): 10 + i for i in range(26)})
+# Weight w is written as character w; ``0`` and ``1`` also read as 0 and 1.
+_RENDER_CHARS = ".#23456789abcdefghijklmnopqrstuvwxyz"
+_WEIGHT_CHARS = {ch: w for w, ch in enumerate(_RENDER_CHARS)} | {"0": 0, "1": 1}
 
 
 class ScenarioFormatError(ValueError):
@@ -134,7 +131,7 @@ def _parse_grid(lines, start: int, rows: int, cols: int, label: str):
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioFormatError with a line number."""
     lines = text.split("\n")
-    values: dict[str, str] = {}
+    values: dict[str, int | str] = {}
     events: list[Event] = []
     event_lines: list[int] = []
     grids: dict[str, tuple] = {}
@@ -152,7 +149,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioFormatError(f"duplicate {stripped} section", lineno)
             if "rows" not in values or "cols" not in values:
                 raise ScenarioFormatError(f"{stripped} section before rows= and cols=", lineno)
-            grids[label], lineno = _parse_grid(lines, lineno + 1, int(values["rows"]), int(values["cols"]), label)
+            grids[label], lineno = _parse_grid(lines, lineno + 1, values["rows"], values["cols"], label)
             continue
         if "=" not in stripped:
             raise ScenarioFormatError(f"expected key=value, got {stripped!r}", lineno)
@@ -173,74 +170,38 @@ def parse_scenario(text: str) -> Scenario:
                 events.append(Event(step=step, kind="remove_fraction", fraction=fraction))
             event_lines.append(lineno)
             continue
-        if key not in _REQUIRED_KEYS:
+        if key not in SETTINGS:
             raise ScenarioFormatError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
-        if key in _INT_KEYS:
+        if key not in _CHOICES:  # every setting but a choice is an integer
             try:
-                int(value)
+                value = int(value)
             except ValueError:
                 raise ScenarioFormatError(f"{key} must be an integer, got {value!r}", lineno) from None
         values[key] = value
-        if key in ("rows", "cols", "hop", "agents", "steps") and int(value) < 1:
-            raise ScenarioFormatError(f"{key} must be at least 1, got {value}", lineno)
-        if key == "agents":
-            with _at_line(lineno):
-                _require_agents(int(value))
-        if key in _CHOICES:
-            with _at_line(lineno):
-                _require_choice(key, value, _CHOICES[key])
-        if key in ("rows", "cols", "hop") and "rows" in values and "cols" in values:
-            # The bins once rows= and cols= are both read, the stencil once hop= is too.
-            with _at_line(lineno):
-                check_grid_size(int(values["rows"]), int(values["cols"]), int(values["hop"]) if "hop" in values else None)
+        with _at_line(lineno):
+            _check_setting(key, values)
 
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
+    missing = [k for k in SETTINGS if k not in values]
     if missing:
         raise ScenarioFormatError(f"missing required keys: {', '.join(missing)}")
     if "map" not in grids:
         raise ScenarioFormatError("missing map: section")
     for ev, line in zip(events, event_lines):
         with _at_line(line):
-            ev.require_within(int(values["steps"]))
+            ev.require_within(values["steps"])
     with _at_line(None):
-        return Scenario(
-            rows=int(values["rows"]),
-            cols=int(values["cols"]),
-            hop=int(values["hop"]),
-            agents=int(values["agents"]),
-            steps=int(values["steps"]),
-            algorithm=values["algorithm"],
-            seed=int(values["seed"]),
-            mode=values["mode"],
-            weights=grids["map"],
-            init_weights=grids.get("init_map"),
-            events=tuple(events),
-        )
+        return Scenario(**values, weights=grids["map"], init_weights=grids.get("init_map"), events=tuple(events))
 
 
 def load_scenario(path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-_RENDER_CHARS = {0: ".", 1: "#"}
-_RENDER_CHARS.update({d: str(d) for d in range(2, 10)})
-_RENDER_CHARS.update({10 + i: chr(ord("a") + i) for i in range(26)})
-
-
 def render_scenario(scenario: Scenario) -> str:
     """Serialize a scenario so that parse_scenario(render_scenario(s)) == s."""
-    lines = [
-        f"rows={scenario.rows}",
-        f"cols={scenario.cols}",
-        f"hop={scenario.hop}",
-        f"agents={scenario.agents}",
-        f"steps={scenario.steps}",
-        f"algorithm={scenario.algorithm}",
-        f"seed={scenario.seed}",
-        f"mode={scenario.mode}",
-    ]
+    lines = [f"{key}={getattr(scenario, key)}" for key in SETTINGS]
     for ev in scenario.events:
         lines.append(f"event={ev.kind},{ev.step},{repr(ev.fraction)}")
     for label, grid in (("map", scenario.weights), ("init_map", scenario.init_weights)):
@@ -303,7 +264,7 @@ def cmd_compare(scenario_path, algorithms, out_dir, checkpoints=None) -> int:
         raise ScenarioFormatError("no algorithms given")
     for a in algos:
         with _at_line(None):
-            _require_choice("algorithm", a, ALGORITHMS)
+            _check_setting("algorithm", {"algorithm": a})
     if checkpoints is None:
         marks = sorted({min(s, scenario.steps) for s in (0, 250, 750)})
     else:

@@ -68,6 +68,7 @@ __all__ = [
     "MAX_AGENTS",
     "MAX_BINS",
     "MAX_STENCIL_SLOTS",
+    "SETTINGS",
     "check_grid_size",
     "Event",
     "Scenario",
@@ -118,19 +119,33 @@ def check_grid_size(rows: int, cols: int, hop: int | None = None):
             )
 
 
-def _require_agents(agents: int):
-    if agents > MAX_AGENTS:
-        raise ValueError(f"agents={agents} exceeds the limit of {MAX_AGENTS} agents")
+# A scenario's scalar settings, in the order scenario files write them.
+SETTINGS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
+_SIZES = ("rows", "cols", "hop", "agents", "steps")
+_CHOICES = {"algorithm": ALGORITHMS, "mode": MODES}
+
+
+def _check_setting(name: str, settings: dict):
+    """Refuse ``settings[name]`` given only the settings read so far.
+
+    Every rule on a scenario's settings is here, for ``Scenario``, the parser
+    (at each key's line) and ``compare``.  Raises ValueError.
+    """
+    value = settings[name]
+    if name in _SIZES and value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    if name == "agents" and value > MAX_AGENTS:
+        raise ValueError(f"agents={value} exceeds the limit of {MAX_AGENTS} agents")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {_CHOICES[name]}")
+    if name in ("rows", "cols", "hop") and "rows" in settings and "cols" in settings:
+        # The bins once rows and cols are both known, the stencil once hop is too.
+        check_grid_size(settings["rows"], settings["cols"], settings.get("hop"))
 
 
 def _require_some_weight(name: str, grid):
     if not np.any(grid):
         raise ValueError(f"{name} must be positive on at least one bin")
-
-
-def _require_choice(name: str, value: str, options: tuple[str, ...]):
-    if value not in options:
-        raise ValueError(f"unknown {name} {value!r}, expected one of {options}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +176,9 @@ class Scenario:
     ``init_weights`` the optional initial-density grid; both hold integers
     in [0, 35], as scenario files write them, at least one of them
     positive, and any other grid is refused.  ``init_weights`` of None means
-    agents start uniformly over all bins.  A scenario beyond the size limits
-    is refused here, before any of it is built.
+    agents start uniformly over all bins.  ``_check_setting`` refuses the
+    first bad setting in ``SETTINGS`` order, so a scenario beyond the size
+    limits is refused here, before any of it is built.
     """
 
     rows: int
@@ -178,13 +194,10 @@ class Scenario:
     events: tuple[Event, ...] = ()
 
     def __post_init__(self):
-        _require_choice("algorithm", self.algorithm, ALGORITHMS)
-        _require_choice("mode", self.mode, MODES)
-        for name in ("rows", "cols", "hop", "agents", "steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        check_grid_size(self.rows, self.cols, self.hop)
-        _require_agents(self.agents)
+        settings = {}
+        for name in SETTINGS:
+            settings[name] = getattr(self, name)
+            _check_setting(name, settings)
         for name in ("weights", "init_weights"):
             grid = getattr(self, name)
             if grid is None:
@@ -368,8 +381,8 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     to drive step ``step`` to ``step + 1``, as a read-only dense array.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
-    desired = check_density(scenario.desired_density(), name="desired density")
-    partition = partition_states(topology, desired)
+    desired = scenario.desired_density()
+    partition = partition_states(topology, desired)  # checks the density first
     # The transient columns never change; ``restrict`` keeps slot positions,
     # so synthesized recurrent values drop into their topology rows unchanged.
     fixed = _transient_values(partition, topology)
@@ -405,8 +418,9 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         # partition_states has checked that the recurrent bins are connected.
         params = choose_d_chsn(neighbours)
 
+    # Monte Carlo row 0 reads its density from the placed agents.
     swarm = initial_swarm(scenario) if monte_carlo else None
-    x = check_density(scenario.initial_density(), name="initial density")
+    x = None if monte_carlo else check_density(scenario.initial_density(), name="initial density")
     population = scenario.agents
     transitions = 0.0
     metrics, snapshots = MetricsSeries(), {}

@@ -1,5 +1,6 @@
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from swarmguide import (
 )
 import swarmguide.cli as cli
 import swarmguide.engine as engine
-from swarmguide.engine import Snapshot, run_scenario
+from swarmguide.engine import SETTINGS, Snapshot, run_scenario
 from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_VERIFY_BINS, main
 
 from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle, snapshot_csv_oracle
@@ -200,6 +201,49 @@ def test_parse_refuses_sizes_below_one_at_their_line(tmp_path, capsys, old, new,
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"line {lineno}: {key} must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_settings_table_is_the_scenario_scalar_fields_in_order():
+    assert SETTINGS == tuple(f.name for f in fields(Scenario) if f.type in ("int", "str"))
+    # Every key differs from MINI's and from every other key's value.
+    s = Scenario(
+        3, 5, 2, 11, 13, "mh", 17, "deterministic",
+        weights=((1, 0, 2, 0, 35),) * 3,
+        init_weights=((0, 9, 0, 0, 10),) * 3,
+        events=(Event(step=4, kind="remove_fraction", fraction=0.25),),
+    )
+    text = render_scenario(s)
+    assert text.splitlines()[: len(SETTINGS)] == [f"{key}={getattr(s, key)}" for key in SETTINGS]
+    assert parse_scenario(text) == s
+
+
+_SETTINGS_OK = dict(rows=2, cols=2, hop=1, agents=40, steps=3, algorithm="dsmc", seed=5, mode="monte-carlo")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(steps=0),
+        dict(agents=MAX_AGENTS + 1),
+        dict(algorithm="magic"),
+        dict(mode="psychic"),
+        dict(rows=101, cols=100),
+        dict(rows=100, cols=100, hop=198),
+    ],
+)
+def test_scenario_and_parser_refuse_a_bad_setting_with_one_message(changes):
+    # One rule per case: sizes below 1, the agent limit, the two choices,
+    # the bin limit and the stencil limit.  Each setting the parser refuses
+    # is refused at its own line, before the map is read.
+    settings = {**_SETTINGS_OK, **changes}
+    text = "".join(f"{key}={settings[key]}\n" for key in SETTINGS) + "map:\n##\n##\n"
+    with pytest.raises(ScenarioFormatError) as parsed:
+        parse_scenario(text)
+    lineno, message = re.fullmatch(r"line (\d+): (.*)", str(parsed.value)).groups()
+    assert int(lineno) == 1 + SETTINGS.index(max(changes, key=SETTINGS.index))
+    with pytest.raises(ValueError) as built:
+        Scenario(**settings, weights=((1, 1), (1, 1)))
+    assert str(built.value) == message
 
 
 def _read(path: Path) -> str:

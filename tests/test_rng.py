@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from swarmguide._rng import (
@@ -93,3 +95,17 @@ def test_draws_leave_the_ids_untouched():
         before = ids.copy()
         uniform_stream(3, MOVE_STREAM, 2, ids)
         assert np.array_equal(ids, before) and ids.dtype == before.dtype
+
+
+def test_draws_hold_two_agents_sized_arrays_at_most():
+    # Besides the caller's ids, the hash buffer and the float result: 16 MB
+    # for 10^6 ids under tracemalloc.  With the shift scratch buffer still
+    # alive during the float conversion the peak was 24 MB.
+    ids = np.arange(10**6, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        uniform_stream(5, MOVE_STREAM, 1, ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ids.nbytes + 65_536
