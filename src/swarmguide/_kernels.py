@@ -17,15 +17,19 @@ stencil column sum, in synthesis, in the baseline chain and in the audit,
 is ``column_sums``.
 
 ``advance_agents`` samples in two passes, because feedback synthesis
-leaves most agents where they are.  First the stay test: with s the first
-slot of bin b's row that lists b itself and cum its cumulative row
-(cum[-1] read as 0), an agent in b with cum[s-1] <= z < cum[s] stays.
-That is what the full search returns: the cumulative row never decreases,
-so exactly s entries are <= z, and since cum[s-1] < cum[s] <= total the
-round-off clamp cannot cut below s either.  A slot with an empty window,
-such as a zero self slot or padding ahead of it, settles nobody.  Then
-only the movers search their column, one slot at a time over a w x m
-cumulative table, so no agents x w temporary is ever built.
+leaves most agents where they are.  First the stay test: with s bin b's
+stay slot, the real slot listing b itself (``Topology.stay``, derived once
+per stencil), and cum its cumulative row (cum[-1] read as 0), an agent in
+b with cum[s-1] <= z < cum[s] stays.  That is what the full search
+returns: the cumulative row never decreases, so exactly s entries are <=
+z, and since cum[s-1] < cum[s] <= total the round-off clamp cannot cut
+below s either.  A slot with an empty window, such as a zero self slot,
+settles nobody; a padded slot ahead of the self slot also lists b, but its
+window is empty too, so either slot gives the same destinations.  Then
+only the movers search their column, in blocks of ``_SEARCH_BLOCK``
+agents: one gather of the movers' columns from the (w + 1) x m cumulative
+table, built slot by slot, and one count of the entries at or below each
+draw.  So no agents x w temporary is ever built, only block x w ones.
 
 A matrix that drives many steps, the fixed Metropolis-Hastings chain, moves
 most agents, so the stay test settles few.  ``build_guide`` builds its
@@ -59,6 +63,7 @@ import numpy as np
 
 GUIDE_CELLS = 64  # guide cells per bin of a matrix, a power of two so that z * GUIDE_CELLS is exact
 _PLACE_BLOCK = 1 << 16  # agents per block in ``place``
+_SEARCH_BLOCK = 1 << 16  # movers per block in ``_search``: a block x w table, 13 MB at w = 25
 
 
 class Guide(NamedTuple):
@@ -81,18 +86,28 @@ def _cumulative(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # cum[s + 1, j]: cumulative probability of column j through slot s,
     # summed slot by slot as np.cumsum(values, axis=1) would; cum[0] = 0.
     cum = np.zeros((w + 1, m))
-    np.cumsum(values.T, axis=0, out=cum[1:])
+    if m < w:  # few long columns, such as the placement column: one pass down each
+        np.cumsum(values.T, axis=0, out=cum[1:])
+    else:  # a matrix's stencil: whole slot rows, added as ``column_sums`` adds them
+        cum[1] = values[:, 0]
+        for s in range(1, w):
+            np.add(cum[s], values[:, s], out=cum[s + 1])
     # Slot at which each column first reaches its total: its last positive entry.
     last = (cum[1:] < cum[-1]).sum(axis=0)
     return cum, last
 
 
 def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, last: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Destinations by the full search, one slot at a time, with the round-off clamp."""
-    hits = np.zeros(from_bin.size, dtype=np.int64)
-    for row in cum[1:]:
-        hits += row.take(from_bin) <= draw
-    return rows[from_bin, np.minimum(hits, last[from_bin])]
+    """Destinations by the full search, with the round-off clamp: the slot
+    is the number of cumulative entries at or below the draw, counted over
+    one gather of each block's columns."""
+    hits = np.empty(from_bin.size, dtype=np.int64)
+    for lo in range(0, from_bin.size, _SEARCH_BLOCK):
+        block = from_bin[lo:lo + _SEARCH_BLOCK]
+        hits[lo:lo + block.size] = (cum[1:].take(block, axis=1) <= draw[lo:lo + block.size]).sum(axis=0)
+    np.minimum(hits, last.take(from_bin), out=hits)
+    hits += from_bin * rows.shape[1]  # the flat index of each slot found
+    return rows.take(hits)
 
 
 def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) -> Guide:
@@ -154,7 +169,8 @@ def place(z: np.ndarray, guide: Guide) -> np.ndarray:
 
 
 def advance_agents(
-    bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray, guide: Guide | None = None
+    bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray,
+    stay: np.ndarray, guide: Guide | None = None,
 ) -> np.ndarray:
     """Move each agent through the matrix column of its current bin.
 
@@ -167,12 +183,14 @@ def advance_agents(
     on the column's last positive entry, so it never leaves the column's
     support.
 
-    Without ``guide``, agents whose draw falls in their bin's stay window
-    are settled first, with two lookups each; only the others search the
-    column slot by slot.  With ``guide``, ``build_guide(values, rows)``,
-    and draws that are multiples of 2^-53, as ``uniform_stream`` gives,
-    one lookup settles every agent outside the -1 cells, and only those
-    search.
+    Without ``guide``, the agents whose draw falls in the window of their
+    bin's ``stay`` slot, the real slot listing the bin itself
+    (``Topology.stay``), are settled first, with two lookups each.  Only
+    the others search their column, in blocks, over a cumulative table
+    built once per call.  With ``guide``,
+    ``build_guide(values, rows)``, and draws that are multiples of 2^-53,
+    as ``uniform_stream`` gives, one lookup settles every agent outside the
+    -1 cells, and only those search.
     """
     if guide is not None:
         cells = guide.table.shape[1]
@@ -182,13 +200,14 @@ def advance_agents(
         open_cells = np.nonzero(out < 0)[0]
         out[open_cells] = _search(bins[open_cells], z[open_cells], guide.cum, guide.last, rows)
         return out
-    m = values.shape[0]
     cum, last = _cumulative(values)
-    bin_ids = np.arange(m)
-    own = np.argmax(rows == bin_ids[:, np.newaxis], axis=1)
-    # Stay window [lo, hi) of the first slot listing the bin itself.
-    lo, hi = cum[own, bin_ids], cum[own + 1, bin_ids]
-    movers = np.nonzero((z < lo[bins]) | (z >= hi[bins]))[0]
+    # Stay window [lo, hi) of each bin's stay slot: cum[stay[j], j] and the
+    # entry one slot row below it.
+    m = values.shape[0]
+    at = stay * m
+    at += np.arange(m)
+    lo, hi = cum.take(at), cum.take(at + m)
+    movers = np.nonzero((z < lo.take(bins)) | (z >= hi.take(bins)))[0]
     out = bins.copy()
     out[movers] = _search(bins[movers], z[movers], cum, last, rows)
     return out

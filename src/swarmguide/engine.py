@@ -39,6 +39,7 @@ through it; then it applies the events at step k and records row k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,7 @@ def check_grid_size(rows: int, cols: int, hop: int | None = None):
 # A scenario's scalar settings, in the order scenario files write them.
 SETTINGS = ("rows", "cols", "hop", "agents", "steps", "algorithm", "seed", "mode")
 _SIZES = ("rows", "cols", "hop", "agents", "steps")
-_CHOICES = {"algorithm": ALGORITHMS, "mode": MODES}
+_CHOICES = {"algorithm": ALGORITHMS, "mode": MODES}  # every other setting is an integer
 
 
 def _check_setting(name: str, settings: dict):
@@ -132,6 +133,8 @@ def _check_setting(name: str, settings: dict):
     (at each key's line) and ``compare``.  Raises ValueError.
     """
     value = settings[name]
+    if name not in _CHOICES and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if name in _SIZES and value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     if name == "agents" and value > MAX_AGENTS:
@@ -312,7 +315,8 @@ def step_agents(
     checked again.  Each agent draws its own uniform from the move stream
     for ``step`` and walks the cumulative column of its current bin,
     stopping at the first destination whose cumulative probability exceeds
-    the draw.  Agents are independent, so evaluation order and batching
+    the draw; the stay test reads ``stencil.stay``, derived once per
+    stencil.  Agents are independent, so evaluation order and batching
     cannot change the result.  A matrix that drives many steps may pass
     ``guide``, its ``_kernels.build_guide(values, stencil.rows)``, built
     once; the moves are the same.
@@ -321,7 +325,7 @@ def step_agents(
     if swarm.num_agents and (swarm.assignments.min() < 0 or swarm.assignments.max() >= m):
         raise ValueError(f"agent assignments must lie in [0, {m})")
     z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
-    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, guide=guide)
+    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, stencil.stay, guide=guide)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
 
@@ -438,7 +442,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                 matrix_hook(k - 1, matrix)
             if monte_carlo:
                 moved = step_agents(swarm, values, k - 1, topology, guide)
-                transitions = int((moved.assignments != swarm.assignments).sum())
+                transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved
             else:
                 # The leavers: all but the self slots' stays, summed over bins in order.

@@ -64,6 +64,12 @@ class Topology:
         return self.real & (self.rows == np.arange(self.m)[:, np.newaxis])
 
     @cached_property
+    def stay(self) -> np.ndarray:
+        """Each row's ``own`` slot as an index, the stay slot the agent
+        sampler tests first."""
+        return np.argmax(self.own, axis=1)
+
+    @cached_property
     def _dense_index(self) -> tuple[np.ndarray, np.ndarray]:
         return self.rows[self.real], np.nonzero(self.real)[0]
 

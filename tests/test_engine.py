@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,15 @@ def test_scenario_validation():
         ("rows", dict(rows=0)),
         ("cols", dict(cols=-2)),
         ("hop", dict(hop=0)),
+        # Integer settings refuse bools and other numbers, as the parser does.
+        ("rows", dict(rows=2.0)),
+        ("cols", dict(cols=True)),
+        ("hop", dict(hop=1.0)),
+        ("agents", dict(agents=10.5)),
+        ("agents", dict(agents=True)),
+        ("steps", dict(steps=2.0)),
+        ("seed", dict(seed=0.5)),
+        ("seed", dict(seed=False)),
         ("weights", dict(weights=((1, 1), (1, 1), (1, 1)))),
         ("weights", dict(weights=((1, 1), (1,)))),
         ("init_weights", dict(init_weights=((1, 0, 0), (0, 0, 0), (0, 0, 0)))),
@@ -537,11 +547,11 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         blocks.append(neighbours.densify(values))
         return values
 
-    def recording_advance(bins, z, values, rows, guide=None):
+    def recording_advance(bins, z, values, rows, stay, guide=None):
         # Only the fixed baseline chain is sampled through a prebuilt guide.
         assert guide is None
         sampled.append((values.copy(), rows))
-        return advance(bins, z, values, rows)
+        return advance(bins, z, values, rows, stay)
 
     advance = _kernels.advance_agents
     monkeypatch.setattr(engine_module, "dsmc_recurrent", recording_synthesis)
@@ -569,9 +579,9 @@ def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch,
         builds.append(build(values, rows, cells))
         return builds[-1]
 
-    def recording_advance(bins, z, values, rows, guide=None):
+    def recording_advance(bins, z, values, rows, stay, guide=None):
         guides.append(guide)
-        return advance(bins, z, values, rows, guide=guide)
+        return advance(bins, z, values, rows, stay, guide=guide)
 
     monkeypatch.setattr(_kernels, "build_guide", counting_build)
     monkeypatch.setattr(_kernels, "advance_agents", recording_advance)
@@ -584,6 +594,32 @@ def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch,
     assert len(builds) == (1 if guided else 0)
     assert len(guides) == (12 if mode == "monte-carlo" else 0)
     assert all(g is (builds[0] if guided else None) for g in guides)
+
+
+def test_a_monte_carlo_dsmc_run_derives_the_stay_slots_once(monkeypatch):
+    # The stay slots are a constant of the stencil: derived once per run and
+    # handed to every step's stay test, not found again on each step.
+    derived, stays = [], []
+    derive, advance = graph_module.Topology.stay.func, _kernels.advance_agents
+
+    def counting_derive(self):
+        derived.append(self)
+        return derive(self)
+
+    def recording_advance(bins, z, values, rows, stay, guide=None):
+        stays.append(stay)
+        return advance(bins, z, values, rows, stay, guide=guide)
+
+    stay = cached_property(counting_derive)
+    stay.__set_name__(graph_module.Topology, "stay")
+    monkeypatch.setattr(graph_module.Topology, "stay", stay)
+    monkeypatch.setattr(_kernels, "advance_agents", recording_advance)
+    scenario = replace(load_scenario(LETTER_E), steps=12, events=(), algorithm="dsmc", mode="monte-carlo")
+    run_scenario(scenario)
+    assert len(derived) == 1 and len(stays) == 12
+    assert all(s is stays[0] for s in stays)
+    topology, bins = derived[0], np.arange(derived[0].m)
+    assert np.array_equal(topology.rows[bins, stays[0]], bins) and topology.real[bins, stays[0]].all()
 
 
 @pytest.mark.parametrize("mode", MODES)

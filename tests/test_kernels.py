@@ -58,7 +58,7 @@ def test_stencil_advance_matches_oracle_on_densified_columns():
         bins = rng.integers(0, stencil.m, size=n)
         # Include the extreme draws: 0 and the largest double below 1.
         z = np.concatenate([rng.random(n - min(n, 2)), [0.0, 1.0 - 2.0**-53][: min(n, 2)]])
-        got = _kernels.advance_agents(bins, z, values, stencil.rows)
+        got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay)
         assert np.array_equal(got, advance_oracle(bins, z, cum))
         assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
         assert stencil.real[bins, np.argmax(stencil.rows[bins] == got[:, np.newaxis], axis=1)].all()
@@ -79,7 +79,7 @@ def test_advance_agents_builds_no_agents_by_slots_temporary():
     for prebuilt in (None, guide):
         tracemalloc.start()
         try:
-            _kernels.advance_agents(bins, z, values, stencil.rows, guide=prebuilt)
+            _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -105,7 +105,10 @@ def test_guide_table_hand_case():
     bins = np.repeat(np.arange(4), 2 * 64)
     z = np.tile(np.concatenate([cells / 64, (cells + 1) / 64 - 2.0**-53]), 4)
     expected = advance_by_bin_oracle(bins, z, values, rows)
-    assert np.array_equal(_kernels.advance_agents(bins, z, values, rows, guide=guide), expected)
+    # The guide path never reads the stay slots; bin 3's row does not list
+    # bin 3, so it is given slot 0.
+    stay = np.array([0, 1, 2, 0])
+    assert np.array_equal(_kernels.advance_agents(bins, z, values, rows, stay, guide=guide), expected)
     # The first and last draws of each cell land on its table entry; those
     # of the cells left to the search land on either side of the boundary.
     for ends in expected.reshape(4, 2, 64).transpose(1, 0, 2):
@@ -139,7 +142,7 @@ def test_advance_clamps_to_last_bin():
     rows = np.array([[0, 1]])
     bins = np.zeros(4, dtype=np.int64)
     z = np.array([0.0, 0.49, 0.6, 1.0 - 1e-13])
-    got = _kernels.advance_agents(bins, z, values, rows)
+    got = _kernels.advance_agents(bins, z, values, rows, np.array([0]))
     assert got.tolist() == [0, 0, 1, 1]
 
 
@@ -166,7 +169,7 @@ def test_advance_round_off_stays_on_the_column_support():
     values[np.arange(6), np.argmax(stencil.rows == np.arange(6)[:, np.newaxis], axis=1)] = 1.0
     values[0] = [*col[:3], 0.0]
     assert np.cumsum(values[0])[-1] == cum[-1, 0]
-    got = _kernels.advance_agents(bins, z, values, stencil.rows)
+    got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay)
     assert got.tolist() == [1, 3, 3]
     assert np.array_equal(got, advance_oracle(bins, z, np.cumsum(stencil.densify(values), axis=0)))
 

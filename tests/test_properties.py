@@ -5,14 +5,16 @@ with zero-density bins and the current density equal to the target among
 the cases, for synthesis; stencils, columns and draws at the edges of
 each stay window for the agent sampler, and at the edges of each guide
 cell and cumulative boundary for the guided one and for initial
-placement; the same columns with subnormals and signed zeros, for the
-slot-order column sum; deterministic runs, replayed one dense product at a
-time; and whole scenarios for the scenario file format.
+placement, with the mover search also cut into small blocks; the same
+columns with subnormals and signed zeros, for the slot-order column sum
+and the sampler's cumulative table; deterministic runs, replayed one dense
+product at a time; and whole scenarios for the scenario file format.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,19 +264,24 @@ def test_column_sums_equal_the_cumulative_sum_byte_for_byte(case, seed):
     kind = rng.integers(0, 4, values.shape)
     values = np.select([kind == 1, kind == 2], [tiny, np.copysign(0.0, tiny)], values)
     assert _kernels.column_sums(values).tobytes() == np.cumsum(values, axis=1)[:, -1].tobytes()
+    # So does the sampler's cumulative table, for a stencil and for one long
+    # column, as placement builds it.
+    for columns in (values, values[:1]):
+        assert _kernels._cumulative(columns)[0][1:].T.tobytes() == np.cumsum(columns, axis=1).tobytes()
 
 
 def _edge_draws(rng, stencil, values, bins):
-    # Per agent, a uniform draw or an edge of its bin's stay window: the
-    # window of the first slot that lists the bin itself.
+    # Per agent, a uniform draw or an edge of one of its bin's two stay
+    # windows: that of the first slot listing the bin itself, which may be a
+    # padded slot with an empty window, and that of the real self slot.
     cum = np.cumsum(values, axis=1)
-    own = np.argmax(stencil.rows == np.arange(stencil.m)[:, np.newaxis], axis=1)
-    hi = cum[bins, own[bins]]
-    lo = np.where(own[bins] > 0, cum[bins, own[bins] - 1], 0.0)
-    options = np.stack([
-        rng.random(bins.size), lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0),
-        np.zeros(bins.size), np.full(bins.size, 1.0 - 2.0**-53),
-    ])
+    first = np.argmax(stencil.rows == np.arange(stencil.m)[:, np.newaxis], axis=1)
+    edges = []
+    for slot in (first[bins], stencil.stay[bins]):
+        hi = cum[bins, slot]
+        lo = np.where(slot > 0, cum[bins, slot - 1], 0.0)
+        edges += [lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0)]
+    options = np.stack([rng.random(bins.size), *edges, np.zeros(bins.size), np.full(bins.size, 1.0 - 2.0**-53)])
     pick = rng.integers(0, options.shape[0], size=bins.size)
     return np.minimum(options[pick, np.arange(bins.size)], 1.0 - 2.0**-53)
 
@@ -286,7 +293,7 @@ def test_sampler_equals_the_per_bin_oracle_and_stays_on_the_stencil(case, agents
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
     z = _edge_draws(rng, stencil, values, bins)
-    got = _kernels.advance_agents(bins, z, values, stencil.rows)
+    got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay)
     assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
     # No move leaves the stencil: every agent lands on a real slot of its bin.
     assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
@@ -316,7 +323,7 @@ def test_guided_sampler_equals_the_per_bin_oracle(case, agents, seed):
     guide = _kernels.build_guide(values, stencil.rows)
     bins = rng.integers(0, stencil.m, size=agents)
     z = _guide_draws(rng, values, bins)
-    got = _kernels.advance_agents(bins, z, values, stencil.rows, guide=guide)
+    got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=guide)
     assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
     # Every settled cell holds the oracle's answer at its first and last
     # draws; that answer never decreases as the draw grows, so it holds at
@@ -324,6 +331,22 @@ def test_guided_sampler_equals_the_per_bin_oracle(case, agents, seed):
     cell_bins, cells = np.nonzero(guide.table >= 0)
     for end in (cells * 2.0**-6, (cells + 1) * 2.0**-6 - 2.0**-53):
         assert np.array_equal(guide.table[cell_bins, cells], advance_by_bin_oracle(cell_bins, end, values, stencil.rows))
+
+
+@SETTINGS
+@given(sampler_cases(), st.integers(1, 80), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_samplers_equal_the_per_bin_oracle_across_search_blocks(case, agents, block, seed):
+    # The mover search runs in blocks of a few agents here, so that the
+    # movers, and the agents in open guide cells, span block edges.
+    stencil, values = case
+    rng = np.random.default_rng(seed)
+    bins = rng.integers(0, stencil.m, size=agents)
+    guide = _kernels.build_guide(values, stencil.rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_SEARCH_BLOCK", block)
+        for z, prebuilt in ((_edge_draws(rng, stencil, values, bins), None), (_guide_draws(rng, values, bins), guide)):
+            got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
+            assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
 
 
 @st.composite

@@ -148,11 +148,13 @@ def advance_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarr
     return out
 
 
-def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray, guide=None) -> np.ndarray:
+def advance_by_bin_oracle(
+    bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray, stay=None, guide=None
+) -> np.ndarray:
     """Agent moves from stencil values by one binary search per occupied bin
     over that bin's dense cumulative column, with the same round-off rule as
     ``advance_oracle``; a drop-in for ``_kernels.advance_agents``, whose
-    prebuilt ``guide`` it ignores."""
+    stay slots and prebuilt ``guide`` it ignores."""
     m = values.shape[0]
     out = np.empty_like(bins)
     for j in np.unique(bins):
@@ -164,11 +166,12 @@ def advance_by_bin_oracle(bins: np.ndarray, z: np.ndarray, values: np.ndarray, r
     return out
 
 
-def dense_layout(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A dense m x m matrix as (values, rows) for ``_kernels.advance_agents``:
-    stencil width m, every bin listing all bins as destinations."""
+def dense_layout(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A dense m x m matrix as (values, rows, stay) for
+    ``_kernels.advance_agents``: stencil width m, every bin listing all bins
+    as destinations, so bin j stays in slot j."""
     m = matrix.shape[0]
-    return np.ascontiguousarray(matrix.T), np.broadcast_to(np.arange(m), (m, m))
+    return np.ascontiguousarray(matrix.T), np.broadcast_to(np.arange(m), (m, m)), np.arange(m)
 
 
 def local_recurrent_oracle(current_r, desired_r, stencil, params) -> np.ndarray:
