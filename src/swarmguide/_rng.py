@@ -5,6 +5,12 @@ simulation produces the same numbers no matter how agents are batched or in
 what order they are evaluated.  Removing an agent never perturbs the draws of
 the survivors because each agent keeps its id for life.
 
+Because a draw depends on nothing a run computes, the draws of later rounds
+can be hashed ahead: ``uniform_stream`` takes a range of steps and hashes
+them in one call, one row per round.  A row is the same bytes as the
+one-step call for its round, so how a run blocks its rounds never shows in
+its draws.
+
 The hash is the splitmix64 output finalizer applied to a Weyl-sequence input,
 a standard construction for counter-mode generation.
 """
@@ -34,26 +40,40 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _stream_key(seed: int, stream: int) -> int:
+    """The (seed, stream tag) part of every round key of the stream."""
+    return mix64((mix64((seed + _GAMMA) & _MASK) + stream * _GAMMA) & _MASK)
+
+
 def round_key(seed: int, stream: int, step: int) -> int:
     """Collapse (seed, stream tag, step) into one 64-bit round key."""
-    k = mix64((seed + _GAMMA) & _MASK)
-    k = mix64((k + stream * _GAMMA) & _MASK)
-    return mix64((k + step * _GAMMA) & _MASK)
+    return mix64((_stream_key(seed, stream) + step * _GAMMA) & _MASK)
 
 
-def uniform_stream(seed: int, stream: int, step: int, ids: np.ndarray) -> np.ndarray:
-    """One uniform draw in [0, 1) per agent id for the given round.
+def uniform_stream(seed: int, stream: int, step: int | range, ids: np.ndarray) -> np.ndarray:
+    """One uniform draw in [0, 1) per agent id for the given round or rounds.
 
-    ``ids`` is an integer array of persistent agent identifiers.  The result
-    is a float64 array of the same length, independent of id order: entry k
-    depends only on (seed, stream, step, ids[k]).
+    ``ids`` is an integer array of persistent agent identifiers.  For one
+    ``step`` the result is a float64 array of the same length, independent
+    of id order: entry k depends only on (seed, stream, step, ids[k]).  For
+    a ``range`` of steps it is a 2-D array with one such row per step, row i
+    the same bytes as the one-step call for ``step[i]``.  A block holds two
+    rounds x ids arrays at its peak, so callers keep blocks small.
     """
-    key = round_key(seed, stream, step)
-    # Hashed in place on one buffer; ``shifted`` takes each right shift.
-    z = np.asarray(ids).astype(np.uint64)
+    stream_key = _stream_key(seed, stream)
+    steps = step if isinstance(step, range) else (step,)
+    keys = np.array([mix64((stream_key + s * _GAMMA) & _MASK) for s in steps], dtype=np.uint64)
+    # The Weyl base of the ids, formed once in row 0, takes each later
+    # round's key by broadcasting into the rows below, then its own round's
+    # in place.  Then everything is hashed in place on ``z``; ``shifted``
+    # takes each right shift.
+    z = np.empty((keys.size, np.size(ids)), dtype=np.uint64)
+    base = z[:1]
+    base[...] = ids
+    base *= _GAMMA_U64
+    np.bitwise_xor(base, keys[1:, np.newaxis], out=z[1:])
+    base ^= keys[:1, np.newaxis]
     shifted = np.empty_like(z)
-    z *= _GAMMA_U64
-    z ^= np.uint64(key)
     z ^= np.right_shift(z, _U64[30], out=shifted)
     z *= _MIX_A_U64
     z ^= np.right_shift(z, _U64[27], out=shifted)
@@ -63,4 +83,4 @@ def uniform_stream(seed: int, stream: int, step: int, ids: np.ndarray) -> np.nda
     # Top 53 bits scale to the unit interval without rounding bias.
     out = np.right_shift(z, _U64[11], out=z).astype(np.float64)
     out *= 2.0**-53
-    return out
+    return out if isinstance(step, range) else out[0]

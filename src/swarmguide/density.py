@@ -80,7 +80,12 @@ def empirical_density(swarm, m: int) -> np.ndarray:
     assignments = np.asarray(getattr(swarm, "assignments", swarm))
     if assignments.size == 0:
         raise ValueError("empirical density needs at least one agent")
-    if assignments.min() < 0 or assignments.max() >= m:
-        raise ValueError(f"assignments must lie in [0, {m})")
-    counts = np.bincount(assignments, minlength=m)
+    # One pass checks the range and counts: bincount refuses a negative
+    # entry, and an entry of m or more lengthens the counts past m.
+    try:
+        counts = np.bincount(assignments, minlength=m)
+        if counts.size > m:
+            raise ValueError(f"the largest entry is {counts.size - 1}")
+    except ValueError as err:
+        raise ValueError(f"assignments must lie in [0, {m})") from err
     return counts / assignments.size

@@ -34,7 +34,10 @@ entry for entry.
 Time indexing: row k of the metrics describes the swarm after k transitions.
 ``run_scenario`` makes one pass per row in both modes: for k > 0 it builds
 and audits the matrix of step k - 1 -> k, shows it to the hook and steps
-through it; then it applies the events at step k and records row k.
+through it; then it applies the events at step k and records row k.  A
+Monte Carlo run hashes its move draws ahead, ``_DRAW_BLOCK`` // agents
+rounds per ``uniform_stream`` call, each block ending before the next
+event step; the draws, and so the run, are the same for any block size.
 """
 from __future__ import annotations
 
@@ -101,6 +104,14 @@ MODES = ("monte-carlo", "deterministic")
 MAX_BINS = 10_000
 MAX_STENCIL_SLOTS = 20_000_000
 MAX_AGENTS = 10_000_000
+
+# Move draws hashed per ``uniform_stream`` call in a Monte Carlo run, as
+# rounds x agents (``_kernels._SEARCH_BLOCK`` bounds the sampler's blocks
+# alike): 128 KB a uint64 or float block.  A block of a few rounds pays the
+# hash's fixed cost per call (11-22 us at 100 ids on a 2-vCPU x86_64 host)
+# once for them all; blocks of larger arrays cost more per round than single
+# rounds did.  A swarm of at least this many agents hashes one round per call.
+_DRAW_BLOCK = 1 << 14
 
 
 def check_grid_size(rows: int, cols: int, hop: int | None = None):
@@ -305,7 +316,12 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
 
 
 def step_agents(
-    swarm: SwarmState, values: np.ndarray, step: int, stencil: Topology, guide: _kernels.Guide | None = None
+    swarm: SwarmState,
+    values: np.ndarray,
+    step: int,
+    stencil: Topology,
+    guide: _kernels.Guide | None = None,
+    z: np.ndarray | None = None,
 ) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
 
@@ -319,12 +335,18 @@ def step_agents(
     stencil.  Agents are independent, so evaluation order and batching
     cannot change the result.  A matrix that drives many steps may pass
     ``guide``, its ``_kernels.build_guide(values, stencil.rows)``, built
-    once; the moves are the same.
+    once; the moves are the same.  A caller that hashed the round ahead, in
+    a block of rounds, passes its row as ``z``: the draws
+    ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
+    would give, one per agent.  Without ``z`` the round is hashed here.
     """
     m = stencil.m
     if swarm.num_agents and (swarm.assignments.min() < 0 or swarm.assignments.max() >= m):
         raise ValueError(f"agent assignments must lie in [0, {m})")
-    z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
+    if z is None:
+        z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
+    elif np.shape(z) != swarm.agent_ids.shape:
+        raise ValueError(f"draws have shape {np.shape(z)}, expected {swarm.agent_ids.shape}")
     assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, stencil.stay, guide=guide)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
@@ -427,6 +449,10 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     x = None if monte_carlo else check_density(scenario.initial_density(), name="initial density")
     population = scenario.agents
     transitions = 0.0
+    # Monte Carlo move draws, rounds first to first + len(draws) - 1, hashed
+    # a block at a time.  A block ends before the next event step, whose
+    # removals change the ids that draw.
+    draws, first = (), 0
     metrics, snapshots = MetricsSeries(), {}
     snapshot_wanted = set(int(s) for s in snapshot_steps)
 
@@ -441,7 +467,12 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                 matrix.flags.writeable = False
                 matrix_hook(k - 1, matrix)
             if monte_carlo:
-                moved = step_agents(swarm, values, k - 1, topology, guide)
+                if k - 1 == first + len(draws):
+                    first, draws = k - 1, ()  # the spent block goes before the next is made
+                    stop = min([first + max(1, _DRAW_BLOCK // swarm.num_agents), scenario.steps]
+                               + [ev.step for ev in scenario.events if ev.step > first])
+                    draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
+                moved = step_agents(swarm, values, k - 1, topology, guide, z=draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved
             else:

@@ -27,7 +27,7 @@ from swarmguide import (
     step_agents,
     total_variation,
 )
-from swarmguide._rng import PLACEMENT_STREAM, uniform_stream
+from swarmguide._rng import MOVE_STREAM, PLACEMENT_STREAM, uniform_stream
 from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MODES
 from swarmguide.synthesis import _transient_values
 
@@ -241,10 +241,26 @@ def test_step_agents_subset_sees_same_moves():
 
 def test_step_agents_rejects_bad_matrices():
     # The values are audited by the caller (a run audits every matrix); what
-    # is left to refuse is a matrix over fewer bins than the swarm occupies.
+    # is left to refuse is a matrix over fewer bins than the swarm occupies,
+    # and draws hashed ahead that are not one per agent.
     t = complete_graph(2)
     with pytest.raises(ValueError, match="lie in"):
         step_agents(SwarmState(np.array([5]), np.arange(1, dtype=np.uint64), 0), t.sparsify(np.eye(2)), 0, t)
+    swarm = SwarmState(np.array([0, 1, 1]), np.arange(3, dtype=np.uint64), 0)
+    for z in (np.full(1, 0.5), np.full(4, 0.5), np.full((1, 3), 0.5)):
+        with pytest.raises(ValueError, match="draws have shape"):
+            step_agents(swarm, t.sparsify(np.eye(2)), 0, t, z=z)
+
+
+def test_step_agents_takes_the_draws_of_its_round_hashed_ahead():
+    rng = np.random.default_rng(8)
+    t = complete_graph(3)
+    values = t.sparsify(np.array([[0.2, 0.5, 0.1], [0.3, 0.1, 0.6], [0.5, 0.4, 0.3]]))
+    swarm = SwarmState(rng.integers(0, 3, size=40), rng.permutation(np.arange(60, dtype=np.uint64))[:40], seed=4)
+    block = uniform_stream(4, MOVE_STREAM, range(5, 8), swarm.agent_ids)
+    for i, step in enumerate(range(5, 8)):
+        own = step_agents(swarm, values, step, t)
+        assert np.array_equal(step_agents(swarm, values, step, t, z=block[i]).assignments, own.assignments)
 
 
 def test_propagate_density_hand_case_and_conservation():
@@ -404,6 +420,54 @@ def test_run_scenario_event_schedule(mode):
     for k, total in ((0, 900), (1, 900), (2, 315), (4, 237)):
         assert snapshots[k].counts.sum() == pytest.approx(total, rel=1e-12)
         assert snapshots[k].density.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_move_draws_hashed_in_blocks_change_nothing(monkeypatch, algorithm):
+    # 4096 agents hash 4 rounds per call at the default budget: the removal
+    # at step 4 falls on a block boundary.  The 2048 left hash 8, but the
+    # event at step 9 ends their block after 5; the 1536 left hash 10.  A
+    # budget of 1 hashes one round per call, one of 2^22 each span between
+    # events in one call.
+    scenario = Scenario(
+        3, 3, 1, 4096, 20, algorithm, 21, "monte-carlo", ((1, 2, 3), (0, 4, 5), (0, 0, 7)),
+        events=(
+            Event(step=4, kind="remove_fraction", fraction=0.5),
+            Event(step=9, kind="remove_fraction", fraction=0.25),
+        ),
+    )
+    assert engine_module._DRAW_BLOCK == 1 << 14
+    expected_blocks = {
+        1: [range(r, r + 1) for r in range(20)],
+        1 << 14: [range(0, 4), range(4, 9), range(9, 19), range(19, 20)],
+        1 << 22: [range(0, 4), range(4, 9), range(9, 20)],
+    }
+    hash_block = engine_module.uniform_stream
+    runs = []
+    for budget, blocks in expected_blocks.items():
+        calls = []
+
+        def counting(seed, stream, step, ids):
+            out = hash_block(seed, stream, step, ids)
+            calls.append((stream, step, out.size))
+            return out
+
+        monkeypatch.setattr(engine_module, "_DRAW_BLOCK", budget)
+        monkeypatch.setattr(engine_module, "uniform_stream", counting)
+        metrics, snapshots = run_scenario(scenario, snapshot_steps=(0, 4, 8, 9, 20))
+        runs.append((metrics.to_csv(), snapshots))
+        alive = metrics.num_agents
+        assert alive[:10] == [4096] * 4 + [2048] * 5 + [1536]
+        # Placement, the two removals, and each move round once, by the
+        # agents alive when it moves: no round hashed twice, none wasted.
+        assert [step for stream, step, _ in calls if stream == MOVE_STREAM] == blocks
+        assert sum(size for *_, size in calls) == 4096 + 4096 + 2048 + sum(alive[:20])
+    for csv, snapshots in runs[1:]:
+        assert csv == runs[0][0]
+        assert sorted(snapshots) == sorted(runs[0][1])
+        for k, snap in snapshots.items():
+            assert snap.counts.tobytes() == runs[0][1][k].counts.tobytes()
+            assert snap.density.tobytes() == runs[0][1][k].density.tobytes()
 
 
 def test_run_scenario_baseline_reuses_one_matrix():

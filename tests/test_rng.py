@@ -1,6 +1,8 @@
 import tracemalloc
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmguide._rng import (
     MOVE_STREAM,
@@ -109,3 +111,47 @@ def test_draws_hold_two_agents_sized_arrays_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * ids.nbytes + 65_536
+
+
+def test_a_block_holds_two_block_sized_arrays_at_most():
+    # A block of K rounds: the hash buffer and the float result, K x ids
+    # each.  The Weyl base of the ids is formed in the block's first row,
+    # not in an array of its own.
+    ids = np.arange(10**6, dtype=np.uint64)
+    rounds = 3
+    tracemalloc.start()
+    try:
+        uniform_stream(5, MOVE_STREAM, range(1, 1 + rounds), ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rounds * ids.nbytes + 65_536
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([PLACEMENT_STREAM, MOVE_STREAM, REMOVAL_STREAM]),
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["all", "permuted", "subset", "empty"]),
+)
+def test_every_row_of_a_block_is_the_one_step_call(seed, stream, first, rounds, pick_seed, pick):
+    rng = np.random.default_rng(pick_seed)
+    ids = np.arange(int(rng.integers(1, 200)), dtype=np.uint64) + np.uint64(rng.integers(0, 2**40))
+    if pick == "permuted":
+        ids = rng.permutation(ids)
+    elif pick == "subset":
+        ids = ids[np.sort(rng.choice(ids.size, size=int(rng.integers(1, ids.size + 1)), replace=False))]
+    elif pick == "empty":
+        ids = ids[:0]
+    block = uniform_stream(seed, stream, range(first, first + rounds), ids)
+    assert block.shape == (rounds, ids.size) and block.dtype == np.float64
+    for i in range(rounds):
+        assert block[i].tobytes() == uniform_stream(seed, stream, first + i, ids).tobytes()
+        # And the scalar hash of the round's key, for the first few ids.
+        key = round_key(seed, stream, first + i)
+        for pos, agent in enumerate(ids[:4].tolist()):
+            h = mix64(((agent * 0x9E3779B97F4A7C15) & (2**64 - 1)) ^ key)
+            assert block[i, pos] == (h >> 11) * 2.0**-53

@@ -45,6 +45,9 @@ def test_tracer_wraps_live_names_and_finds_the_set_up(tmp_path, algorithm, mode)
     assert metrics["synthesis.dsmc_recurrent.calls"] == metrics["kernels.synth_recurrent.calls"] == synthesized
     monte_carlo = mode == "monte-carlo"
     assert metrics["kernels.advance_agents.calls"] == metrics["engine.step_agents.calls"] == (steps if monte_carlo else 0)
+    # Placement and every move round, each hashed once, however the engine
+    # blocks its rounds: the draw count compares across versions.
+    assert metrics["rng.draws"] == (scenario.agents * (steps + 1) if monte_carlo else 0)
     # Every matrix a run steps through passes the one audit: each feedback
     # matrix, or the fixed baseline once.
     assert metrics["synthesis.validate_markov.calls"] == (steps if algorithm == "dsmc" else 1)
