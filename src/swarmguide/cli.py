@@ -36,11 +36,13 @@ for a topology of at most ``MAX_VERIFY_BINS`` bins, ``export-matrix`` dumps
 one synthesized matrix.  All output files are UTF-8 with LF line endings and
 ``.`` decimal separators.  Floats are written as their ``repr`` and integral
 counts as integers; the snapshot and matrix writers format each distinct
-value once.
+value once.  A rerun rewrites each output file in place (``_write_text``).
 """
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -212,9 +214,27 @@ def render_scenario(scenario: Scenario) -> str:
 
 
 def _write_text(path: Path, text: str):
+    """Write ``text`` as UTF-8 to ``path``, rewriting an existing file in place.
+
+    The open never truncates: cutting a file to zero makes a rerun wait on
+    the file system for the previous run's blocks, and a rename over it
+    waits the same way.  A regular file longer than the new bytes is cut
+    to their length after they are written; a device or pipe, such as
+    ``/dev/stdout``, is only written.  The file, its permissions and a
+    symlink to it stay.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        left = memoryview(data)
+        while left:
+            left = left[os.write(fd, left):]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _texts(values, fmt=repr) -> list:

@@ -341,7 +341,10 @@ def step_agents(
     would give, one per agent.  Without ``z`` the round is hashed here.
     """
     m = stencil.m
-    if swarm.num_agents and (swarm.assignments.min() < 0 or swarm.assignments.max() >= m):
+    # Viewed as unsigned of the same width, a negative bin wraps above any m,
+    # so one max() refuses both ends of the range.
+    bins = swarm.assignments
+    if swarm.num_agents and bins.view(f"u{bins.itemsize}").max() >= m:
         raise ValueError(f"agent assignments must lie in [0, {m})")
     if z is None:
         z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
@@ -477,7 +480,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                 swarm = moved
             else:
                 # The leavers: all but the self slots' stays, summed over bins in order.
-                transitions = float(population * float(np.cumsum(x * (1.0 - values[topology.own]))[-1]))
+                transitions = float(population * float(np.cumsum(x * (1.0 - values.take(topology.own_slots)))[-1]))
                 x = propagate_density(x, values, topology)
 
         arrivals = [ev for ev in scenario.events if ev.step == k]

@@ -78,6 +78,12 @@ class Topology:
         """Flat index of every padded slot into an m x w array, ascending."""
         return np.flatnonzero(~self.real)
 
+    @cached_property
+    def own_slots(self) -> np.ndarray:
+        """Flat index of each row's ``own`` slot into an m x w array, ascending:
+        ``values.take(own_slots)`` reads what ``values[own]`` does."""
+        return np.flatnonzero(self.own)
+
     def densify(self, values) -> np.ndarray:
         """Dense m x m matrix with column j holding ``values[j]`` at ``rows[j]``."""
         dense = np.zeros((self.m, self.m))

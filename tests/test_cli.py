@@ -1,3 +1,6 @@
+import builtins
+import io
+import os
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -461,6 +464,101 @@ def test_cmd_export_matrix_step_out_of_range(tmp_path, capsys):
     ]) == 2
     assert "outside" in capsys.readouterr().err
 
+
+def test_write_text_rewrites_the_same_file_to_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out" / "a.csv"
+    cli._write_text(path, "0123456789\n" * 3)
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    # Over a longer file, over a shorter one, and to nothing.
+    for text in ("short\n", "a longer text than the one before it, \u00e9\n" * 2, ""):
+        cli._write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old contents, longer than the new ones\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    cli._write_text(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_text_never_truncates_a_non_regular_target(tmp_path, monkeypatch):
+    cuts = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length) or ftruncate(fd, length))
+    # The spy sees a longer regular file cut ...
+    cli._write_text(tmp_path / "a.csv", "xyz")
+    cli._write_text(tmp_path / "a.csv", "x")
+    assert cuts == [1]
+    # ... and never the device, even when it reports a size above the new bytes.
+    cli._write_text(Path(os.devnull), "x" * 100)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(fstat(fd)[:6] + (10**6,) + fstat(fd)[7:]))
+    cli._write_text(Path(os.devnull), "x")
+    assert cuts == [1]
+
+
+def test_outputs_are_rewritten_without_truncating_opens_or_renames(tmp_path, monkeypatch):
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(MINI, encoding="utf-8")
+    out = tmp_path / "out"
+    opened, written = [], []
+    os_open, io_open = os.open, io.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((Path(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+"):
+            written.append(Path(file))
+        return io_open(file, mode, *args, **kwargs)
+
+    def forbid(*args, **kwargs):
+        raise AssertionError(f"an output was renamed over: {args}")
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    monkeypatch.setattr(os, "replace", forbid)
+    monkeypatch.setattr(os, "rename", forbid)
+    commands = [
+        ["run", "--scenario", str(scenario), "--out", str(out / "run")],
+        ["compare", "--scenario", str(scenario), "--out", str(out / "cmp")],
+        ["export-matrix", "--scenario", str(scenario), "--step", "1", "--out", str(out / "m.csv")],
+    ]
+    for _ in range(2):  # the second time over the first time's files
+        for argv in commands:
+            assert main(argv) == 0
+    outputs = [
+        out / "run" / "metrics.csv", out / "run" / "final_snapshot.csv", out / "run" / "resolved_scenario.txt",
+        out / "cmp" / "metrics_dsmc.csv", out / "cmp" / "metrics_mh.csv", out / "cmp" / "summary.csv",
+        out / "m.csv",
+    ]
+    mine = [(path, flags) for path, flags in opened if out in path.parents]
+    assert [path for path, _ in mine] == outputs * 2
+    assert not [path for path, flags in mine if flags & os.O_TRUNC]
+    assert not [path for path in written if out in path.parents]
+
+
+def test_rerun_into_a_used_directory_matches_a_fresh_run(tmp_path):
+    letter_e = str(SCENARIOS / "letter_e.txt")
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert main(["run", "--scenario", letter_e, "--out", str(fresh)]) == 0
+    names = ("metrics.csv", "final_snapshot.csv", "resolved_scenario.txt")
+    used.mkdir()
+    for name in names:
+        (used / name).write_bytes(b"junk," * ((fresh / name).stat().st_size // 5 + 100))
+    for _ in range(2):
+        assert main(["run", "--scenario", letter_e, "--out", str(used)]) == 0
+        for name in names:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["monte-carlo", "deterministic"])

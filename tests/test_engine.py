@@ -241,11 +241,12 @@ def test_step_agents_subset_sees_same_moves():
 
 def test_step_agents_rejects_bad_matrices():
     # The values are audited by the caller (a run audits every matrix); what
-    # is left to refuse is a matrix over fewer bins than the swarm occupies,
+    # is left to refuse is a bin outside the matrix, above it or negative,
     # and draws hashed ahead that are not one per agent.
     t = complete_graph(2)
-    with pytest.raises(ValueError, match="lie in"):
-        step_agents(SwarmState(np.array([5]), np.arange(1, dtype=np.uint64), 0), t.sparsify(np.eye(2)), 0, t)
+    for bins in ([5], [2], [0, -1, 1], [np.iinfo(np.int64).min], np.array([1, -1], dtype=np.int32)):
+        with pytest.raises(ValueError, match="lie in"):
+            step_agents(SwarmState(np.array(bins), np.arange(len(bins), dtype=np.uint64), 0), t.sparsify(np.eye(2)), 0, t)
     swarm = SwarmState(np.array([0, 1, 1]), np.arange(3, dtype=np.uint64), 0)
     for z in (np.full(1, 0.5), np.full(4, 0.5), np.full((1, 3), 0.5)):
         with pytest.raises(ValueError, match="draws have shape"):
