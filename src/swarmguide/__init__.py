@@ -16,7 +16,6 @@ from .analysis import (
 from .density import (
     check_density,
     empirical_density,
-    error_vector,
     from_weight_map,
     total_variation,
 )
@@ -33,7 +32,6 @@ from .engine import (
     step_agents,
 )
 from .graph import (
-    LaplacianView,
     Partition,
     Topology,
     build_grid_topology,
@@ -43,7 +41,6 @@ from .graph import (
     partition_states,
 )
 from .synthesis import (
-    SynthesisParams,
     ValidationReport,
     assemble,
     choose_d_chsn,
@@ -67,7 +64,6 @@ __all__ = [
     "symmetric_eigenvalues",
     "check_density",
     "empirical_density",
-    "error_vector",
     "from_weight_map",
     "total_variation",
     "Event",
@@ -80,7 +76,6 @@ __all__ = [
     "propagate_density",
     "run_scenario",
     "step_agents",
-    "LaplacianView",
     "Partition",
     "Topology",
     "build_grid_topology",
@@ -88,7 +83,6 @@ __all__ = [
     "laplacian_of",
     "make_topology",
     "partition_states",
-    "SynthesisParams",
     "ValidationReport",
     "assemble",
     "choose_d_chsn",

@@ -3,9 +3,10 @@
 When the current density covers the desired support, the density-feedback
 synthesis drives the error e = desired - current through the linear update
 e <- (I - L / d_chsn) e, where L is the Laplacian of the self-loop-free
-recurrent graph.  This module checks, from eigenvalues alone, that the
-update contracts on the zero-sum subspace the error lives in, and bounds how
-fast the squared error shrinks per step.
+recurrent graph, passed as its stencil (``topology.restrict(recurrent)``).
+This module checks, from the eigenvalues of ``laplacian_of(stencil)`` alone,
+that the update contracts on the zero-sum subspace the error lives in, and
+bounds how fast the squared error shrinks per step.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LaplacianView
+from .graph import Topology, laplacian_of
 
 __all__ = [
     "SYMMETRY_TOL",
@@ -41,30 +42,32 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _check_d_chsn(view: LaplacianView, d_chsn: float) -> float:
+def _check_d_chsn(stencil: Topology, d_chsn: float) -> float:
     d = float(d_chsn)
-    if d <= view.max_degree:
-        raise ValueError(f"d_chsn={d} must strictly exceed the maximum degree {view.max_degree}")
+    if d <= stencil.max_degree:
+        raise ValueError(f"d_chsn={d} must strictly exceed the maximum degree {stencil.max_degree}")
     return d
 
 
-def linear_error_update(e, laplacian_view: LaplacianView, d_chsn: float) -> np.ndarray:
+def linear_error_update(e, stencil: Topology, d_chsn: float) -> np.ndarray:
     """One step of the idealized error recursion, e <- e - (L e) / d_chsn.
 
     The error of two densities on the same support always sums to zero, and
     the update preserves that: ones are in the Laplacian's kernel.
     """
     err = np.asarray(e, dtype=float)
-    lap = laplacian_view.laplacian
-    if err.shape != (lap.shape[0],):
-        raise ValueError(f"error vector shape {err.shape} does not match {lap.shape[0]} bins")
+    if err.shape != (stencil.m,):
+        raise ValueError(f"error vector shape {err.shape} does not match {stencil.m} bins")
     if abs(float(err.sum())) > CERT_TOL:
         raise ValueError("error vector must sum to zero")
-    d = _check_d_chsn(laplacian_view, d_chsn)
-    return err - (lap @ err) / d
+    d = _check_d_chsn(stencil, d_chsn)
+    # (L e)[j] = deg(j) e[j] - the sum of e over bin j's neighbours, at O(m w):
+    # the self slot and the padded slots of row j point at j and add 0.
+    lap_e = (err[:, np.newaxis] - err[stencil.rows]).sum(axis=1)
+    return err - lap_e / d
 
 
-def convergence_rate_bounds(laplacian_view: LaplacianView, d_chsn: float) -> tuple[float, float]:
+def convergence_rate_bounds(stencil: Topology, d_chsn: float) -> tuple[float, float]:
     """Per-step shrink envelope for the squared error norm.
 
     Writing the update as e(k+1) = (I - L/d) e(k), the drop
@@ -77,7 +80,7 @@ def convergence_rate_bounds(laplacian_view: LaplacianView, d_chsn: float) -> tup
     a positive lower bound certifies geometric decay of ||e||^2 at factor
     (1 - rate_lower).
     """
-    report = contraction_certificate(laplacian_view, d_chsn)
+    report = contraction_certificate(stencil, d_chsn)
     return report.rate_lower, report.rate_upper
 
 
@@ -151,7 +154,7 @@ class SpectralReport:
         ]
 
 
-def contraction_certificate(laplacian_view: LaplacianView, d_chsn: float) -> SpectralReport:
+def contraction_certificate(stencil: Topology, d_chsn: float) -> SpectralReport:
     """Spectral audit of the error recursion on a recurrent graph.
 
     Every value comes from the one spectrum u of L, ascending.  L is
@@ -161,8 +164,8 @@ def contraction_certificate(laplacian_view: LaplacianView, d_chsn: float) -> Spe
     Laplacian eigenvalue positive); a disconnected graph is reported with
     failing flags rather than raised, so callers can print the evidence.
     """
-    d = _check_d_chsn(laplacian_view, d_chsn)
-    eigs = symmetric_eigenvalues(laplacian_view.laplacian)
+    d = _check_d_chsn(stencil, d_chsn)
+    eigs = symmetric_eigenvalues(laplacian_of(stencil))
     shrink = eigs * (2.0 * d - eigs) / (d * d)
     update = 1.0 - eigs[1:] / d
     eigs.flags.writeable = False
@@ -172,7 +175,7 @@ def contraction_certificate(laplacian_view: LaplacianView, d_chsn: float) -> Spe
         rate_lower=float(shrink[1:].min(initial=1.0)),
         rate_upper=float(shrink.max()),
         d_chsn=d,
-        max_degree=laplacian_view.max_degree,
+        max_degree=stencil.max_degree,
         lyapunov_margin=float((1.0 - update * update).min(initial=1.0)),
         connected=eigs.size == 1 or float(eigs[1]) > CERT_TOL,
     )

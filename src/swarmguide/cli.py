@@ -66,7 +66,7 @@ from .engine import (
     check_grid_size,
     run_scenario,
 )
-from .graph import build_grid_topology, laplacian_of, make_topology
+from .graph import build_grid_topology, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
@@ -335,13 +335,7 @@ def cmd_verify(rows=None, cols=None, hop=None, fixture=None) -> int:
         topology = build_grid_topology(rows, cols, hop)
         print(f"topology={rows}x{cols} hop={hop}")
     print(f"bins={topology.m}")
-    try:
-        view = laplacian_of(topology)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    params = choose_d_chsn(view)
-    report = contraction_certificate(view, params.d_chsn)
+    report = contraction_certificate(topology, choose_d_chsn(topology))
     for key, value in report.key_values():
         print(f"{key}={value}")
     return 0 if report.certificates_ok else 1
@@ -361,7 +355,10 @@ def cmd_export_matrix(scenario_path, step, out_path) -> int:
     run_scenario(head, matrix_hook=hook)
     matrix = last["matrix"]
     _write_text(Path(out_path), "\n".join(map(",".join, _texts(matrix))) + "\n")
-    print(f"wrote {out_path} ({matrix.shape[0]}x{matrix.shape[1]})")
+    # With the matrix written to stdout's own file, as ``--out /dev/stdout >
+    # m.csv`` does, a status line on stdout would land over it.
+    status = sys.stderr if os.path.samestat(os.fstat(1), os.stat(out_path)) else sys.stdout
+    print(f"wrote {out_path} ({matrix.shape[0]}x{matrix.shape[1]})", file=status)
     return 0
 
 
@@ -402,7 +399,7 @@ def main(argv=None) -> int:
         if args.command == "export-matrix":
             return cmd_export_matrix(args.scenario, args.step, args.out)
         parser.error(f"unknown command {args.command!r}")
-    except (ScenarioFormatError, FileNotFoundError) as exc:
+    except (ScenarioFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

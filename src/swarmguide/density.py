@@ -1,5 +1,5 @@
-"""Probability vectors over bins: validation, error vectors, distances,
-weight-map ingestion, and empirical densities."""
+"""Probability vectors over bins: validation, distances, weight-map
+ingestion, and empirical densities."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "SUM_TOL",
     "check_density",
-    "error_vector",
     "total_variation",
     "from_weight_map",
     "empirical_density",
@@ -32,21 +31,6 @@ def check_density(values, *, name: str = "density") -> np.ndarray:
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{name} sums to {total!r}, expected 1 within {SUM_TOL}")
     return x
-
-
-def error_vector(desired_r, current_r) -> np.ndarray:
-    """Signed deficit, desired minus current, on a shared bin set.
-
-    Both inputs may be slices of longer densities, so they are only required
-    to be nonnegative and of equal length, not to sum to one.
-    """
-    v = np.asarray(desired_r, dtype=float)
-    x = np.asarray(current_r, dtype=float)
-    if v.shape != x.shape or v.ndim != 1:
-        raise ValueError(f"shapes {v.shape} and {x.shape} do not match")
-    if (v < 0.0).any() or (x < 0.0).any():
-        raise ValueError("densities must be nonnegative")
-    return v - x
 
 
 def total_variation(a, b) -> float:

@@ -433,7 +433,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             )
         return values
 
-    baseline = baseline_matrix = guide = params = None
+    baseline = baseline_matrix = guide = d_chsn = None
     if scenario.algorithm == "mh":
         # One fixed matrix: audit it once and freeze it so no hook can alter
         # it after the audit; agents sample it through tables built once.
@@ -445,7 +445,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             baseline_matrix = topology.densify(baseline)
     else:
         # partition_states has checked that the recurrent bins are connected.
-        params = choose_d_chsn(neighbours)
+        d_chsn = choose_d_chsn(neighbours)
 
     # Monte Carlo row 0 reads its density from the placed agents.
     swarm = initial_swarm(scenario) if monte_carlo else None
@@ -464,7 +464,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         if k > 0:
             values = baseline
             if values is None:
-                values = audited(dsmc_recurrent(x[recurrent], desired_r, neighbours, params), f"at step {k - 1}")
+                values = audited(dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn), f"at step {k - 1}")
             if matrix_hook is not None:
                 matrix = topology.densify(values) if baseline_matrix is None else baseline_matrix
                 matrix.flags.writeable = False

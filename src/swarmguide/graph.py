@@ -1,11 +1,12 @@
 """Bin topology as each bin's padded neighbour stencil, connectivity checks,
-recurrent/transient partitioning, and Laplacian views of the self-loop-free
+recurrent/transient partitioning, and the Laplacian of the self-loop-free
 neighbour graph.
 
-``Topology`` is the one graph representation: every search, partition and
-Laplacian here reads a bin's neighbours off its stencil row, at O(m w)
-cost for m bins of at most w destinations.  A dense adjacency table is
-only ever read by ``make_topology``, which converts one given from outside.
+``Topology`` is the one graph representation, a subgraph (``restrict``)
+included: every search, partition and Laplacian here reads a bin's
+neighbours off its stencil row, at O(m w) cost for m bins of at most w
+destinations.  A dense adjacency table is only ever read by
+``make_topology``, which converts one given from outside.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .density import check_density
 __all__ = [
     "Topology",
     "Partition",
-    "LaplacianView",
     "make_topology",
     "build_grid_topology",
     "is_strongly_connected",
@@ -263,36 +263,16 @@ def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
     return Partition(recurrent=recurrent, layers=tuple(layers), ordering=ordering)
 
 
-@dataclass(frozen=True)
-class LaplacianView:
-    """Degrees and combinatorial Laplacian of the self-loop-free graph induced
-    on a subset of bins, in the subset's own indexing."""
+def laplacian_of(stencil: Topology) -> np.ndarray:
+    """Dense, read-only Laplacian of the self-loop-free graph of ``stencil``,
+    the one m x m table built here, placed from the real non-self slots.
 
-    subset: np.ndarray
-    degree: np.ndarray
-    max_degree: int
-    laplacian: np.ndarray
-
-
-def laplacian_of(topology: Topology, subset=None) -> LaplacianView:
-    """Laplacian view over ``subset`` (default: all bins).
-
-    The induced subgraph must be connected; self-loops are dropped before
-    counting degrees, so ``max_degree`` is the largest neighbor count.  The
-    entries are placed from the subset's stencil, so the dense Laplacian is
-    the only m x m table built.
+    For a subset of bins, pass ``topology.restrict(subset)``.  A disconnected
+    graph is not refused: ``analysis.contraction_certificate`` reports it.
     """
-    if subset is None:
-        subset = np.arange(topology.m)
-    idx = _as_subset(topology.m, subset)
-    if not is_strongly_connected(topology, idx):
-        raise ValueError("Laplacian view requires a connected subset")
-    sub = topology.restrict(idx)
-    edges = sub.real & ~sub.own
-    degree = edges.sum(axis=1)
-    lap = np.zeros((idx.size, idx.size))
-    lap[np.nonzero(edges)[0], sub.rows[edges]] = -1.0
-    lap[np.diag_indices(idx.size)] = degree
-    for arr in (idx, degree, lap):
-        arr.flags.writeable = False
-    return LaplacianView(subset=idx, degree=degree, max_degree=int(degree.max()), laplacian=lap)
+    edges = stencil.real & ~stencil.own
+    lap = np.zeros((stencil.m, stencil.m))
+    lap[np.nonzero(edges)[0], stencil.rows[edges]] = -1.0
+    lap[np.diag_indices(stencil.m)] = edges.sum(axis=1)
+    lap.flags.writeable = False
+    return lap

@@ -5,9 +5,10 @@ which entry [i, j] is the probability that an agent in bin j moves to bin i:
 
 * ``dsmc_recurrent``: density-feedback columns for the bins that carry
   positive desired density.  Probability flows from bins with surplus toward
-  adjacent bins with deficit, scaled so every column is a distribution, and
-  the matrix degenerates to the identity exactly when the current density
-  equals the target.
+  adjacent bins with deficit, divided by the float ``d_chsn`` that
+  ``choose_d_chsn`` reads off their stencil and scaled so every column is a
+  distribution; the matrix degenerates to the identity exactly when the
+  current density equals the target.
 * ``transient_matrix``: shortest-path columns that drain the remaining bins
   toward the desired support, one distance layer per step, with no
   self-loops.
@@ -36,7 +37,6 @@ from .graph import Partition, Topology, partition_states
 
 __all__ = [
     "COLUMN_SUM_TOL",
-    "SynthesisParams",
     "ValidationReport",
     "choose_d_chsn",
     "dsmc_recurrent",
@@ -52,28 +52,18 @@ __all__ = [
 COLUMN_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SynthesisParams:
-    """Tuning for density-feedback synthesis.
+def choose_d_chsn(stencil: Topology) -> float:
+    """Smallest admissible integer divisor ``d_chsn`` for the recurrent bins'
+    stencil: its maximum degree plus one.
 
     ``d_chsn`` divides every pairwise error difference before it becomes a
     transition probability.  It must strictly exceed the maximum degree of
     the self-loop-free recurrent graph; the error recursion then contracts.
     """
-
-    d_chsn: float
-
-
-def choose_d_chsn(recurrent_graph) -> SynthesisParams:
-    """Smallest admissible integer divisor: maximum degree plus one.
-
-    ``recurrent_graph`` is anything with a ``max_degree``: a
-    ``LaplacianView`` or the recurrent bins' ``Topology``.
-    """
-    return SynthesisParams(d_chsn=float(recurrent_graph.max_degree) + 1.0)
+    return float(stencil.max_degree) + 1.0
 
 
-def dsmc_recurrent(current_r, desired_r, stencil: Topology, params: SynthesisParams) -> np.ndarray:
+def dsmc_recurrent(current_r, desired_r, stencil: Topology, d_chsn: float) -> np.ndarray:
     """Synthesize the recurrent columns from density feedback, in stencil layout.
 
     Parameters
@@ -87,8 +77,8 @@ def dsmc_recurrent(current_r, desired_r, stencil: Topology, params: SynthesisPar
     stencil : Topology
         The recurrent bins' stencil in their own numbering, for instance
         ``topology.restrict(recurrent)``.
-    params : SynthesisParams
-        Divisor ``d_chsn``, strictly above ``stencil.max_degree``.
+    d_chsn : float
+        Divisor, strictly above ``stencil.max_degree``.
 
     Returns
     -------
@@ -106,10 +96,10 @@ def dsmc_recurrent(current_r, desired_r, stencil: Topology, params: SynthesisPar
     """
     x = np.asarray(current_r, dtype=float)
     e = np.asarray(desired_r, dtype=float) - x
-    return _kernels.synth_recurrent(e, x, stencil.rows, stencil.own, float(params.d_chsn))
+    return _kernels.synth_recurrent(e, x, stencil.rows, stencil.own, float(d_chsn))
 
 
-def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams, m_r: int) -> np.ndarray:
+def dsmc_column(j: int, x_local, v_local, neighbor_ids, d_chsn: float, m_r: int) -> np.ndarray:
     """Column j of the recurrent block from bin-local data only.
 
     ``x_local`` and ``v_local`` list bin j's own density and target first,
@@ -133,8 +123,8 @@ def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams,
         raise ValueError(f"bin {j} cannot be its own neighbor")
     if np.unique(ids).size != ids.size:
         raise ValueError("duplicate neighbor indices")
-    if params.d_chsn <= ids.size:
-        raise ValueError(f"d_chsn={params.d_chsn} must strictly exceed the degree {ids.size}")
+    if d_chsn <= ids.size:
+        raise ValueError(f"d_chsn={d_chsn} must strictly exceed the degree {ids.size}")
 
     order = np.argsort(ids)
     ids = ids[order]
@@ -144,7 +134,7 @@ def dsmc_column(j: int, x_local, v_local, neighbor_ids, params: SynthesisParams,
 
     col = np.zeros(m_r)
     if x_own > 0.0:
-        flow = (e_nbr - e_own) / params.d_chsn
+        flow = (e_nbr - e_own) / d_chsn
         pos = flow > 0.0
         col[ids[pos]] = flow[pos] / x_own
     # Ascending-index accumulation, exactly as the full-matrix kernel does it.
@@ -278,9 +268,9 @@ class ValidationReport:
     min_entry: float
     mask_violations: tuple[tuple[int, int], ...]
 
-    def ok(self, column_sum_tol: float = COLUMN_SUM_TOL) -> bool:
+    def ok(self) -> bool:
         return (
-            self.max_column_sum_deviation <= column_sum_tol
+            self.max_column_sum_deviation <= COLUMN_SUM_TOL
             and self.min_entry >= 0.0
             and not self.mask_violations
         )

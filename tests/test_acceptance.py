@@ -24,13 +24,11 @@ import swarmguide._kernels as _kernels
 import swarmguide.engine as engine
 from swarmguide import (
     Scenario,
-    SynthesisParams,
     build_grid_topology,
     choose_d_chsn,
     contraction_certificate,
     convergence_rate_bounds,
     dsmc_column,
-    laplacian_of,
     linear_error_update,
     load_scenario,
     render_scenario,
@@ -119,14 +117,14 @@ def test_criterion_01_ring_one_step_density():
 
 
 def test_criterion_02_ring_linear_contraction_constant():
-    view = laplacian_of(build_grid_topology(2, 2, 1))
+    ring = build_grid_topology(2, 2, 1)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(10):
         e = zero_sum_vector(rng, 4)
         e /= np.linalg.norm(e)
         for _ in range(30):
-            nxt = linear_error_update(e, view, 3.0)
+            nxt = linear_error_update(e, ring, 3.0)
             worst = max(worst, abs(float(nxt @ nxt) - float(e @ e) / 9.0))
             e = nxt
     _report(
@@ -153,13 +151,12 @@ def test_criterion_03_rate_bound_sandwich_on_random_graphs():
     rng = np.random.default_rng(778)
     worst_low = worst_high = 0.0
     for topo in _hundred_graphs():
-        view = laplacian_of(topo)
-        d = float(view.max_degree + 1)
-        lower, upper = convergence_rate_bounds(view, d)
+        d = float(topo.max_degree + 1)
+        lower, upper = convergence_rate_bounds(topo, d)
         for _ in range(10):
             e = zero_sum_vector(rng, topo.m)
             before = float(e @ e)
-            nxt = linear_error_update(e, view, d)
+            nxt = linear_error_update(e, topo, d)
             shrink = (before - float(nxt @ nxt)) / before
             worst_low = max(worst_low, lower - shrink)
             worst_high = max(worst_high, shrink - upper)
@@ -175,9 +172,8 @@ def test_criterion_04_spectral_certificates_on_random_graphs():
     worst_excess = -np.inf
     worst_radius = 0.0
     for topo in _hundred_graphs():
-        view = laplacian_of(topo)
-        report = contraction_certificate(view, float(view.max_degree + 1))
-        worst_excess = max(worst_excess, float(report.laplacian_eigs[-1]) - 2.0 * view.max_degree)
+        report = contraction_certificate(topo, float(topo.max_degree + 1))
+        worst_excess = max(worst_excess, float(report.laplacian_eigs[-1]) - 2.0 * topo.max_degree)
         worst_radius = max(worst_radius, report.zero_sum_radius)
         assert report.connected
     ok = worst_excess <= 1e-9 and worst_radius < 1.0
@@ -245,8 +241,8 @@ def test_criterion_08_local_columns_equal_global_matrix():
         m = topo.m
         v = positive_density(rng, m)
         x = random_density(rng, m, zero_frac=0.25)
-        params = choose_d_chsn(laplacian_of(topo))
-        full = dense_dsmc(x, v, topo, params)
+        d_chsn = choose_d_chsn(topo)
+        full = dense_dsmc(x, v, topo, d_chsn)
         j = int(rng.integers(0, m))
         neighbors = np.nonzero(adjacency_of(topo)[:, j] & (np.arange(m) != j))[0]
         col = dsmc_column(
@@ -254,7 +250,7 @@ def test_criterion_08_local_columns_equal_global_matrix():
             np.concatenate([[x[j]], x[neighbors]]),
             np.concatenate([[v[j]], v[neighbors]]),
             neighbors,
-            params,
+            d_chsn,
             m,
         )
         worst = max(worst, float(np.abs(col - full[:, j]).max()))

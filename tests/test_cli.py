@@ -2,6 +2,8 @@ import builtins
 import io
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,7 +15,6 @@ from swarmguide import (
     Event,
     Scenario,
     ScenarioFormatError,
-    SynthesisParams,
     build_grid_topology,
     load_scenario,
     metropolis_hastings,
@@ -373,9 +374,14 @@ def test_cmd_verify_grid(capsys):
 
 
 def test_cmd_verify_disconnected_fixture_fails(capsys):
+    # The report is printed, and its lambda_2 flag decides connectivity.
     assert main(["verify", "--fixture", "disconnected2"]) == 1
-    err = capsys.readouterr().err
-    assert "connected" in err
+    out = capsys.readouterr().out
+    values = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert values["bins"] == "2"
+    assert values["connected"] == "false"
+    assert values["contraction_ok"] == "false"
+    assert values["certificates_ok"] == "false"
 
 
 def test_cmd_verify_refuses_oversized_grids_before_building_them(monkeypatch, capsys):
@@ -439,7 +445,7 @@ def test_cmd_export_matrix_first_step_matches_library(tmp_path):
         np.array([0.65, 0.35, 0.0, 0.0]),
         np.array([0.05, 0.05, 0.3, 0.6]),
         topo,
-        SynthesisParams(d_chsn=3.0),
+        3.0,
     )
     assert np.array_equal(got, expected)
 
@@ -463,6 +469,35 @@ def test_cmd_export_matrix_step_out_of_range(tmp_path, capsys):
         "--step", "2", "--out", str(tmp_path / "m.csv"),
     ]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
+    # A directory where the matrix should go, and a regular file where the
+    # run's output directory should go: each an OSError, reported as usage.
+    cycle4 = str(SCENARIOS / "cycle4.txt")
+    assert main(["export-matrix", "--scenario", cycle4, "--step", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    blocker = tmp_path / "file"
+    blocker.write_text("x", encoding="utf-8")
+    assert main(["run", "--scenario", cycle4, "--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_export_matrix_to_stdout_writes_only_the_matrix(tmp_path):
+    # With stdout redirected to a file and the matrix written to /dev/stdout,
+    # the status line goes to stderr instead of over the matrix.
+    argv = ["export-matrix", "--scenario", str(SCENARIOS / "cycle4.txt"), "--step", "0"]
+    assert main([*argv, "--out", str(tmp_path / "file.csv")]) == 0
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    with open(tmp_path / "redirected.csv", "wb") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmguide", *argv, "--out", "/dev/stdout"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "wrote /dev/stdout (4x4)\n"
+    assert (tmp_path / "redirected.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 def test_write_text_rewrites_the_same_file_to_exactly_the_new_bytes(tmp_path):

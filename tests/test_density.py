@@ -4,7 +4,6 @@ import pytest
 from swarmguide import (
     check_density,
     empirical_density,
-    error_vector,
     from_weight_map,
     total_variation,
 )
@@ -38,26 +37,6 @@ def test_check_density_tolerates_tiny_sum_slack():
     check_density([0.5, 0.5 + 5e-10])
     with pytest.raises(ValueError):
         check_density([0.5, 0.5 + 5e-9])
-
-
-def test_error_vector_values_and_zero_sum():
-    e = error_vector([0.05, 0.05, 0.3, 0.6], [0.65, 0.35, 0.0, 0.0])
-    assert np.allclose(e, [-0.6, -0.3, 0.3, 0.6], atol=1e-15)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(1, 30))
-        v = rng.random(m)
-        v /= v.sum()
-        x = rng.random(m)
-        x /= x.sum()
-        assert abs(error_vector(v, x).sum()) < 1e-12
-
-
-def test_error_vector_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="match"):
-        error_vector([0.5, 0.5], [1.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        error_vector([0.5, 0.5], [-0.1, 1.1])
 
 
 def test_total_variation_against_scalar_oracle():

@@ -505,7 +505,7 @@ def test_run_scenario_aborts_on_invalid_matrix(monkeypatch):
         values[0][stencil.own[0]] = 1.2
         return values
 
-    monkeypatch.setattr(engine_module, "dsmc_recurrent", lambda current_r, desired_r, stencil, params: broken(stencil))
+    monkeypatch.setattr(engine_module, "dsmc_recurrent", lambda current_r, desired_r, stencil, d_chsn: broken(stencil))
     for mode in ("deterministic", "monte-carlo"):
         with pytest.raises(RuntimeError, match="failed validation at step 0"):
             run_scenario(replace(RING_SCENARIO, mode=mode))
@@ -536,7 +536,7 @@ def test_run_scenario_audit_aborts_on_each_defect(monkeypatch, defect, fragment,
     # so only the padded-slot check can see it.  So does the leak from
     # recurrent bin 1 into the slot of transient bin 2, which the topology
     # lists but the recurrent stencil pads.
-    def broken(current_r, desired_r, stencil, params):
+    def broken(current_r, desired_r, stencil, d_chsn):
         assert stencil.rows[0].tolist() == [0, 1, 2, 0, 0] and stencil.real[0].tolist() == [1, 1, 1, 0, 0]
         values = stencil.own.astype(float)
         if defect == "negative":
@@ -607,8 +607,8 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
     tt, rt = dense_transient_oracle(partition, brute_force_grid_adjacency(scenario.rows, scenario.cols, scenario.hop))
     blocks, hooked, sampled = [], [], []
 
-    def recording_synthesis(current_r, desired_r, neighbours, params):
-        values = dsmc_recurrent(current_r, desired_r, neighbours, params)
+    def recording_synthesis(current_r, desired_r, neighbours, d_chsn):
+        values = dsmc_recurrent(current_r, desired_r, neighbours, d_chsn)
         blocks.append(neighbours.densify(values))
         return values
 

@@ -78,14 +78,14 @@ def _recurrent_view(topology, target):
 @given(instances())
 def test_stencil_synthesis_equals_bin_local_columns_and_dense_reference(instance):
     topology, target, current = instance
-    recurrent, neighbours, params = _recurrent_view(topology, target)
+    recurrent, neighbours, d_chsn = _recurrent_view(topology, target)
     x, v = current[recurrent], target[recurrent]
-    dense = neighbours.densify(dsmc_recurrent(x, v, neighbours, params))
+    dense = neighbours.densify(dsmc_recurrent(x, v, neighbours, d_chsn))
     adjacency = adjacency_of(topology)[np.ix_(recurrent, recurrent)]
-    assert dense.tobytes() == dense_recurrent_oracle(v - x, x, adjacency, params.d_chsn).tobytes()
+    assert dense.tobytes() == dense_recurrent_oracle(v - x, x, adjacency, d_chsn).tobytes()
     for j in range(recurrent.size):
         nbrs = neighbours.rows[j][neighbours.real[j] & ~neighbours.own[j]]
-        col = dsmc_column(j, x[np.r_[j, nbrs]], v[np.r_[j, nbrs]], nbrs, params, recurrent.size)
+        col = dsmc_column(j, x[np.r_[j, nbrs]], v[np.r_[j, nbrs]], nbrs, d_chsn, recurrent.size)
         assert col.tobytes() == dense[:, j].tobytes()
 
 
@@ -93,9 +93,9 @@ def test_stencil_synthesis_equals_bin_local_columns_and_dense_reference(instance
 @given(instances())
 def test_synthesis_is_the_identity_at_the_target(instance):
     topology, target, _ = instance
-    recurrent, neighbours, params = _recurrent_view(topology, target)
+    recurrent, neighbours, d_chsn = _recurrent_view(topology, target)
     v = target[recurrent]
-    values = dsmc_recurrent(v, v, neighbours, params)
+    values = dsmc_recurrent(v, v, neighbours, d_chsn)
     assert np.array_equal(values, neighbours.own.astype(float))
     assert np.array_equal(neighbours.densify(values), np.eye(recurrent.size))
 
@@ -107,8 +107,8 @@ def test_synthesis_stays_on_recurrent_neighbours(instance):
     # all), and the dense block is zero wherever two recurrent bins are not
     # neighbours.
     topology, target, current = instance
-    recurrent, neighbours, params = _recurrent_view(topology, target)
-    values = dsmc_recurrent(current[recurrent], target[recurrent], neighbours, params)
+    recurrent, neighbours, d_chsn = _recurrent_view(topology, target)
+    values = dsmc_recurrent(current[recurrent], target[recurrent], neighbours, d_chsn)
     assert not values[~neighbours.real].any()
     assert (values >= 0.0).all()
     adjacency = adjacency_of(topology)[np.ix_(recurrent, recurrent)]

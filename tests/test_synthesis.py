@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from swarmguide import (
-    SynthesisParams,
     assemble,
     build_grid_topology,
     choose_d_chsn,
     dsmc_column,
     dsmc_recurrent,
-    laplacian_of,
     make_topology,
     metropolis_hastings,
     partition_states,
     transient_matrix,
     validate_markov,
 )
+from swarmguide.synthesis import COLUMN_SUM_TOL
 
 from testutil import (
     adjacency_of,
@@ -33,23 +32,22 @@ from testutil import (
 RING = build_grid_topology(2, 2, 1)
 RING_V = np.array([0.05, 0.05, 0.3, 0.6])
 RING_X0 = np.array([0.65, 0.35, 0.0, 0.0])
-RING_PARAMS = SynthesisParams(d_chsn=3.0)
+RING_D = 3.0
 
 
 def test_choose_d_chsn_is_max_degree_plus_one():
-    assert choose_d_chsn(laplacian_of(RING)).d_chsn == 3.0
-    assert choose_d_chsn(laplacian_of(build_grid_topology(3, 3, 1))).d_chsn == 5.0
-    assert choose_d_chsn(laplacian_of(build_grid_topology(1, 2, 1))).d_chsn == 2.0
-    # The same divisor from a topology, and from a topology restricted to a subset.
-    assert choose_d_chsn(build_grid_topology(3, 3, 1)).d_chsn == 5.0
-    assert choose_d_chsn(build_grid_topology(3, 3, 1).restrict([0, 1, 2, 5])).d_chsn == 3.0
+    assert choose_d_chsn(RING) == 3.0
+    assert choose_d_chsn(build_grid_topology(3, 3, 1)) == 5.0
+    assert choose_d_chsn(build_grid_topology(1, 2, 1)) == 2.0
+    # The divisor of a topology restricted to a subset.
+    assert choose_d_chsn(build_grid_topology(3, 3, 1).restrict([0, 1, 2, 5])) == 3.0
 
 
 def test_ring_first_step_matrix_hand_values():
     # Hand-built from e = v - x0 = (-0.6, -0.3, 0.3, 0.6), d = 3:
     # column 0 moves 0.1 to bin 1 and 0.3 to bin 2 out of density 0.65,
     # column 1 moves 0.3 to bin 3 out of density 0.35, empty columns stay put.
-    mat = dense_dsmc(RING_X0, RING_V, RING, RING_PARAMS)
+    mat = dense_dsmc(RING_X0, RING_V, RING, RING_D)
     expected = np.array(
         [
             [5 / 13, 0.0, 0.0, 0.0],
@@ -65,7 +63,7 @@ def test_ring_first_step_matrix_hand_values():
 def test_ring_two_step_density_series():
     x = RING_X0
     for expected in ([0.25, 0.15, 0.3, 0.3], [0.15, 0.05, 0.8 / 3, 1.6 / 3]):
-        mat = dense_dsmc(x, RING_V, RING, RING_PARAMS)
+        mat = dense_dsmc(x, RING_V, RING, RING_D)
         x = mat @ x
         assert np.allclose(x, expected, atol=1e-12, rtol=0.0)
 
@@ -75,8 +73,8 @@ def test_fixed_point_gives_exact_identity():
     for _ in range(20):
         topo = random_connected_topology(rng, int(rng.integers(2, 40)))
         v = positive_density(rng, topo.m)
-        params = choose_d_chsn(laplacian_of(topo))
-        mat = dense_dsmc(v, v, topo, params)
+        d_chsn = choose_d_chsn(topo)
+        mat = dense_dsmc(v, v, topo, d_chsn)
         assert np.array_equal(mat, np.eye(topo.m))
 
 
@@ -88,10 +86,10 @@ def test_synthesis_agrees_with_scalar_flow_oracle():
         topo = random_connected_topology(rng, int(rng.integers(2, 40)))
         v = positive_density(rng, topo.m)
         x = random_density(rng, topo.m, zero_frac=0.3)
-        params = choose_d_chsn(laplacian_of(topo))
-        mat = dense_dsmc(x, v, topo, params)
+        d_chsn = choose_d_chsn(topo)
+        mat = dense_dsmc(x, v, topo, d_chsn)
         e = v - x
-        expected = flow_oracle(e, x, adjacency_of(topo), params.d_chsn)
+        expected = flow_oracle(e, x, adjacency_of(topo), d_chsn)
         assert np.abs(mat @ x - expected).max() < 1e-12
 
 
@@ -101,8 +99,8 @@ def test_synthesized_matrices_are_valid_markov():
         topo = random_connected_topology(rng, int(rng.integers(2, 40)))
         v = positive_density(rng, topo.m)
         x = random_density(rng, topo.m, zero_frac=0.2)
-        params = choose_d_chsn(laplacian_of(topo))
-        values = dsmc_recurrent(x, v, topo, params)
+        d_chsn = choose_d_chsn(topo)
+        values = dsmc_recurrent(x, v, topo, d_chsn)
         assert validate_markov(values, topo).ok()
         assert dense_audit(topo.densify(values), topo).ok()
 
@@ -114,8 +112,8 @@ def test_saturated_column_spends_exactly_its_density():
     topo = build_grid_topology(1, 3, 1)
     v = np.array([0.899, 0.1, 0.001])
     x = np.array([0.001, 0.0005, 0.9985])
-    params = choose_d_chsn(laplacian_of(topo))
-    mat = dense_dsmc(x, v, topo, params)
+    d_chsn = choose_d_chsn(topo)
+    mat = dense_dsmc(x, v, topo, d_chsn)
     assert mat[0, 1] == 1.0
     assert mat[1, 1] == 0.0
     assert mat[2, 1] == 0.0
@@ -129,7 +127,7 @@ def test_dsmc_does_not_mutate_inputs():
     x = RING_X0.copy()
     v = RING_V.copy()
     rows, real = RING.rows.copy(), RING.real.copy()
-    dsmc_recurrent(x, v, RING, RING_PARAMS)
+    dsmc_recurrent(x, v, RING, RING_D)
     assert np.array_equal(x, RING_X0)
     assert np.array_equal(v, RING_V)
     assert np.array_equal(RING.rows, rows) and np.array_equal(RING.real, real)
@@ -142,8 +140,8 @@ def test_local_column_equals_global_column_exactly():
         m = topo.m
         v = positive_density(rng, m)
         x = random_density(rng, m, zero_frac=0.3)
-        params = choose_d_chsn(laplacian_of(topo))
-        full = dense_dsmc(x, v, topo, params)
+        d_chsn = choose_d_chsn(topo)
+        full = dense_dsmc(x, v, topo, d_chsn)
         for j in range(m):
             neighbors = np.nonzero(adjacency_of(topo)[:, j] & (np.arange(m) != j))[0]
             # Feed the neighbors in a scrambled order: result may not depend on it.
@@ -151,24 +149,24 @@ def test_local_column_equals_global_column_exactly():
             nbr = neighbors[perm]
             x_local = np.concatenate([[x[j]], x[nbr]])
             v_local = np.concatenate([[v[j]], v[nbr]])
-            col = dsmc_column(j, x_local, v_local, nbr, params, m)
+            col = dsmc_column(j, x_local, v_local, nbr, d_chsn, m)
             assert col.tobytes() == full[:, j].tobytes()
 
 
 def test_local_column_rejects_malformed_neighborhoods():
-    params = SynthesisParams(d_chsn=3.0)
+    d_chsn = 3.0
     with pytest.raises(ValueError, match="plus 2 neighbors"):
-        dsmc_column(0, [0.5, 0.5], [0.5, 0.5], [1, 2], params, 4)
+        dsmc_column(0, [0.5, 0.5], [0.5, 0.5], [1, 2], d_chsn, 4)
     with pytest.raises(ValueError, match="own neighbor"):
-        dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [0, 1], params, 4)
+        dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [0, 1], d_chsn, 4)
     with pytest.raises(ValueError, match="duplicate"):
-        dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 1], params, 4)
+        dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 1], d_chsn, 4)
     with pytest.raises(ValueError, match="out of range"):
-        dsmc_column(5, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 2], params, 4)
+        dsmc_column(5, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 2], d_chsn, 4)
     with pytest.raises(ValueError, match="lie in"):
-        dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 9], params, 4)
+        dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 9], d_chsn, 4)
     with pytest.raises(ValueError, match="exceed the degree"):
-        dsmc_column(0, [0.25] * 4, [0.25] * 4, [1, 2, 3], SynthesisParams(d_chsn=3.0), 4)
+        dsmc_column(0, [0.25] * 4, [0.25] * 4, [1, 2, 3], 3.0, 4)
 
 
 def _e_partition():
@@ -380,9 +378,8 @@ def test_validate_markov_audits_stencil_values_like_their_dense_matrix():
     assert not report.ok()
 
 
-def test_validate_markov_tolerance_is_callers_choice():
+def test_validate_markov_tolerance_is_column_sum_tol():
     topo = build_grid_topology(1, 2, 1)
-    mat = np.array([[0.5, 0.5], [0.5 + 2e-9, 0.5]])
-    report = validate_markov(topo.sparsify(mat), topo)
-    assert not report.ok()
-    assert report.ok(column_sum_tol=1e-8)
+    for excess, ok in ((0.5 * COLUMN_SUM_TOL, True), (2.0 * COLUMN_SUM_TOL, False)):
+        mat = np.array([[0.5, 0.5], [0.5 + excess, 0.5]])
+        assert validate_markov(topo.sparsify(mat), topo).ok() == ok

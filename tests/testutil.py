@@ -14,7 +14,6 @@ import numpy as np
 
 from swarmguide import (
     Event,
-    LaplacianView,
     Partition,
     SpectralReport,
     SwarmState,
@@ -174,7 +173,7 @@ def dense_layout(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.ascontiguousarray(matrix.T), np.broadcast_to(np.arange(m), (m, m)), np.arange(m)
 
 
-def local_recurrent_oracle(current_r, desired_r, stencil, params) -> np.ndarray:
+def local_recurrent_oracle(current_r, desired_r, stencil, d_chsn) -> np.ndarray:
     """Recurrent values built column by column from bin-local data only, by
     ``dsmc_column`` on each bin and its stencil neighbours, then laid into
     the stencil's slots; a drop-in for ``dsmc_recurrent``."""
@@ -188,7 +187,7 @@ def local_recurrent_oracle(current_r, desired_r, stencil, params) -> np.ndarray:
         nbrs = nbrs[nbrs != j]
         local_x = np.concatenate([[x[j]], x[nbrs]])
         local_v = np.concatenate([[v[j]], v[nbrs]])
-        col = dsmc_column(j, local_x, local_v, nbrs, params, m_r)
+        col = dsmc_column(j, local_x, local_v, nbrs, d_chsn, m_r)
         values[j, real] = col[stencil.rows[j][real]]
     return values
 
@@ -212,9 +211,9 @@ def dense_recurrent_oracle(e: np.ndarray, x: np.ndarray, adj: np.ndarray, d_chsn
     return r / (off + diag)[np.newaxis, :]
 
 
-def dense_dsmc(current, desired, topology: Topology, params) -> np.ndarray:
+def dense_dsmc(current, desired, topology: Topology, d_chsn) -> np.ndarray:
     """``dsmc_recurrent`` over every bin of ``topology``, as a dense matrix."""
-    return topology.densify(dsmc_recurrent(current, desired, topology, params))
+    return topology.densify(dsmc_recurrent(current, desired, topology, d_chsn))
 
 
 def dense_transient_oracle(partition: Partition, adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,13 +302,15 @@ def random_column_stochastic(rng: np.random.Generator, topology: Topology) -> np
     return raw / raw.sum(axis=0, keepdims=True)
 
 
-def five_solve_certificate(view: LaplacianView, d: float) -> SpectralReport:
+def five_solve_certificate(stencil: Topology, d: float) -> SpectralReport:
     """The certificate from five eigenvalue solves of dense m x m tables:
     the radius of the deflated update I - L/d - J/m, the smallest
     eigenvalue of I - G'G for that deflated G, and the rates as the extreme
-    eigenvalues of S + J/m and of S = (2 d L - L L) / d^2."""
-    lap = view.laplacian
-    m = lap.shape[0]
+    eigenvalues of S + J/m and of S = (2 d L - L L) / d^2.  L is built from
+    the dense adjacency table, not from the stencil's slots."""
+    m = stencil.m
+    edges = adjacency_of(stencil) & ~np.eye(m, dtype=bool)
+    lap = np.diag(edges.sum(axis=0).astype(float)) - edges
     eigs = symmetric_eigenvalues(lap)
     deflated = np.eye(m) - lap / d - np.full((m, m), 1.0 / m)
     s = (2.0 * d * lap - lap @ lap) / (d * d)
@@ -319,7 +320,7 @@ def five_solve_certificate(view: LaplacianView, d: float) -> SpectralReport:
         rate_lower=float(symmetric_eigenvalues(s + np.full((m, m), 1.0 / m))[0]),
         rate_upper=float(symmetric_eigenvalues(s)[-1]),
         d_chsn=d,
-        max_degree=view.max_degree,
+        max_degree=stencil.max_degree,
         lyapunov_margin=float(symmetric_eigenvalues(np.eye(m) - deflated.T @ deflated)[0]),
         connected=m == 1 or float(eigs[1]) > CERT_TOL,
     )
