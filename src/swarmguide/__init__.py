@@ -11,7 +11,6 @@ from .analysis import (
     contraction_certificate,
     convergence_rate_bounds,
     linear_error_update,
-    symmetric_eigenvalues,
 )
 from .density import (
     check_density,
@@ -61,7 +60,6 @@ __all__ = [
     "contraction_certificate",
     "convergence_rate_bounds",
     "linear_error_update",
-    "symmetric_eigenvalues",
     "check_density",
     "empirical_density",
     "from_weight_map",

@@ -6,7 +6,9 @@ e <- (I - L / d_chsn) e, where L is the Laplacian of the self-loop-free
 recurrent graph, passed as its stencil (``topology.restrict(recurrent)``).
 This module checks, from the eigenvalues of ``laplacian_of(stencil)`` alone,
 that the update contracts on the zero-sum subspace the error lives in, and
-bounds how fast the squared error shrinks per step.
+bounds how fast the squared error shrinks per step.  L's symmetry, which
+the symmetric eigensolver assumes, is decided exactly on the stencil's
+slots, not on the dense table.
 """
 from __future__ import annotations
 
@@ -17,29 +19,27 @@ import numpy as np
 from .graph import Topology, laplacian_of
 
 __all__ = [
-    "SYMMETRY_TOL",
     "CERT_TOL",
     "SpectralReport",
-    "symmetric_eigenvalues",
     "linear_error_update",
     "contraction_certificate",
     "convergence_rate_bounds",
 ]
 
-# Max absolute asymmetry accepted by the symmetric eigensolver.
-SYMMETRY_TOL = 1e-12
 # Slack for certificate comparisons against exact spectral statements.
 CERT_TOL = 1e-9
 
 
-def symmetric_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
-    return np.linalg.eigvalsh(a)
+def _check_symmetric(stencil: Topology) -> None:
+    """Refuse a stencil whose bin j lists a neighbour i that does not list j.
+
+    Compares the edges (j, i) of the real non-self slots with their
+    reverses as sorted keys j*m + i, in O(m w) memory with no m x m table.
+    """
+    edges = stencil.real & ~stencil.own
+    j, i = np.nonzero(edges)[0], stencil.rows[edges]
+    if not np.array_equal(np.sort(j * stencil.m + i), np.sort(i * stencil.m + j)):
+        raise ValueError("stencil is not symmetric: some bin lists a neighbour that does not list it")
 
 
 def _check_d_chsn(stencil: Topology, d_chsn: float) -> float:
@@ -62,8 +62,8 @@ def linear_error_update(e, stencil: Topology, d_chsn: float) -> np.ndarray:
         raise ValueError("error vector must sum to zero")
     d = _check_d_chsn(stencil, d_chsn)
     # (L e)[j] = deg(j) e[j] - the sum of e over bin j's neighbours, at O(m w):
-    # the self slot and the padded slots of row j point at j and add 0.
-    lap_e = (err[:, np.newaxis] - err[stencil.rows]).sum(axis=1)
+    # the self slot adds 0, and so does every unmarked slot, wherever it points.
+    lap_e = np.where(stencil.real, err[:, np.newaxis] - err[stencil.rows], 0.0).sum(axis=1)
     return err - lap_e / d
 
 
@@ -157,15 +157,17 @@ class SpectralReport:
 def contraction_certificate(stencil: Topology, d_chsn: float) -> SpectralReport:
     """Spectral audit of the error recursion on a recurrent graph.
 
-    Every value comes from the one spectrum u of L, ascending.  L is
-    symmetric with the constant vector in its kernel, so u[0] belongs to the
-    constant direction and u[1:] to the zero-sum subspace, where the update
-    acts as 1 - u/d.  Connectivity is read off the spectrum (second-smallest
+    Every value comes from the one spectrum u of L, ascending.  An
+    asymmetric stencil raises ValueError first.  L is then symmetric with
+    the constant vector in its kernel, so u[0] belongs to the constant
+    direction and u[1:] to the zero-sum subspace, where the update acts as
+    1 - u/d.  Connectivity is read off the spectrum (second-smallest
     Laplacian eigenvalue positive); a disconnected graph is reported with
     failing flags rather than raised, so callers can print the evidence.
     """
+    _check_symmetric(stencil)
     d = _check_d_chsn(stencil, d_chsn)
-    eigs = symmetric_eigenvalues(laplacian_of(stencil))
+    eigs = np.linalg.eigvalsh(laplacian_of(stencil))
     shrink = eigs * (2.0 * d - eigs) / (d * d)
     update = 1.0 - eigs[1:] / d
     eigs.flags.writeable = False

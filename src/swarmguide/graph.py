@@ -34,9 +34,13 @@ class Topology:
     neighbour stencil.
 
     Row j of ``rows`` lists, in ascending order, the bins an agent in bin j
-    may move to, itself included, in the slots ``real`` marks; every other
-    slot is padding that points at bin j itself.  Transitions are symmetric
-    and staying put is always allowed.  Bins are indexed 0..m-1.  Matrix
+    may move to in the slots ``real`` marks; every other slot is padding.
+    In the stencils of ``build_grid_topology``, ``make_topology`` and
+    ``restrict``, transitions are symmetric, staying put is always allowed
+    and padding points at bin j itself.  A ``Topology`` built directly need
+    not be so: ``run_scenario``'s audit stencil is asymmetric, and its
+    unmarked slots list other bins.  ``analysis.contraction_certificate``
+    refuses an asymmetric stencil.  Bins are indexed 0..m-1.  Matrix
     column j is held as ``values[j]``, 0.0 in the padded slots, so a
     cumulative sum along a row equals the dense column's cumulative sum at
     the listed bins entry for entry.
@@ -237,15 +241,14 @@ class Partition:
 def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
     """Split bins by the support of ``desired`` and layer the rest by distance.
 
-    Raises when no bin has positive desired density, when the support is not
-    connected, or when some bin cannot reach the support at all.
+    Raises when ``desired`` is not a density over the topology's bins (one
+    of all zeros sums to 0), when the support is not connected, or when
+    some bin cannot reach the support at all.
     """
     v = check_density(desired, name="desired density")
     if v.size != topology.m:
         raise ValueError(f"desired density has {v.size} bins, topology has {topology.m}")
     recurrent = np.nonzero(v > 0.0)[0]
-    if recurrent.size == 0:
-        raise ValueError("desired density must be positive on at least one bin")
     if not is_strongly_connected(topology, recurrent):
         raise ValueError("bins with positive desired density must form a connected subgraph")
     unseen = np.ones(topology.m, dtype=bool)

@@ -4,40 +4,17 @@ import numpy as np
 import pytest
 
 from swarmguide import (
+    Topology,
     build_grid_topology,
     contraction_certificate,
     convergence_rate_bounds,
     linear_error_update,
     make_topology,
-    symmetric_eigenvalues,
 )
 
-from testutil import five_solve_certificate, random_connected_topology, zero_sum_vector
+from testutil import adjacency_of, five_solve_certificate, random_connected_topology, zero_sum_vector
 
 RING = build_grid_topology(2, 2, 1)
-
-
-def test_symmetric_eigenvalues_known_matrices():
-    assert np.allclose(symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0], atol=1e-15)
-    # Hand case: eigenvalues of [[2, 1], [1, 2]] are 1 and 3.
-    assert np.allclose(symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0], atol=1e-12)
-
-
-def test_symmetric_eigenvalues_sorted_ascending():
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        m = int(rng.integers(1, 30))
-        a = rng.standard_normal((m, m))
-        sym = (a + a.T) / 2.0
-        eigs = symmetric_eigenvalues(sym)
-        assert np.all(np.diff(eigs) >= -1e-12)
-
-
-def test_symmetric_eigenvalues_rejects_asymmetry():
-    with pytest.raises(ValueError, match="symmetric"):
-        symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="square"):
-        symmetric_eigenvalues(np.ones((2, 3)))
 
 
 def test_linear_error_update_ring_hand_values():
@@ -82,6 +59,17 @@ def test_linear_error_update_reads_the_stencil_not_a_dense_laplacian():
     lap_row = -np.isin(np.arange(topo.m), topo.rows[5050][topo.real[5050]]).astype(float)
     lap_row[5050] = 12.0
     assert out[5050] == pytest.approx(e[5050] - (lap_row @ e) / 13.0, abs=1e-12)
+
+
+def test_linear_error_update_skips_unmarked_slots_that_list_other_bins():
+    # The 1x3 path with its edge 0-1 unmarked both ways, as a directly built
+    # stencil may leave it: bin 0 is isolated, so L e reads only bins 1 and 2.
+    grid = build_grid_topology(1, 3, 1)
+    assert grid.rows.tolist() == [[0, 1, 0], [0, 1, 2], [1, 2, 2]]
+    topo = Topology(rows=grid.rows, real=np.array([[True, False, False], [False, True, True], [True, True, False]]))
+    e = np.array([0.5, -0.75, 0.25])
+    lap = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+    assert np.allclose(linear_error_update(e, topo, 2.0), e - lap @ e / 2.0, atol=1e-15, rtol=0.0)
 
 
 def test_rate_bounds_ring_are_eight_ninths():
@@ -211,3 +199,59 @@ def test_certificate_from_one_spectrum_equals_the_five_solve_oracle():
         assert got.connected == want.connected
         assert got.certificates_ok == want.certificates_ok
         assert convergence_rate_bounds(topo, d) == (got.rate_lower, got.rate_upper)
+
+
+def test_certificate_refuses_an_asymmetric_stencil():
+    # Bin 0 lists bin 1, which does not list bin 0 back.
+    one_way = Topology(rows=np.array([[0, 1], [1, 1]]), real=np.array([[True, True], [True, False]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        contraction_certificate(one_way, 2.0)
+    # A directed 3-cycle: every bin has one neighbour out and one in, so
+    # only the edges themselves, not the degrees, tell it from a symmetric graph.
+    cycle = Topology(rows=np.array([[0, 1], [1, 2], [0, 2]]), real=np.ones((3, 2), dtype=bool))
+    with pytest.raises(ValueError, match="not symmetric"):
+        contraction_certificate(cycle, 2.0)
+
+
+def test_certificate_symmetry_check_equals_the_dense_adjacency_test():
+    # Dropping real slots from a grid stencil, as the run's audit stencil
+    # does, leaves unmarked slots that list other bins; the stencil check
+    # refuses exactly the stencils whose dense adjacency is asymmetric.
+    rng = np.random.default_rng(47)
+    refused = 0
+    for _ in range(200):
+        grid = build_grid_topology(int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+        real = grid.real & ((rng.random(grid.real.shape) < 0.9) | grid.own)
+        topo = Topology(rows=grid.rows, real=real)
+        adj = adjacency_of(topo)
+        if np.array_equal(adj, adj.T):
+            contraction_certificate(topo, topo.max_degree + 1.0)
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="not symmetric"):
+                contraction_certificate(topo, topo.max_degree + 1.0)
+    assert 0 < refused < 200
+
+
+def test_certificate_accepts_every_restrict_of_a_grid():
+    # Every nonempty subset of a 3x3 grid at every reach, connected or not.
+    for hop in (1, 2, 3, 4):
+        grid = build_grid_topology(3, 3, hop)
+        for mask in range(1, 2**grid.m):
+            bins = np.flatnonzero([(mask >> b) & 1 for b in range(grid.m)])
+            sub = grid.restrict(bins)
+            report = contraction_certificate(sub, sub.max_degree + 1.0)
+            assert report.eig_floor_ok
+
+
+def test_certificate_builds_one_dense_table():
+    # The Laplacian is the one m x m table; the symmetry check reads the
+    # stencil, so the traced peak stays near 8 m^2 bytes.
+    topo = build_grid_topology(40, 40, 2)
+    tracemalloc.start()
+    try:
+        contraction_certificate(topo, topo.max_degree + 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * topo.m**2

@@ -307,6 +307,28 @@ def test_cmd_run_parse_error_exits_2(tmp_path, capsys):
     assert "missing required keys" in capsys.readouterr().err
 
 
+def test_cmd_run_refuses_a_disconnected_support_at_set_up(tmp_path, capsys):
+    # The map parses; the run's set-up refuses it, with exit code 1.
+    scenario = tmp_path / "split.txt"
+    scenario.write_text(
+        MINI.replace("rows=2\ncols=2", "rows=3\ncols=3").replace("11\n6c\n", "#.#\n...\n...\n"),
+        encoding="utf-8",
+    )
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: bins with positive desired density must form a connected subgraph\n"
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_cmd_run_exits_1_when_a_matrix_fails_its_audit(tmp_path, capsys, monkeypatch):
+    synthesize = engine.dsmc_recurrent
+    monkeypatch.setattr(engine, "dsmc_recurrent", lambda *args: synthesize(*args) * 1.2)
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(MINI, encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert "failed validation at step 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_cmd_compare_writes_per_algorithm_metrics_and_summary(tmp_path):
     scenario = tmp_path / "mini.txt"
     scenario.write_text(MINI, encoding="utf-8")
@@ -350,6 +372,22 @@ def test_cmd_compare_rejects_bad_inputs(tmp_path, capsys):
         "--out", str(out), "--checkpoints", "9",
     ]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--algorithms", ","], "error: no algorithms given\n"),
+        (["--checkpoints", "0,x"], "error: checkpoints must be comma-separated integers, got '0,x'\n"),
+    ],
+)
+def test_cmd_compare_refuses_empty_algorithms_and_bad_checkpoints(tmp_path, capsys, flags, message):
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(MINI, encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_cmd_verify_ring_fixture(capsys):

@@ -254,6 +254,12 @@ def test_partition_rejects_dimension_mismatch():
         partition_states(topo, np.array([0.5, 0.5]))
 
 
+def test_partition_rejects_an_all_zero_target_as_no_density():
+    # check_density's sum check is what refuses an empty support.
+    with pytest.raises(ValueError, match="desired density sums to 0.0"):
+        partition_states(build_grid_topology(2, 2, 1), np.zeros(4))
+
+
 def test_laplacian_of_full_grid():
     topo = build_grid_topology(3, 3, 1)
     lap = laplacian_of(topo)

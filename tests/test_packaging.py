@@ -35,7 +35,8 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_wrappers_stay_gone():
-    # The stencil (``Topology``) and a float ``d_chsn`` replaced these.
+    # The stencil (``Topology``) and a float ``d_chsn`` replaced the first
+    # three; an exact symmetry check on the stencil replaced the last two.
     for module in _modules():
-        for name in ("LaplacianView", "SynthesisParams", "error_vector"):
+        for name in ("LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -24,7 +24,6 @@ from swarmguide import (
     dsmc_recurrent,
     make_topology,
     run_scenario,
-    symmetric_eigenvalues,
 )
 from swarmguide.analysis import CERT_TOL
 from swarmguide.engine import _cell
@@ -311,17 +310,17 @@ def five_solve_certificate(stencil: Topology, d: float) -> SpectralReport:
     m = stencil.m
     edges = adjacency_of(stencil) & ~np.eye(m, dtype=bool)
     lap = np.diag(edges.sum(axis=0).astype(float)) - edges
-    eigs = symmetric_eigenvalues(lap)
+    eigs = np.linalg.eigvalsh(lap)
     deflated = np.eye(m) - lap / d - np.full((m, m), 1.0 / m)
     s = (2.0 * d * lap - lap @ lap) / (d * d)
     return SpectralReport(
         laplacian_eigs=eigs,
-        zero_sum_radius=float(np.abs(symmetric_eigenvalues(deflated)).max()),
-        rate_lower=float(symmetric_eigenvalues(s + np.full((m, m), 1.0 / m))[0]),
-        rate_upper=float(symmetric_eigenvalues(s)[-1]),
+        zero_sum_radius=float(np.abs(np.linalg.eigvalsh(deflated)).max()),
+        rate_lower=float(np.linalg.eigvalsh(s + np.full((m, m), 1.0 / m))[0]),
+        rate_upper=float(np.linalg.eigvalsh(s)[-1]),
         d_chsn=d,
         max_degree=stencil.max_degree,
-        lyapunov_margin=float(symmetric_eigenvalues(np.eye(m) - deflated.T @ deflated)[0]),
+        lyapunov_margin=float(np.linalg.eigvalsh(np.eye(m) - deflated.T @ deflated)[0]),
         connected=m == 1 or float(eigs[1]) > CERT_TOL,
     )
 
