@@ -15,7 +15,6 @@ from .analysis import (
 from .density import (
     check_density,
     empirical_density,
-    from_weight_map,
     total_variation,
 )
 from .engine import (
@@ -62,7 +61,6 @@ __all__ = [
     "linear_error_update",
     "check_density",
     "empirical_density",
-    "from_weight_map",
     "total_variation",
     "Event",
     "MetricsSeries",

@@ -169,7 +169,7 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ScenarioFormatError(f"malformed event numbers in {value!r}", lineno) from None
             with _at_line(lineno):
-                events.append(Event(step=step, kind="remove_fraction", fraction=fraction))
+                events.append(Event(step=step, fraction=fraction))
             event_lines.append(lineno)
             continue
         if key not in SETTINGS:
@@ -205,7 +205,7 @@ def render_scenario(scenario: Scenario) -> str:
     """Serialize a scenario so that parse_scenario(render_scenario(s)) == s."""
     lines = [f"{key}={getattr(scenario, key)}" for key in SETTINGS]
     for ev in scenario.events:
-        lines.append(f"event={ev.kind},{ev.step},{repr(ev.fraction)}")
+        lines.append(f"event=remove_fraction,{ev.step},{repr(ev.fraction)}")
     for label, grid in (("map", scenario.weights), ("init_map", scenario.init_weights)):
         if grid is not None:
             lines.append(f"{label}:")

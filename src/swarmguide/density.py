@@ -1,5 +1,5 @@
-"""Probability vectors over bins: validation, distances, weight-map
-ingestion, and empirical densities."""
+"""Probability vectors over bins: validation, distances and empirical
+densities."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,7 +8,6 @@ __all__ = [
     "SUM_TOL",
     "check_density",
     "total_variation",
-    "from_weight_map",
     "empirical_density",
 ]
 
@@ -40,19 +39,6 @@ def total_variation(a, b) -> float:
     if pa.shape != pb.shape or pa.ndim != 1:
         raise ValueError(f"shapes {pa.shape} and {pb.shape} do not match")
     return 0.5 * float(np.abs(pa - pb).sum())
-
-
-def from_weight_map(weights) -> np.ndarray:
-    """Flatten a 2-D grid of nonnegative weights into a density, row-major."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise ValueError(f"weight map must be 2-D, got shape {w.shape}")
-    if not np.isfinite(w).all() or (w < 0.0).any():
-        raise ValueError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("weight map needs at least one positive cell")
-    return (w / total).ravel()
 
 
 def empirical_density(swarm, m: int) -> np.ndarray:

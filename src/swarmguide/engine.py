@@ -3,7 +3,8 @@
 Runs a scenario either as a Monte Carlo simulation of individual agents or
 as a deterministic density recursion, synthesizing the transition matrix
 every step (density feedback) or once up front (baseline chain), applying
-scheduled events, and recording per-step metrics.
+scheduled events, and recording per-step metrics.  A ``Scenario`` checks
+the inputs once; the run checks what it computes, matrices and densities.
 
 A run works in the stencil layout of ``swarmguide.graph.Topology``: column
 j of each step's matrix is an m x w value array's row j, over bin j's
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
-from .density import check_density, empirical_density, from_weight_map, total_variation
+from .density import check_density, empirical_density, total_variation
 # ``assemble``, ``laplacian_of``, ``metropolis_hastings`` and
 # ``transient_matrix`` are no longer called here; they stay importable from the
 # engine because the per-layer benchmark traces them under this module's name.
@@ -164,15 +165,13 @@ def _require_some_weight(name: str, grid):
 
 @dataclass(frozen=True)
 class Event:
-    """Scheduled population event; ``fraction`` of agents vanish at ``step``."""
+    """Scheduled removal, the one kind of event: ``fraction`` of agents
+    vanish at ``step``.  The parser checks the file's ``remove_fraction``."""
 
     step: int
-    kind: str
     fraction: float
 
     def __post_init__(self):
-        if self.kind != "remove_fraction":
-            raise ValueError(f"unknown event kind {self.kind!r}")
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"removal fraction must be in (0, 1), got {self.fraction}")
 
@@ -192,7 +191,8 @@ class Scenario:
     positive, and any other grid is refused.  ``init_weights`` of None means
     agents start uniformly over all bins.  ``_check_setting`` refuses the
     first bad setting in ``SETTINGS`` order, so a scenario beyond the size
-    limits is refused here, before any of it is built.
+    limits is refused here, before any of it is built.  Its densities are
+    valid by construction, and a run does not check them again.
     """
 
     rows: int
@@ -227,13 +227,18 @@ class Scenario:
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
 
     def desired_density(self) -> np.ndarray:
-        return from_weight_map(np.asarray(self.weights, dtype=float))
+        return _normalised(self.weights)
 
     def initial_density(self) -> np.ndarray:
         if self.init_weights is None:
             m = self.rows * self.cols
             return np.full(m, 1.0 / m)
-        return from_weight_map(np.asarray(self.init_weights, dtype=float))
+        return _normalised(self.init_weights)
+
+
+def _normalised(grid) -> np.ndarray:
+    w = np.asarray(grid, dtype=float)
+    return (w / w.sum()).ravel()
 
 
 @dataclass
@@ -306,9 +311,10 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
     Agent k lands on the first bin whose cumulative initial density exceeds
     its placement draw, or on the last bin with positive density when
     round-off leaves the total at or below the draw.  The draws are read
-    through an exact guide table, ``_kernels.placement_guide``.
+    through an exact guide table, ``_kernels.placement_guide``.  The initial
+    density is valid by construction (see ``Scenario``), so is not checked.
     """
-    x0 = check_density(scenario.initial_density(), name="initial density")
+    x0 = scenario.initial_density()
     ids = np.arange(scenario.agents, dtype=np.uint64)
     z = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
     assignments = _kernels.place(z, _kernels.placement_guide(x0))
@@ -449,7 +455,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
 
     # Monte Carlo row 0 reads its density from the placed agents.
     swarm = initial_swarm(scenario) if monte_carlo else None
-    x = None if monte_carlo else check_density(scenario.initial_density(), name="initial density")
+    x = None if monte_carlo else scenario.initial_density()
     population = scenario.agents
     transitions = 0.0
     # Monte Carlo move draws, rounds first to first + len(draws) - 1, hashed

@@ -91,8 +91,8 @@ def dsmc_recurrent(current_r, desired_r, stencil: Topology, d_chsn: float) -> np
         probability; the leftover stays in bin j, and columns asking for more
         than x[j] are rescaled to sum to one.  Bins with zero density keep all
         their mass, and the whole matrix is exactly the identity when current
-        equals desired.  Inputs are not validated: a run checks its densities
-        and derives ``d_chsn`` once, at set-up.
+        equals desired.  Inputs are not validated: a run's densities are valid
+        by construction or checked, and it derives ``d_chsn`` once, at set-up.
     """
     x = np.asarray(current_r, dtype=float)
     e = np.asarray(desired_r, dtype=float) - x

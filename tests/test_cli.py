@@ -67,7 +67,7 @@ def test_parse_shipped_scenarios():
     assert letter.rows == letter.cols == 20
     assert letter.agents == 5000
     assert letter.steps == 750
-    assert letter.events == (Event(step=250, kind="remove_fraction", fraction=0.3333),)
+    assert letter.events == (Event(step=250, fraction=0.3333),)
     # The desired support is the 92 marked cells.
     assert sum(sum(1 for w in row if w) for row in letter.weights) == 92
 
@@ -87,8 +87,8 @@ def test_round_trip_parse_render():
             weights=tuple(tuple(range(4)) for _ in range(3)),
             init_weights=tuple(tuple([1, 0, 35, 2]) for _ in range(3)),
             events=(
-                Event(step=2, kind="remove_fraction", fraction=0.125),
-                Event(step=9, kind="remove_fraction", fraction=0.3333),
+                Event(step=2, fraction=0.125),
+                Event(step=9, fraction=0.3333),
             ),
         ),
     ]
@@ -116,6 +116,12 @@ def test_blank_lines_ignored_between_keys():
         (lambda t: t.replace("mode=monte-carlo", "mode=psychic"), "unknown mode", 8),
         (lambda t: t.replace("seed=5", "event=remove_fraction,9,0.5\nseed=5"), "outside", 7),
         (lambda t: t.replace("seed=5", "event=remove_fraction,1\nseed=5"), "event must be", 7),
+        # The parser is the only check on the kind: Event has no kind field.
+        (
+            lambda t: t.replace("seed=5", "event=add_agents,1,0.5\nseed=5"),
+            "event must be remove_fraction,<step>,<fraction>, got 'add_agents,1,0.5'",
+            7,
+        ),
         (lambda t: t.replace("seed=5", "event=remove_fraction,x,0.5\nseed=5"), "malformed event", 7),
         (lambda t: t.replace("seed=5", "event=remove_fraction,1,1.5\nseed=5"), "fraction must be in (0, 1), got 1.5", 7),
         (lambda t: t.replace("seed=5", "seed 5"), "expected key=value", 7),
@@ -214,7 +220,7 @@ def test_settings_table_is_the_scenario_scalar_fields_in_order():
         3, 5, 2, 11, 13, "mh", 17, "deterministic",
         weights=((1, 0, 2, 0, 35),) * 3,
         init_weights=((0, 9, 0, 0, 10),) * 3,
-        events=(Event(step=4, kind="remove_fraction", fraction=0.25),),
+        events=(Event(step=4, fraction=0.25),),
     )
     text = render_scenario(s)
     assert text.splitlines()[: len(SETTINGS)] == [f"{key}={getattr(s, key)}" for key in SETTINGS]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from swarmguide import (
+    Scenario,
     check_density,
     empirical_density,
-    from_weight_map,
     total_variation,
 )
 
@@ -59,21 +59,16 @@ def test_total_variation_shape_mismatch():
         total_variation([1.0], [0.5, 0.5])
 
 
-def test_from_weight_map_row_major_and_normalized():
-    d = from_weight_map([[0, 1], [2, 3]])
-    assert np.allclose(d, [0.0, 1 / 6, 2 / 6, 3 / 6], atol=1e-15)
-    # Row-major: bin index = row * cols + col.
-    d2 = from_weight_map([[5, 0, 0], [0, 0, 1]])
-    assert d2[0] == 5 / 6 and d2[5] == 1 / 6
-
-
-def test_from_weight_map_rejects_bad_grids():
-    with pytest.raises(ValueError, match="2-D"):
-        from_weight_map([1.0, 2.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        from_weight_map([[1.0, -1.0]])
-    with pytest.raises(ValueError, match="positive"):
-        from_weight_map([[0.0, 0.0]])
+def test_scenario_densities_are_row_major_and_normalised():
+    # A Scenario's densities are its weight grids over their sums, bin index
+    # row * cols + col.  Grids that are not rows x cols, hold weights outside
+    # the integers 0 to 35, or are all zero are refused when the Scenario is
+    # built: tests/test_engine.py test_scenario_refuses_bad_sizes_and_grid_shapes.
+    s = Scenario(2, 2, 1, 10, 5, "dsmc", 0, "deterministic", ((0, 1), (2, 3)), init_weights=((3, 2), (1, 0)))
+    assert s.desired_density().tolist() == [0.0, 1 / 6, 2 / 6, 3 / 6]
+    assert s.initial_density().tolist() == [3 / 6, 2 / 6, 1 / 6, 0.0]
+    d2 = Scenario(2, 3, 1, 10, 5, "dsmc", 0, "deterministic", ((5, 0, 0), (0, 0, 1))).desired_density()
+    assert d2[0] == 5 / 6 and d2[5] == 1 / 6 and d2.sum() == 1.0
 
 
 def test_empirical_density_matches_counting_oracle():

@@ -61,17 +61,12 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="outside"):
         Scenario(
             2, 2, 1, 10, 5, "dsmc", 0, "deterministic", ((1, 1), (1, 1)),
-            events=(Event(step=6, kind="remove_fraction", fraction=0.5),),
+            events=(Event(step=6, fraction=0.5),),
         )
     with pytest.raises(ValueError, match="fraction"):
         Scenario(
             2, 2, 1, 10, 5, "dsmc", 0, "deterministic", ((1, 1), (1, 1)),
-            events=(Event(step=1, kind="remove_fraction", fraction=1.5),),
-        )
-    with pytest.raises(ValueError, match="kind"):
-        Scenario(
-            2, 2, 1, 10, 5, "dsmc", 0, "deterministic", ((1, 1), (1, 1)),
-            events=(Event(step=1, kind="add_agents", fraction=0.5),),
+            events=(Event(step=1, fraction=1.5),),
         )
 
 
@@ -139,8 +134,8 @@ def test_scenario_sorts_events_and_derives_densities():
     s = Scenario(
         2, 2, 1, 10, 5, "dsmc", 0, "deterministic", ((1, 1), (1, 1)),
         events=(
-            Event(step=4, kind="remove_fraction", fraction=0.5),
-            Event(step=1, kind="remove_fraction", fraction=0.25),
+            Event(step=4, fraction=0.5),
+            Event(step=1, fraction=0.25),
         ),
     )
     assert [ev.step for ev in s.events] == [1, 4]
@@ -296,14 +291,14 @@ def test_propagate_density_rejects_bad_inputs():
 def test_apply_event_removes_floor_of_fraction():
     swarm = SwarmState(np.arange(10) % 3, np.arange(10, dtype=np.uint64), seed=13)
     before = {int(i): int(b) for i, b in zip(swarm.agent_ids, swarm.assignments)}
-    out = apply_event(swarm, Event(step=2, kind="remove_fraction", fraction=0.25))
+    out = apply_event(swarm, Event(step=2, fraction=0.25))
     assert out.num_agents == 8  # floor(2.5) = 2 removed
     # Survivors keep identity and position.
     assert set(out.agent_ids.tolist()) < set(swarm.agent_ids.tolist())
     for i, b in zip(out.agent_ids, out.assignments):
         assert before[int(i)] == int(b)
     # Deterministic: the same event picks the same victims.
-    again = apply_event(swarm, Event(step=2, kind="remove_fraction", fraction=0.25))
+    again = apply_event(swarm, Event(step=2, fraction=0.25))
     assert np.array_equal(again.agent_ids, out.agent_ids)
 
 
@@ -319,7 +314,7 @@ def test_apply_event_picks_the_stable_sort_victims(monkeypatch):
     # Five draws lie below 0.5 and five tie at it: removing 7 takes the
     # first two of the ties, at positions 0 and 4.
     draws["z"] = hand
-    out = apply_event(swarm, Event(step=3, kind="remove_fraction", fraction=7 / 12))
+    out = apply_event(swarm, Event(step=3, fraction=7 / 12))
     assert out.agent_ids.tolist() == [102, 106, 107, 108, 111]
     cases = [(hand, f) for f in (0.1, 0.2, 0.25, 0.5, 0.99)]
     for _ in range(200):
@@ -328,7 +323,7 @@ def test_apply_event_picks_the_stable_sort_victims(monkeypatch):
     for z, fraction in cases:
         swarm = SwarmState(rng.integers(0, 9, z.size), rng.permutation(z.size).astype(np.uint64), seed=1)
         draws["z"] = z
-        event = Event(step=3, kind="remove_fraction", fraction=fraction)
+        event = Event(step=3, fraction=fraction)
         got, expected = apply_event(swarm, event), stable_removal_oracle(swarm, event, z)
         assert np.array_equal(got.agent_ids, expected.agent_ids)
         assert np.array_equal(got.assignments, expected.assignments)
@@ -336,19 +331,17 @@ def test_apply_event_picks_the_stable_sort_victims(monkeypatch):
 
 def test_apply_event_small_swarm_can_remove_nobody():
     swarm = SwarmState(np.array([0]), np.arange(1, dtype=np.uint64), seed=0)
-    out = apply_event(swarm, Event(step=0, kind="remove_fraction", fraction=0.5))
+    out = apply_event(swarm, Event(step=0, fraction=0.5))
     assert out.num_agents == 1
 
 
 def test_apply_event_rejects_bad_events():
     # An event is refused when it is built, so apply_event never sees one.
     swarm = SwarmState(np.array([0]), np.arange(1, dtype=np.uint64), seed=0)
-    with pytest.raises(ValueError, match="kind"):
-        apply_event(swarm, Event(step=0, kind="teleport", fraction=0.5))
     with pytest.raises(ValueError, match="fraction"):
-        apply_event(swarm, Event(step=0, kind="remove_fraction", fraction=0.0))
+        apply_event(swarm, Event(step=0, fraction=0.0))
     with pytest.raises(ValueError, match="fraction"):
-        apply_event(swarm, Event(step=0, kind="remove_fraction", fraction=1.0))
+        apply_event(swarm, Event(step=0, fraction=1.0))
 
 
 def test_removal_does_not_disturb_survivor_streams():
@@ -357,7 +350,7 @@ def test_removal_does_not_disturb_survivor_streams():
     t = complete_graph(2)
     values = t.sparsify(np.array([[0.5, 0.5], [0.5, 0.5]]))
     full = SwarmState(np.zeros(20, dtype=np.int64), np.arange(20, dtype=np.uint64), seed=3)
-    culled = apply_event(full, Event(step=0, kind="remove_fraction", fraction=0.4))
+    culled = apply_event(full, Event(step=0, fraction=0.4))
     moved_culled = step_agents(culled, values, 1, t)
     fresh = SwarmState(np.zeros(culled.num_agents, dtype=np.int64), culled.agent_ids.copy(), seed=3)
     moved_fresh = step_agents(fresh, values, 1, t)
@@ -382,7 +375,7 @@ def test_run_scenario_deterministic_ring_series():
 def test_run_scenario_monte_carlo_counts_agents():
     s = Scenario(
         2, 2, 1, 500, 3, "dsmc", 11, "monte-carlo", ((1, 1), (6, 12)),
-        events=(Event(step=1, kind="remove_fraction", fraction=0.5),),
+        events=(Event(step=1, fraction=0.5),),
     )
     metrics, snapshots = run_scenario(s, snapshot_steps=(3,))
     assert metrics.num_agents == [500, 250, 250, 250]
@@ -395,7 +388,7 @@ def test_run_scenario_monte_carlo_counts_agents():
 def test_run_scenario_event_at_step_zero():
     s = Scenario(
         2, 2, 1, 100, 1, "dsmc", 11, "monte-carlo", ((1, 1), (6, 12)),
-        events=(Event(step=0, kind="remove_fraction", fraction=0.3),),
+        events=(Event(step=0, fraction=0.3),),
     )
     metrics, _ = run_scenario(s)
     assert metrics.num_agents[0] == 70
@@ -408,10 +401,10 @@ def test_run_scenario_event_schedule(mode):
     s = Scenario(
         2, 2, 1, 1000, 4, "dsmc", 3, mode, ((1, 1), (6, 12)),
         events=(
-            Event(step=2, kind="remove_fraction", fraction=0.5),
-            Event(step=0, kind="remove_fraction", fraction=0.1),
-            Event(step=4, kind="remove_fraction", fraction=0.25),
-            Event(step=2, kind="remove_fraction", fraction=0.3),
+            Event(step=2, fraction=0.5),
+            Event(step=0, fraction=0.1),
+            Event(step=4, fraction=0.25),
+            Event(step=2, fraction=0.3),
         ),
     )
     metrics, snapshots = run_scenario(s, snapshot_steps=(0, 1, 2, 4))
@@ -433,8 +426,8 @@ def test_move_draws_hashed_in_blocks_change_nothing(monkeypatch, algorithm):
     scenario = Scenario(
         3, 3, 1, 4096, 20, algorithm, 21, "monte-carlo", ((1, 2, 3), (0, 4, 5), (0, 0, 7)),
         events=(
-            Event(step=4, kind="remove_fraction", fraction=0.5),
-            Event(step=9, kind="remove_fraction", fraction=0.25),
+            Event(step=4, fraction=0.5),
+            Event(step=9, fraction=0.25),
         ),
     )
     assert engine_module._DRAW_BLOCK == 1 << 14
@@ -813,7 +806,7 @@ def test_deterministic_feedback_error_norm_never_increases():
 def test_metrics_invariants_on_monte_carlo_run():
     scenario = replace(
         RING_SCENARIO, mode="monte-carlo", steps=40, agents=300, seed=11,
-        events=(Event(step=20, kind="remove_fraction", fraction=0.25),),
+        events=(Event(step=20, fraction=0.25),),
     )
     metrics, _ = run_scenario(scenario)
     lines = metrics.to_csv().splitlines()

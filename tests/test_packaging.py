@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -36,7 +37,11 @@ def test_every_exported_name_resolves():
 
 def test_removed_wrappers_stay_gone():
     # The stencil (``Topology``) and a float ``d_chsn`` replaced the first
-    # three; an exact symmetry check on the stencil replaced the last two.
+    # three; an exact symmetry check on the stencil replaced the next two;
+    # ``Scenario`` normalises its own validated grids, replacing the last.
+    names = ("LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL", "from_weight_map")
     for module in _modules():
-        for name in ("LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL"):
+        for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # Removal is the one kind of event, so an Event carries no kind.
+    assert [f.name for f in dataclasses.fields(swarmguide.Event)] == ["step", "fraction"]

@@ -34,7 +34,7 @@ from swarmguide import (
     render_scenario,
     total_variation,
 )
-from swarmguide.density import SUM_TOL, from_weight_map
+from swarmguide.density import SUM_TOL
 from swarmguide.synthesis import _transient_values
 
 from testutil import (
@@ -364,7 +364,8 @@ def placement_weights(draw):
 @SETTINGS
 @given(placement_weights(), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_placement_guide_equals_the_clamped_searchsorted(weights, agents, seed):
-    density = from_weight_map(np.array([weights], dtype=float))
+    w = np.array([weights], dtype=float)
+    density = (w / w.sum()).ravel()
     m = density.size
     guide = _kernels.placement_guide(density)
     cells = guide.table.shape[1]
@@ -410,7 +411,6 @@ def scenarios(draw):
         st.builds(
             Event,
             step=st.integers(0, steps),
-            kind=st.just("remove_fraction"),
             fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         ),
         max_size=4,

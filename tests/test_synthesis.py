@@ -167,6 +167,10 @@ def test_local_column_rejects_malformed_neighborhoods():
         dsmc_column(0, [0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [1, 9], d_chsn, 4)
     with pytest.raises(ValueError, match="exceed the degree"):
         dsmc_column(0, [0.25] * 4, [0.25] * 4, [1, 2, 3], 3.0, 4)
+    for x_local, v_local in (([0.5, 0.5], [0.5, 0.25, 0.25]), ([[0.5, 0.5]], [[0.5, 0.5]])):
+        with pytest.raises(ValueError) as err:
+            dsmc_column(0, x_local, v_local, [1], d_chsn, 4)
+        assert str(err.value) == "local density and target shapes do not match"
 
 
 def _e_partition():
@@ -247,6 +251,9 @@ def test_assemble_rejects_wrong_shapes():
         assemble(tt, rt, np.zeros((2, 2)), part)
     with pytest.raises(ValueError, match="transient block"):
         assemble(np.zeros((3, 3)), rt, np.zeros((1, 1)), part)
+    with pytest.raises(ValueError) as err:
+        assemble(tt, np.zeros((2, 2)), np.zeros((1, 1)), part)
+    assert str(err.value) == "transient-to-recurrent block must be (1, 2), got (2, 2)"
 
 
 def test_assembled_matrix_never_returns_to_transient_bins():
@@ -314,6 +321,17 @@ def test_metropolis_with_transient_bins_still_fixes_target():
     mat = metropolis_hastings(v, topo, part)
     assert np.abs(mat @ v - v).max() < 1e-12
     assert dense_audit(mat, topo).ok()
+
+
+def test_metropolis_refuses_a_density_that_does_not_fit_its_partition():
+    topo = build_grid_topology(1, 3, 1)
+    part = partition_states(topo, np.full(3, 1 / 3))  # every bin recurrent
+    with pytest.raises(ValueError) as err:
+        metropolis_hastings(np.array([0.5, 0.5]), topo, part)
+    assert str(err.value) == "desired density has 2 bins, topology has 3"
+    with pytest.raises(ValueError) as err:
+        metropolis_hastings(np.array([0.0, 0.0, 1.0]), topo, part)
+    assert str(err.value) == "desired density must be positive on every recurrent bin"
 
 
 def test_metropolis_single_recurrent_bin():
