@@ -33,7 +33,6 @@ from .graph import (
     Partition,
     Topology,
     build_grid_topology,
-    is_strongly_connected,
     laplacian_of,
     make_topology,
     partition_states,
@@ -75,7 +74,6 @@ __all__ = [
     "Partition",
     "Topology",
     "build_grid_topology",
-    "is_strongly_connected",
     "laplacian_of",
     "make_topology",
     "partition_states",

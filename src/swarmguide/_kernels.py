@@ -226,17 +226,18 @@ def column_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def synth_recurrent(e: np.ndarray, x: np.ndarray, rows: np.ndarray, own: np.ndarray, d_chsn: float) -> np.ndarray:
+def synth_recurrent(
+    e: np.ndarray, x: np.ndarray, rows: np.ndarray, real: np.ndarray, own: np.ndarray, d_chsn: float,
+) -> np.ndarray:
     """Density-feedback transition columns in stencil layout.
 
     See ``swarmguide.synthesis.dsmc_recurrent``; this kernel assumes valid
-    inputs.  ``own[j]`` marks the slot of ``rows[j]`` that keeps bin j's
-    leftover mass; padded slots point at j, whose zero error difference
-    never draws flow.
+    inputs.  Flow goes only to the slots ``real`` marks, and ``own[j]``
+    marks the slot of ``rows[j]`` that keeps bin j's leftover mass.
     """
     diff = (e[rows] - e[:, np.newaxis]) / d_chsn
     r = np.zeros(rows.shape)
-    np.divide(diff, x[:, np.newaxis], out=r, where=(diff > 0.0) & (x[:, np.newaxis] > 0.0))
+    np.divide(diff, x[:, np.newaxis], out=r, where=(diff > 0.0) & (x[:, np.newaxis] > 0.0) & real)
     # The same ascending-slot order as dsmc_column; the self slots are still 0.0.
     off = column_sums(r)
     diag = np.where(off < 1.0, 1.0 - off, 0.0)

@@ -145,8 +145,8 @@ def _check_setting(name: str, settings: dict):
     (at each key's line) and ``compare``.  Raises ValueError.
     """
     value = settings[name]
-    if name not in _CHOICES and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if name not in _CHOICES:
+        _require_integer(name, value)
     if name in _SIZES and value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     if name == "agents" and value > MAX_AGENTS:
@@ -158,6 +158,11 @@ def _check_setting(name: str, settings: dict):
         check_grid_size(settings["rows"], settings["cols"], settings.get("hop"))
 
 
+def _require_integer(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_some_weight(name: str, grid):
     if not np.any(grid):
         raise ValueError(f"{name} must be positive on at least one bin")
@@ -166,12 +171,14 @@ def _require_some_weight(name: str, grid):
 @dataclass(frozen=True)
 class Event:
     """Scheduled removal, the one kind of event: ``fraction`` of agents
-    vanish at ``step``.  The parser checks the file's ``remove_fraction``."""
+    vanish at ``step``, an integer.  The parser checks the file's
+    ``remove_fraction``."""
 
     step: int
     fraction: float
 
     def __post_init__(self):
+        _require_integer("event step", self.step)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"removal fraction must be in (0, 1), got {self.fraction}")
 

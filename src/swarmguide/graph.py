@@ -1,12 +1,13 @@
-"""Bin topology as each bin's padded neighbour stencil, connectivity checks,
-recurrent/transient partitioning, and the Laplacian of the self-loop-free
-neighbour graph.
+"""Bin topology as each bin's padded neighbour stencil, recurrent/transient
+partitioning, and the Laplacian of the self-loop-free neighbour graph.
 
 ``Topology`` is the one graph representation, a subgraph (``restrict``)
-included: every search, partition and Laplacian here reads a bin's
-neighbours off its stencil row, at O(m w) cost for m bins of at most w
-destinations.  A dense adjacency table is only ever read by
-``make_topology``, which converts one given from outside.
+included: the partition and the Laplacian here read a bin's neighbours
+off the real slots of its stencil row, at O(m w) cost for m bins of at
+most w destinations.  ``partition_states`` holds the one graph search,
+and decides whether the target's support is connected.  A dense
+adjacency table is only ever read by ``make_topology``, which converts
+one given from outside.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ __all__ = [
     "Partition",
     "make_topology",
     "build_grid_topology",
-    "is_strongly_connected",
     "partition_states",
     "laplacian_of",
 ]
@@ -39,11 +39,12 @@ class Topology:
     ``restrict``, transitions are symmetric, staying put is always allowed
     and padding points at bin j itself.  A ``Topology`` built directly need
     not be so: ``run_scenario``'s audit stencil is asymmetric, and its
-    unmarked slots list other bins.  ``analysis.contraction_certificate``
-    refuses an asymmetric stencil.  Bins are indexed 0..m-1.  Matrix
-    column j is held as ``values[j]``, 0.0 in the padded slots, so a
-    cumulative sum along a row equals the dense column's cumulative sum at
-    the listed bins entry for entry.
+    unmarked slots list other bins.  No function reads an unmarked slot
+    as an edge.  ``analysis.contraction_certificate`` refuses an
+    asymmetric stencil.  Bins are indexed 0..m-1.  Matrix column j is
+    held as ``values[j]``, 0.0 in the padded slots, so a cumulative sum
+    along a row equals the dense column's cumulative sum at the listed
+    bins entry for entry.
     """
 
     rows: np.ndarray
@@ -171,42 +172,15 @@ def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
     return _compacted(to_r * cols + to_c, valid)
 
 
-def _as_subset(m: int, subset) -> np.ndarray:
-    idx = np.unique(np.asarray(subset, dtype=np.int64))
-    if idx.size != np.asarray(subset).size:
-        raise ValueError("subset contains duplicate bin indices")
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= m:
-        raise ValueError(f"subset indices must lie in [0, {m})")
-    return idx
-
-
-def is_strongly_connected(topology: Topology, subset=None) -> bool:
-    """True when every bin of ``subset`` reaches every other inside it.
-
-    Transitions are symmetric, so a graph search over the induced subgraph,
-    one frontier at a time, settles strong connectivity.  ``subset``
-    defaults to all bins.
-    """
-    if subset is None:
-        subset = np.arange(topology.m)
-    idx = _as_subset(topology.m, subset)
-    unseen = np.zeros(topology.m, dtype=bool)
-    unseen[idx[1:]] = True
-    _search(topology, idx[:1], unseen)
-    return not unseen.any()
-
-
 def _search(topology: Topology, frontier: np.ndarray, unseen: np.ndarray) -> list[np.ndarray]:
     """Graph search from ``frontier`` over the bins ``unseen`` marks, one
     frontier at a time, unmarking what it reaches.  Returns the frontiers
-    reached, each ascending: the bins at distance 1, 2, ...  A padded slot
-    points back into its frontier, which is never unseen."""
+    reached, each ascending: the bins at distance 1, 2, ...  Only real
+    slots are edges."""
     layers = []
     while True:
-        reached = topology.rows[frontier].ravel()
-        frontier = np.unique(reached[unseen[reached]])
+        reached = topology.rows[frontier]
+        frontier = np.unique(reached[topology.real[frontier] & unseen[reached]])
         if frontier.size == 0:
             return layers
         unseen[frontier] = False
@@ -249,7 +223,10 @@ def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
     if v.size != topology.m:
         raise ValueError(f"desired density has {v.size} bins, topology has {topology.m}")
     recurrent = np.nonzero(v > 0.0)[0]
-    if not is_strongly_connected(topology, recurrent):
+    unseen = np.zeros(topology.m, dtype=bool)
+    unseen[recurrent[1:]] = True
+    _search(topology, recurrent[:1], unseen)
+    if unseen.any():
         raise ValueError("bins with positive desired density must form a connected subgraph")
     unseen = np.ones(topology.m, dtype=bool)
     unseen[recurrent] = False

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .density import check_density
 from .graph import Partition, Topology, partition_states
 
 __all__ = [
@@ -96,7 +95,7 @@ def dsmc_recurrent(current_r, desired_r, stencil: Topology, d_chsn: float) -> np
     """
     x = np.asarray(current_r, dtype=float)
     e = np.asarray(desired_r, dtype=float) - x
-    return _kernels.synth_recurrent(e, x, stencil.rows, stencil.own, float(d_chsn))
+    return _kernels.synth_recurrent(e, x, stencil.rows, stencil.real, stencil.own, float(d_chsn))
 
 
 def dsmc_column(j: int, x_local, v_local, neighbor_ids, d_chsn: float, m_r: int) -> np.ndarray:
@@ -210,21 +209,17 @@ def assemble(m1, m2, m3, partition: Partition) -> np.ndarray:
     return out
 
 
-def metropolis_hastings(desired, topology: Topology, partition: Partition | None = None) -> np.ndarray:
+def metropolis_hastings(desired, topology: Topology) -> np.ndarray:
     """Density-independent baseline chain with ``desired`` as its fixed point,
     as a dense matrix.
 
     On the recurrent bins this is the classic accept/reject walk of
     ``mh_recurrent``; transient columns reuse the shortest-path rule.
+    ``partition_states`` checks ``desired`` and the topology.
     """
-    v = check_density(desired, name="desired density")
-    if v.size != topology.m:
-        raise ValueError(f"desired density has {v.size} bins, topology has {topology.m}")
-    if partition is None:
-        partition = partition_states(topology, v)
+    partition = partition_states(topology, desired)
+    v = np.asarray(desired, dtype=float)
     rec = partition.recurrent
-    if (v[rec] <= 0.0).any():
-        raise ValueError("desired density must be positive on every recurrent bin")
     values = _transient_values(partition, topology)
     values[rec] = mh_recurrent(v[rec], topology.restrict(rec))
     return topology.densify(values)

@@ -344,6 +344,16 @@ def test_apply_event_rejects_bad_events():
         apply_event(swarm, Event(step=0, fraction=1.0))
 
 
+@pytest.mark.parametrize("step", [1.5, 1.0, True, "1", None])
+def test_event_step_must_be_an_integer(step):
+    # A float step would be skipped by a deterministic run and break a
+    # Monte Carlo one; a bool would render as a line the parser refuses.
+    with pytest.raises(ValueError) as err:
+        Event(step=step, fraction=0.5)
+    assert str(err.value) == f"event step must be an integer, got {step!r}"
+    assert Event(step=np.int64(1), fraction=0.5).step == 1
+
+
 def test_removal_does_not_disturb_survivor_streams():
     # A survivor moves exactly as it would have if the removed agents had
     # never existed.

@@ -3,7 +3,7 @@ import pytest
 
 from swarmguide import (
     build_grid_topology,
-    is_strongly_connected,
+    contraction_certificate,
     laplacian_of,
     make_topology,
     partition_states,
@@ -15,6 +15,8 @@ from testutil import (
     brute_force_grid_adjacency,
     connected_oracle,
     random_connected_topology,
+    support_connected,
+    unmarked_edge_path,
 )
 
 
@@ -140,21 +142,11 @@ def test_topology_is_frozen():
 
 def test_connectivity_full_grid_and_subsets():
     topo = build_grid_topology(3, 3, 1)
-    assert is_strongly_connected(topo)
-    assert is_strongly_connected(topo, [4])
+    assert support_connected(topo, np.arange(9))
+    assert support_connected(topo, [4])
     # Corners only touch through the missing middle bins.
-    assert not is_strongly_connected(topo, [0, 8])
-    assert is_strongly_connected(topo, [0, 1, 2, 5, 8])
-
-
-def test_connectivity_rejects_bad_subsets():
-    topo = build_grid_topology(2, 2, 1)
-    with pytest.raises(ValueError, match="nonempty"):
-        is_strongly_connected(topo, [])
-    with pytest.raises(ValueError, match="duplicate"):
-        is_strongly_connected(topo, [1, 1])
-    with pytest.raises(ValueError, match="lie in"):
-        is_strongly_connected(topo, [4])
+    assert not support_connected(topo, [0, 8])
+    assert support_connected(topo, [0, 1, 2, 5, 8])
 
 
 def test_connectivity_on_random_tree_backed_graphs():
@@ -162,12 +154,13 @@ def test_connectivity_on_random_tree_backed_graphs():
     for _ in range(20):
         m = int(rng.integers(2, 40))
         topo = random_connected_topology(rng, m)
-        assert is_strongly_connected(topo)
+        assert support_connected(topo, np.arange(m))
 
 
 def test_connectivity_matches_one_bin_at_a_time_search():
-    # Random grids and random subsets of their bins, including single bins,
-    # scattered sparse subsets and subsets listed out of order.
+    # Random grids and random supports of a target, including single bins
+    # and scattered sparse sets: partition_states refuses exactly the
+    # supports the queue-based search finds disconnected.
     rng = np.random.default_rng(12)
     outcomes = set()
     for _ in range(300):
@@ -175,8 +168,8 @@ def test_connectivity_matches_one_bin_at_a_time_search():
         topo = build_grid_topology(rows, cols, hop)
         keep = rng.random(topo.m) < rng.uniform(0.1, 1.0)
         keep[int(rng.integers(0, topo.m))] = True
-        subset = rng.permutation(np.nonzero(keep)[0])
-        got = is_strongly_connected(topo, subset)
+        subset = np.nonzero(keep)[0]
+        got = support_connected(topo, subset)
         assert got == connected_oracle(brute_force_grid_adjacency(rows, cols, hop), subset)
         outcomes.add(got)
     assert outcomes == {True, False}
@@ -187,9 +180,23 @@ def test_disconnected_blocks_detected():
     adj[0, 1] = adj[1, 0] = True
     adj[2, 3] = adj[3, 2] = True
     topo = make_topology(adj)
-    assert not is_strongly_connected(topo)
-    assert is_strongly_connected(topo, [0, 1])
-    assert is_strongly_connected(topo, [2, 3])
+    assert not support_connected(topo, np.arange(4))
+    assert not support_connected(topo, [1, 2])
+    # Either block is a connected support, with the other block stranded.
+    for support, stranded in (([0, 1], [2, 3]), ([2, 3], [0, 1])):
+        with pytest.raises(ValueError) as err:
+            partition_states(topo, np.isin(np.arange(4), support) / 2.0)
+        assert str(err.value) == f"bins {stranded} cannot reach any bin with positive desired density"
+
+
+def test_search_skips_unmarked_slots_that_list_other_bins():
+    # Edge 0-1 is unmarked both ways, but its slots still list the other bin.
+    topo = unmarked_edge_path()
+    with pytest.raises(ValueError) as err:
+        partition_states(topo, np.array([0.0, 0.5, 0.5]))
+    assert str(err.value) == "bins [0] cannot reach any bin with positive desired density"
+    assert not support_connected(topo, [0, 1])
+    assert not contraction_certificate(topo, 2.0).connected
 
 
 def test_partition_all_recurrent_when_target_positive_everywhere():

@@ -176,7 +176,7 @@ def test_advance_round_off_stays_on_the_column_support():
 def test_synth_zero_density_bins_keep_identity_columns():
     rng = np.random.default_rng(24)
     e, x, stencil, d = _random_instance(rng, zero_frac=0.6)
-    out = stencil.densify(_kernels.synth_recurrent(e, x, stencil.rows, stencil.own, d))
+    out = stencil.densify(_kernels.synth_recurrent(e, x, stencil.rows, stencil.real, stencil.own, d))
     for j in np.nonzero(x == 0.0)[0]:
         col = np.zeros(len(x))
         col[j] = 1.0

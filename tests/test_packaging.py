@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -38,10 +39,16 @@ def test_every_exported_name_resolves():
 def test_removed_wrappers_stay_gone():
     # The stencil (``Topology``) and a float ``d_chsn`` replaced the first
     # three; an exact symmetry check on the stencil replaced the next two;
-    # ``Scenario`` normalises its own validated grids, replacing the last.
-    names = ("LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL", "from_weight_map")
+    # ``Scenario`` normalises its own validated grids, replacing
+    # ``from_weight_map``; ``partition_states`` decides connectivity.
+    names = (
+        "LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL",
+        "from_weight_map", "is_strongly_connected",
+    )
     for module in _modules():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # metropolis_hastings partitions the topology itself.
+    assert list(inspect.signature(swarmguide.metropolis_hastings).parameters) == ["desired", "topology"]
     # Removal is the one kind of event, so an Event carries no kind.
     assert [f.name for f in dataclasses.fields(swarmguide.Event)] == ["step", "fraction"]

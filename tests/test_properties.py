@@ -2,7 +2,9 @@
 
 Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
-the cases, for synthesis; stencils, columns and draws at the edges of
+the cases, for synthesis; grid stencils with edges unmarked and their
+unmarked slots pointed at other bins, for every function that reads a
+stencil; stencils, columns and draws at the edges of
 each stay window for the agent sampler, and at the edges of each guide
 cell and cumulative boundary for the guided one and for initial
 placement, with the mover search also cut into small blocks; the same
@@ -21,18 +23,22 @@ from hypothesis import strategies as st
 from swarmguide import (
     Event,
     Scenario,
+    Topology,
     _kernels,
     build_grid_topology,
     choose_d_chsn,
+    contraction_certificate,
     dsmc_column,
     dsmc_recurrent,
-    is_strongly_connected,
+    laplacian_of,
+    linear_error_update,
     metropolis_hastings,
     mh_recurrent,
     parse_scenario,
     partition_states,
     render_scenario,
     total_variation,
+    validate_markov,
 )
 from swarmguide.density import SUM_TOL
 from swarmguide.synthesis import _transient_values
@@ -46,6 +52,7 @@ from testutil import (
     dense_mh_oracle,
     dense_recurrent_oracle,
     dense_replay,
+    support_connected,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -149,7 +156,7 @@ def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance
     assert not values[~topology.real].any()
     dense = dense_mh_oracle(target, adjacency_of(topology), partition)
     assert topology.densify(values).tobytes() == dense.tobytes()
-    assert metropolis_hastings(target, topology, partition).tobytes() == dense.tobytes()
+    assert metropolis_hastings(target, topology).tobytes() == dense.tobytes()
 
 
 @st.composite
@@ -164,13 +171,14 @@ def grid_subsets(draw):
 @SETTINGS
 @given(grid_subsets())
 def test_partition_and_connectivity_equal_the_scalar_searches(instance):
-    # Against queue-based searches over the scalar grid adjacency: the
-    # connectivity of any subset, and for a connected target support the
-    # partition's layers, which hold the bins at each distance, ascending.
+    # Against queue-based searches over the scalar grid adjacency:
+    # partition_states refuses a target support exactly when it is not
+    # connected, and otherwise its layers hold the bins at each distance,
+    # ascending.
     rows, cols, hop, subset = instance
     topology = build_grid_topology(rows, cols, hop)
     adjacency = brute_force_grid_adjacency(rows, cols, hop)
-    connected = is_strongly_connected(topology, subset)
+    connected = support_connected(topology, subset)
     assert connected == connected_oracle(adjacency, subset)
     if not connected:
         return
@@ -182,6 +190,64 @@ def test_partition_and_connectivity_equal_the_scalar_searches(instance):
     assert len(partition.layers) == dist.max()
     for k, layer in enumerate(partition.layers):
         assert layer.tolist() == np.nonzero(dist == k + 1)[0].tolist()
+
+
+@st.composite
+def repointed_stencils(draw):
+    """(stencil, repointed, rng): a grid stencil with random edges unmarked
+    both ways and padded with each bin itself, the same stencil with every
+    unmarked slot pointing at a random other bin instead, and a generator
+    for the densities."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = build_grid_topology(rows, cols, hop)
+    m, own = grid.m, np.arange(grid.m)[:, np.newaxis]
+    drop = np.triu(rng.random((m, m)) < draw(st.sampled_from([0.0, 0.2, 0.5])), 1)
+    real = grid.real & ~(drop | drop.T)[own, grid.rows]
+    other = (own + rng.integers(1, max(m, 2), size=grid.rows.shape)) % m
+    stencil = Topology(rows=np.where(real, grid.rows, own), real=real)
+    return stencil, Topology(rows=np.where(real, grid.rows, other), real=real), rng
+
+
+def _partition_or_refusal(topology, target):
+    try:
+        part = partition_states(topology, target)
+    except ValueError as err:
+        return str(err)
+    return part.recurrent.tolist(), [layer.tolist() for layer in part.layers], part.ordering.tolist()
+
+
+@SETTINGS
+@given(repointed_stencils())
+def test_unmarked_slots_are_never_read_as_edges(instance):
+    # Where an unmarked slot points changes nothing: every function that
+    # reads a stencil gives the same bytes, report or refusal either way.
+    stencil, repointed, rng = instance
+    m = stencil.m
+    target = rng.random(m) * (rng.random(m) < 0.7)
+    target[rng.integers(m)] += 0.5
+    target /= target.sum()
+    assert _partition_or_refusal(repointed, target) == _partition_or_refusal(stencil, target)
+    v = rng.random(m) + 0.1
+    v /= v.sum()
+    x = rng.random(m) * (rng.random(m) < 0.8)
+    x /= max(x.sum(), 1.0)
+    d = choose_d_chsn(stencil)
+    values = rng.random(stencil.rows.shape)
+    bins = np.nonzero(target)[0]
+    for build in (
+        lambda t: dsmc_recurrent(x, v, t, d),
+        lambda t: mh_recurrent(v, t),
+        lambda t: linear_error_update(v - target, t, d),
+        laplacian_of,
+        lambda t: contraction_certificate(t, d).laplacian_eigs,
+        lambda t: t.restrict(bins).rows,
+        lambda t: t.restrict(bins).real,
+        lambda t: t.densify(values),
+    ):
+        assert build(repointed).tobytes() == build(stencil).tobytes()
+    assert contraction_certificate(repointed, d).key_values() == contraction_certificate(stencil, d).key_values()
+    assert validate_markov(values, repointed) == validate_markov(values, stencil)
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import swarmguide.graph as graph
+import swarmguide.synthesis as synthesis
 from swarmguide import (
     assemble,
     build_grid_topology,
@@ -26,6 +28,7 @@ from testutil import (
     positive_density,
     random_connected_topology,
     random_density,
+    unmarked_edge_path,
 )
 
 # Shared 4-bin ring: 2x2 grid, hop 1, edges (0-1, 0-2, 1-3, 2-3).
@@ -317,27 +320,44 @@ def test_metropolis_with_transient_bins_still_fixes_target():
     topo = build_grid_topology(4, 5, 1)
     v = np.zeros(20)
     v[[6, 7, 8]] = np.array([0.2, 0.3, 0.5])
-    part = partition_states(topo, v)
-    mat = metropolis_hastings(v, topo, part)
+    mat = metropolis_hastings(v, topo)
     assert np.abs(mat @ v - v).max() < 1e-12
     assert dense_audit(mat, topo).ok()
 
 
-def test_metropolis_refuses_a_density_that_does_not_fit_its_partition():
+def test_metropolis_checks_its_target_once(monkeypatch):
+    # partition_states is the one check: a wrong length keeps its message.
+    checked = []
+    check = graph.check_density
+
+    def counted(values, **kwargs):
+        checked.append(kwargs["name"])
+        return check(values, **kwargs)
+
+    monkeypatch.setattr(graph, "check_density", counted)
+    assert not hasattr(synthesis, "check_density")
     topo = build_grid_topology(1, 3, 1)
-    part = partition_states(topo, np.full(3, 1 / 3))  # every bin recurrent
     with pytest.raises(ValueError) as err:
-        metropolis_hastings(np.array([0.5, 0.5]), topo, part)
+        metropolis_hastings(np.array([0.5, 0.5]), topo)
     assert str(err.value) == "desired density has 2 bins, topology has 3"
-    with pytest.raises(ValueError) as err:
-        metropolis_hastings(np.array([0.0, 0.0, 1.0]), topo, part)
-    assert str(err.value) == "desired density must be positive on every recurrent bin"
+    checked.clear()
+    metropolis_hastings(np.array([0.0, 0.5, 0.5]), topo)
+    assert checked == ["desired density"]
 
 
 def test_metropolis_single_recurrent_bin():
     topo = build_grid_topology(1, 2, 1)
     mat = metropolis_hastings(np.array([1.0, 0.0]), topo)
     assert np.array_equal(mat, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_synthesis_sends_no_flow_through_unmarked_slots():
+    # Bin 0's one other slot lists bin 1 but is unmarked: bin 0 has no
+    # neighbour, so it keeps its mass, and bin 2 sends half of its to bin 1.
+    stencil = unmarked_edge_path()
+    values = dsmc_recurrent(np.array([0.5, 0.25, 0.25]), np.array([0.25, 0.5, 0.25]), stencil, choose_d_chsn(stencil))
+    assert validate_markov(values, stencil).ok()
+    assert np.array_equal(stencil.densify(values), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 0.5]])
 
 
 def test_validate_markov_reports_each_defect():

@@ -20,9 +20,11 @@ from swarmguide import (
     Topology,
     ValidationReport,
     assemble,
+    build_grid_topology,
     dsmc_column,
     dsmc_recurrent,
     make_topology,
+    partition_states,
     run_scenario,
 )
 from swarmguide.analysis import CERT_TOL
@@ -292,6 +294,29 @@ def connected_oracle(adjacency: np.ndarray, subset) -> bool:
             seen[j] = True
             queue.append(int(j))
     return bool(seen[idx].all())
+
+
+def unmarked_edge_path() -> Topology:
+    """A 1x3 path whose edge 0-1 is unmarked both ways, while the slots
+    still list the other bin, as a directly built ``Topology`` may."""
+    grid = build_grid_topology(1, 3, 1)
+    real = grid.real.copy()
+    real[0, 1] = real[1, 0] = False
+    return Topology(rows=grid.rows, real=real)
+
+
+def support_connected(topology: Topology, support) -> bool:
+    """Whether ``partition_states`` accepts the support of a uniform target
+    on ``support`` as connected; any other refusal is an error here."""
+    target = np.zeros(topology.m)
+    target[support] = 1.0 / len(support)
+    try:
+        partition_states(topology, target)
+    except ValueError as err:
+        if str(err) != "bins with positive desired density must form a connected subgraph":
+            raise
+        return False
+    return True
 
 
 def random_column_stochastic(rng: np.random.Generator, topology: Topology) -> np.ndarray:
