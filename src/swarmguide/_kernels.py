@@ -30,6 +30,11 @@ only the movers search their column, in blocks of ``_SEARCH_BLOCK``
 agents: one gather of the movers' columns from the (w + 1) x m cumulative
 table, built slot by slot, and one count of the entries at or below each
 draw.  So no agents x w temporary is ever built, only block x w ones.
+These ``StayTables`` (the cumulative table, the last positive slots and
+the stay windows) are built per call from the values, or kept by a caller
+whose matrix changes in a few columns a step: a column's entries in them
+depend on that column alone, so ``StayTables.rewrite`` of the changed
+columns gives the tables of the whole matrix bit for bit.
 
 A matrix that drives many steps, the fixed Metropolis-Hastings chain, moves
 most agents, so the stay test settles few.  ``build_guide`` builds its
@@ -70,7 +75,7 @@ class Guide(NamedTuple):
     """Sampler tables of one fixed matrix, built once by ``build_guide``.
 
     ``cum`` and ``last`` are the cumulative table and the last positive
-    slots, which ``advance_agents`` otherwise derives on every call.
+    slots, as ``StayTables`` holds them for the stay-first sampler.
     ``table[j, c]`` is the destination of every draw of bin j in
     [c, c + 1) / cells, with ``cells = table.shape[1]``, or -1 where a
     cumulative boundary lies strictly inside that cell.
@@ -79,6 +84,32 @@ class Guide(NamedTuple):
     cum: np.ndarray
     last: np.ndarray
     table: np.ndarray
+
+
+class StayTables(NamedTuple):
+    """The stay-first sampler's tables of one matrix, for ``advance_agents``.
+
+    ``cum`` and ``last`` are the cumulative table and the last positive
+    slots, as ``build_guide`` holds them; ``lo[j]`` and ``hi[j]`` bound the
+    stay window of bin j, the cumulative entries just before and at its
+    stay slot.
+    """
+
+    cum: np.ndarray
+    last: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def rewrite(self, bins: np.ndarray, values: np.ndarray, stay: np.ndarray):
+        """Rewrite the columns of ``bins`` in place from their new values,
+        ``values[k]`` being column ``bins[k]``, with ``stay`` the stencil's
+        stay slots.  Every other column is kept as it is, and the tables
+        equal ``stay_tables`` of the whole new matrix bit for bit."""
+        part = stay_tables(values, stay.take(bins))
+        self.cum[:, bins] = part.cum
+        self.last[bins] = part.last
+        self.lo[bins] = part.lo
+        self.hi[bins] = part.hi
 
 
 def _cumulative(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,6 +126,18 @@ def _cumulative(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Slot at which each column first reaches its total: its last positive entry.
     last = (cum[1:] < cum[-1]).sum(axis=0)
     return cum, last
+
+
+def stay_tables(values: np.ndarray, stay: np.ndarray) -> StayTables:
+    """The ``StayTables`` of the matrix ``values``, with ``stay`` the
+    stencil's stay slots (``Topology.stay``)."""
+    cum, last = _cumulative(values)
+    # Stay window [lo, hi) of each bin's stay slot: cum[stay[j], j] and the
+    # entry one slot row below it.
+    m = values.shape[0]
+    at = stay * m
+    at += np.arange(m)
+    return StayTables(cum=cum, last=last, lo=cum.take(at), hi=cum.take(at + m))
 
 
 def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, last: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -170,7 +213,7 @@ def place(z: np.ndarray, guide: Guide) -> np.ndarray:
 
 def advance_agents(
     bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray,
-    stay: np.ndarray, guide: Guide | None = None,
+    stay: np.ndarray, guide: Guide | StayTables | None = None,
 ) -> np.ndarray:
     """Move each agent through the matrix column of its current bin.
 
@@ -183,16 +226,17 @@ def advance_agents(
     on the column's last positive entry, so it never leaves the column's
     support.
 
-    Without ``guide``, the agents whose draw falls in the window of their
-    bin's ``stay`` slot, the real slot listing the bin itself
-    (``Topology.stay``), are settled first, with two lookups each.  Only
-    the others search their column, in blocks, over a cumulative table
-    built once per call.  With ``guide``,
+    Without ``guide``, or with ``guide`` the ``StayTables`` of ``values``,
+    the agents whose draw falls in the window of their bin's ``stay`` slot,
+    the real slot listing the bin itself (``Topology.stay``), are settled
+    first, with two lookups each.  Only the others search their column, in
+    blocks, over the cumulative table: the one in ``guide``, or one built
+    for this call.  With ``guide`` a ``Guide``,
     ``build_guide(values, rows)``, and draws that are multiples of 2^-53,
     as ``uniform_stream`` gives, one lookup settles every agent outside the
     -1 cells, and only those search.
     """
-    if guide is not None:
+    if isinstance(guide, Guide):
         cells = guide.table.shape[1]
         cell = (z * cells).astype(np.int64)
         cell += bins * cells
@@ -200,16 +244,10 @@ def advance_agents(
         open_cells = np.nonzero(out < 0)[0]
         out[open_cells] = _search(bins[open_cells], z[open_cells], guide.cum, guide.last, rows)
         return out
-    cum, last = _cumulative(values)
-    # Stay window [lo, hi) of each bin's stay slot: cum[stay[j], j] and the
-    # entry one slot row below it.
-    m = values.shape[0]
-    at = stay * m
-    at += np.arange(m)
-    lo, hi = cum.take(at), cum.take(at + m)
-    movers = np.nonzero((z < lo.take(bins)) | (z >= hi.take(bins)))[0]
+    tables = stay_tables(values, stay) if guide is None else guide
+    movers = np.nonzero((z < tables.lo.take(bins)) | (z >= tables.hi.take(bins)))[0]
     out = bins.copy()
-    out[movers] = _search(bins[movers], z[movers], cum, last, rows)
+    out[movers] = _search(bins[movers], z[movers], tables.cum, tables.last, rows)
     return out
 
 

@@ -25,7 +25,7 @@ may repeat.  Blank lines are ignored outside the grid sections.  The
 parser checks the syntax and hands each setting at its line to
 ``swarmguide.engine._check_setting``, the validator of ``Scenario`` and
 ``compare``: sizes below 1, more than ``MAX_BINS`` bins, ``MAX_STENCIL_SLOTS``
-stencil slots or ``MAX_AGENTS`` agents and an unknown ``algorithm`` or
+stencil slots, ``MAX_AGENTS`` agents or ``MAX_STEPS`` steps and an unknown ``algorithm`` or
 ``mode`` are refused at their line, before anything is allocated for them,
 as are an event step outside [0, ``steps``] and a grid section with no
 positive weight.
@@ -56,6 +56,7 @@ from .engine import (
     MAX_AGENTS,
     MAX_BINS,
     MAX_STENCIL_SLOTS,
+    MAX_STEPS,
     SETTINGS,
     Event,
     Scenario,
@@ -73,6 +74,7 @@ __all__ = [
     "MAX_AGENTS",
     "MAX_BINS",
     "MAX_STENCIL_SLOTS",
+    "MAX_STEPS",
     "MAX_VERIFY_BINS",
     "ScenarioFormatError",
     "parse_scenario",

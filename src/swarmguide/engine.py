@@ -10,23 +10,32 @@ A run works in the stencil layout of ``swarmguide.graph.Topology``: column
 j of each step's matrix is an m x w value array's row j, over bin j's
 ascending destinations.  The grid topology is built as that stencil
 straight away.  At set-up ``run_scenario`` places the transient columns,
-which never change, in their slots and restricts the stencil to the
-recurrent bins, slot for slot as their rows of the run's stencil.  Every
-matrix a run steps through is built and audited one way: the recurrent
-columns, by ``dsmc_recurrent`` every step or by ``mh_recurrent`` once for
-the baseline chain, are written into a copy of the transient columns, with
-no dense block, and ``validate_markov`` checks signs, column sums (added
-slot by slot by ``_kernels.column_sums``) and padded slots at O(m w) cost
-against the audit stencil built at set-up, where only the slots the
-partition allows are real: recurrent to recurrent, transient one layer closer.
-Then ``step_agents`` samples it or ``propagate_density`` moves the density
-through it, both from its stencil values.  The baseline's sampler tables,
-a guide table included, are built once, after its audit; initial placement
-reads the initial density through a guide of its own,
+which never change, in the slots of one m x w values buffer and restricts
+the stencil to the recurrent bins, slot for slot as their rows of the run's
+stencil.  Every matrix a run steps through is built and audited one way:
+the recurrent columns, by ``dsmc_recurrent`` every step or by
+``mh_recurrent`` once for the baseline chain, are written into the buffer
+in place, with no dense block, and ``validate_markov`` checks signs,
+column sums (added slot by slot by ``_kernels.column_sums``) and padded
+slots against the audit stencil built at set-up, where only the slots the
+partition allows are real: recurrent to recurrent, transient one layer
+closer.  The first matrix is audited whole, at O(m w) cost; after it only
+the m_r recurrent rows can change, so each later ``dsmc`` step audits only
+them, against their rows of the audit stencil, at O(m_r w).  The buffer is
+read-only between writes, so nothing the run hands it to can change the
+rows an audit passed.  Then ``step_agents`` samples it or
+``propagate_density`` moves the density through it, both from its stencil
+values.  The baseline's sampler tables, a guide table included, are built
+once, after its audit; a feedback matrix's stay-first tables
+(``_kernels.StayTables``) are built whole at the first Monte Carlo step and
+after it rewritten in the recurrent columns only.  Initial placement reads
+the initial density through a guide of its own,
 ``_kernels.placement_guide``, and a removal event finds its victims with
-one partition of the removal draws.  The density step
-adds each destination's sources in ascending order, slot by slot, so no
-BLAS kernel chooses the summation order.  A dense m x m matrix is built
+one partition of the removal draws.  The density step adds each
+destination's sources in ascending order, slot by slot, skipping the
+massless ones, so no BLAS kernel chooses the summation order.  So past
+set-up a step costs O(m_r w + agents), besides a few O(m) vector passes
+over the densities and a hook's dense matrix.  A dense m x m matrix is built
 only for a ``matrix_hook``, which is how ``export-matrix`` reads it; a
 dense matrix M over topology t steps as ``t.sparsify(M)``.  Because adding
 0.0 is exact, stencil column sums and cumulative sums equal the dense ones
@@ -56,7 +65,7 @@ from .density import check_density, empirical_density, total_variation
 # engine because the per-layer benchmark traces them under this module's name.
 from .graph import Topology, _grid_offsets, build_grid_topology, laplacian_of, partition_states
 from .synthesis import (
-    _allowed_slots,
+    _audit_stencil,
     _transient_values,
     assemble,
     choose_d_chsn,
@@ -72,6 +81,7 @@ __all__ = [
     "MODES",
     "MAX_AGENTS",
     "MAX_BINS",
+    "MAX_STEPS",
     "MAX_STENCIL_SLOTS",
     "SETTINGS",
     "check_grid_size",
@@ -101,10 +111,13 @@ MODES = ("monte-carlo", "deterministic")
 # limit, 11.5 GB for 100x100 bins at full reach.  What bounds ``MAX_BINS``
 # is the hook, as ``export-matrix`` uses it: a dense float matrix, 8 bytes
 # per bin pair (0.8 GB at the limit).  Each agent costs about 100 bytes per
-# step, 1 GB at the limit.
+# step, 1 GB at the limit.  The metrics hold about 177 bytes a step, and
+# about 374 while ``MetricsSeries.to_csv`` runs (tracemalloc, 2e5 rows):
+# about 0.4 GB at ``MAX_STEPS``.
 MAX_BINS = 10_000
 MAX_STENCIL_SLOTS = 20_000_000
 MAX_AGENTS = 10_000_000
+MAX_STEPS = 1_000_000
 
 # Move draws hashed per ``uniform_stream`` call in a Monte Carlo run, as
 # rounds x agents (``_kernels._SEARCH_BLOCK`` bounds the sampler's blocks
@@ -151,6 +164,8 @@ def _check_setting(name: str, settings: dict):
         raise ValueError(f"{name} must be at least 1, got {value}")
     if name == "agents" and value > MAX_AGENTS:
         raise ValueError(f"agents={value} exceeds the limit of {MAX_AGENTS} agents")
+    if name == "steps" and value > MAX_STEPS:
+        raise ValueError(f"steps={value} exceeds the limit of {MAX_STEPS} steps")
     if name in _CHOICES and value not in _CHOICES[name]:
         raise ValueError(f"unknown {name} {value!r}, expected one of {_CHOICES[name]}")
     if name in ("rows", "cols", "hop") and "rows" in settings and "cols" in settings:
@@ -348,8 +363,11 @@ def step_agents(
     stencil.  Agents are independent, so evaluation order and batching
     cannot change the result.  A matrix that drives many steps may pass
     ``guide``, its ``_kernels.build_guide(values, stencil.rows)``, built
-    once; the moves are the same.  A caller that hashed the round ahead, in
-    a block of rounds, passes its row as ``z``: the draws
+    once; a matrix that changes in a few columns a step may pass its
+    ``_kernels.StayTables``, kept up to date by the caller with
+    ``StayTables.rewrite``.  The moves are the same either way.  A caller
+    that hashed the round ahead, in a block of rounds, passes its row as
+    ``z``: the draws
     ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
     would give, one per agent.  Without ``z`` the round is hashed here.
     """
@@ -375,12 +393,16 @@ def propagate_density(x, values: np.ndarray, stencil: Topology) -> np.ndarray:
     result.  Only the shape of ``x`` is checked, so that it cannot broadcast;
     the returned density is checked in full.  Each destination adds its
     sources' mass in ascending source order, a padded slot adding 0.0, so
-    no BLAS kernel picks the order.
+    no BLAS kernel picks the order.  Only the sources with mass are read:
+    a massless one would add an exact 0.0 to partial sums that are never
+    below zero, so the result is the same bit for bit.
     """
     if np.shape(x) != (stencil.m,):
         raise ValueError(f"density has shape {np.shape(x)}, expected ({stencil.m},)")
-    flow = (values * np.asarray(x)[:, np.newaxis]).ravel()
-    moved = np.bincount(stencil.rows.ravel(), weights=flow, minlength=stencil.m)
+    x = np.asarray(x)
+    sources = np.flatnonzero(x)
+    flow = (values.take(sources, axis=0) * x.take(sources)[:, np.newaxis]).ravel()
+    moved = np.bincount(stencil.rows.take(sources, axis=0).ravel(), weights=flow, minlength=stencil.m)
     return check_density(moved, name="propagated density")
 
 
@@ -418,47 +440,60 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     for the metrics.  Every matrix is audited by ``validate_markov`` before
     use (the fixed baseline once, at set-up) against the audit stencil: a
     recurrent bin may send mass only to recurrent bins, a transient bin only
-    one layer closer to the support.  A failure aborts the run with
-    RuntimeError.  ``matrix_hook`` gets (step, matrix) with each matrix about
-    to drive step ``step`` to ``step + 1``, as a read-only dense array.
+    one layer closer to the support.  The first matrix is audited whole,
+    each later one in its recurrent rows, the only ones that change.  A
+    failure aborts the run with RuntimeError.  ``matrix_hook`` gets (step,
+    matrix) with each matrix about to drive step ``step`` to ``step + 1``,
+    as a read-only dense array.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     desired = scenario.desired_density()
     partition = partition_states(topology, desired)  # checks the density first
-    # The transient columns never change; ``restrict`` keeps slot positions,
-    # so synthesized recurrent values drop into their topology rows unchanged.
-    fixed = _transient_values(partition, topology)
-    audit = Topology(rows=topology.rows, real=_allowed_slots(partition, topology))
     recurrent = partition.recurrent
+    audit = _audit_stencil(partition, topology)
+    audit_r = Topology(rows=audit.rows[recurrent], real=audit.real[recurrent])
+    # The one values buffer: the transient columns, which never change, with
+    # each matrix's recurrent rows written in.  ``restrict`` keeps slot
+    # positions, so synthesized recurrent values drop into their topology
+    # rows unchanged.
+    values = _transient_values(partition, audit)
+    values.flags.writeable = False
     neighbours = topology.restrict(recurrent)
     desired_r = desired[recurrent]
     monte_carlo = scenario.mode == "monte-carlo"
+    feedback = scenario.algorithm == "dsmc"
 
-    def audited(recurrent_values, when: str) -> np.ndarray:
-        values = fixed.copy()
+    def audited(recurrent_values, when: str, whole: bool) -> np.ndarray:
+        """Write the recurrent rows into the buffer and audit it, whole or,
+        once the whole has passed, in the rows that changed; returns them."""
+        values.flags.writeable = True
         values[recurrent] = recurrent_values
-        report = validate_markov(values, audit)
+        values.flags.writeable = False
+        fresh = values.take(recurrent, axis=0)
+        report = validate_markov(values, audit) if whole else validate_markov(fresh, audit_r)
         if not report.ok():
             raise RuntimeError(
                 f"synthesized matrix failed validation {when}: column sum deviation "
                 f"{report.max_column_sum_deviation!r}, min entry {report.min_entry!r}, "
                 f"{len(report.mask_violations)} mask violations"
             )
-        return values
+        return fresh
 
-    baseline = baseline_matrix = guide = d_chsn = None
-    if scenario.algorithm == "mh":
-        # One fixed matrix: audit it once and freeze it so no hook can alter
-        # it after the audit; agents sample it through tables built once.
-        baseline = audited(mh_recurrent(desired_r, neighbours), "before step 0")
-        baseline.flags.writeable = False
-        if monte_carlo:
-            guide = _kernels.build_guide(baseline, topology.rows)
-        if matrix_hook is not None:
-            baseline_matrix = topology.densify(baseline)
-    else:
+    # ``tables``: the sampler tables of a Monte Carlo run, the fixed chain's
+    # guide, built once, or the feedback matrix's stay-first tables, built at
+    # the first step and rewritten in the recurrent columns after it.
+    baseline_matrix = tables = d_chsn = None
+    if feedback:
         # partition_states has checked that the recurrent bins are connected.
         d_chsn = choose_d_chsn(neighbours)
+    else:
+        # One fixed matrix, audited once; agents sample it through tables
+        # built once.
+        audited(mh_recurrent(desired_r, neighbours), "before step 0", whole=True)
+        if monte_carlo:
+            tables = _kernels.build_guide(values, topology.rows)
+        if matrix_hook is not None:
+            baseline_matrix = topology.densify(values)
 
     # Monte Carlo row 0 reads its density from the placed agents.
     swarm = initial_swarm(scenario) if monte_carlo else None
@@ -475,9 +510,9 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     # Pass k steps from k - 1 to k, applies the events at k and records row k.
     for k in range(scenario.steps + 1):
         if k > 0:
-            values = baseline
-            if values is None:
-                values = audited(dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn), f"at step {k - 1}")
+            if feedback:
+                synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn)
+                fresh = audited(synthesized, f"at step {k - 1}", whole=k == 1)
             if matrix_hook is not None:
                 matrix = topology.densify(values) if baseline_matrix is None else baseline_matrix
                 matrix.flags.writeable = False
@@ -488,7 +523,12 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                     stop = min([first + max(1, _DRAW_BLOCK // swarm.num_agents), scenario.steps]
                                + [ev.step for ev in scenario.events if ev.step > first])
                     draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
-                moved = step_agents(swarm, values, k - 1, topology, guide, z=draws[k - 1 - first])
+                if feedback:
+                    if tables is None:
+                        tables = _kernels.stay_tables(values, topology.stay)
+                    else:
+                        tables.rewrite(recurrent, fresh, topology.stay)
+                moved = step_agents(swarm, values, k - 1, topology, tables, z=draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved
             else:

@@ -22,8 +22,9 @@ dense ``transient_matrix`` and ``metropolis_hastings`` are those values
 densified, ``assemble`` stitches dense blocks back into original bin
 numbering, and ``validate_markov`` audits stencil values: every matrix a
 run steps through, the transient columns with the recurrent rows written
-in.  Column sums, in ``mh_recurrent`` and in the audit, are
-``_kernels.column_sums``: slot by slot, in ascending destination order.
+in, or only the recurrent rows once the whole has passed.  Column sums, in
+``mh_recurrent`` and in the audit, are ``_kernels.column_sums``: slot by
+slot, in ascending destination order.
 """
 from __future__ import annotations
 
@@ -145,22 +146,25 @@ def dsmc_column(j: int, x_local, v_local, neighbor_ids, d_chsn: float, m_r: int)
     return col / (off + diag)
 
 
-def _allowed_slots(partition: Partition, topology: Topology) -> np.ndarray:
-    """Marks the real slots the partition lets each column use: a recurrent
-    bin's recurrent neighbours, itself included, and a transient bin's
-    neighbours one distance layer closer to the support."""
+def _audit_stencil(partition: Partition, topology: Topology) -> Topology:
+    """``topology``'s rows with only the slots the partition lets each
+    column use marked real: a recurrent bin's recurrent neighbours, itself
+    included, and a transient bin's neighbours one distance layer closer to
+    the support.  ``run_scenario`` audits every matrix against it."""
     layer = np.zeros(topology.m, dtype=np.int64)
     for k, bins in enumerate(partition.layers):
         layer[bins] = k + 1
-    return topology.real & (layer[topology.rows] == np.maximum(layer - 1, 0)[:, np.newaxis])
+    allowed = topology.real & (layer[topology.rows] == np.maximum(layer - 1, 0)[:, np.newaxis])
+    return Topology(rows=topology.rows, real=allowed)
 
 
-def _transient_values(partition: Partition, topology: Topology) -> np.ndarray:
-    """The transient columns in stencil slots, recurrent rows zero: a
-    transient bin splits its mass evenly over its allowed slots."""
-    closer = _allowed_slots(partition, topology)
+def _transient_values(partition: Partition, audit: Topology) -> np.ndarray:
+    """The transient columns in the slots of ``audit``, the partition's
+    ``_audit_stencil``, recurrent rows zero: a transient bin splits its mass
+    evenly over its real slots there."""
+    closer = audit.real.copy()
     closer[partition.recurrent] = False
-    values = np.zeros(topology.rows.shape)
+    values = np.zeros(audit.rows.shape)
     np.divide(1.0, closer.sum(axis=1, keepdims=True), out=values, where=closer)
     return values
 
@@ -176,7 +180,7 @@ def transient_matrix(partition: Partition, topology: Topology) -> tuple[np.ndarr
     any mass, so renumbered ``tt`` is strictly lower triangular and all
     transient mass reaches the support in at most max-layer steps.
     """
-    dense = topology.densify(_transient_values(partition, topology))
+    dense = topology.densify(_transient_values(partition, _audit_stencil(partition, topology)))
     transient, recurrent = partition.ordering[: partition.m_t], partition.recurrent
     return dense[np.ix_(transient, transient)], dense[np.ix_(recurrent, transient)]
 
@@ -220,7 +224,7 @@ def metropolis_hastings(desired, topology: Topology) -> np.ndarray:
     partition = partition_states(topology, desired)
     v = np.asarray(desired, dtype=float)
     rec = partition.recurrent
-    values = _transient_values(partition, topology)
+    values = _transient_values(partition, _audit_stencil(partition, topology))
     values[rec] = mh_recurrent(v[rec], topology.restrict(rec))
     return topology.densify(values)
 

@@ -25,7 +25,7 @@ from swarmguide import (
 import swarmguide.cli as cli
 import swarmguide.engine as engine
 from swarmguide.engine import SETTINGS, Snapshot, run_scenario
-from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_VERIFY_BINS, main
+from swarmguide.cli import MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_STEPS, MAX_VERIFY_BINS, main
 
 from testutil import brute_force_grid_adjacency, dense_dsmc, dense_mh_oracle, snapshot_csv_oracle
 
@@ -150,6 +150,12 @@ def test_parse_refuses_oversized_grids_and_swarms():
     with pytest.raises(ScenarioFormatError, match=f"line 4: agents={MAX_AGENTS + 1} exceeds the limit"):
         parse_scenario(MINI.replace("agents=40", f"agents={MAX_AGENTS + 1}"))
     assert parse_scenario(MINI.replace("agents=40", f"agents={MAX_AGENTS}")).agents == MAX_AGENTS
+    # A run whose metrics could not fit in memory is refused at its steps= line.
+    with pytest.raises(ScenarioFormatError, match=f"^line 5: steps={MAX_STEPS + 1} exceeds the limit of {MAX_STEPS} steps$"):
+        parse_scenario(MINI.replace("steps=3", f"steps={MAX_STEPS + 1}"))
+    with pytest.raises(ScenarioFormatError, match="^line 5: steps=1000000000000 exceeds the limit"):
+        parse_scenario(MINI.replace("steps=3", "steps=1000000000000"))
+    assert parse_scenario(MINI.replace("steps=3", f"steps={MAX_STEPS}")).steps == MAX_STEPS
     # Whichever of rows= and cols= comes second carries the error.
     with pytest.raises(ScenarioFormatError, match=f"line 2: a 2x{MAX_BINS // 2 + 1} grid"):
         parse_scenario(MINI.replace("rows=2\ncols=2", f"cols={MAX_BINS // 2 + 1}\nrows=2"))
@@ -235,6 +241,7 @@ _SETTINGS_OK = dict(rows=2, cols=2, hop=1, agents=40, steps=3, algorithm="dsmc",
     [
         dict(steps=0),
         dict(agents=MAX_AGENTS + 1),
+        dict(steps=MAX_STEPS + 1),
         dict(algorithm="magic"),
         dict(mode="psychic"),
         dict(rows=101, cols=100),
@@ -242,7 +249,7 @@ _SETTINGS_OK = dict(rows=2, cols=2, hop=1, agents=40, steps=3, algorithm="dsmc",
     ],
 )
 def test_scenario_and_parser_refuse_a_bad_setting_with_one_message(changes):
-    # One rule per case: sizes below 1, the agent limit, the two choices,
+    # One rule per case: sizes below 1, the agent and step limits, the two choices,
     # the bin limit and the stencil limit.  Each setting the parser refuses
     # is refused at its own line, before the map is read.
     settings = {**_SETTINGS_OK, **changes}

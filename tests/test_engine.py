@@ -28,8 +28,8 @@ from swarmguide import (
     total_variation,
 )
 from swarmguide._rng import MOVE_STREAM, PLACEMENT_STREAM, uniform_stream
-from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MODES
-from swarmguide.synthesis import _transient_values
+from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_STEPS, MODES
+from swarmguide.synthesis import _audit_stencil, _transient_values
 
 from testutil import brute_force_grid_adjacency, dense_replay, dense_transient_oracle, stable_removal_oracle
 
@@ -128,6 +128,14 @@ def test_scenario_refuses_oversized_runs_before_building_them(monkeypatch):
         replace(fits, rows=101, weights=flat + flat[:1])
     with pytest.raises(ValueError, match=f"^agents={MAX_AGENTS + 1} exceeds the limit of {MAX_AGENTS} agents$"):
         replace(fits, agents=MAX_AGENTS + 1)
+    # About 177 bytes of metrics a step: 10^12 steps would fail with
+    # MemoryError only after hours of stepping.  The limit itself is
+    # accepted, and nothing is built for it.
+    with pytest.raises(ValueError, match=f"^steps={MAX_STEPS + 1} exceeds the limit of {MAX_STEPS} steps$"):
+        replace(fits, steps=MAX_STEPS + 1)
+    with pytest.raises(ValueError, match="^steps=1000000000000 exceeds the limit"):
+        replace(fits, steps=10**12)
+    assert replace(fits, steps=MAX_STEPS).steps == MAX_STEPS
 
 
 def test_scenario_sorts_events_and_derives_densities():
@@ -600,6 +608,66 @@ def test_run_scenario_audit_refuses_transient_columns_off_their_layers(monkeypat
         run_scenario(scenario)
 
 
+@pytest.mark.parametrize(
+    "defect,fragment",
+    [
+        ("negative", "min entry -0.1"),
+        ("column sum", "column sum deviation 0.1999"),
+        ("padded slot", ", 1 mask violations$"),
+        ("transient bin", ", 1 mask violations$"),
+    ],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_run_scenario_audit_refuses_a_defect_first_made_at_a_later_step(monkeypatch, defect, fragment, mode):
+    # Steps 0 and 1 synthesize sound matrices, and step 2 breaks one
+    # recurrent row as the step-0 test above does.  After the first, whole
+    # audit only the recurrent rows are audited, against their rows of the
+    # audit stencil, and each defect is still refused before the hook sees
+    # the matrix.
+    steps = []
+
+    def broken_at_step_2(current_r, desired_r, stencil, d_chsn):
+        steps.append(len(steps))
+        if steps[-1] < 2:
+            return dsmc_recurrent(current_r, desired_r, stencil, d_chsn)
+        values = stencil.own.astype(float)
+        if defect == "negative":
+            values[0, :2] = 1.1, -0.1
+        elif defect == "column sum":
+            values[0, 0] = 1.2
+        elif defect == "padded slot":
+            values[0, 0] = values[0, 4] = 0.5
+        else:
+            values[1, 1] = values[1, 2] = 0.5
+        return values
+
+    monkeypatch.setattr(engine_module, "dsmc_recurrent", broken_at_step_2)
+    scenario = Scenario(3, 3, 1, 100, 4, "dsmc", 7, mode, ((1, 1, 0), (1, 0, 0), (0, 0, 0)))
+    hooked = []
+    with pytest.raises(RuntimeError, match=f"failed validation at step 2: .*{fragment}"):
+        run_scenario(scenario, matrix_hook=lambda k, mat: hooked.append(k))
+    assert hooked == [0, 1]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_nothing_a_run_hands_its_matrix_to_can_write_into_it(monkeypatch, algorithm):
+    # The run's one values buffer is read-only between its writes, so
+    # neither a sampler nor a hook can change the rows an audit passed.
+    def scribble(k, matrix):
+        matrix[0, 0] = 0.5
+
+    for mode in MODES:
+        with pytest.raises(ValueError, match="read-only"):
+            run_scenario(replace(RING_SCENARIO, algorithm=algorithm, mode=mode), matrix_hook=scribble)
+
+    def scribbling_advance(bins, z, values, rows, stay, guide=None):
+        values[0, 0] = 0.5
+
+    monkeypatch.setattr(_kernels, "advance_agents", scribbling_advance)
+    with pytest.raises(ValueError, match="read-only"):
+        run_scenario(replace(RING_SCENARIO, algorithm=algorithm, mode="monte-carlo"))
+
+
 def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
     # Every hooked matrix equals the dense assembly of the same recurrent
     # blocks and of the transient blocks built from the scalar adjacency, bit
@@ -616,10 +684,12 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         return values
 
     def recording_advance(bins, z, values, rows, stay, guide=None):
-        # Only the fixed baseline chain is sampled through a prebuilt guide.
-        assert guide is None
+        # A feedback matrix is sampled through its stay-first tables, kept
+        # across steps; they equal the tables of the whole matrix.
+        whole = _kernels.stay_tables(values, stay)
+        assert [t.tobytes() for t in guide] == [t.tobytes() for t in whole]
         sampled.append((values.copy(), rows))
-        return advance(bins, z, values, rows, stay)
+        return advance(bins, z, values, rows, stay, guide=guide)
 
     advance = _kernels.advance_agents
     monkeypatch.setattr(engine_module, "dsmc_recurrent", recording_synthesis)
@@ -639,7 +709,8 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
 def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch, algorithm, mode):
     # The fixed chain's sampler tables are built at set-up and handed to
     # every step; a feedback matrix changes every step and is sampled
-    # without them.  Initial placement builds its own one-column guide.
+    # through stay-first tables, one set kept across the steps, with no
+    # guide.  Initial placement builds its own one-column guide.
     builds, guides = [], []
     build, advance = _kernels.build_guide, _kernels.advance_agents
 
@@ -661,7 +732,9 @@ def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch,
     guided = algorithm == "mh" and mode == "monte-carlo"
     assert len(builds) == (1 if guided else 0)
     assert len(guides) == (12 if mode == "monte-carlo" else 0)
-    assert all(g is (builds[0] if guided else None) for g in guides)
+    kept = builds[0] if guided else guides[0] if guides else None
+    assert all(g is kept for g in guides)
+    assert guided or kept is None or isinstance(kept, _kernels.StayTables)
 
 
 def test_a_monte_carlo_dsmc_run_derives_the_stay_slots_once(monkeypatch):
@@ -746,7 +819,7 @@ def test_set_up_of_a_100x100_grid_builds_no_table_over_bin_pairs():
     try:
         topology = build_grid_topology(100, 100, 2)
         partition = partition_states(topology, desired)
-        fixed = _transient_values(partition, topology)
+        fixed = _transient_values(partition, _audit_stencil(partition, topology))
         neighbours = topology.restrict(partition.recurrent)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -9,8 +9,11 @@ each stay window for the agent sampler, and at the edges of each guide
 cell and cumulative boundary for the guided one and for initial
 placement, with the mover search also cut into small blocks; the same
 columns with subnormals and signed zeros, for the slot-order column sum
-and the sampler's cumulative table; deterministic runs, replayed one dense
-product at a time; and whole scenarios for the scenario file format.
+and the sampler's cumulative table; sequences of recurrent rows written
+into the transient columns, for the sampler tables a run keeps across
+steps; densities with empty bins, for the density step; deterministic
+runs, replayed one dense product at a time; and whole scenarios for the
+scenario file format.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
@@ -36,12 +39,13 @@ from swarmguide import (
     mh_recurrent,
     parse_scenario,
     partition_states,
+    propagate_density,
     render_scenario,
     total_variation,
     validate_markov,
 )
 from swarmguide.density import SUM_TOL
-from swarmguide.synthesis import _transient_values
+from swarmguide.synthesis import _audit_stencil, _transient_values
 
 from testutil import (
     adjacency_of,
@@ -151,7 +155,7 @@ def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance
     topology, target = instance
     partition = partition_states(topology, target)
     recurrent = partition.recurrent
-    values = _transient_values(partition, topology)
+    values = _transient_values(partition, _audit_stencil(partition, topology))
     values[recurrent] = mh_recurrent(target[recurrent], topology.restrict(recurrent))
     assert not values[~topology.real].any()
     dense = dense_mh_oracle(target, adjacency_of(topology), partition)
@@ -334,6 +338,88 @@ def test_column_sums_equal_the_cumulative_sum_byte_for_byte(case, seed):
     # column, as placement builds it.
     for columns in (values, values[:1]):
         assert _kernels._cumulative(columns)[0][1:].T.tobytes() == np.cumsum(columns, axis=1).tobytes()
+
+
+@st.composite
+def recurrent_sequences(draw):
+    """(topology, partition, rows): a random target, and a sequence of the
+    recurrent rows a run writes into its transient columns, step by step:
+    synthesized from current densities with empty bins, the identity at the
+    target, or arbitrary values with zeros anywhere on the real slots."""
+    topology, target = draw(connected_targets())
+    partition = partition_states(topology, target)
+    recurrent, neighbours, d_chsn = _recurrent_view(topology, target)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["synthesized", "identity", "arbitrary"]), min_size=1, max_size=5)):
+        if kind == "arbitrary":
+            raw = rng.random(neighbours.rows.shape) * (rng.random(neighbours.rows.shape) < 0.5) * neighbours.real
+            rows.append(raw)
+            continue
+        current = target.copy()
+        if kind == "synthesized":
+            current = rng.random(topology.m) * (rng.random(topology.m) < 0.6)
+            current[rng.integers(topology.m)] += 1.0
+            current /= current.sum()
+        rows.append(dsmc_recurrent(current[recurrent], target[recurrent], neighbours, d_chsn))
+    return topology, partition, rows
+
+
+@SETTINGS
+@given(recurrent_sequences())
+def test_kept_sampler_tables_equal_the_tables_of_the_whole_matrix(case):
+    # A run builds the stay-first tables whole at its first step and then
+    # rewrites only the recurrent columns; after every step they equal the
+    # cumulative table, last positive slots and stay windows of the whole
+    # values, bit for bit.
+    topology, partition, rows = case
+    recurrent, stay, m = partition.recurrent, topology.stay, topology.m
+    values = _transient_values(partition, _audit_stencil(partition, topology))
+    tables = None
+    for fresh in rows:
+        values[recurrent] = fresh
+        if tables is None:
+            tables = _kernels.stay_tables(values, stay)
+        else:
+            tables.rewrite(recurrent, values[recurrent], stay)
+        cum, last = _kernels._cumulative(values)
+        assert tables.cum.tobytes() == cum.tobytes()
+        assert tables.last.tobytes() == last.tobytes()
+        assert tables.lo.tobytes() == cum[stay, np.arange(m)].tobytes()
+        assert tables.hi.tobytes() == cum[stay + 1, np.arange(m)].tobytes()
+
+
+@st.composite
+def density_steps(draw):
+    """(stencil, values, x): a column-stochastic matrix over a random grid
+    stencil, with zero entries, and a density that is positive everywhere,
+    has empty bins, or sits on a single bin."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    stencil = build_grid_topology(rows, cols, hop)
+    m = stencil.m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random(stencil.rows.shape) * (rng.random(stencil.rows.shape) < 0.6) * stencil.real
+    raw[stencil.own] += 1e-3  # every column keeps some mass
+    values = raw / raw.sum(axis=1, keepdims=True)
+    kind = draw(st.sampled_from(["positive", "empty bins", "single bin"]))
+    if kind == "single bin":
+        x = np.zeros(m)
+        x[draw(st.integers(0, m - 1))] = 1.0
+    else:
+        low = 1e-3 if kind == "positive" else 0.0
+        x = np.array(draw(st.lists(st.floats(low, 1.0), min_size=m, max_size=m).filter(any)))
+        x /= x.sum()
+    return stencil, values, x
+
+
+@SETTINGS
+@given(density_steps())
+def test_density_step_equals_the_all_rows_bincount(case):
+    # Skipping the massless sources leaves every destination's sum the
+    # same bytes as adding every row's flow, zeros included.
+    stencil, values, x = case
+    whole = np.bincount(stencil.rows.ravel(), weights=(values * x[:, np.newaxis]).ravel(), minlength=stencil.m)
+    assert propagate_density(x, values, stencil).tobytes() == whole.tobytes()
 
 
 def _edge_draws(rng, stencil, values, bins):
