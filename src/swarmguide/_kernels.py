@@ -16,38 +16,40 @@ simulation outputs do not depend on how agents are batched.  Every
 stencil column sum, in synthesis, in the baseline chain and in the audit,
 is ``column_sums``.
 
-``advance_agents`` samples in two passes, because feedback synthesis
-leaves most agents where they are.  First the stay test: with s bin b's
-stay slot, the real slot listing b itself (``Topology.stay``, derived once
-per stencil), and cum its cumulative row (cum[-1] read as 0), an agent in
-b with cum[s-1] <= z < cum[s] stays.  That is what the full search
-returns: the cumulative row never decreases, so exactly s entries are <=
-z, and since cum[s-1] < cum[s] <= total the round-off clamp cannot cut
-below s either.  A slot with an empty window, such as a zero self slot,
-settles nobody; a padded slot ahead of the self slot also lists b, but its
-window is empty too, so either slot gives the same destinations.  Then
-only the movers search their column, in blocks of ``_SEARCH_BLOCK``
-agents: one gather of the movers' columns from the (w + 1) x m cumulative
-table, built slot by slot, and one count of the entries at or below each
-draw.  So no agents x w temporary is ever built, only block x w ones.
-These ``StayTables`` (the cumulative table, the last positive slots and
-the stay windows) are built per call from the values, or kept by a caller
-whose matrix changes in a few columns a step: a column's entries in them
-depend on that column alone, so ``StayTables.rewrite`` of the changed
-columns gives the tables of the whole matrix bit for bit.
+Both samplers read one table type, ``Tables``: the (w + 1) x m cumulative
+table, built slot by slot, the last positive slots and, where
+``build_guide`` attached one, a guide table.  A column's entries depend on
+that column alone, so a caller whose matrix changes in a few columns a
+step keeps its ``sampler_tables`` with ``Tables.rewrite``.
+
+Unguided, ``advance_agents`` samples in two passes, because feedback
+synthesis leaves most agents where they are.  First the stay test: with s
+bin b's stay slot, the real slot listing b itself (``Topology.stay``,
+derived once per stencil), and cum its cumulative row (cum[-1] read as 0),
+an agent in b with cum[s-1] <= z < cum[s] stays.  That is what the full
+search returns: the cumulative row never decreases, so exactly s entries
+are <= z, and since cum[s-1] < cum[s] <= total the round-off clamp cannot
+cut below s either.  A slot with an empty window, such as a zero self
+slot, settles nobody; a padded slot ahead of the self slot also lists b,
+but its window is empty too, so either slot gives the same destinations.
+The windows are read from the cumulative table each call, two m-long
+gathers.  Then only the movers search their column, in blocks of
+``_SEARCH_BLOCK`` agents: one gather of the movers' columns from the
+cumulative table and one count of the entries at or below each draw.  So
+no agents x w temporary is ever built, only block x w ones.
 
 A matrix that drives many steps, the fixed Metropolis-Hastings chain, moves
-most agents, so the stay test settles few.  ``build_guide`` builds its
-tables once instead: the cumulative table, the last positive slots and a
-guide table (Chen and Asau's indexed search) that splits [0, 1) into a
-power-of-two number of cells per bin, ``GUIDE_CELLS`` for a matrix, and
-holds one destination per cell, m x 64 int64 entries (about 5 MB at 10^4
-bins).  It is exact, not an approximation.  Draws are multiples of 2^-53,
-so ``int(z * cells)`` is exact, and the full search's answer, round-off
-clamp included, never decreases as the draw grows.  So a cell with no
-cumulative boundary strictly inside has one answer for all its draws.  A
-cell with one holds -1, and only the agents whose draw falls there (about
-3% on letter-E) run the search.
+most agents, so the stay test settles few.  ``build_guide`` attaches a
+guide table (Chen and Asau's indexed search) to its tables once instead:
+it splits [0, 1) into a power-of-two number of cells per bin,
+``GUIDE_CELLS`` for a matrix, and holds one destination per cell, m x 64
+int64 entries (about 5 MB at 10^4 bins).  It is exact, not an
+approximation.  Draws are multiples of 2^-53, so ``int(z * cells)`` is
+exact, and the full search's answer, round-off clamp included, never
+decreases as the draw grows.  So a cell with no cumulative boundary
+strictly inside has one answer for all its draws.  A cell with one holds
+-1, and only the agents whose draw falls there (about 3% on letter-E) run
+the search.
 
 Initial placement samples one fixed distribution over all m bins, a single
 column whose stencil is every bin.  ``placement_guide`` builds its table
@@ -71,48 +73,31 @@ _PLACE_BLOCK = 1 << 16  # agents per block in ``place``
 _SEARCH_BLOCK = 1 << 16  # movers per block in ``_search``: a block x w table, 13 MB at w = 25
 
 
-class Guide(NamedTuple):
-    """Sampler tables of one fixed matrix, built once by ``build_guide``.
-
-    ``cum`` and ``last`` are the cumulative table and the last positive
-    slots, as ``StayTables`` holds them for the stay-first sampler.
-    ``table[j, c]`` is the destination of every draw of bin j in
+class Tables(NamedTuple):
+    """The sampler tables of one matrix: ``cum[s + 1, j]``, the cumulative
+    probability of column j through slot s (``cum[0]`` is 0), ``last[j]``,
+    the last positive slot of column j, and, from ``build_guide``,
+    ``table[j, c]``, the destination of every draw of bin j in
     [c, c + 1) / cells, with ``cells = table.shape[1]``, or -1 where a
-    cumulative boundary lies strictly inside that cell.
-    """
+    cumulative boundary lies strictly inside that cell."""
 
     cum: np.ndarray
     last: np.ndarray
-    table: np.ndarray
+    table: np.ndarray | None = None
 
-
-class StayTables(NamedTuple):
-    """The stay-first sampler's tables of one matrix, for ``advance_agents``.
-
-    ``cum`` and ``last`` are the cumulative table and the last positive
-    slots, as ``build_guide`` holds them; ``lo[j]`` and ``hi[j]`` bound the
-    stay window of bin j, the cumulative entries just before and at its
-    stay slot.
-    """
-
-    cum: np.ndarray
-    last: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def rewrite(self, bins: np.ndarray, values: np.ndarray, stay: np.ndarray):
+    def rewrite(self, bins: np.ndarray, values: np.ndarray):
         """Rewrite the columns of ``bins`` in place from their new values,
-        ``values[k]`` being column ``bins[k]``, with ``stay`` the stencil's
-        stay slots.  Every other column is kept as it is, and the tables
-        equal ``stay_tables`` of the whole new matrix bit for bit."""
-        part = stay_tables(values, stay.take(bins))
+        ``values[k]`` being column ``bins[k]``.  Every other column is kept
+        as it is, and the tables equal ``sampler_tables`` of the whole new
+        matrix bit for bit.  Only unguided tables are rewritten: a guided
+        one drives a fixed matrix, and its guide table would go stale."""
+        part = sampler_tables(values)
         self.cum[:, bins] = part.cum
         self.last[bins] = part.last
-        self.lo[bins] = part.lo
-        self.hi[bins] = part.hi
 
 
-def _cumulative(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sampler_tables(values: np.ndarray) -> Tables:
+    """The unguided ``Tables`` of the matrix ``values``."""
     m, w = values.shape
     # cum[s + 1, j]: cumulative probability of column j through slot s,
     # summed slot by slot as np.cumsum(values, axis=1) would; cum[0] = 0.
@@ -124,20 +109,7 @@ def _cumulative(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for s in range(1, w):
             np.add(cum[s], values[:, s], out=cum[s + 1])
     # Slot at which each column first reaches its total: its last positive entry.
-    last = (cum[1:] < cum[-1]).sum(axis=0)
-    return cum, last
-
-
-def stay_tables(values: np.ndarray, stay: np.ndarray) -> StayTables:
-    """The ``StayTables`` of the matrix ``values``, with ``stay`` the
-    stencil's stay slots (``Topology.stay``)."""
-    cum, last = _cumulative(values)
-    # Stay window [lo, hi) of each bin's stay slot: cum[stay[j], j] and the
-    # entry one slot row below it.
-    m = values.shape[0]
-    at = stay * m
-    at += np.arange(m)
-    return StayTables(cum=cum, last=last, lo=cum.take(at), hi=cum.take(at + m))
+    return Tables(cum=cum, last=(cum[1:] < cum[-1]).sum(axis=0))
 
 
 def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, last: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -153,10 +125,10 @@ def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, last: np.nd
     return rows.take(hits)
 
 
-def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) -> Guide:
-    """The sampler tables of the matrix ``values`` over ``rows``, for
-    ``advance_agents`` to sample it through, step after step, with
-    ``cells`` guide cells per bin, a power of two.
+def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) -> Tables:
+    """The ``sampler_tables`` of the matrix ``values`` over ``rows`` with a
+    guide table attached, for ``advance_agents`` to sample it through, step
+    after step, with ``cells`` guide cells per bin, a power of two.
 
     A draw z = k 2^-53 passes cumulative entry b when b <= z, that is when
     k >= K = ceil(b 2^53), so boundaries and cells are compared as
@@ -165,7 +137,7 @@ def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) 
     it gets the search's answer at its first draw.
     """
     shift = 53 - (cells.bit_length() - 1)  # a cell spans 2**shift draws
-    cum, last = _cumulative(values)
+    cum, last, _ = sampler_tables(values)
     m, w = values.shape
     first = np.ceil(cum[1:] * 2.0**53).astype(np.int64)  # K, w x m, ascending down each column
     cell = first >> shift  # the cell holding K; cells or more: none
@@ -180,20 +152,20 @@ def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) 
     # its first draw is passed by all of it.
     inside = (first & ((1 << shift) - 1) != 0) & (cell < cells)
     table.reshape(-1)[(np.arange(m) * cells + cell)[inside]] = -1
-    return Guide(cum=cum, last=last, table=table)
+    return Tables(cum=cum, last=last, table=table)
 
 
-def placement_guide(density: np.ndarray) -> Guide:
-    """The guide of the one distribution ``density`` over all its m bins,
-    for ``place``: one column whose destinations are bins 0 .. m - 1, with
-    the smallest power of two >= ``GUIDE_CELLS`` m cells.  Its table holds
-    int32 bins, 4 MB at 10^4 bins."""
+def placement_guide(density: np.ndarray) -> Tables:
+    """The guided tables of the one distribution ``density`` over its m
+    bins, for ``place``: one column whose destinations are bins 0 .. m - 1,
+    with the smallest power of two >= ``GUIDE_CELLS`` m cells.  Its table
+    holds int32 bins, 4 MB at 10^4 bins."""
     m = density.size
     bins = np.arange(m, dtype=np.int32)[np.newaxis]
     return build_guide(density[np.newaxis], bins, 1 << (GUIDE_CELLS * m - 1).bit_length())
 
 
-def place(z: np.ndarray, guide: Guide) -> np.ndarray:
+def place(z: np.ndarray, guide: Tables) -> np.ndarray:
     """The bins of draws ``z`` from the distribution of ``guide``, a
     ``placement_guide``, for draws that are multiples of 2^-53.
 
@@ -213,7 +185,7 @@ def place(z: np.ndarray, guide: Guide) -> np.ndarray:
 
 def advance_agents(
     bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray,
-    stay: np.ndarray, guide: Guide | StayTables | None = None,
+    stay: np.ndarray, guide: Tables | None = None,
 ) -> np.ndarray:
     """Move each agent through the matrix column of its current bin.
 
@@ -226,26 +198,32 @@ def advance_agents(
     on the column's last positive entry, so it never leaves the column's
     support.
 
-    Without ``guide``, or with ``guide`` the ``StayTables`` of ``values``,
-    the agents whose draw falls in the window of their bin's ``stay`` slot,
-    the real slot listing the bin itself (``Topology.stay``), are settled
-    first, with two lookups each.  Only the others search their column, in
-    blocks, over the cumulative table: the one in ``guide``, or one built
-    for this call.  With ``guide`` a ``Guide``,
-    ``build_guide(values, rows)``, and draws that are multiples of 2^-53,
-    as ``uniform_stream`` gives, one lookup settles every agent outside the
-    -1 cells, and only those search.
+    ``guide``, when given, is ``sampler_tables(values)``, kept by a caller
+    whose matrix changes in a few columns a step, or ``build_guide(values,
+    rows)``; without it the tables are built for this call.  Unguided, the
+    agents whose draw falls in the window of their bin's ``stay`` slot, the
+    real slot listing the bin itself (``Topology.stay``), are settled first,
+    the window read from the cumulative table.  Only the others search their
+    column, in blocks.  Guided, with draws that are multiples of 2^-53, as
+    ``uniform_stream`` gives, one lookup settles every agent outside the -1
+    cells, and only those search.
     """
-    if isinstance(guide, Guide):
-        cells = guide.table.shape[1]
+    tables = sampler_tables(values) if guide is None else guide
+    if tables.table is not None:
+        cells = tables.table.shape[1]
         cell = (z * cells).astype(np.int64)
         cell += bins * cells
-        out = guide.table.take(cell)
+        out = tables.table.take(cell)
         open_cells = np.nonzero(out < 0)[0]
-        out[open_cells] = _search(bins[open_cells], z[open_cells], guide.cum, guide.last, rows)
+        out[open_cells] = _search(bins[open_cells], z[open_cells], tables.cum, tables.last, rows)
         return out
-    tables = stay_tables(values, stay) if guide is None else guide
-    movers = np.nonzero((z < tables.lo.take(bins)) | (z >= tables.hi.take(bins)))[0]
+    # Stay window [lo, hi) of each bin: cum[stay[j], j] and the entry one
+    # slot row below it.
+    m = values.shape[0]
+    at = stay * m
+    at += np.arange(m)
+    lo, hi = tables.cum.take(at), tables.cum.take(at + m)
+    movers = np.nonzero((z < lo.take(bins)) | (z >= hi.take(bins)))[0]
     out = bins.copy()
     out[movers] = _search(bins[movers], z[movers], tables.cum, tables.last, rows)
     return out

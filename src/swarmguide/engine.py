@@ -21,15 +21,16 @@ slots against the audit stencil built at set-up, where only the slots the
 partition allows are real: recurrent to recurrent, transient one layer
 closer.  The first matrix is audited whole, at O(m w) cost; after it only
 the m_r recurrent rows can change, so each later ``dsmc`` step audits only
-them, against their rows of the audit stencil, at O(m_r w).  The buffer is
-read-only between writes, so nothing the run hands it to can change the
-rows an audit passed.  Then ``step_agents`` samples it or
+them, against the recurrent stencil, whose real slots are the audit
+stencil's in those rows, at O(m_r w).  The buffer is read-only between
+writes, so nothing the run hands it to can change the rows an audit
+passed.  Then ``step_agents`` samples it or
 ``propagate_density`` moves the density through it, both from its stencil
-values.  The baseline's sampler tables, a guide table included, are built
-once, after its audit; a feedback matrix's stay-first tables
-(``_kernels.StayTables``) are built whole at the first Monte Carlo step and
-after it rewritten in the recurrent columns only.  Initial placement reads
-the initial density through a guide of its own,
+values.  A Monte Carlo run builds its sampler tables (``_kernels.Tables``)
+once, at set-up: the baseline's after its audit, a guide table included,
+and a feedback run's from the buffer before its first recurrent rows are
+written, then rewritten in the recurrent columns only, each step.  Initial
+placement reads the initial density through a guide of its own,
 ``_kernels.placement_guide``, and a removal event finds its victims with
 one partition of the removal draws.  The density step adds each
 destination's sources in ascending order, slot by slot, skipping the
@@ -186,14 +187,18 @@ def _require_some_weight(name: str, grid):
 @dataclass(frozen=True)
 class Event:
     """Scheduled removal, the one kind of event: ``fraction`` of agents
-    vanish at ``step``, an integer.  The parser checks the file's
-    ``remove_fraction``."""
+    vanish at ``step``, an integer.  ``fraction`` is any real number, kept
+    as a float, so that the scenario file writes it as one.  The parser
+    checks the file's ``remove_fraction``."""
 
     step: int
     fraction: float
 
     def __post_init__(self):
         _require_integer("event step", self.step)
+        if isinstance(self.fraction, bool) or not isinstance(self.fraction, numbers.Real):
+            raise ValueError(f"removal fraction must be a real number, got {self.fraction!r}")
+        object.__setattr__(self, "fraction", float(self.fraction))
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"removal fraction must be in (0, 1), got {self.fraction}")
 
@@ -348,7 +353,7 @@ def step_agents(
     values: np.ndarray,
     step: int,
     stencil: Topology,
-    guide: _kernels.Guide | None = None,
+    guide: _kernels.Tables | None = None,
     z: np.ndarray | None = None,
 ) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
@@ -361,13 +366,13 @@ def step_agents(
     stopping at the first destination whose cumulative probability exceeds
     the draw; the stay test reads ``stencil.stay``, derived once per
     stencil.  Agents are independent, so evaluation order and batching
-    cannot change the result.  A matrix that drives many steps may pass
-    ``guide``, its ``_kernels.build_guide(values, stencil.rows)``, built
-    once; a matrix that changes in a few columns a step may pass its
-    ``_kernels.StayTables``, kept up to date by the caller with
-    ``StayTables.rewrite``.  The moves are the same either way.  A caller
-    that hashed the round ahead, in a block of rounds, passes its row as
-    ``z``: the draws
+    cannot change the result.  A caller may pass the sampler tables of
+    ``values`` as ``guide``: a matrix that drives many steps its
+    ``_kernels.build_guide(values, stencil.rows)``, built once, and one that
+    changes in a few columns a step its ``_kernels.sampler_tables(values)``,
+    kept up to date with ``Tables.rewrite``.  The moves are the same either
+    way.  A caller that hashed the round ahead, in a block of rounds, passes
+    its row as ``z``: the draws
     ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
     would give, one per agent.  Without ``z`` the round is hashed here.
     """
@@ -451,7 +456,6 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     partition = partition_states(topology, desired)  # checks the density first
     recurrent = partition.recurrent
     audit = _audit_stencil(partition, topology)
-    audit_r = Topology(rows=audit.rows[recurrent], real=audit.real[recurrent])
     # The one values buffer: the transient columns, which never change, with
     # each matrix's recurrent rows written in.  ``restrict`` keeps slot
     # positions, so synthesized recurrent values drop into their topology
@@ -470,7 +474,9 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         values[recurrent] = recurrent_values
         values.flags.writeable = False
         fresh = values.take(recurrent, axis=0)
-        report = validate_markov(values, audit) if whole else validate_markov(fresh, audit_r)
+        # The recurrent rows of the audit stencil mark the recurrent
+        # destinations only, as ``neighbours`` does.
+        report = validate_markov(values, audit) if whole else validate_markov(fresh, neighbours)
         if not report.ok():
             raise RuntimeError(
                 f"synthesized matrix failed validation {when}: column sum deviation "
@@ -479,13 +485,15 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             )
         return fresh
 
-    # ``tables``: the sampler tables of a Monte Carlo run, the fixed chain's
-    # guide, built once, or the feedback matrix's stay-first tables, built at
-    # the first step and rewritten in the recurrent columns after it.
+    # ``tables``: the sampler tables of a Monte Carlo run, built once: the
+    # fixed chain's with its guide, or the feedback matrix's, built here from
+    # the transient columns and rewritten in the recurrent columns each step.
     baseline_matrix = tables = d_chsn = None
     if feedback:
         # partition_states has checked that the recurrent bins are connected.
         d_chsn = choose_d_chsn(neighbours)
+        if monte_carlo:
+            tables = _kernels.sampler_tables(values)
     else:
         # One fixed matrix, audited once; agents sample it through tables
         # built once.
@@ -524,10 +532,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                                + [ev.step for ev in scenario.events if ev.step > first])
                     draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
                 if feedback:
-                    if tables is None:
-                        tables = _kernels.stay_tables(values, topology.stay)
-                    else:
-                        tables.rewrite(recurrent, fresh, topology.stay)
+                    tables.rewrite(recurrent, fresh)
                 moved = step_agents(swarm, values, k - 1, topology, tables, z=draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved

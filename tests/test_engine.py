@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -362,6 +363,22 @@ def test_event_step_must_be_an_integer(step):
     assert Event(step=np.int64(1), fraction=0.5).step == 1
 
 
+@pytest.mark.parametrize("fraction", ["0.5", True, np.True_, None, 0.5j])
+def test_event_fraction_must_be_a_real_number(fraction):
+    # A string or a complex number cannot be compared with the bounds, and a
+    # bool would render as a line the parser refuses.
+    with pytest.raises(ValueError) as err:
+        Event(step=1, fraction=fraction)
+    assert str(err.value) == f"removal fraction must be a real number, got {fraction!r}"
+
+
+@pytest.mark.parametrize("fraction", [np.float64(0.25), np.float32(0.25), Fraction(1, 4)])
+def test_event_keeps_any_real_fraction_as_a_float(fraction):
+    # Stored as a float, the fraction renders as a number the parser reads.
+    event = Event(step=1, fraction=fraction)
+    assert type(event.fraction) is float and event.fraction == 0.25
+
+
 def test_removal_does_not_disturb_survivor_streams():
     # A survivor moves exactly as it would have if the removed agents had
     # never existed.
@@ -684,10 +701,11 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         return values
 
     def recording_advance(bins, z, values, rows, stay, guide=None):
-        # A feedback matrix is sampled through its stay-first tables, kept
+        # A feedback matrix is sampled through its unguided tables, kept
         # across steps; they equal the tables of the whole matrix.
-        whole = _kernels.stay_tables(values, stay)
-        assert [t.tobytes() for t in guide] == [t.tobytes() for t in whole]
+        whole = _kernels.sampler_tables(values)
+        assert guide.table is None
+        assert [guide.cum.tobytes(), guide.last.tobytes()] == [whole.cum.tobytes(), whole.last.tobytes()]
         sampled.append((values.copy(), rows))
         return advance(bins, z, values, rows, stay, guide=guide)
 
@@ -709,8 +727,8 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
 def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch, algorithm, mode):
     # The fixed chain's sampler tables are built at set-up and handed to
     # every step; a feedback matrix changes every step and is sampled
-    # through stay-first tables, one set kept across the steps, with no
-    # guide.  Initial placement builds its own one-column guide.
+    # through unguided tables, one set kept across the steps.  Initial
+    # placement builds its own one-column guide.
     builds, guides = [], []
     build, advance = _kernels.build_guide, _kernels.advance_agents
 
@@ -734,7 +752,7 @@ def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch,
     assert len(guides) == (12 if mode == "monte-carlo" else 0)
     kept = builds[0] if guided else guides[0] if guides else None
     assert all(g is kept for g in guides)
-    assert guided or kept is None or isinstance(kept, _kernels.StayTables)
+    assert guided or kept is None or (isinstance(kept, _kernels.Tables) and kept.table is None)
 
 
 def test_a_monte_carlo_dsmc_run_derives_the_stay_slots_once(monkeypatch):

@@ -40,10 +40,11 @@ def test_removed_wrappers_stay_gone():
     # The stencil (``Topology``) and a float ``d_chsn`` replaced the first
     # three; an exact symmetry check on the stencil replaced the next two;
     # ``Scenario`` normalises its own validated grids, replacing
-    # ``from_weight_map``; ``partition_states`` decides connectivity.
+    # ``from_weight_map``; ``partition_states`` decides connectivity; one
+    # sampler table type, ``_kernels.Tables``, replaced the last three.
     names = (
         "LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL",
-        "from_weight_map", "is_strongly_connected",
+        "from_weight_map", "is_strongly_connected", "StayTables", "stay_tables", "Guide",
     )
     for module in _modules():
         for name in names:

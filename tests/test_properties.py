@@ -4,16 +4,17 @@ Hypothesis draws the grid, the hop, the target and the current density,
 with zero-density bins and the current density equal to the target among
 the cases, for synthesis; grid stencils with edges unmarked and their
 unmarked slots pointed at other bins, for every function that reads a
-stencil; stencils, columns and draws at the edges of
-each stay window for the agent sampler, and at the edges of each guide
+stencil; random partitions, for the audit stencil's recurrent rows;
+stencils, columns and draws at the edges of each stay window for the
+agent sampler, its tables built per call or kept, and at the edges of each guide
 cell and cumulative boundary for the guided one and for initial
 placement, with the mover search also cut into small blocks; the same
 columns with subnormals and signed zeros, for the slot-order column sum
 and the sampler's cumulative table; sequences of recurrent rows written
 into the transient columns, for the sampler tables a run keeps across
 steps; densities with empty bins, for the density step; deterministic
-runs, replayed one dense product at a time; and whole scenarios for the
-scenario file format.
+runs, replayed one dense product at a time; and whole scenarios, numpy
+float removal fractions among them, for the scenario file format.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
@@ -161,6 +162,21 @@ def test_baseline_in_stencil_slots_equals_the_dense_metropolis_hastings(instance
     dense = dense_mh_oracle(target, adjacency_of(topology), partition)
     assert topology.densify(values).tobytes() == dense.tobytes()
     assert metropolis_hastings(target, topology).tobytes() == dense.tobytes()
+
+
+@SETTINGS
+@given(connected_targets())
+def test_recurrent_rows_of_the_audit_stencil_mark_the_recurrent_stencil(instance):
+    # A run audits each later step's recurrent rows against the recurrent
+    # stencil; the audit reads only its shape and its padded slots, so that
+    # equals the audit against the audit stencil's rows for those bins.
+    topology, target = instance
+    partition = partition_states(topology, target)
+    recurrent = partition.recurrent
+    audit = _audit_stencil(partition, topology)
+    neighbours = topology.restrict(recurrent)
+    assert audit.real[recurrent].shape == neighbours.real.shape
+    assert np.array_equal(audit.real[recurrent], neighbours.real)
 
 
 @st.composite
@@ -337,7 +353,7 @@ def test_column_sums_equal_the_cumulative_sum_byte_for_byte(case, seed):
     # So does the sampler's cumulative table, for a stencil and for one long
     # column, as placement builds it.
     for columns in (values, values[:1]):
-        assert _kernels._cumulative(columns)[0][1:].T.tobytes() == np.cumsum(columns, axis=1).tobytes()
+        assert _kernels.sampler_tables(columns).cum[1:].T.tobytes() == np.cumsum(columns, axis=1).tobytes()
 
 
 @st.composite
@@ -368,25 +384,21 @@ def recurrent_sequences(draw):
 @SETTINGS
 @given(recurrent_sequences())
 def test_kept_sampler_tables_equal_the_tables_of_the_whole_matrix(case):
-    # A run builds the stay-first tables whole at its first step and then
-    # rewrites only the recurrent columns; after every step they equal the
-    # cumulative table, last positive slots and stay windows of the whole
-    # values, bit for bit.
+    # A run builds its tables at set-up from the transient columns, the
+    # recurrent rows still zero, and then rewrites only the recurrent
+    # columns each step; after every step they equal the cumulative table
+    # and last positive slots of the whole values, bit for bit.
     topology, partition, rows = case
-    recurrent, stay, m = partition.recurrent, topology.stay, topology.m
+    recurrent = partition.recurrent
     values = _transient_values(partition, _audit_stencil(partition, topology))
-    tables = None
+    tables = _kernels.sampler_tables(values)
     for fresh in rows:
         values[recurrent] = fresh
-        if tables is None:
-            tables = _kernels.stay_tables(values, stay)
-        else:
-            tables.rewrite(recurrent, values[recurrent], stay)
-        cum, last = _kernels._cumulative(values)
-        assert tables.cum.tobytes() == cum.tobytes()
-        assert tables.last.tobytes() == last.tobytes()
-        assert tables.lo.tobytes() == cum[stay, np.arange(m)].tobytes()
-        assert tables.hi.tobytes() == cum[stay + 1, np.arange(m)].tobytes()
+        tables.rewrite(recurrent, values[recurrent])
+        whole = _kernels.sampler_tables(values)
+        assert tables.cum.tobytes() == whole.cum.tobytes()
+        assert tables.last.tobytes() == whole.last.tobytes()
+        assert tables.table is None
 
 
 @st.composite
@@ -445,10 +457,12 @@ def test_sampler_equals_the_per_bin_oracle_and_stays_on_the_stencil(case, agents
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
     z = _edge_draws(rng, stencil, values, bins)
-    got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay)
-    assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
-    # No move leaves the stencil: every agent lands on a real slot of its bin.
-    assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
+    # Unguided tables built for the call, or kept by the caller.
+    for kept in (None, _kernels.sampler_tables(values)):
+        got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=kept)
+        assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+        # No move leaves the stencil: every agent lands on a real slot of its bin.
+        assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
 
 
 def _guide_draws(rng, values, bins):
@@ -493,10 +507,11 @@ def test_samplers_equal_the_per_bin_oracle_across_search_blocks(case, agents, bl
     stencil, values = case
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
-    guide = _kernels.build_guide(values, stencil.rows)
+    edges, kept = _edge_draws(rng, stencil, values, bins), _kernels.sampler_tables(values)
+    cases = ((edges, None), (edges, kept), (_guide_draws(rng, values, bins), _kernels.build_guide(values, stencil.rows)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "_SEARCH_BLOCK", block)
-        for z, prebuilt in ((_edge_draws(rng, stencil, values, bins), None), (_guide_draws(rng, values, bins), guide)):
+        for z, prebuilt in cases:
             got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
             assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
 
@@ -563,7 +578,12 @@ def scenarios(draw):
         st.builds(
             Event,
             step=st.integers(0, steps),
-            fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            # A numpy float is kept as the float it equals.
+            fraction=st.one_of(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(np.float64),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, width=32).map(np.float32),
+            ),
         ),
         max_size=4,
     ))
