@@ -23,8 +23,8 @@ optional ``init_map:`` section with the same syntax gives the initial
 density; without it agents start uniformly over all bins.  ``event`` lines
 may repeat.  Blank lines are ignored outside the grid sections.  The
 parser checks the syntax and hands each setting at its line to
-``swarmguide.engine._check_setting``, the validator of ``Scenario`` and
-``compare``: sizes below 1, more than ``MAX_BINS`` bins, ``MAX_STENCIL_SLOTS``
+``swarmguide.engine._check_setting``, the validator ``Scenario`` runs:
+sizes below 1, more than ``MAX_BINS`` bins, ``MAX_STENCIL_SLOTS``
 stencil slots, ``MAX_AGENTS`` agents or ``MAX_STEPS`` steps and an unknown ``algorithm`` or
 ``mode`` are refused at their line, before anything is allocated for them,
 as are an event step outside [0, ``steps``] and a grid section with no
@@ -33,10 +33,13 @@ positive weight.
 Commands: ``run`` simulates one scenario, ``compare`` runs several
 algorithms on the same scenario, ``verify`` prints spectral certificates
 for a topology of at most ``MAX_VERIFY_BINS`` bins, ``export-matrix`` dumps
-one synthesized matrix.  All output files are UTF-8 with LF line endings and
-``.`` decimal separators.  Floats are written as their ``repr`` and integral
-counts as integers; the snapshot and matrix writers format each distinct
-value once.  A rerun rewrites each output file in place (``_write_text``).
+one synthesized matrix.  Every run a command starts is a ``Scenario``, so
+each is checked by its constructor; ``compare`` builds all of its runs
+before the first starts.  All output files are UTF-8 with LF line endings
+and ``.`` decimal separators.  Floats are written as their ``repr`` and
+integral counts as integers; the snapshot writer formats each distinct
+value once, and the matrix writer once per block of ``_EXPORT_ROWS`` rows.
+A rerun rewrites each output file in place (``_write_text``).
 """
 from __future__ import annotations
 
@@ -87,6 +90,10 @@ __all__ = [
 # Laplacian: at its limit of 60x60 bins it takes about 2-3 s and 0.23 GB
 # peak RSS on 2 vCPUs.  The limits of a run are in ``swarmguide.engine``.
 MAX_VERIFY_BINS = 3_600
+
+# ``export-matrix`` formats the matrix this many rows at a time: the text
+# objects of one block, not of all m x m entries, are alive at once.
+_EXPORT_ROWS = 64
 
 # Weight w is written as character w; ``0`` and ``1`` also read as 0 and 1.
 _RENDER_CHARS = ".#23456789abcdefghijklmnopqrstuvwxyz"
@@ -284,9 +291,8 @@ def cmd_compare(scenario_path, algorithms, out_dir, checkpoints=None) -> int:
     algos = [a.strip() for a in algorithms.split(",") if a.strip()]
     if not algos:
         raise ScenarioFormatError("no algorithms given")
-    for a in algos:
-        with _at_line(None):
-            _check_setting("algorithm", {"algorithm": a})
+    with _at_line(None):
+        runs = [replace(scenario, algorithm=a) for a in algos]
     if checkpoints is None:
         marks = sorted({min(s, scenario.steps) for s in (0, 250, 750)})
     else:
@@ -299,8 +305,8 @@ def cmd_compare(scenario_path, algorithms, out_dir, checkpoints=None) -> int:
                 raise ScenarioFormatError(f"checkpoint {s} outside [0, {scenario.steps}]")
     out = Path(out_dir)
     summary = ["algorithm,step,total_variation,cumulative_transitions"]
-    for algo in algos:
-        metrics, _ = run_scenario(replace(scenario, algorithm=algo))
+    for algo, run in zip(algos, runs):
+        metrics, _ = run_scenario(run)
         _write_text(out / f"metrics_{algo}.csv", metrics.to_csv())
         for s in marks:
             summary.append(f"{algo},{s},{repr(metrics.total_variation[s])},{_cell(metrics.cumulative_transitions[s])}")
@@ -353,7 +359,8 @@ def cmd_export_matrix(scenario_path, step, out_path) -> int:
 
     run_scenario(head, matrix_hook=hook)
     matrix = last["matrix"]
-    _write_text(Path(out_path), "\n".join(map(",".join, _texts(matrix))) + "\n")
+    blocks = (_texts(matrix[start : start + _EXPORT_ROWS]) for start in range(0, matrix.shape[0], _EXPORT_ROWS))
+    _write_text(Path(out_path), "".join(",".join(row) + "\n" for block in blocks for row in block))
     # With the matrix written to stdout's own file, as ``--out /dev/stdout >
     # m.csv`` does, a status line on stdout would land over it.
     status = sys.stderr if os.path.samestat(os.fstat(1), os.stat(out_path)) else sys.stdout

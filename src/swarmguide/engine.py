@@ -4,7 +4,9 @@ Runs a scenario either as a Monte Carlo simulation of individual agents or
 as a deterministic density recursion, synthesizing the transition matrix
 every step (density feedback) or once up front (baseline chain), applying
 scheduled events, and recording per-step metrics.  A ``Scenario`` checks
-the inputs once; the run checks what it computes, matrices and densities.
+the inputs once and stores each in one form, so that it is a value; every
+run starts from one.  The run checks what it computes, matrices and
+densities.
 
 A run works in the stencil layout of ``swarmguide.graph.Topology``: column
 j of each step's matrix is an m x w value array's row j, over bin j's
@@ -155,8 +157,8 @@ _CHOICES = {"algorithm": ALGORITHMS, "mode": MODES}  # every other setting is an
 def _check_setting(name: str, settings: dict):
     """Refuse ``settings[name]`` given only the settings read so far.
 
-    Every rule on a scenario's settings is here, for ``Scenario``, the parser
-    (at each key's line) and ``compare``.  Raises ValueError.
+    Every rule on a scenario's settings is here, for ``Scenario`` and the
+    parser (at each key's line).  Raises ValueError.
     """
     value = settings[name]
     if name not in _CHOICES:
@@ -187,15 +189,17 @@ def _require_some_weight(name: str, grid):
 @dataclass(frozen=True)
 class Event:
     """Scheduled removal, the one kind of event: ``fraction`` of agents
-    vanish at ``step``, an integer.  ``fraction`` is any real number, kept
-    as a float, so that the scenario file writes it as one.  The parser
-    checks the file's ``remove_fraction``."""
+    vanish at ``step``.  ``step`` is any integer, kept as an ``int``, and
+    ``fraction`` any real number, kept as a ``float``: one stored form
+    each, the one the scenario file writes.  The parser checks the file's
+    ``remove_fraction``."""
 
     step: int
     fraction: float
 
     def __post_init__(self):
         _require_integer("event step", self.step)
+        object.__setattr__(self, "step", int(self.step))
         if isinstance(self.fraction, bool) or not isinstance(self.fraction, numbers.Real):
             raise ValueError(f"removal fraction must be a real number, got {self.fraction!r}")
         object.__setattr__(self, "fraction", float(self.fraction))
@@ -210,7 +214,8 @@ class Event:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete, serializable description of one run.
+    """Complete, serializable description of one run: a hashable value,
+    equal to its ``render_scenario`` text parsed back.
 
     ``weights`` is the desired-density weight grid (row-major bins) and
     ``init_weights`` the optional initial-density grid; both hold integers
@@ -218,8 +223,12 @@ class Scenario:
     positive, and any other grid is refused.  ``init_weights`` of None means
     agents start uniformly over all bins.  ``_check_setting`` refuses the
     first bad setting in ``SETTINGS`` order, so a scenario beyond the size
-    limits is refused here, before any of it is built.  Its densities are
-    valid by construction, and a run does not check them again.
+    limits is refused here, before any of it is built.  Each field is kept
+    in one form, whatever form it is given in: integer settings as ``int``,
+    grids (lists, NumPy integers or arrays alike) as tuples of row tuples
+    of ``int``, and ``events`` as a tuple of ``Event`` sorted by step, any
+    other item refused.  Its densities are valid by construction, and a run
+    does not check them again.
     """
 
     rows: int
@@ -239,6 +248,9 @@ class Scenario:
         for name in SETTINGS:
             settings[name] = getattr(self, name)
             _check_setting(name, settings)
+            if name not in _CHOICES:
+                settings[name] = int(settings[name])
+                object.__setattr__(self, name, settings[name])
         for name in ("weights", "init_weights"):
             grid = getattr(self, name)
             if grid is None:
@@ -246,10 +258,13 @@ class Scenario:
             if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
                 raise ValueError(f"{name} must be {self.rows}x{self.cols}, one row of {self.cols} weights per grid row")
             w = np.asarray(grid)
-            if w.dtype.kind not in "iu" or w.min() < 0 or w.max() > 35:
+            if w.ndim != 2 or w.dtype.kind not in "iu" or w.min() < 0 or w.max() > 35:
                 raise ValueError(f"{name} must be integers in [0, 35], as scenario files write them")
             _require_some_weight(name, w)
+            object.__setattr__(self, name, tuple(map(tuple, w.tolist())))
         for ev in self.events:
+            if not isinstance(ev, Event):
+                raise ValueError(f"events must be Event instances, got {ev!r}")
             ev.require_within(self.steps)
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
 

@@ -387,6 +387,17 @@ def test_cmd_compare_rejects_bad_inputs(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_cmd_compare_refuses_an_unknown_algorithm_before_any_run(tmp_path, capsys):
+    # Every run is built as a Scenario first, so the constructor refuses the
+    # bad name before dsmc's run writes anything.
+    scenario = tmp_path / "mini.txt"
+    scenario.write_text(MINI, encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario), "--algorithms", "dsmc,bogus", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown algorithm 'bogus', expected one of ('dsmc', 'mh')\n"
+    assert not list(tmp_path.glob("**/metrics_*.csv"))
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [
@@ -520,6 +531,22 @@ def test_cmd_export_matrix_step_out_of_range(tmp_path, capsys):
         "--step", "2", "--out", str(tmp_path / "m.csv"),
     ]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_export_matrix_formats_a_large_matrix_in_row_blocks(tmp_path):
+    # wide_grid's 1600 x 1600 matrix is 20 MB of floats; formatted whole, as
+    # nested lists of texts, the export peaked at 121 MiB.
+    tracemalloc.start()
+    try:
+        code = main([
+            "export-matrix", "--scenario", str(SCENARIOS / "wide_grid.txt"),
+            "--step", "0", "--out", str(tmp_path / "m.csv"),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 60 * 2**20
 
 
 def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):

@@ -99,6 +99,10 @@ def test_scenario_validation():
             for name in ("weights", "init_weights")
             for weight in (36, 0.5, -1)
         ),
+        # A grid of rows x cols cells that are not integers, but rows of them.
+        ("weights", dict(weights=(((1,), (1,)), ((1,), (1,))))),
+        # An event is an Event, not the (step, fraction) it holds.
+        ("events", dict(events=((1, 0.5),))),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)

@@ -14,7 +14,8 @@ and the sampler's cumulative table; sequences of recurrent rows written
 into the transient columns, for the sampler tables a run keeps across
 steps; densities with empty bins, for the density step; deterministic
 runs, replayed one dense product at a time; and whole scenarios, numpy
-float removal fractions among them, for the scenario file format.
+float removal fractions among them, for the scenario file format, with
+their grids and integers also given as lists and NumPy values.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
@@ -606,3 +607,41 @@ def scenarios(draw):
 @given(scenarios())
 def test_scenario_text_round_trips(scenario):
     assert parse_scenario(render_scenario(scenario)) == scenario
+
+
+# The forms a library caller may give a weight grid in, each from the grid
+# as a tuple of row tuples.
+_GRID_FORMS = {
+    "list": lambda grid: [list(row) for row in grid],
+    "tuple": lambda grid: grid,
+    "tuple of numpy ints": lambda grid: tuple(tuple(map(np.int64, row)) for row in grid),
+    **{f"{dtype} array": (lambda grid, dtype=dtype: np.array(grid, dtype=dtype)) for dtype in ("int8", "int64", "uint8")},
+}
+
+
+@SETTINGS
+@given(scenarios(), st.sampled_from(sorted(_GRID_FORMS)))
+def test_scenario_stores_one_form_whatever_form_it_is_given(scenario, form):
+    # Grids, integer settings and event steps given as NumPy values or lists
+    # are stored as the plain ints and tuples the parser gives: the scenario
+    # equals the one built from those, hashes alike and round-trips.
+    given_as = _GRID_FORMS[form]
+    integers = ("rows", "cols", "hop", "agents", "steps", "seed")
+    built = Scenario(
+        **{name: np.int64(getattr(scenario, name)) for name in integers},
+        algorithm=scenario.algorithm,
+        mode=scenario.mode,
+        weights=given_as(scenario.weights),
+        init_weights=None if scenario.init_weights is None else given_as(scenario.init_weights),
+        events=[Event(np.int64(ev.step), ev.fraction) for ev in scenario.events],
+    )
+    assert built == scenario
+    assert hash(built) == hash(scenario)
+    assert parse_scenario(render_scenario(built)) == built
+    assert all(type(getattr(built, name)) is int for name in integers)
+    assert type(built.events) is tuple
+    assert all(type(ev.step) is int for ev in built.events)
+    for grid in (built.weights, built.init_weights):
+        if grid is not None:
+            assert type(grid) is tuple
+            assert all(type(row) is tuple and all(type(w) is int for w in row) for row in grid)
