@@ -17,10 +17,15 @@ stencil column sum, in synthesis, in the baseline chain and in the audit,
 is ``column_sums``.
 
 Both samplers read one table type, ``Tables``: the (w + 1) x m cumulative
-table, built slot by slot, the last positive slots and, where
-``build_guide`` attached one, a guide table.  A column's entries depend on
-that column alone, so a caller whose matrix changes in a few columns a
-step keeps its ``sampler_tables`` with ``Tables.rewrite``.
+table, built slot by slot, and, where ``build_guide`` attached one, a
+guide table.  Draws lie in [0, 1), as ``uniform_stream`` gives them, and
+the table rule keeps them on each column's support: every entry at or
+above min(total, 1) reads exactly 1.0.  Whether its total rounded above 1
+or below, a column then reads 1.0 from its last positive slot on, so no
+draw passes that slot and no search needs a round-off clamp.  A column's
+entries depend on that column alone, so a caller whose matrix changes in
+a few columns a step keeps its ``sampler_tables`` and assigns those
+columns of a fresh ``cum``.
 
 Unguided, ``advance_agents`` samples in two passes, because feedback
 synthesis leaves most agents where they are.  First the stay test: with s
@@ -28,15 +33,15 @@ bin b's stay slot, the real slot listing b itself (``Topology.stay``,
 derived once per stencil), and cum its cumulative row (cum[-1] read as 0),
 an agent in b with cum[s-1] <= z < cum[s] stays.  That is what the full
 search returns: the cumulative row never decreases, so exactly s entries
-are <= z, and since cum[s-1] < cum[s] <= total the round-off clamp cannot
-cut below s either.  A slot with an empty window, such as a zero self
-slot, settles nobody; a padded slot ahead of the self slot also lists b,
-but its window is empty too, so either slot gives the same destinations.
-The windows are read from the cumulative table each call, two m-long
-gathers.  Then only the movers search their column, in blocks of
-``_SEARCH_BLOCK`` agents: one gather of the movers' columns from the
-cumulative table and one count of the entries at or below each draw.  So
-no agents x w temporary is ever built, only block x w ones.
+are <= z.  A slot with an empty window, such as a zero self slot or one
+past the last positive slot, settles nobody; a padded slot ahead of the
+self slot also lists b, but its window is empty too, so either slot gives
+the same destinations.  The windows are read from the cumulative table
+each call, two m-long gathers.  Then only the movers search their
+column, in blocks of ``_SEARCH_BLOCK`` agents: one gather of the movers'
+columns from the cumulative table and one count of the entries at or
+below each draw.  So no agents x w temporary is ever built, only block x w
+ones.
 
 A matrix that drives many steps, the fixed Metropolis-Hastings chain, moves
 most agents, so the stay test settles few.  ``build_guide`` attaches a
@@ -45,21 +50,19 @@ it splits [0, 1) into a power-of-two number of cells per bin,
 ``GUIDE_CELLS`` for a matrix, and holds one destination per cell, m x 64
 int64 entries (about 5 MB at 10^4 bins).  It is exact, not an
 approximation.  Draws are multiples of 2^-53, so ``int(z * cells)`` is
-exact, and the full search's answer, round-off clamp included, never
-decreases as the draw grows.  So a cell with no cumulative boundary
-strictly inside has one answer for all its draws.  A cell with one holds
--1, and only the agents whose draw falls there (about 3% on letter-E) run
-the search.
+exact, and the full search's answer never decreases as the draw grows.
+So a cell with no cumulative boundary strictly inside has one answer for
+all its draws.  A cell with one holds -1, and only the agents whose draw
+falls there (about 3% on letter-E) run the search.
 
 Initial placement samples one fixed distribution over all m bins, a single
 column whose stencil is every bin.  ``placement_guide`` builds its table
 with the smallest power of two >= ``GUIDE_CELLS`` m cells, int32 bins (2^20
 cells, 4 MB, at 10^4 bins): with only m cells, most cells of a uniform
 start would hold a boundary.  ``place`` reads the table in blocks, so its
-only agents-sized array is its result, and the agents in split
-cells (about 1.3% on the 40x40 ``wide_grid`` start) take one
-``np.searchsorted`` with the round-off clamp instead of the slot search,
-since here w = m.
+only agents-sized array is its result, and the agents in split cells
+(about 1.2% on the 40x40 ``wide_grid`` start) take one ``np.searchsorted``
+instead of the slot search, since here w = m.
 """
 from __future__ import annotations
 
@@ -75,25 +78,14 @@ _SEARCH_BLOCK = 1 << 16  # movers per block in ``_search``: a block x w table, 1
 
 class Tables(NamedTuple):
     """The sampler tables of one matrix: ``cum[s + 1, j]``, the cumulative
-    probability of column j through slot s (``cum[0]`` is 0), ``last[j]``,
-    the last positive slot of column j, and, from ``build_guide``,
-    ``table[j, c]``, the destination of every draw of bin j in
-    [c, c + 1) / cells, with ``cells = table.shape[1]``, or -1 where a
+    probability of column j through slot s (``cum[0]`` is 0), each entry
+    at or above min(total, 1) read as 1.0 (the table rule), and, from
+    ``build_guide``, ``table[j, c]``, the destination of every draw of bin
+    j in [c, c + 1) / cells, with ``cells = table.shape[1]``, or -1 where a
     cumulative boundary lies strictly inside that cell."""
 
     cum: np.ndarray
-    last: np.ndarray
     table: np.ndarray | None = None
-
-    def rewrite(self, bins: np.ndarray, values: np.ndarray):
-        """Rewrite the columns of ``bins`` in place from their new values,
-        ``values[k]`` being column ``bins[k]``.  Every other column is kept
-        as it is, and the tables equal ``sampler_tables`` of the whole new
-        matrix bit for bit.  Only unguided tables are rewritten: a guided
-        one drives a fixed matrix, and its guide table would go stale."""
-        part = sampler_tables(values)
-        self.cum[:, bins] = part.cum
-        self.last[bins] = part.last
 
 
 def sampler_tables(values: np.ndarray) -> Tables:
@@ -108,19 +100,21 @@ def sampler_tables(values: np.ndarray) -> Tables:
         cum[1] = values[:, 0]
         for s in range(1, w):
             np.add(cum[s], values[:, s], out=cum[s + 1])
-    # Slot at which each column first reaches its total: its last positive entry.
-    return Tables(cum=cum, last=(cum[1:] < cum[-1]).sum(axis=0))
+    # Every entry at or above min(total, 1) reads 1.0: each column ends at
+    # exactly 1.0 from its last positive slot on, so no draw in [0, 1)
+    # passes the end of its support, whichever way its total rounded.
+    np.copyto(cum[1:], 1.0, where=cum[1:] >= np.minimum(cum[-1], 1.0))
+    return Tables(cum=cum)
 
 
-def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, last: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Destinations by the full search, with the round-off clamp: the slot
-    is the number of cumulative entries at or below the draw, counted over
-    one gather of each block's columns."""
+def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Destinations by the full search: the slot is the number of cumulative
+    entries at or below the draw, counted over one gather of each block's
+    columns."""
     hits = np.empty(from_bin.size, dtype=np.int64)
     for lo in range(0, from_bin.size, _SEARCH_BLOCK):
         block = from_bin[lo:lo + _SEARCH_BLOCK]
         hits[lo:lo + block.size] = (cum[1:].take(block, axis=1) <= draw[lo:lo + block.size]).sum(axis=0)
-    np.minimum(hits, last.take(from_bin), out=hits)
     hits += from_bin * rows.shape[1]  # the flat index of each slot found
     return rows.take(hits)
 
@@ -134,25 +128,22 @@ def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) 
     k >= K = ceil(b 2^53), so boundaries and cells are compared as
     integers.  Cell c of a bin spans the draw indices [c, c + 1) 2^shift,
     with 2^shift = 2^53 / cells; with no K strictly inside, every draw in
-    it gets the search's answer at its first draw.
+    it gets the search's answer at its first draw.  A column's last
+    boundary, 1.0 by the table rule, closes its last cell.
     """
     shift = 53 - (cells.bit_length() - 1)  # a cell spans 2**shift draws
-    cum, last, _ = sampler_tables(values)
-    m, w = values.shape
+    cum = sampler_tables(values).cum
+    m = values.shape[0]
     first = np.ceil(cum[1:] * 2.0**53).astype(np.int64)  # K, w x m, ascending down each column
-    cell = first >> shift  # the cell holding K; cells or more: none
-    # Slot s, clamped to the last positive one, answers the cells from the
-    # one holding boundary s - 1 up to the one holding boundary s.
-    bounds = np.zeros((m, w + 2), dtype=np.int64)
-    bounds[:, 1:-1] = np.minimum(cell, cells).T
-    bounds[:, -1] = cells
-    dest = np.take_along_axis(rows, np.minimum(np.arange(w + 1), last[:, np.newaxis]), axis=1)
-    table = np.repeat(dest.ravel(), np.diff(bounds, axis=1).ravel()).reshape(m, cells)
+    cell = first >> shift  # the cell holding K; cells for an entry of 1.0
+    # Slot s answers the cells from the one holding boundary s - 1 up to the
+    # one holding boundary s.
+    table = np.repeat(rows.ravel(), np.diff(cell, axis=0, prepend=0).T.ravel()).reshape(m, cells)
     # A cell with a boundary strictly inside is left to the search; one on
     # its first draw is passed by all of it.
-    inside = (first & ((1 << shift) - 1) != 0) & (cell < cells)
+    inside = first & ((1 << shift) - 1) != 0
     table.reshape(-1)[(np.arange(m) * cells + cell)[inside]] = -1
-    return Tables(cum=cum, last=last, table=table)
+    return Tables(cum=cum, table=table)
 
 
 def placement_guide(density: np.ndarray) -> Tables:
@@ -170,16 +161,17 @@ def place(z: np.ndarray, guide: Tables) -> np.ndarray:
     ``placement_guide``, for draws that are multiples of 2^-53.
 
     Bit for bit ``np.minimum(np.searchsorted(cum, z, side="right"), last)``
-    over the cumulative density ``cum`` and its last positive bin ``last``,
-    as the guide holds them.  The cells are read in blocks, so no
-    temporary besides the result is as large as ``z``.
+    over the cumulative density ``cum`` and its last positive bin ``last``
+    for draws in [0, 1); the guide's column, under the table rule, needs no
+    clamp.  The cells are read in blocks, so no temporary besides the
+    result is as large as ``z``.
     """
     table, cells = guide.table[0], guide.table.shape[1]
     out = np.empty(z.size, dtype=np.int64)
     for lo in range(0, z.size, _PLACE_BLOCK):
         out[lo:lo + _PLACE_BLOCK] = table.take((z[lo:lo + _PLACE_BLOCK] * cells).astype(np.int64))
     split = np.nonzero(out < 0)[0]
-    out[split] = np.minimum(np.searchsorted(guide.cum[1:, 0], z[split], side="right"), guide.last[0])
+    out[split] = np.searchsorted(guide.cum[1:, 0], z[split], side="right")
     return out
 
 
@@ -193,10 +185,9 @@ def advance_agents(
     ``values[j]`` is column j of a column-stochastic matrix over the
     ascending destinations ``rows[j]``, padded with zeros; ``rows[j]``
     lists bin j itself, as in every stencil.  Agent k lands on the first
-    destination whose cumulative probability exceeds z[k].  When float
-    round-off leaves the column total at or below the draw, the agent lands
-    on the column's last positive entry, so it never leaves the column's
-    support.
+    destination whose cumulative probability exceeds z[k], in [0, 1).  The
+    table rule of ``Tables`` ends each column at 1.0 from its last positive
+    entry on, so round-off never takes an agent off the column's support.
 
     ``guide``, when given, is ``sampler_tables(values)``, kept by a caller
     whose matrix changes in a few columns a step, or ``build_guide(values,
@@ -215,7 +206,7 @@ def advance_agents(
         cell += bins * cells
         out = tables.table.take(cell)
         open_cells = np.nonzero(out < 0)[0]
-        out[open_cells] = _search(bins[open_cells], z[open_cells], tables.cum, tables.last, rows)
+        out[open_cells] = _search(bins[open_cells], z[open_cells], tables.cum, rows)
         return out
     # Stay window [lo, hi) of each bin: cum[stay[j], j] and the entry one
     # slot row below it.
@@ -225,7 +216,7 @@ def advance_agents(
     lo, hi = tables.cum.take(at), tables.cum.take(at + m)
     movers = np.nonzero((z < lo.take(bins)) | (z >= hi.take(bins)))[0]
     out = bins.copy()
-    out[movers] = _search(bins[movers], z[movers], tables.cum, tables.last, rows)
+    out[movers] = _search(bins[movers], z[movers], tables.cum, rows)
     return out
 
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -257,11 +258,15 @@ class Scenario:
                 continue
             if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
                 raise ValueError(f"{name} must be {self.rows}x{self.cols}, one row of {self.cols} weights per grid row")
+            # np.asarray would read a bool among ints as the weight 0 or 1.
+            mixed = not isinstance(grid, np.ndarray) and {bool, np.bool_} & set(map(type, chain.from_iterable(grid)))
             w = np.asarray(grid)
-            if w.ndim != 2 or w.dtype.kind not in "iu" or w.min() < 0 or w.max() > 35:
+            if mixed or w.ndim != 2 or w.dtype.kind not in "iu" or w.min() < 0 or w.max() > 35:
                 raise ValueError(f"{name} must be integers in [0, 35], as scenario files write them")
             _require_some_weight(name, w)
             object.__setattr__(self, name, tuple(map(tuple, w.tolist())))
+        if isinstance(self.events, Event):
+            raise ValueError(f"events must be a sequence of Event instances, got {self.events!r}")
         for ev in self.events:
             if not isinstance(ev, Event):
                 raise ValueError(f"events must be Event instances, got {ev!r}")
@@ -351,10 +356,11 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
     """Place agents by inverse-CDF sampling of the initial density.
 
     Agent k lands on the first bin whose cumulative initial density exceeds
-    its placement draw, or on the last bin with positive density when
-    round-off leaves the total at or below the draw.  The draws are read
-    through an exact guide table, ``_kernels.placement_guide``.  The initial
-    density is valid by construction (see ``Scenario``), so is not checked.
+    its placement draw, in [0, 1); the sampler's table reads 1.0 from the
+    last bin with positive density on, so round-off never passes that bin.
+    The draws are read through an exact guide table,
+    ``_kernels.placement_guide``.  The initial density is valid by
+    construction (see ``Scenario``), so is not checked.
     """
     x0 = scenario.initial_density()
     ids = np.arange(scenario.agents, dtype=np.uint64)
@@ -377,17 +383,18 @@ def step_agents(
     ``stencil`` passes as ``stencil.sparsify(M)``), and the caller has
     audited it, as a run audits every matrix it steps through; it is not
     checked again.  Each agent draws its own uniform from the move stream
-    for ``step`` and walks the cumulative column of its current bin,
-    stopping at the first destination whose cumulative probability exceeds
-    the draw; the stay test reads ``stencil.stay``, derived once per
-    stencil.  Agents are independent, so evaluation order and batching
-    cannot change the result.  A caller may pass the sampler tables of
-    ``values`` as ``guide``: a matrix that drives many steps its
+    for ``step``, in [0, 1), and walks the cumulative column of its current
+    bin, stopping at the first destination whose cumulative probability
+    exceeds the draw; the column reads 1.0 from its last positive slot on.
+    The stay test reads ``stencil.stay``, derived once per stencil.  Agents
+    are independent, so evaluation order and batching cannot change the
+    result.  A caller may pass the sampler tables of ``values`` as
+    ``guide``: a matrix that drives many steps its
     ``_kernels.build_guide(values, stencil.rows)``, built once, and one that
     changes in a few columns a step its ``_kernels.sampler_tables(values)``,
-    kept up to date with ``Tables.rewrite``.  The moves are the same either
-    way.  A caller that hashed the round ahead, in a block of rounds, passes
-    its row as ``z``: the draws
+    whose changed columns it assigns from a fresh ``cum``.  The moves are
+    the same either way.  A caller that hashed the round ahead, in a block
+    of rounds, passes its row as ``z``: the draws
     ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
     would give, one per agent.  Without ``z`` the round is hashed here.
     """
@@ -547,7 +554,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                                + [ev.step for ev in scenario.events if ev.step > first])
                     draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
                 if feedback:
-                    tables.rewrite(recurrent, fresh)
+                    tables.cum[:, recurrent] = _kernels.sampler_tables(fresh).cum
                 moved = step_agents(swarm, values, k - 1, topology, tables, z=draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved

@@ -234,10 +234,7 @@ def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
     stranded = np.nonzero(unseen)[0]
     if stranded.size:
         raise ValueError(f"bins {stranded.tolist()} cannot reach any bin with positive desired density")
-    if layers:
-        ordering = np.concatenate([*reversed(layers), recurrent])
-    else:
-        ordering = recurrent.copy()
+    ordering = np.concatenate([*reversed(layers), recurrent])  # a fresh array, layers or none
     for arr in (recurrent, ordering, *layers):
         arr.flags.writeable = False
     return Partition(recurrent=recurrent, layers=tuple(layers), ordering=ordering)

@@ -101,8 +101,13 @@ def test_scenario_validation():
         ),
         # A grid of rows x cols cells that are not integers, but rows of them.
         ("weights", dict(weights=(((1,), (1,)), ((1,), (1,))))),
-        # An event is an Event, not the (step, fraction) it holds.
+        # A bool is no weight, even among integers that numpy would promote it to.
+        ("weights", dict(weights=((True, 2), (0, 3)))),
+        ("init_weights", dict(init_weights=((1, 2), (np.False_, 3)))),
+        # An event is an Event, not the (step, fraction) it holds, and events
+        # are a sequence of them, not one.
         ("events", dict(events=((1, 0.5),))),
+        ("events", dict(events=Event(1, 0.5))),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
@@ -709,7 +714,7 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         # across steps; they equal the tables of the whole matrix.
         whole = _kernels.sampler_tables(values)
         assert guide.table is None
-        assert [guide.cum.tobytes(), guide.last.tobytes()] == [whole.cum.tobytes(), whole.last.tobytes()]
+        assert guide.cum.tobytes() == whole.cum.tobytes()
         sampled.append((values.copy(), rows))
         return advance(bins, z, values, rows, stay, guide=guide)
 

@@ -51,5 +51,9 @@ def test_removed_wrappers_stay_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     # metropolis_hastings partitions the topology itself.
     assert list(inspect.signature(swarmguide.metropolis_hastings).parameters) == ["desired", "topology"]
+    # Every cumulative column ends at exactly 1.0, so the tables keep no last
+    # positive slots, and a caller rewrites columns with one assignment.
+    assert swarmguide._kernels.Tables._fields == ("cum", "table")
+    assert not hasattr(swarmguide._kernels.Tables, "rewrite")
     # Removal is the one kind of event, so an Event carries no kind.
     assert [f.name for f in dataclasses.fields(swarmguide.Event)] == ["step", "fraction"]

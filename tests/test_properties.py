@@ -10,12 +10,15 @@ agent sampler, its tables built per call or kept, and at the edges of each guide
 cell and cumulative boundary for the guided one and for initial
 placement, with the mover search also cut into small blocks; the same
 columns with subnormals and signed zeros, for the slot-order column sum
-and the sampler's cumulative table; sequences of recurrent rows written
-into the transient columns, for the sampler tables a run keeps across
-steps; densities with empty bins, for the density step; deterministic
-runs, replayed one dense product at a time; and whole scenarios, numpy
-float removal fractions among them, for the scenario file format, with
-their grids and integers also given as lists and NumPy values.
+and the sampler's cumulative table; columns whose total rounds above 1
+after an earlier entry reached 1.0, or below 1 with the self slot last,
+for the table rule under both samplers and placement; sequences of
+recurrent rows written into the transient columns, for the sampler tables
+a run keeps across steps; densities with empty bins, for the density
+step; deterministic runs, replayed one dense product at a time; and
+whole scenarios, numpy float removal fractions among them, for the
+scenario file format, with their grids and integers also given as lists
+and NumPy values.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
@@ -58,6 +61,7 @@ from testutil import (
     dense_mh_oracle,
     dense_recurrent_oracle,
     dense_replay,
+    placement_oracle,
     support_connected,
 )
 
@@ -352,9 +356,12 @@ def test_column_sums_equal_the_cumulative_sum_byte_for_byte(case, seed):
     values = np.select([kind == 1, kind == 2], [tiny, np.copysign(0.0, tiny)], values)
     assert _kernels.column_sums(values).tobytes() == np.cumsum(values, axis=1)[:, -1].tobytes()
     # So does the sampler's cumulative table, for a stencil and for one long
-    # column, as placement builds it.
+    # column, as placement builds it, but for the table rule: every entry at
+    # or above min(total, 1) reads 1.0.
     for columns in (values, values[:1]):
-        assert _kernels.sampler_tables(columns).cum[1:].T.tobytes() == np.cumsum(columns, axis=1).tobytes()
+        cum = np.cumsum(columns, axis=1)
+        cum[cum >= np.minimum(cum[:, -1:], 1.0)] = 1.0
+        assert _kernels.sampler_tables(columns).cum[1:].T.tobytes() == cum.tobytes()
 
 
 @st.composite
@@ -388,17 +395,15 @@ def test_kept_sampler_tables_equal_the_tables_of_the_whole_matrix(case):
     # A run builds its tables at set-up from the transient columns, the
     # recurrent rows still zero, and then rewrites only the recurrent
     # columns each step; after every step they equal the cumulative table
-    # and last positive slots of the whole values, bit for bit.
+    # of the whole values, bit for bit.
     topology, partition, rows = case
     recurrent = partition.recurrent
     values = _transient_values(partition, _audit_stencil(partition, topology))
     tables = _kernels.sampler_tables(values)
     for fresh in rows:
         values[recurrent] = fresh
-        tables.rewrite(recurrent, values[recurrent])
-        whole = _kernels.sampler_tables(values)
-        assert tables.cum.tobytes() == whole.cum.tobytes()
-        assert tables.last.tobytes() == whole.last.tobytes()
+        tables.cum[:, recurrent] = _kernels.sampler_tables(values[recurrent]).cum
+        assert tables.cum.tobytes() == _kernels.sampler_tables(values).cum.tobytes()
         assert tables.table is None
 
 
@@ -562,6 +567,71 @@ def test_placement_guide_equals_the_clamped_searchsorted(weights, agents, seed):
     settled = np.nonzero(guide.table[0] >= 0)[0]
     for end in (settled / cells, (settled + 1) / cells - 2.0**-53):
         assert np.array_equal(guide.table[0, settled], oracle(end))
+
+
+@st.composite
+def table_rule_cases(draw):
+    """(stencil, values) over a random grid, at times restricted, whose
+    columns are random, or end at the table rule's edges: a total that
+    rounds above 1 after an earlier cumulative entry has reached 1.0, such
+    as [0.5, 0.5, 2^-52], or a total that rounds below 1 with the self slot
+    as the last positive slot."""
+    rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    stencil = build_grid_topology(rows, cols, hop)
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=stencil.m, max_size=stencil.m).filter(any))
+        stencil = stencil.restrict(np.nonzero(keep)[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(stencil.rows.shape)
+    for j in range(stencil.m):
+        real = np.nonzero(stencil.real[j])[0]
+        kind = draw(st.sampled_from(["random", "over", "short"]))
+        if kind == "over" and real.size >= 2:
+            # Dyadic halves that reach exactly 1.0, then a tail the sum keeps
+            # above 1 or rounds away, each on a random real slot.
+            chosen = rng.permutation(real)[:rng.integers(2, real.size + 1)]
+            halves = 2.0 ** -np.arange(1, chosen.size - 1)
+            head = np.append(halves, 1.0 - halves.sum())
+            values[j, np.sort(chosen)] = np.append(rng.permutation(head), 0.0)
+            values[j, np.sort(chosen)[-1]] = draw(st.sampled_from([2.0**-52, 3 * 2.0**-52, 2.0**-53, 2.0**-60]))
+        elif kind == "short":
+            # Positive mass up to and including the self slot, none after it.
+            upto = real[real <= stencil.stay[j]]
+            values[j, upto] = rng.random(upto.size) * (rng.random(upto.size) < 0.7)
+            values[j, stencil.stay[j]] += 1e-3
+            values[j] *= (1.0 - draw(st.sampled_from([2.0**-40, 2.0**-45]))) / values[j].sum()
+        else:
+            values[j, real] = rng.random(real.size) + 1e-3
+            values[j] /= values[j].sum()
+    return stencil, values
+
+
+@SETTINGS
+@given(table_rule_cases(), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_table_rule_columns_sample_as_the_clamped_oracles(case, agents, seed):
+    # Every cumulative entry at or above min(total, 1) reads 1.0, so no draw
+    # in [0, 1) passes a column's last positive slot, and the stay-first,
+    # guided and placement samplers land where the clamped oracles do.
+    stencil, values = case
+    cum = np.cumsum(values, axis=1)
+    cum[cum >= np.minimum(cum[:, -1:], 1.0)] = 1.0
+    tables = _kernels.sampler_tables(values)
+    assert tables.cum[1:].T.tobytes() == cum.tobytes() and (tables.cum[-1] == 1.0).all()
+    rng = np.random.default_rng(seed)
+    bins = rng.integers(0, stencil.m, size=agents)
+    edges, gridded = _edge_draws(rng, stencil, values, bins), _guide_draws(rng, values, bins)
+    for z, prebuilt in ((edges, None), (edges, tables), (gridded, _kernels.build_guide(values, stencil.rows))):
+        got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
+        assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+    # Each column, spread over all m bins, as a placement density.
+    for j in range(stencil.m):
+        density = np.zeros(stencil.m)
+        np.add.at(density, stencil.rows[j], values[j])
+        guide = _kernels.placement_guide(density)
+        assert np.array_equal(_kernels.place(gridded, guide), placement_oracle(density, gridded))
+        cell_edges = np.arange(guide.table.shape[1] + 1) / guide.table.shape[1]
+        z = np.clip(np.concatenate([cell_edges, cell_edges - 2.0**-53]), 0.0, 1.0 - 2.0**-53)
+        assert np.array_equal(_kernels.place(z, guide), placement_oracle(density, z))
 
 
 def _grids(rows, cols):

@@ -166,6 +166,13 @@ def advance_by_bin_oracle(
     return out
 
 
+def placement_oracle(density: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Initial placement by one ``np.searchsorted`` over the cumulative
+    density, with the same round-off rule as ``advance_oracle``."""
+    cum = np.cumsum(density)
+    return np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum())
+
+
 def dense_layout(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A dense m x m matrix as (values, rows, stay) for
     ``_kernels.advance_agents``: stencil width m, every bin listing all bins
