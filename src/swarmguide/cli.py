@@ -31,9 +31,9 @@ as are an event step outside [0, ``steps``] and a grid section with no
 positive weight.
 
 Commands: ``run`` simulates one scenario, ``compare`` runs several
-algorithms on the same scenario, ``verify`` prints spectral certificates
-for a topology of at most ``MAX_VERIFY_BINS`` bins, ``export-matrix`` dumps
-one synthesized matrix.  Every run a command starts is a ``Scenario``, so
+algorithms, each named once, on the same scenario, ``verify`` prints
+spectral certificates for a grid of at most ``MAX_VERIFY_BINS`` bins or for
+a fixture, not both, ``export-matrix`` dumps one synthesized matrix.  Every run a command starts is a ``Scenario``, so
 each is checked by its constructor; ``compare`` builds all of its runs
 before the first starts.  All output files are UTF-8 with LF line endings
 and ``.`` decimal separators.  Floats are written as their ``repr`` and
@@ -49,6 +49,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -118,13 +119,11 @@ def _at_line(line: int | None):
         raise ScenarioFormatError(str(exc), line) from None
 
 
-def _parse_grid(lines, start: int, rows: int, cols: int, label: str):
+def _parse_grid(numbered, header: int, rows: int, cols: int, label: str):
+    """Read ``label``'s grid from ``numbered``, the file's (line number,
+    text) pairs after the section header at line ``header``."""
     grid = []
-    for r in range(rows):
-        lineno = start + r
-        if lineno > len(lines):
-            raise ScenarioFormatError(f"{label} needs {rows} rows, file ended after {r}", len(lines))
-        text = lines[lineno - 1]
+    for lineno, text in islice(numbered, rows):
         if len(text) != cols:
             raise ScenarioFormatError(f"{label} row must have {cols} characters, got {len(text)}", lineno)
         row = []
@@ -133,24 +132,20 @@ def _parse_grid(lines, start: int, rows: int, cols: int, label: str):
                 raise ScenarioFormatError(f"invalid weight character {ch!r} in {label} row", lineno)
             row.append(_WEIGHT_CHARS[ch])
         grid.append(tuple(row))
-    with _at_line(start - 1):
+    if len(grid) < rows:
+        raise ScenarioFormatError(f"{label} needs {rows} rows, file ended after {len(grid)}", header + len(grid))
+    with _at_line(header):
         _require_some_weight(label, grid)
-    # Return the last consumed line so the caller's increment lands past it.
-    return tuple(grid), start + rows - 1
+    return tuple(grid)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioFormatError with a line number."""
-    lines = text.split("\n")
     values: dict[str, int | str] = {}
-    events: list[Event] = []
-    event_lines: list[int] = []
+    events: list[tuple[int, Event]] = []  # (line, event)
     grids: dict[str, tuple] = {}
-    lineno = 0
-    total = len(lines)
-    while lineno < total:
-        lineno += 1
-        raw = lines[lineno - 1]
+    numbered = enumerate(text.split("\n"), 1)
+    for lineno, raw in numbered:
         stripped = raw.strip()
         if not stripped:
             continue
@@ -160,7 +155,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioFormatError(f"duplicate {stripped} section", lineno)
             if "rows" not in values or "cols" not in values:
                 raise ScenarioFormatError(f"{stripped} section before rows= and cols=", lineno)
-            grids[label], lineno = _parse_grid(lines, lineno + 1, values["rows"], values["cols"], label)
+            grids[label] = _parse_grid(numbered, lineno, values["rows"], values["cols"], label)
             continue
         if "=" not in stripped:
             raise ScenarioFormatError(f"expected key=value, got {stripped!r}", lineno)
@@ -178,8 +173,7 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ScenarioFormatError(f"malformed event numbers in {value!r}", lineno) from None
             with _at_line(lineno):
-                events.append(Event(step=step, fraction=fraction))
-            event_lines.append(lineno)
+                events.append((lineno, Event(step=step, fraction=fraction)))
             continue
         if key not in SETTINGS:
             raise ScenarioFormatError(f"unknown key {key!r}", lineno)
@@ -199,11 +193,11 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(f"missing required keys: {', '.join(missing)}")
     if "map" not in grids:
         raise ScenarioFormatError("missing map: section")
-    for ev, line in zip(events, event_lines):
+    for line, ev in events:
         with _at_line(line):
             ev.require_within(values["steps"])
     with _at_line(None):
-        return Scenario(**values, weights=grids["map"], init_weights=grids.get("init_map"), events=tuple(events))
+        return Scenario(**values, weights=grids["map"], init_weights=grids.get("init_map"), events=tuple(ev for _, ev in events))
 
 
 def load_scenario(path) -> Scenario:
@@ -291,6 +285,9 @@ def cmd_compare(scenario_path, algorithms, out_dir, checkpoints=None) -> int:
     algos = [a.strip() for a in algorithms.split(",") if a.strip()]
     if not algos:
         raise ScenarioFormatError("no algorithms given")
+    for algo in algos:
+        if algos.count(algo) > 1:
+            raise ScenarioFormatError(f"algorithm {algo!r} given more than once")
     with _at_line(None):
         runs = [replace(scenario, algorithm=a) for a in algos]
     if checkpoints is None:
@@ -324,6 +321,8 @@ _FIXTURES = {
 
 def cmd_verify(rows=None, cols=None, hop=None, fixture=None) -> int:
     if fixture is not None:
+        if (rows, cols, hop) != (None, None, None):
+            raise ScenarioFormatError("verify takes --fixture or --rows, --cols and --hop, not both")
         topology = _FIXTURES[fixture]()
         print(f"fixture={fixture}")
     else:

@@ -24,25 +24,25 @@ partition allows are real: recurrent to recurrent, transient one layer
 closer.  The first matrix is audited whole, at O(m w) cost; after it only
 the m_r recurrent rows can change, so each later ``dsmc`` step audits only
 them, against the recurrent stencil, whose real slots are the audit
-stencil's in those rows, at O(m_r w).  The buffer is read-only between
-writes, so nothing the run hands it to can change the rows an audit
-passed.  Then ``step_agents`` samples it or
-``propagate_density`` moves the density through it, both from its stencil
-values.  A Monte Carlo run builds its sampler tables (``_kernels.Tables``)
-once, at set-up: the baseline's after its audit, a guide table included,
-and a feedback run's from the buffer before its first recurrent rows are
-written, then rewritten in the recurrent columns only, each step.  Initial
-placement reads the initial density through a guide of its own,
-``_kernels.placement_guide``, and a removal event finds its victims with
-one partition of the removal draws.  The density step adds each
-destination's sources in ascending order, slot by slot, skipping the
-massless ones, so no BLAS kernel chooses the summation order.  So past
-set-up a step costs O(m_r w + agents), besides a few O(m) vector passes
-over the densities and a hook's dense matrix.  A dense m x m matrix is built
-only for a ``matrix_hook``, which is how ``export-matrix`` reads it; a
-dense matrix M over topology t steps as ``t.sparsify(M)``.  Because adding
-0.0 is exact, stencil column sums and cumulative sums equal the dense ones
-entry for entry.
+stencil's in those rows, at O(m_r w).  The run alone writes the buffer, and
+everything else gets a read-only view of it, so a write into the rows an
+audit passed, by anything the run hands them to, raises.  Then
+``step_agents`` samples it or ``propagate_density`` moves the density
+through it, both from its stencil values.  A Monte Carlo run builds its
+sampler tables (``_kernels.Tables``) once, at set-up: the baseline's after
+its audit, a guide table included, and a feedback run's from the buffer
+before its first recurrent rows are written, then assigned in the recurrent
+columns from each step's synthesized rows.  Initial placement reads the
+initial density through a guide of its own, ``_kernels.placement_guide``,
+and a removal event finds its victims with one partition of the removal
+draws.  The density step adds each destination's sources in ascending
+order, slot by slot, skipping the massless ones, so no BLAS kernel chooses
+the summation order.  So past set-up a step costs O(m_r w + agents), besides a
+few O(m) vector passes over the densities and a hook's dense matrix.  A
+dense m x m matrix is built only for a ``matrix_hook``, once per matrix,
+which is how ``export-matrix`` reads it; a dense matrix M over topology t
+steps as ``t.sparsify(M)``.  Because adding 0.0 is exact, stencil column
+sums and cumulative sums equal the dense ones entry for entry.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
 ``run_scenario`` makes one pass per row in both modes: for k > 0 it builds
@@ -471,7 +471,8 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     each later one in its recurrent rows, the only ones that change.  A
     failure aborts the run with RuntimeError.  ``matrix_hook`` gets (step,
     matrix) with each matrix about to drive step ``step`` to ``step + 1``,
-    as a read-only dense array.
+    as a read-only dense array, one array for as long as the matrix stays
+    the same.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     desired = scenario.desired_density()
@@ -481,36 +482,33 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     # The one values buffer: the transient columns, which never change, with
     # each matrix's recurrent rows written in.  ``restrict`` keeps slot
     # positions, so synthesized recurrent values drop into their topology
-    # rows unchanged.
-    values = _transient_values(partition, audit)
+    # rows unchanged.  Only ``audited`` writes it; all else reads ``values``.
+    buffer = _transient_values(partition, audit)
+    values = buffer.view()
     values.flags.writeable = False
     neighbours = topology.restrict(recurrent)
     desired_r = desired[recurrent]
     monte_carlo = scenario.mode == "monte-carlo"
     feedback = scenario.algorithm == "dsmc"
+    # ``dense``: the hook's matrix, densified at its first call after a write.
+    # ``tables``: a Monte Carlo run's sampler tables, built once: the fixed
+    # chain's guided, the feedback matrix's assigned in its recurrent columns.
+    dense = tables = d_chsn = None
 
-    def audited(recurrent_values, when: str, whole: bool) -> np.ndarray:
-        """Write the recurrent rows into the buffer and audit it, whole or,
-        once the whole has passed, in the rows that changed; returns them."""
-        values.flags.writeable = True
-        values[recurrent] = recurrent_values
-        values.flags.writeable = False
-        fresh = values.take(recurrent, axis=0)
+    def audited(recurrent_values, when: str, whole: bool):
+        """Write the recurrent rows into the buffer and audit the matrix,
+        whole or, once the whole has passed, in the rows written."""
+        buffer[recurrent] = recurrent_values
         # The recurrent rows of the audit stencil mark the recurrent
         # destinations only, as ``neighbours`` does.
-        report = validate_markov(values, audit) if whole else validate_markov(fresh, neighbours)
+        report = validate_markov(values, audit) if whole else validate_markov(recurrent_values, neighbours)
         if not report.ok():
             raise RuntimeError(
                 f"synthesized matrix failed validation {when}: column sum deviation "
                 f"{report.max_column_sum_deviation!r}, min entry {report.min_entry!r}, "
                 f"{len(report.mask_violations)} mask violations"
             )
-        return fresh
 
-    # ``tables``: the sampler tables of a Monte Carlo run, built once: the
-    # fixed chain's with its guide, or the feedback matrix's, built here from
-    # the transient columns and rewritten in the recurrent columns each step.
-    baseline_matrix = tables = d_chsn = None
     if feedback:
         # partition_states has checked that the recurrent bins are connected.
         d_chsn = choose_d_chsn(neighbours)
@@ -522,8 +520,6 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         audited(mh_recurrent(desired_r, neighbours), "before step 0", whole=True)
         if monte_carlo:
             tables = _kernels.build_guide(values, topology.rows)
-        if matrix_hook is not None:
-            baseline_matrix = topology.densify(values)
 
     # Monte Carlo row 0 reads its density from the placed agents.
     swarm = initial_swarm(scenario) if monte_carlo else None
@@ -542,19 +538,21 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
         if k > 0:
             if feedback:
                 synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn)
-                fresh = audited(synthesized, f"at step {k - 1}", whole=k == 1)
+                audited(synthesized, f"at step {k - 1}", whole=k == 1)
+                dense = None
+                if monte_carlo:
+                    tables.cum[:, recurrent] = _kernels.sampler_tables(synthesized).cum
             if matrix_hook is not None:
-                matrix = topology.densify(values) if baseline_matrix is None else baseline_matrix
-                matrix.flags.writeable = False
-                matrix_hook(k - 1, matrix)
+                if dense is None:
+                    dense = topology.densify(values)
+                    dense.flags.writeable = False
+                matrix_hook(k - 1, dense)
             if monte_carlo:
                 if k - 1 == first + len(draws):
                     first, draws = k - 1, ()  # the spent block goes before the next is made
                     stop = min([first + max(1, _DRAW_BLOCK // swarm.num_agents), scenario.steps]
                                + [ev.step for ev in scenario.events if ev.step > first])
                     draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
-                if feedback:
-                    tables.cum[:, recurrent] = _kernels.sampler_tables(fresh).cum
                 moved = step_agents(swarm, values, k - 1, topology, tables, z=draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved

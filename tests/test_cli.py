@@ -403,6 +403,7 @@ def test_cmd_compare_refuses_an_unknown_algorithm_before_any_run(tmp_path, capsy
     [
         (["--algorithms", ","], "error: no algorithms given\n"),
         (["--checkpoints", "0,x"], "error: checkpoints must be comma-separated integers, got '0,x'\n"),
+        (["--algorithms", "dsmc,mh,dsmc"], "error: algorithm 'dsmc' given more than once\n"),
     ],
 )
 def test_cmd_compare_refuses_empty_algorithms_and_bad_checkpoints(tmp_path, capsys, flags, message):
@@ -493,6 +494,14 @@ def test_cmd_verify_usage_errors(capsys):
     assert "needs" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["verify", "--fixture", "bogus"])  # argparse rejects the choice
+
+
+@pytest.mark.parametrize("flags", [["--rows", "50", "--cols", "50", "--hop", "1"], ["--rows", "3"], ["--hop", "1"]])
+def test_cmd_verify_refuses_a_fixture_with_grid_flags(capsys, flags):
+    assert main(["verify", "--fixture", "cycle4", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: verify takes --fixture or --rows, --cols and --hop, not both\n"
 
 
 def test_cmd_export_matrix_first_step_matches_library(tmp_path):
