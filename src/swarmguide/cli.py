@@ -1,7 +1,7 @@
 """Command-line interface and the line-oriented scenario file format.
 
-A scenario file is `key=value` lines followed by one or two character-grid
-sections::
+A scenario file is UTF-8 text, a leading byte-order mark skipped, of
+`key=value` lines followed by one or two character-grid sections::
 
     rows=20
     cols=20
@@ -201,7 +201,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return parse_scenario(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def render_scenario(scenario: Scenario) -> str:

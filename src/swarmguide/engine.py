@@ -24,11 +24,11 @@ partition allows are real: recurrent to recurrent, transient one layer
 closer.  The first matrix is audited whole, at O(m w) cost; after it only
 the m_r recurrent rows can change, so each later ``dsmc`` step audits only
 them, against the recurrent stencil, whose real slots are the audit
-stencil's in those rows, at O(m_r w).  The run alone writes the buffer, and
-everything else gets a read-only view of it, so a write into the rows an
-audit passed, by anything the run hands them to, raises.  Then
-``step_agents`` samples it or ``propagate_density`` moves the density
-through it, both from its stencil values.  A Monte Carlo run builds its
+stencil's in those rows, at O(m_r w).  The run alone writes the buffer and
+hands out read-only views, so an accidental write raises; a caller that
+sets ``flags.writeable = True`` on its view, or on the hook's dense matrix,
+can still write, which only an O(m w) copy a step would stop.  Agents and
+densities step from its stencil values.  A Monte Carlo run builds its
 sampler tables (``_kernels.Tables``) once, at set-up: the baseline's after
 its audit, a guide table included, and a feedback run's from the buffer
 before its first recurrent rows are written, then assigned in the recurrent

@@ -172,48 +172,42 @@ def build_grid_topology(rows: int, cols: int, hop: int = 1) -> Topology:
     return _compacted(to_r * cols + to_c, valid)
 
 
-def _search(topology: Topology, frontier: np.ndarray, unseen: np.ndarray) -> list[np.ndarray]:
+def _search(topology: Topology, frontier: np.ndarray, unseen: np.ndarray) -> np.ndarray:
     """Graph search from ``frontier`` over the bins ``unseen`` marks, one
-    frontier at a time, unmarking what it reaches.  Returns the frontiers
-    reached, each ascending: the bins at distance 1, 2, ...  Only real
-    slots are edges."""
-    layers = []
-    while True:
+    frontier at a time, unmarking what it reaches.  Returns each bin's
+    distance from the starting frontier, 0 for the bins it never reaches.
+    Only real slots are edges."""
+    distance = np.zeros(topology.m, dtype=np.int64)
+    k = 0
+    while frontier.size:
+        k += 1
         reached = topology.rows[frontier]
         frontier = np.unique(reached[topology.real[frontier] & unseen[reached]])
-        if frontier.size == 0:
-            return layers
         unseen[frontier] = False
-        layers.append(frontier)
+        distance[frontier] = k
+    return distance
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Recurrent/transient split with distance layers and block renumbering.
+    """Recurrent/transient split, with each bin's distance to the support.
 
-    ``recurrent`` holds the bins carrying positive desired density, ascending.
-    ``layers[k]`` holds the transient bins at graph distance k+1 from the
-    recurrent set.  ``ordering`` lists every bin farthest-layer-first with the
-    recurrent bins last; renumbering rows and columns by it makes the
-    transient-to-transient block of any matrix built here strictly lower
-    triangular, hence nilpotent.
+    ``recurrent`` holds the bins carrying positive desired density,
+    ascending.  ``distance[b]`` is bin b's graph distance to the recurrent
+    set: 0 on it, k for a transient bin in the k-th layer out.  Both arrays
+    are read-only.
     """
 
     recurrent: np.ndarray
-    layers: tuple[np.ndarray, ...]
-    ordering: np.ndarray
+    distance: np.ndarray
 
     @property
     def m_r(self) -> int:
         return int(self.recurrent.size)
 
-    @property
-    def m_t(self) -> int:
-        return int(self.ordering.size - self.recurrent.size)
-
 
 def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
-    """Split bins by the support of ``desired`` and layer the rest by distance.
+    """Split bins by the support of ``desired`` and give each its distance to it.
 
     Raises when ``desired`` is not a density over the topology's bins (one
     of all zeros sums to 0), when the support is not connected, or when
@@ -230,14 +224,13 @@ def partition_states(topology: Topology, desired: np.ndarray) -> Partition:
         raise ValueError("bins with positive desired density must form a connected subgraph")
     unseen = np.ones(topology.m, dtype=bool)
     unseen[recurrent] = False
-    layers = _search(topology, recurrent, unseen)
+    distance = _search(topology, recurrent, unseen)
     stranded = np.nonzero(unseen)[0]
     if stranded.size:
         raise ValueError(f"bins {stranded.tolist()} cannot reach any bin with positive desired density")
-    ordering = np.concatenate([*reversed(layers), recurrent])  # a fresh array, layers or none
-    for arr in (recurrent, ordering, *layers):
+    for arr in (recurrent, distance):
         arr.flags.writeable = False
-    return Partition(recurrent=recurrent, layers=tuple(layers), ordering=ordering)
+    return Partition(recurrent=recurrent, distance=distance)
 
 
 def laplacian_of(stencil: Topology) -> np.ndarray:

@@ -17,14 +17,15 @@ which entry [i, j] is the probability that an agent in bin j moves to bin i:
   gives the whole chain as a dense matrix.
 
 Every builder works in the stencil layout of ``swarmguide.graph.Topology``:
-column j is row j of an m x w value array over bin j's destinations.  The
-dense ``transient_matrix`` and ``metropolis_hastings`` are those values
-densified, ``assemble`` stitches dense blocks back into original bin
-numbering, and ``validate_markov`` audits stencil values: every matrix a
-run steps through, the transient columns with the recurrent rows written
-in, or only the recurrent rows once the whole has passed.  Column sums, in
-``mh_recurrent`` and in the audit, are ``_kernels.column_sums``: slot by
-slot, in ascending destination order.
+column j is row j of an m x w value array over bin j's destinations.  Each
+bin's distance to the support, ``Partition.distance``, fixes the transient
+columns and the audit's allowed slots.  The dense ``transient_matrix`` and
+``metropolis_hastings`` are those values densified, ``assemble`` stitches
+dense blocks numbered by ``_block_order`` back into original bin numbering,
+and ``validate_markov`` audits stencil values: every matrix a run steps
+through, the transient columns with the recurrent rows written in, or only
+the recurrent rows once the whole has passed.  Column sums, in the audit
+and ``mh_recurrent``, are ``_kernels.column_sums``, slot by slot.
 """
 from __future__ import annotations
 
@@ -151,10 +152,8 @@ def _audit_stencil(partition: Partition, topology: Topology) -> Topology:
     column use marked real: a recurrent bin's recurrent neighbours, itself
     included, and a transient bin's neighbours one distance layer closer to
     the support.  ``run_scenario`` audits every matrix against it."""
-    layer = np.zeros(topology.m, dtype=np.int64)
-    for k, bins in enumerate(partition.layers):
-        layer[bins] = k + 1
-    allowed = topology.real & (layer[topology.rows] == np.maximum(layer - 1, 0)[:, np.newaxis])
+    distance = partition.distance
+    allowed = topology.real & (distance[topology.rows] == np.maximum(distance - 1, 0)[:, np.newaxis])
     return Topology(rows=topology.rows, real=allowed)
 
 
@@ -162,26 +161,32 @@ def _transient_values(partition: Partition, audit: Topology) -> np.ndarray:
     """The transient columns in the slots of ``audit``, the partition's
     ``_audit_stencil``, recurrent rows zero: a transient bin splits its mass
     evenly over its real slots there."""
-    closer = audit.real.copy()
-    closer[partition.recurrent] = False
+    closer = audit.real & (partition.distance > 0)[:, np.newaxis]
     values = np.zeros(audit.rows.shape)
     np.divide(1.0, closer.sum(axis=1, keepdims=True), out=values, where=closer)
     return values
 
 
+def _block_order(partition: Partition) -> np.ndarray:
+    """The block numbering of ``transient_matrix`` and ``assemble``: farthest
+    layer first, ascending within a layer, recurrent bins last.  A transient
+    column moves mass one layer closer, so renumbered by it the transient
+    block of any matrix built here is strictly lower triangular, nilpotent."""
+    return np.argsort(-partition.distance, kind="stable")
+
+
 def transient_matrix(partition: Partition, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     """Shortest-path columns for the transient bins.
 
-    Returns ``(tt, rt)`` in the block numbering of ``partition.ordering``:
-    ``tt`` maps transient bins to transient bins and ``rt`` maps them to
-    recurrent bins.  A bin in the layer touching the desired support splits
-    its mass uniformly over its recurrent neighbors; a bin in layer k+1
-    splits uniformly over its neighbors in layer k.  No transient bin keeps
-    any mass, so renumbered ``tt`` is strictly lower triangular and all
-    transient mass reaches the support in at most max-layer steps.
+    Returns ``(tt, rt)`` in the block numbering of ``_block_order``: ``tt``
+    maps transient bins to transient bins and ``rt`` maps them to recurrent
+    bins.  A bin in the layer touching the desired support splits its mass
+    uniformly over its recurrent neighbors; a bin in layer k+1 splits
+    uniformly over its neighbors in layer k.  No transient bin keeps any
+    mass, so all of it reaches the support in at most max-layer steps.
     """
     dense = topology.densify(_transient_values(partition, _audit_stencil(partition, topology)))
-    transient, recurrent = partition.ordering[: partition.m_t], partition.recurrent
+    transient, recurrent = _block_order(partition)[: topology.m - partition.m_r], partition.recurrent
     return dense[np.ix_(transient, transient)], dense[np.ix_(recurrent, transient)]
 
 
@@ -189,11 +194,12 @@ def assemble(m1, m2, m3, partition: Partition) -> np.ndarray:
     """Stitch transient and recurrent blocks into original bin numbering.
 
     ``m1`` is transient-to-transient, ``m2`` transient-to-recurrent, ``m3``
-    recurrent-to-recurrent, all in the block numbering of
-    ``partition.ordering``.  Recurrent columns place no mass on transient
-    bins, so that block is zero by construction.
+    recurrent-to-recurrent, all in the block numbering of ``_block_order``.
+    Recurrent columns place no mass on transient bins, so that block is zero
+    by construction.
     """
-    m_t, m_r = partition.m_t, partition.m_r
+    order = _block_order(partition)
+    m_t, m_r = order.size - partition.m_r, partition.m_r
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     m3 = np.asarray(m3, dtype=float)
@@ -209,7 +215,7 @@ def assemble(m1, m2, m3, partition: Partition) -> np.ndarray:
     block[m_t:, :m_t] = m2
     block[m_t:, m_t:] = m3
     out = np.zeros((m, m))
-    out[np.ix_(partition.ordering, partition.ordering)] = block
+    out[np.ix_(order, order)] = block
     return out
 
 

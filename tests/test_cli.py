@@ -308,6 +308,16 @@ def test_cmd_run_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
+def test_cmd_run_reads_a_scenario_file_that_starts_with_a_byte_order_mark(tmp_path, name):
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + (SCENARIOS / name).read_bytes())
+    assert main(["run", "--scenario", str(SCENARIOS / name), "--out", str(tmp_path / "plain")]) == 0
+    assert main(["run", "--scenario", str(marked), "--out", str(tmp_path / "marked")]) == 0
+    for out in ("resolved_scenario.txt", "metrics.csv", "final_snapshot.csv"):
+        assert (tmp_path / "marked" / out).read_bytes() == (tmp_path / "plain" / out).read_bytes()
+
+
 def test_cmd_run_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err

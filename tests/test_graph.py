@@ -8,6 +8,7 @@ from swarmguide import (
     make_topology,
     partition_states,
 )
+from swarmguide.synthesis import _block_order
 
 from testutil import (
     adjacency_of,
@@ -203,11 +204,10 @@ def test_partition_all_recurrent_when_target_positive_everywhere():
     topo = build_grid_topology(3, 3, 1)
     v = np.full(9, 1.0 / 9.0)
     part = partition_states(topo, v)
-    assert part.m_t == 0
+    assert not part.distance.any()
     assert part.m_r == 9
     assert np.array_equal(part.recurrent, np.arange(9))
-    assert np.array_equal(part.ordering, np.arange(9))
-    assert part.layers == ()
+    assert np.array_equal(_block_order(part), np.arange(9))
 
 
 def test_partition_layers_match_bfs_distance_oracle():
@@ -218,11 +218,10 @@ def test_partition_layers_match_bfs_distance_oracle():
     part = partition_states(topo, v)
     dist = bfs_distances(brute_force_grid_adjacency(4, 5, 1), part.recurrent)
     assert np.array_equal(part.recurrent, [0, 5, 10, 15])
-    for k, layer in enumerate(part.layers):
-        assert np.array_equal(np.sort(dist[layer]), np.full(layer.size, k + 1))
-    # Every transient bin appears in exactly one layer.
-    gathered = np.sort(np.concatenate(part.layers))
-    assert np.array_equal(gathered, np.setdiff1d(np.arange(20), part.recurrent))
+    # Every bin holds its own distance, 0 on the support, read-only.
+    assert part.distance.dtype == np.int64
+    assert np.array_equal(part.distance, dist)
+    assert not part.distance.flags.writeable and not part.recurrent.flags.writeable
 
 
 def test_partition_ordering_is_farthest_first_permutation():
@@ -230,12 +229,15 @@ def test_partition_ordering_is_farthest_first_permutation():
     v = np.zeros(20)
     v[0] = 1.0
     part = partition_states(topo, v)
-    assert np.array_equal(np.sort(part.ordering), np.arange(20))
-    # Ordering walks the layers from farthest to nearest, recurrent last.
-    expected = np.concatenate([*reversed(part.layers), part.recurrent])
-    assert np.array_equal(part.ordering, expected)
-    assert part.m_t == 19
-    assert len(part.layers) == 7  # max Manhattan distance from corner bin
+    order = _block_order(part)
+    assert np.array_equal(np.sort(order), np.arange(20))
+    # The block order walks the layers from farthest to nearest, each
+    # ascending, recurrent last.
+    expected = np.concatenate([np.nonzero(part.distance == k)[0] for k in range(7, -1, -1)])
+    assert np.array_equal(order, expected)
+    assert np.array_equal(order[-part.m_r:], part.recurrent)
+    assert topo.m - part.m_r == 19
+    assert part.distance.max() == 7  # max Manhattan distance from corner bin
 
 
 def test_partition_rejects_disconnected_support():

@@ -57,3 +57,10 @@ def test_removed_wrappers_stay_gone():
     assert not hasattr(swarmguide._kernels.Tables, "rewrite")
     # Removal is the one kind of event, so an Event carries no kind.
     assert [f.name for f in dataclasses.fields(swarmguide.Event)] == ["step", "fraction"]
+
+
+def test_partition_holds_the_recurrent_bins_and_each_bins_distance_only():
+    # Each bin's distance to the support is held once; the dense builders'
+    # block order is derived from it in ``synthesis._block_order``.
+    assert [f.name for f in dataclasses.fields(swarmguide.Partition)] == ["recurrent", "distance"]
+    assert not hasattr(swarmguide.Partition, "m_t")

@@ -58,6 +58,7 @@ from testutil import (
     bfs_distances,
     brute_force_grid_adjacency,
     connected_oracle,
+    connected_support,
     dense_mh_oracle,
     dense_recurrent_oracle,
     dense_replay,
@@ -132,25 +133,13 @@ def test_synthesis_stays_on_recurrent_neighbours(instance):
     assert not neighbours.densify(values)[~adjacency].any()
 
 
-def _connected_support(draw, topology) -> list[int]:
-    """Bins grown one neighbour at a time from a single bin, so connected."""
-    adjacency = adjacency_of(topology)
-    support = {draw(st.integers(0, topology.m - 1))}
-    for _ in range(draw(st.integers(0, topology.m - 1))):
-        frontier = sorted(set(np.nonzero(adjacency[sorted(support)].any(axis=0))[0].tolist()) - support)
-        if not frontier:
-            break
-        support.add(draw(st.sampled_from(frontier)))
-    return sorted(support)
-
-
 @st.composite
 def connected_targets(draw):
     """(topology, target) with a connected support; weights vary over it."""
     rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
     topology = build_grid_topology(rows, cols, hop)
     target = np.zeros(topology.m)
-    for b in _connected_support(draw, topology):
+    for b in connected_support(draw, topology):
         target[b] = draw(st.floats(1e-3, 1.0))
     return topology, target / target.sum()
 
@@ -198,8 +187,7 @@ def grid_subsets(draw):
 def test_partition_and_connectivity_equal_the_scalar_searches(instance):
     # Against queue-based searches over the scalar grid adjacency:
     # partition_states refuses a target support exactly when it is not
-    # connected, and otherwise its layers hold the bins at each distance,
-    # ascending.
+    # connected, and otherwise it holds each bin's distance to the support.
     rows, cols, hop, subset = instance
     topology = build_grid_topology(rows, cols, hop)
     adjacency = brute_force_grid_adjacency(rows, cols, hop)
@@ -212,9 +200,7 @@ def test_partition_and_connectivity_equal_the_scalar_searches(instance):
     partition = partition_states(topology, target)
     dist = bfs_distances(adjacency, subset)
     assert np.array_equal(partition.recurrent, subset)
-    assert len(partition.layers) == dist.max()
-    for k, layer in enumerate(partition.layers):
-        assert layer.tolist() == np.nonzero(dist == k + 1)[0].tolist()
+    assert partition.distance.tolist() == dist.tolist()
 
 
 @st.composite
@@ -239,7 +225,7 @@ def _partition_or_refusal(topology, target):
         part = partition_states(topology, target)
     except ValueError as err:
         return str(err)
-    return part.recurrent.tolist(), [layer.tolist() for layer in part.layers], part.ordering.tolist()
+    return part.recurrent.tolist(), part.distance.tolist()
 
 
 @SETTINGS
@@ -283,7 +269,7 @@ def deterministic_scenarios(draw):
     rows, cols, hop = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
     topology = build_grid_topology(rows, cols, hop)
     weights = np.zeros(topology.m, dtype=int)
-    for b in _connected_support(draw, topology):
+    for b in connected_support(draw, topology):
         weights[b] = draw(st.integers(1, 35))
     init = None
     if draw(st.booleans()):

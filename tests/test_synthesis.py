@@ -15,7 +15,7 @@ from swarmguide import (
     transient_matrix,
     validate_markov,
 )
-from swarmguide.synthesis import COLUMN_SUM_TOL
+from swarmguide.synthesis import COLUMN_SUM_TOL, _block_order
 
 from testutil import (
     adjacency_of,
@@ -190,7 +190,8 @@ def test_transient_columns_split_uniformly_one_layer_closer():
     adjacency = brute_force_grid_adjacency(4, 5, 1)
     assert all(a.tobytes() == b.tobytes() for a, b in zip((tt, rt), dense_transient_oracle(part, adjacency)))
     dist = bfs_distances(adjacency, part.recurrent)
-    pos = {int(b): k for k, b in enumerate(part.ordering)}
+    ordering = _block_order(part)
+    pos = {int(b): k for k, b in enumerate(ordering)}
     for b in range(topo.m):
         if dist[b] == 0:
             continue
@@ -202,7 +203,6 @@ def test_transient_columns_split_uniformly_one_layer_closer():
         assert np.all(stacked[targets] == 1.0 / targets.size)
         assert abs(stacked.sum() - 1.0) < 1e-12
         # Every target really is a neighbor exactly one layer closer.
-        ordering = part.ordering
         for t in targets:
             orig = int(ordering[t])
             assert adjacency[b, orig]
@@ -220,7 +220,7 @@ def test_transient_block_is_strictly_lower_triangular_and_nilpotent():
     topo, part = _e_partition()
     tt, _ = transient_matrix(part, topo)
     assert np.array_equal(np.triu(tt), np.zeros_like(tt))
-    power = np.linalg.matrix_power(tt, part.m_t)
+    power = np.linalg.matrix_power(tt, topo.m - part.m_r)
     assert np.array_equal(power, np.zeros_like(tt))
 
 

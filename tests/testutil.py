@@ -11,10 +11,13 @@ import math
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from swarmguide import (
     Event,
+    MetricsSeries,
     Partition,
+    Snapshot,
     SpectralReport,
     SwarmState,
     Topology,
@@ -26,7 +29,9 @@ from swarmguide import (
     make_topology,
     partition_states,
     run_scenario,
+    total_variation,
 )
+from swarmguide._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
 from swarmguide.analysis import CERT_TOL
 from swarmguide.engine import _cell
 
@@ -224,17 +229,34 @@ def dense_dsmc(current, desired, topology: Topology, d_chsn) -> np.ndarray:
     return topology.densify(dsmc_recurrent(current, desired, topology, d_chsn))
 
 
+def distance_layers(adjacency: np.ndarray, recurrent) -> list[np.ndarray]:
+    """The bins at distance 1, 2, ... from ``recurrent``, each ascending, by
+    ``bfs_distances`` over the dense adjacency."""
+    dist = bfs_distances(adjacency, recurrent)
+    return [np.nonzero(dist == k)[0] for k in range(1, dist.max() + 1)]
+
+
+def farthest_first(layers: list[np.ndarray], recurrent) -> np.ndarray:
+    """Every bin, the ``distance_layers`` from farthest to nearest and the
+    recurrent bins last: the block numbering of the dense builders."""
+    return np.concatenate([*reversed(layers), recurrent])
+
+
 def dense_transient_oracle(partition: Partition, adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``transient_matrix`` from the dense adjacency, one distance layer at a
     time: each bin of a layer splits its mass evenly over the adjacent bins
-    one layer closer, scattered into the blocks of ``partition.ordering``."""
-    m_t, m_r = partition.m_t, partition.m_r
+    one layer closer, scattered into the blocks of ``farthest_first``.  Only
+    the partition's recurrent bins are read; the layers are searched here."""
+    recurrent = partition.recurrent
+    layers = distance_layers(adjacency, recurrent)
+    m_r = recurrent.size
+    m_t = adjacency.shape[0] - m_r
     tt = np.zeros((m_t, m_t))
     rt = np.zeros((m_r, m_t))
     pos = np.empty(adjacency.shape[0], dtype=np.int64)
-    pos[partition.ordering] = np.arange(adjacency.shape[0])
-    closer = partition.recurrent
-    for k, layer in enumerate(partition.layers):
+    pos[farthest_first(layers, recurrent)] = np.arange(adjacency.shape[0])
+    closer = recurrent
+    for k, layer in enumerate(layers):
         # hit[i, j]: bin j of this layer may move to bin i one layer closer.
         hit = adjacency[np.ix_(closer, layer)]
         count = hit.sum(axis=0)
@@ -301,6 +323,19 @@ def connected_oracle(adjacency: np.ndarray, subset) -> bool:
             seen[j] = True
             queue.append(int(j))
     return bool(seen[idx].all())
+
+
+def connected_support(draw, topology: Topology) -> list[int]:
+    """Bins grown one neighbour at a time from a single bin, so connected;
+    ``draw`` is a hypothesis ``@st.composite`` strategy's."""
+    adjacency = adjacency_of(topology)
+    support = {draw(st.integers(0, topology.m - 1))}
+    for _ in range(draw(st.integers(0, topology.m - 1))):
+        frontier = sorted(set(np.nonzero(adjacency[sorted(support)].any(axis=0))[0].tolist()) - support)
+        if not frontier:
+            break
+        support.add(draw(st.sampled_from(frontier)))
+    return sorted(support)
 
 
 def unmarked_edge_path() -> Topology:
@@ -395,3 +430,74 @@ def snapshot_csv_oracle(scenario, snapshot) -> str:
         density = repr(float(snapshot.density[b]))
         lines.append(f"{b},{r},{c},{repr(float(desired[b]))},{_cell(snapshot.counts[b])},{density}")
     return "\n".join(lines) + "\n"
+
+
+def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
+    """A run of ``scenario`` recomputed one dense m x m matrix a step, from
+    the paper's rules and the ``Scenario`` semantics, by the oracles above.
+
+    Returns the metrics, the density after each step (one row per step,
+    0 to ``steps``) and the final snapshot.  The partition comes from
+    ``bfs_distances`` over the scalar grid adjacency; each feedback step's
+    recurrent block from ``dense_recurrent_oracle`` with ``d_chsn`` the
+    recurrent graph's largest degree plus one; the transient blocks from
+    ``dense_transient_oracle``; the baseline from ``dense_mh_oracle``.  In
+    Monte Carlo, agents are placed by ``placement_oracle``, each round of
+    move draws is hashed by its own ``uniform_stream`` call and sampled by
+    ``advance_by_bin_oracle``, and removals go by ``stable_removal_oracle``.
+    A deterministic step adds each destination's sources in ascending
+    order, so the reference does not drift from the run over many steps.
+    """
+    adjacency = brute_force_grid_adjacency(scenario.rows, scenario.cols, scenario.hop)
+    m = adjacency.shape[0]
+    desired = scenario.desired_density()
+    recurrent = np.nonzero(desired > 0.0)[0]
+    partition = Partition(recurrent=recurrent, distance=bfs_distances(adjacency, recurrent))
+    neighbours = adjacency[np.ix_(recurrent, recurrent)]
+    d_chsn = float(neighbours.sum(axis=0).max())  # each column counts the bin itself
+    tt, rt = dense_transient_oracle(partition, adjacency)
+    baseline = dense_mh_oracle(desired, adjacency, partition) if scenario.algorithm == "mh" else None
+
+    def matrix(x):
+        if baseline is not None:
+            return baseline
+        x_r = x[recurrent]
+        return assemble(tt, rt, dense_recurrent_oracle(desired[recurrent] - x_r, x_r, neighbours, d_chsn), partition)
+
+    monte_carlo = scenario.mode == "monte-carlo"
+    population = scenario.agents
+    x = scenario.initial_density()
+    if monte_carlo:
+        ids = np.arange(population, dtype=np.uint64)
+        z = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
+        swarm = SwarmState(assignments=placement_oracle(x, z), agent_ids=ids, seed=scenario.seed)
+    metrics, densities, transitions = MetricsSeries(), [], 0.0
+    for k in range(scenario.steps + 1):
+        if k > 0:
+            step = matrix(x)
+            if monte_carlo:
+                z = uniform_stream(scenario.seed, MOVE_STREAM, k - 1, swarm.agent_ids)
+                values, rows, _ = dense_layout(step)
+                moved = advance_by_bin_oracle(swarm.assignments, z, values, rows)
+                transitions = np.count_nonzero(moved != swarm.assignments)
+                swarm = SwarmState(assignments=moved, agent_ids=swarm.agent_ids, seed=scenario.seed)
+            else:
+                transitions = population * float(np.cumsum(x * (1.0 - step.diagonal()))[-1])
+                x = np.cumsum(step * x[np.newaxis, :], axis=1)[:, -1]
+        for ev in scenario.events:
+            if ev.step != k:
+                continue
+            if monte_carlo:
+                z = uniform_stream(scenario.seed, REMOVAL_STREAM, k, swarm.agent_ids)
+                swarm = stable_removal_oracle(swarm, ev, z)
+            else:
+                population -= math.floor(ev.fraction * population)
+        if monte_carlo:
+            counts = np.bincount(swarm.assignments, minlength=m).astype(float)
+            population = swarm.num_agents
+            x = counts / population
+        else:
+            counts = x * population
+        metrics.append(k, total_variation(x, desired), transitions, population)
+        densities.append(x)
+    return metrics, np.array(densities), Snapshot(step=scenario.steps, counts=counts, density=x)
