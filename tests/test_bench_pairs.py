@@ -1,6 +1,7 @@
-"""The paired-benchmark script's statistics and verdicts on fixed numbers;
-no benchmark is run."""
+"""The paired-benchmark script's statistics and verdicts on fixed numbers,
+and its run reader on a stand-in command; no benchmark is run."""
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,28 @@ def test_summary_counts_wins_and_ties_for_neither_side():
     assert summary["change"] == {"median": 2.5}
     assert summary["verdict"] == "unresolved"
     assert bench_pairs.summarize(parent, change, 0.25, "higher")["change_won"] == 1
+
+
+def test_a_run_passes_the_workload_alone_and_reads_the_json_last_line(tmp_path):
+    script = (
+        "import json, sys; print('a log line'); print(json.dumps({'correct': True, 'attempted': 3, "
+        "'failed': 0, 'metrics': {'argv': {'value': sys.argv[1:], 'unit': 'list'}}}))"
+    )
+    record = bench_pairs.run_once([sys.executable, "-c", script], tmp_path, "letter_e")
+    assert record == {
+        "exit": 0, "correct": True, "attempted": 3, "failed": 0, "metrics": {"argv": ["--workload", "letter_e"]},
+    }
+
+
+def test_a_run_without_a_result_is_not_correct(tmp_path):
+    script = "import sys; print('no result', file=sys.stderr); sys.exit(3)"
+    record = bench_pairs.run_once([sys.executable, "-c", script], tmp_path, "letter_e")
+    assert record == {"exit": 3, "correct": False, "stderr_tail": ["no result"]}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--seconds", "--pairs"])
+def test_the_seed_run_length_and_pair_count_are_not_options(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["parent", "change", "--out", "out.json", flag, "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

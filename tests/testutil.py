@@ -22,7 +22,6 @@ from swarmguide import (
     SwarmState,
     Topology,
     ValidationReport,
-    assemble,
     build_grid_topology,
     dsmc_column,
     dsmc_recurrent,
@@ -242,6 +241,20 @@ def farthest_first(layers: list[np.ndarray], recurrent) -> np.ndarray:
     return np.concatenate([*reversed(layers), recurrent])
 
 
+def dense_blocks(tt, rt, rr, order) -> np.ndarray:
+    """The m x m matrix with transient-to-transient block ``tt``,
+    transient-to-recurrent block ``rt`` and recurrent-to-recurrent block
+    ``rr``, where block position p is bin ``order[p]`` and the recurrent
+    bins come last; the recurrent-to-transient block is zero."""
+    m_t = tt.shape[0]
+    t, r = order[:m_t], order[m_t:]
+    out = np.zeros((order.size, order.size))
+    out[np.ix_(t, t)] = tt
+    out[np.ix_(r, t)] = rt
+    out[np.ix_(r, r)] = rr
+    return out
+
+
 def dense_transient_oracle(partition: Partition, adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``transient_matrix`` from the dense adjacency, one distance layer at a
     time: each bin of a layer splits its mass evenly over the adjacent bins
@@ -271,7 +284,8 @@ def dense_transient_oracle(partition: Partition, adjacency: np.ndarray) -> tuple
 def dense_mh_oracle(desired, adjacency: np.ndarray, partition: Partition) -> np.ndarray:
     """The Metropolis-Hastings chain as one dense matrix, its recurrent
     columns built one at a time by scalar loops over the adjacency, its
-    transient columns by ``dense_transient_oracle``."""
+    transient columns by ``dense_transient_oracle``, stitched by
+    ``dense_blocks`` in the ``farthest_first`` order."""
     v_r = np.asarray(desired, dtype=float)[partition.recurrent]
     sub = adjacency[np.ix_(partition.recurrent, partition.recurrent)].copy()
     np.fill_diagonal(sub, False)
@@ -290,7 +304,8 @@ def dense_mh_oracle(desired, adjacency: np.ndarray, partition: Partition) -> np.
             off += p
         m3[j, j] = max(0.0, 1.0 - off)
     m1, m2 = dense_transient_oracle(partition, adjacency)
-    return assemble(m1, m2, m3, partition)
+    order = farthest_first(distance_layers(adjacency, partition.recurrent), partition.recurrent)
+    return dense_blocks(m1, m2, m3, order)
 
 
 def dense_audit(matrix, topology: Topology) -> ValidationReport:
@@ -441,7 +456,9 @@ def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
     ``bfs_distances`` over the scalar grid adjacency; each feedback step's
     recurrent block from ``dense_recurrent_oracle`` with ``d_chsn`` the
     recurrent graph's largest degree plus one; the transient blocks from
-    ``dense_transient_oracle``; the baseline from ``dense_mh_oracle``.  In
+    ``dense_transient_oracle``; the baseline from ``dense_mh_oracle``; the
+    blocks are stitched by ``dense_blocks`` in the ``farthest_first`` order
+    of the same search, so no package code builds a matrix.  In
     Monte Carlo, agents are placed by ``placement_oracle``, each round of
     move draws is hashed by its own ``uniform_stream`` call and sampled by
     ``advance_by_bin_oracle``, and removals go by ``stable_removal_oracle``.
@@ -456,13 +473,14 @@ def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
     neighbours = adjacency[np.ix_(recurrent, recurrent)]
     d_chsn = float(neighbours.sum(axis=0).max())  # each column counts the bin itself
     tt, rt = dense_transient_oracle(partition, adjacency)
+    order = farthest_first(distance_layers(adjacency, recurrent), recurrent)
     baseline = dense_mh_oracle(desired, adjacency, partition) if scenario.algorithm == "mh" else None
 
     def matrix(x):
         if baseline is not None:
             return baseline
         x_r = x[recurrent]
-        return assemble(tt, rt, dense_recurrent_oracle(desired[recurrent] - x_r, x_r, neighbours, d_chsn), partition)
+        return dense_blocks(tt, rt, dense_recurrent_oracle(desired[recurrent] - x_r, x_r, neighbours, d_chsn), order)
 
     monte_carlo = scenario.mode == "monte-carlo"
     population = scenario.agents

@@ -2,15 +2,16 @@
 
 Usage::
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR [--pairs 10] [--seed S] [--seconds T] --out FILE
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out FILE
 
 Each directory is a full source checkout, for instance a ``git archive`` of
 the parent commit and a copy of the change.  For every workload that
-``BENCHMARK.json`` in PARENT_DIR declares, the script runs ``python3
-perfbench/run.py --workload W --seed S --seconds T`` in each directory, one
-process at a time, ``--pairs`` times, alternating which side runs first
-(even pairs start with the parent).  It reads each run's result from the
-JSON last line of its output.
+``BENCHMARK.json`` in PARENT_DIR declares, the script runs that file's
+``command`` with ``--workload W`` and no other flag in each directory, so
+the seed and run length are the benchmark's own.  It runs one process at a
+time, ``PAIRS`` times per workload, alternating which side runs first (even
+pairs start with the parent), and reads each run's result from the JSON
+last line of its output.
 
 FILE receives every run, and per workload and end-to-end metric both
 medians, the parent's quartiles, the pairs the change won and the tied
@@ -31,6 +32,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -94,10 +96,9 @@ def summarize(parent: list[float], change: list[float], bound: float, better: st
     }
 
 
-def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench process in ``directory``; its exit code and JSON result."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
+def run_once(command: list[str], directory: Path, workload: str) -> dict:
+    """One benchmark process in ``directory``; its exit code and JSON result."""
+    proc = subprocess.run([*command, "--workload", workload], cwd=directory, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -119,22 +120,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
     parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     dirs = dict(zip(SIDES, (args.parent, args.change)))
 
     runs, bad, summary = [], [], {}
     for workload in (w["name"] for w in spec["workloads"]):
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                record = run_once(dirs[side], workload, args.seed, args.seconds)
+                record = run_once(spec["command"], dirs[side], workload)
                 record.update(workload=workload, pair=pair, side=side, first=order[0])
                 runs.append(record)
                 print(f"{workload} pair {pair} {side}: exit {record['exit']} correct {record['correct']}", flush=True)
@@ -149,17 +145,17 @@ def main(argv=None) -> int:
                 "failed": sum(r["failed"] or 0 for r in ran),
             }
         by_pair = {(r["pair"], r["side"]): r["metrics"] for r in mine}
-        complete = [pair for pair in range(args.pairs) if all((pair, side) in by_pair for side in SIDES)]
+        complete = [pair for pair in range(PAIRS) if all((pair, side) in by_pair for side in SIDES)]
         for metric in spec["end_to_end"] if complete else ():
             name = metric["name"]
             parent, change = ([by_pair[pair, side][name] for pair in complete] for side in SIDES)
             summary[workload]["metrics"][name] = summarize(parent, change, metric["bound"], metric["better"])
 
     record = {
-        "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} --seconds {args.seconds}",
+        "command": " ".join([*spec["command"], "--workload", "<workload>"]),
         "parent": str(args.parent),
         "change": str(args.change),
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "method": "one process at a time, alternating which side runs first (even pairs: parent first)",
         "machine": f"{platform.machine()}, Python {platform.python_version()}",
         "summary": summary,
