@@ -5,8 +5,8 @@ as a deterministic density recursion, synthesizing the transition matrix
 every step (density feedback) or once up front (baseline chain), applying
 scheduled events, and recording per-step metrics.  A ``Scenario`` checks
 the inputs once and stores each in one form, so that it is a value; every
-run starts from one.  The run checks what it computes, matrices and
-densities.
+run starts from one.  The run audits each matrix it computes; its swarms
+and densities are valid by construction, and no step checks them again.
 
 A run works in the stencil layout of ``swarmguide.graph.Topology``: column
 j of each step's matrix is an m x w value array's row j, over bin j's
@@ -24,12 +24,10 @@ partition allows are real: recurrent to recurrent, transient one layer
 closer.  The first matrix is audited whole, at O(m w) cost; after it only
 the m_r recurrent rows can change, so each later ``dsmc`` step audits only
 them, against the recurrent stencil, whose real slots are the audit
-stencil's in those rows, at O(m_r w).  The run alone writes the buffer and
-hands out read-only views, so an accidental write raises; a caller that
-sets ``flags.writeable = True`` on its view, or on the hook's dense matrix,
-can still write, which only an O(m w) copy a step would stop.  Agents and
-densities step from its stencil values.  A Monte Carlo run builds its
-sampler tables (``_kernels.Tables``) once, at set-up: the baseline's after
+stencil's in those rows, at O(m_r w).  The run alone writes the buffer;
+the views it hands out, the hook's dense matrix included, are read-only and
+refuse ``flags.writeable = True``.  Agents and densities step from its
+stencil values.  A Monte Carlo run builds its sampler tables (``_kernels.Tables``) once, at set-up: the baseline's after
 its audit, a guide table included, and a feedback run's from the buffer
 before its first recurrent rows are written, then assigned in the recurrent
 columns from each step's synthesized rows.  Initial placement reads the
@@ -63,7 +61,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
-from .density import check_density, empirical_density, total_variation
+from .density import empirical_density, total_variation
 # ``assemble``, ``laplacian_of``, ``metropolis_hastings`` and
 # ``transient_matrix`` are no longer called here; they stay importable from the
 # engine because the per-layer benchmark traces them under this module's name.
@@ -381,33 +379,27 @@ def step_agents(
 
     ``values`` holds the matrix in ``stencil``'s slots (a dense matrix M over
     ``stencil`` passes as ``stencil.sparsify(M)``), and the caller has
-    audited it, as a run audits every matrix it steps through; it is not
-    checked again.  Each agent draws its own uniform from the move stream
-    for ``step``, in [0, 1), and walks the cumulative column of its current
-    bin, stopping at the first destination whose cumulative probability
-    exceeds the draw; the column reads 1.0 from its last positive slot on.
-    The stay test reads ``stencil.stay``, derived once per stencil.  Agents
-    are independent, so evaluation order and batching cannot change the
-    result.  A caller may pass the sampler tables of ``values`` as
-    ``guide``: a matrix that drives many steps its
-    ``_kernels.build_guide(values, stencil.rows)``, built once, and one that
-    changes in a few columns a step its ``_kernels.sampler_tables(values)``,
-    whose changed columns it assigns from a fresh ``cum``.  The moves are
-    the same either way.  A caller that hashed the round ahead, in a block
-    of rounds, passes its row as ``z``: the draws
+    audited it, as a run audits every matrix it steps through; every agent
+    sits in a bin in [0, stencil.m).  Neither is checked.  Each agent draws
+    its own uniform from the move stream for ``step``, in [0, 1), and walks
+    the cumulative column of its current bin, stopping at the first
+    destination whose cumulative probability exceeds the draw; the column
+    reads 1.0 from its last positive slot on.  The stay test reads
+    ``stencil.stay``, derived once per stencil.  Agents are independent, so
+    evaluation order and batching cannot change the result.  A caller may
+    pass the sampler tables of ``values`` as ``guide``: a matrix that drives
+    many steps its ``_kernels.build_guide(values, stencil.rows)``, built
+    once, and one that changes in a few columns a step its
+    ``_kernels.sampler_tables(values)``, whose changed columns it assigns
+    from a fresh ``cum``.  The moves are the same either way.  A caller
+    that hashed the round ahead, in a block of rounds, passes its row as
+    ``z``: the draws
     ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
-    would give, one per agent.  Without ``z`` the round is hashed here.
+    would give, one per agent (not checked).  Without ``z`` the round is
+    hashed here.
     """
-    m = stencil.m
-    # Viewed as unsigned of the same width, a negative bin wraps above any m,
-    # so one max() refuses both ends of the range.
-    bins = swarm.assignments
-    if swarm.num_agents and bins.view(f"u{bins.itemsize}").max() >= m:
-        raise ValueError(f"agent assignments must lie in [0, {m})")
     if z is None:
         z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
-    elif np.shape(z) != swarm.agent_ids.shape:
-        raise ValueError(f"draws have shape {np.shape(z)}, expected {swarm.agent_ids.shape}")
     assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, stencil.stay, guide=guide)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
@@ -416,21 +408,18 @@ def propagate_density(x, values: np.ndarray, stencil: Topology) -> np.ndarray:
     """One deterministic density step through the matrix in ``stencil``'s slots.
 
     ``values`` is audited by the caller, as for ``step_agents``, and ``x``
-    is a density the caller has checked: in a run, the previous step's
-    result.  Only the shape of ``x`` is checked, so that it cannot broadcast;
-    the returned density is checked in full.  Each destination adds its
-    sources' mass in ascending source order, a padded slot adding 0.0, so
-    no BLAS kernel picks the order.  Only the sources with mass are read:
-    a massless one would add an exact 0.0 to partial sums that are never
-    below zero, so the result is the same bit for bit.
+    is a float density of shape (stencil.m,), in a run the previous step's
+    result.  Neither is checked, nor is the result: the audit (signs, column
+    sums, padded slots) makes an audited matrix map a density to a density.
+    Each destination adds its sources' mass in ascending source order, a
+    padded slot adding 0.0, so no BLAS kernel picks the order.  Only the
+    sources with mass are read: a massless one would add an exact 0.0 to
+    partial sums that are never below zero, so the result is the same bit
+    for bit.
     """
-    if np.shape(x) != (stencil.m,):
-        raise ValueError(f"density has shape {np.shape(x)}, expected ({stencil.m},)")
-    x = np.asarray(x)
     sources = np.flatnonzero(x)
     flow = (values.take(sources, axis=0) * x.take(sources)[:, np.newaxis]).ravel()
-    moved = np.bincount(stencil.rows.take(sources, axis=0).ravel(), weights=flow, minlength=stencil.m)
-    return check_density(moved, name="propagated density")
+    return np.bincount(stencil.rows.take(sources, axis=0).ravel(), weights=flow, minlength=stencil.m)
 
 
 def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
@@ -482,10 +471,10 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     # The one values buffer: the transient columns, which never change, with
     # each matrix's recurrent rows written in.  ``restrict`` keeps slot
     # positions, so synthesized recurrent values drop into their topology
-    # rows unchanged.  Only ``audited`` writes it; all else reads ``values``.
+    # rows unchanged.  Only ``audited`` writes it; all else reads ``values``,
+    # a view that, made by ``as_strided``, refuses ``flags.writeable = True``.
     buffer = _transient_values(partition, audit)
-    values = buffer.view()
-    values.flags.writeable = False
+    values = np.lib.stride_tricks.as_strided(buffer, writeable=False)
     neighbours = topology.restrict(recurrent)
     desired_r = desired[recurrent]
     monte_carlo = scenario.mode == "monte-carlo"
@@ -546,6 +535,7 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
                 if dense is None:
                     dense = topology.densify(values)
                     dense.flags.writeable = False
+                    dense = dense.view()  # a view of a read-only owner refuses the flag
                 matrix_hook(k - 1, dense)
             if monte_carlo:
                 if k - 1 == first + len(draws):

@@ -68,7 +68,7 @@ def test_summary_counts_wins_and_ties_for_neither_side():
     summary = bench_pairs.summarize(parent, change, 0.25, "lower")
     assert (summary["change_won"], summary["ties"], summary["pairs"]) == (2, 1, 4)
     assert summary["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
-    assert summary["change"] == {"median": 2.5}
+    assert summary["change"] == {"median": 2.5, "q1": 1.625, "q3": 3.125}
     assert summary["verdict"] == "unresolved"
     assert bench_pairs.summarize(parent, change, 0.25, "higher")["change_won"] == 1
 

@@ -49,7 +49,7 @@ from swarmguide import (
     total_variation,
     validate_markov,
 )
-from swarmguide.density import SUM_TOL
+from swarmguide.density import SUM_TOL, check_density
 from swarmguide.synthesis import _audit_stencil, _transient_values
 
 from testutil import (
@@ -293,6 +293,8 @@ def test_deterministic_steps_equal_the_dense_product_and_keep_the_mass(scenario)
     desired = scenario.desired_density()
     assert max(abs(total_variation(x, desired) - t) for x, t in zip(replayed, tv[1:])) <= 1e-12
     assert np.abs(densities.sum(axis=1) - 1.0).max() <= SUM_TOL
+    for x in densities:
+        check_density(x)  # raises unless finite, non-negative and summing to 1; no step checks it
 
 
 # Column kinds for the sampler: random, identity, zero self slot, and a

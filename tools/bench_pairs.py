@@ -13,8 +13,8 @@ time, ``PAIRS`` times per workload, alternating which side runs first (even
 pairs start with the parent), and reads each run's result from the JSON
 last line of its output.
 
-FILE receives every run, and per workload and end-to-end metric both
-medians, the parent's quartiles, the pairs the change won and the tied
+FILE receives every run, and per workload and end-to-end metric each
+side's median and quartiles, the pairs the change won and the tied
 pairs (a tie counts for neither side), and a verdict from that metric's
 ``bound`` and ``better`` in ``BENCHMARK.json`` (see ``verdict``).  A run that
 exits non-zero, prints no result or reports ``correct: false`` is listed
@@ -79,14 +79,16 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
 
 
 def summarize(parent: list[float], change: list[float], bound: float, better: str) -> dict:
-    """Both medians, the parent's quartiles, the pairs the change won and
-    the ties, and the verdict, for runs paired by index."""
-    q1, median, q3 = quartiles(parent)
+    """Each side's median and quartiles, the pairs the change won and the
+    ties, and the verdict, for runs paired by index."""
+    sides = {}
+    for side, runs in zip(SIDES, (parent, change)):
+        q1, median, q3 = quartiles(runs)
+        sides[side] = {"median": median, "q1": q1, "q3": q3}
     won = sum(worse_by(p, c, better) < 0.0 for p, c in zip(parent, change))
     ties = sum(p == c for p, c in zip(parent, change))
     return {
-        "parent": {"median": median, "q1": q1, "q3": q3},
-        "change": {"median": statistics.median(change)},
+        **sides,
         "pairs": len(parent),
         "change_won": won,
         "ties": ties,
