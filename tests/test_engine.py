@@ -29,6 +29,7 @@ from swarmguide import (
     total_variation,
 )
 from swarmguide._rng import MOVE_STREAM, PLACEMENT_STREAM, uniform_stream
+from swarmguide.density import check_density
 from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_STEPS, MODES
 from swarmguide.synthesis import _audit_stencil, _transient_values
 
@@ -399,6 +400,24 @@ def test_run_scenario_monte_carlo_counts_agents():
     assert all(t == int(t) for t in metrics.transitions)
     assert snapshots[3].counts.sum() == 250
     assert abs(snapshots[3].density.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_monte_carlo_runs_meet_the_seams_preconditions_by_construction(algorithm):
+    # The per-step seams take their inputs unchecked: every agent in a bin
+    # of the grid, and at least one agent.  A removal takes floor(f * n)
+    # agents with f < 1, so the harshest schedule still leaves one, and
+    # agents only move along audited columns, so they stay on the grid.
+    s = Scenario(
+        3, 4, 1, 4000, 12, algorithm, 5, "monte-carlo", ((1, 2, 0, 1), (0, 3, 1, 1), (0, 0, 1, 4)),
+        events=(Event(step=0, fraction=0.999), Event(step=3, fraction=0.999), Event(step=7, fraction=0.999)),
+    )
+    metrics, snapshots = run_scenario(s, snapshot_steps=range(13))
+    assert metrics.num_agents == [4, 4, 4] + [1] * 10
+    for k, snap in snapshots.items():
+        assert snap.counts.shape == snap.density.shape == (12,)
+        assert snap.counts.sum() == metrics.num_agents[k]
+        check_density(snap.density)
 
 
 def test_run_scenario_event_at_step_zero():
