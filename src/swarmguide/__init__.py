@@ -22,9 +22,11 @@ from .engine import (
     MetricsSeries,
     Scenario,
     Snapshot,
+    StepRecord,
     SwarmState,
     apply_event,
     initial_swarm,
+    iter_run,
     propagate_density,
     run_scenario,
     step_agents,
@@ -65,9 +67,11 @@ __all__ = [
     "MetricsSeries",
     "Scenario",
     "Snapshot",
+    "StepRecord",
     "SwarmState",
     "apply_event",
     "initial_swarm",
+    "iter_run",
     "propagate_density",
     "run_scenario",
     "step_agents",

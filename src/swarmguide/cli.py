@@ -69,6 +69,7 @@ from .engine import (
     _check_setting,
     _require_some_weight,
     check_grid_size,
+    iter_run,
     run_scenario,
 )
 from .graph import build_grid_topology, make_topology
@@ -349,15 +350,9 @@ def cmd_export_matrix(scenario_path, step, out_path) -> int:
     scenario = load_scenario(scenario_path)
     if not 0 <= step < scenario.steps:
         raise ScenarioFormatError(f"step {step} outside [0, {scenario.steps})")
-    # Run only up to the wanted step; the last matrix the hook sees drives it.
-    head = replace(scenario, steps=step + 1, events=tuple(ev for ev in scenario.events if ev.step <= step + 1))
-    last = {}
-
-    def hook(k, matrix):
-        last["matrix"] = matrix
-
-    run_scenario(head, matrix_hook=hook)
-    matrix = last["matrix"]
+    # Record step + 1 holds the matrix that drove step ``step``; the run stops there.
+    record = next(islice(iter_run(scenario), step + 1, None))
+    matrix = record.topology.densify(record.values)
     blocks = (_texts(matrix[start : start + _EXPORT_ROWS]) for start in range(0, matrix.shape[0], _EXPORT_ROWS))
     _write_text(Path(out_path), "".join(",".join(row) + "\n" for block in blocks for row in block))
     # With the matrix written to stdout's own file, as ``--out /dev/stdout >

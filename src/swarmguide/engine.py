@@ -11,7 +11,7 @@ and densities are valid by construction, and no step checks them again.
 A run works in the stencil layout of ``swarmguide.graph.Topology``: column
 j of each step's matrix is an m x w value array's row j, over bin j's
 ascending destinations.  The grid topology is built as that stencil
-straight away.  At set-up ``run_scenario`` places the transient columns,
+straight away.  At set-up ``iter_run`` places the transient columns,
 which never change, in the slots of one m x w values buffer and restricts
 the stencil to the recurrent bins, slot for slot as their rows of the run's
 stencil.  Every matrix a run steps through is built and audited one way:
@@ -36,19 +36,19 @@ and a removal event finds its victims with one partition of the removal
 draws.  The density step adds each destination's sources in ascending
 order, slot by slot, skipping the massless ones, so no BLAS kernel chooses
 the summation order.  So past set-up a step costs O(m_r w + agents), besides a
-few O(m) vector passes over the densities and a hook's dense matrix.  A
-dense m x m matrix is built only for a ``matrix_hook``, once per matrix,
-which is how ``export-matrix`` reads it; a dense matrix M over topology t
-steps as ``t.sparsify(M)``.  Because adding 0.0 is exact, stencil column
-sums and cumulative sums equal the dense ones entry for entry.
+few O(m) vector passes over the densities and a hook's dense matrix.  Only
+a reader of the run builds a dense m x m matrix: ``run_scenario`` for a
+``matrix_hook``, once per matrix, and ``export-matrix``; a dense matrix M
+over topology t steps as ``t.sparsify(M)``.  Because adding 0.0 is exact,
+stencil column sums and cumulative sums equal the dense ones entry for entry.
 
 Time indexing: row k of the metrics describes the swarm after k transitions.
-``run_scenario`` makes one pass per row in both modes: for k > 0 it builds
-and audits the matrix of step k - 1 -> k, shows it to the hook and steps
-through it; then it applies the events at step k and records row k.  A
-Monte Carlo run hashes its move draws ahead, ``_DRAW_BLOCK`` // agents
-rounds per ``uniform_stream`` call, each block ending before the next
-event step; the draws, and so the run, are the same for any block size.
+``iter_run`` makes one pass per row in both modes: for k > 0 it builds and
+audits the matrix of step k - 1 -> k and steps through it; then it applies
+the events at step k and yields row k, a ``StepRecord``.  A Monte Carlo run
+hashes its move draws ahead, ``_DRAW_BLOCK`` // agents rounds per
+``uniform_stream`` call, each block ending before the next event step; the
+draws, and so the run, are the same for any block size.
 """
 from __future__ import annotations
 
@@ -56,6 +56,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +97,8 @@ __all__ = [
     "step_agents",
     "propagate_density",
     "apply_event",
+    "StepRecord",
+    "iter_run",
     "run_scenario",
 ]
 
@@ -111,7 +114,7 @@ MODES = ("monte-carlo", "deterministic")
 # bytes a slot under tracemalloc (largest measured: 100x100 bins at hop 20,
 # 8.4e6 slots, 405 MB).  Extrapolated, not measured: about 1 GB at the
 # limit, 11.5 GB for 100x100 bins at full reach.  What bounds ``MAX_BINS``
-# is the hook, as ``export-matrix`` uses it: a dense float matrix, 8 bytes
+# is the dense matrix ``export-matrix`` writes: a float matrix, 8 bytes
 # per bin pair (0.8 GB at the limit).  Each agent costs about 100 bytes per
 # step, 1 GB at the limit.  The metrics hold about 177 bytes a step, and
 # about 374 while ``MetricsSeries.to_csv`` runs (tracemalloc, 2e5 rows):
@@ -448,20 +451,30 @@ def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
     )
 
 
-def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
-    """Run a scenario end to end; returns (MetricsSeries, {step: Snapshot}).
+class StepRecord(NamedTuple):
+    """Metrics row ``step`` of a run and what made it, as ``iter_run`` yields it."""
 
-    Monte Carlo mode simulates individual agents; deterministic mode
-    propagates the density vector exactly and scales a nominal population
-    for the metrics.  Every matrix is audited by ``validate_markov`` before
-    use (the fixed baseline once, at set-up) against the audit stencil: a
-    recurrent bin may send mass only to recurrent bins, a transient bin only
-    one layer closer to the support.  The first matrix is audited whole,
-    each later one in its recurrent rows, the only ones that change.  A
-    failure aborts the run with RuntimeError.  ``matrix_hook`` gets (step,
-    matrix) with each matrix about to drive step ``step`` to ``step + 1``,
-    as a read-only dense array, one array for as long as the matrix stays
-    the same.
+    step: int
+    values: np.ndarray | None  # the stencil matrix of step - 1 -> step; None at row 0
+    changed: bool  # ``values`` differ from the last record's
+    density: np.ndarray  # after the events at ``step``, as is ``population``
+    total_variation: float
+    transitions: float
+    population: int
+    swarm: SwarmState | None  # None in deterministic mode
+    topology: Topology
+
+
+def iter_run(scenario: Scenario):
+    """Run a scenario lazily, yielding a ``StepRecord`` per metrics row.
+
+    A record's ``values`` is the run's own read-only view, not a copy, valid
+    until the next record is drawn; it changes at every ``dsmc`` row from 1
+    on and at row 1 of an ``mh`` run.  Monte Carlo mode simulates individual
+    agents; deterministic mode propagates the density vector exactly and
+    scales a nominal population for the metrics.  Every matrix is audited by
+    ``validate_markov`` before use, as the module docstring describes; a
+    failure aborts the run with RuntimeError.
     """
     topology = build_grid_topology(scenario.rows, scenario.cols, scenario.hop)
     desired = scenario.desired_density()
@@ -479,10 +492,9 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     desired_r = desired[recurrent]
     monte_carlo = scenario.mode == "monte-carlo"
     feedback = scenario.algorithm == "dsmc"
-    # ``dense``: the hook's matrix, densified at its first call after a write.
     # ``tables``: a Monte Carlo run's sampler tables, built once: the fixed
     # chain's guided, the feedback matrix's assigned in its recurrent columns.
-    dense = tables = d_chsn = None
+    tables = d_chsn = None
 
     def audited(recurrent_values, when: str, whole: bool):
         """Write the recurrent rows into the buffer and audit the matrix,
@@ -519,24 +531,15 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
     # a block at a time.  A block ends before the next event step, whose
     # removals change the ids that draw.
     draws, first = (), 0
-    metrics, snapshots = MetricsSeries(), {}
-    snapshot_wanted = set(int(s) for s in snapshot_steps)
 
-    # Pass k steps from k - 1 to k, applies the events at k and records row k.
+    # Pass k steps from k - 1 to k, applies the events at k and yields row k.
     for k in range(scenario.steps + 1):
         if k > 0:
             if feedback:
                 synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn)
                 audited(synthesized, f"at step {k - 1}", whole=k == 1)
-                dense = None
                 if monte_carlo:
                     tables.cum[:, recurrent] = _kernels.sampler_tables(synthesized).cum
-            if matrix_hook is not None:
-                if dense is None:
-                    dense = topology.densify(values)
-                    dense.flags.writeable = False
-                    dense = dense.view()  # a view of a read-only owner refuses the flag
-                matrix_hook(k - 1, dense)
             if monte_carlo:
                 if k - 1 == first + len(draws):
                     first, draws = k - 1, ()  # the spent block goes before the next is made
@@ -561,9 +564,27 @@ def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
             for ev in arrivals:
                 population = population - math.floor(ev.fraction * population)
 
-        metrics.append(k, total_variation(x, desired), transitions, population)
-        if k in snapshot_wanted:
-            counts = np.bincount(swarm.assignments, minlength=topology.m) if monte_carlo else x * population
-            snapshots[k] = Snapshot(step=k, counts=counts.astype(float), density=x.copy())
+        yield StepRecord(k, values if k else None, k > 0 and (feedback or k == 1), x, total_variation(x, desired),
+                         transitions, population, swarm, topology)
 
+
+def run_scenario(scenario: Scenario, snapshot_steps=(), matrix_hook=None):
+    """Run a scenario end to end; returns (MetricsSeries, {step: Snapshot}).
+
+    A fold over ``iter_run``.  ``matrix_hook`` gets (step, matrix) once the
+    matrix has driven step ``step`` to ``step + 1`` and the events there are
+    applied: a read-only dense array, one for as long as the matrix stays.
+    """
+    metrics, snapshots = MetricsSeries(), {}
+    snapshot_wanted = set(int(s) for s in snapshot_steps)
+    for rec in iter_run(scenario):
+        if matrix_hook is not None and rec.step > 0:
+            if rec.changed:
+                dense = None  # the old matrix goes before the new one is built
+                dense = np.lib.stride_tricks.as_strided(rec.topology.densify(rec.values), writeable=False)
+            matrix_hook(rec.step - 1, dense)
+        metrics.append(rec.step, rec.total_variation, rec.transitions, rec.population)
+        if rec.step in snapshot_wanted:
+            counts = np.bincount(rec.swarm.assignments, minlength=rec.topology.m) if rec.swarm else rec.density * rec.population
+            snapshots[rec.step] = Snapshot(step=rec.step, counts=counts.astype(float), density=rec.density.copy())
     return metrics, snapshots

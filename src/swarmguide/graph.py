@@ -38,7 +38,7 @@ class Topology:
     In the stencils of ``build_grid_topology``, ``make_topology`` and
     ``restrict``, transitions are symmetric, staying put is always allowed
     and padding points at bin j itself.  A ``Topology`` built directly need
-    not be so: ``run_scenario``'s audit stencil is asymmetric, and its
+    not be so: ``iter_run``'s audit stencil is asymmetric, and its
     unmarked slots list other bins.  No function reads an unmarked slot
     as an edge.  ``analysis.contraction_certificate`` refuses an
     asymmetric stencil.  Bins are indexed 0..m-1.  Matrix column j is

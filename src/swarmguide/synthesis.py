@@ -151,7 +151,7 @@ def _audit_stencil(partition: Partition, topology: Topology) -> Topology:
     """``topology``'s rows with only the slots the partition lets each
     column use marked real: a recurrent bin's recurrent neighbours, itself
     included, and a transient bin's neighbours one distance layer closer to
-    the support.  ``run_scenario`` audits every matrix against it."""
+    the support.  ``iter_run`` audits every matrix against it."""
     distance = partition.distance
     allowed = topology.real & (distance[topology.rows] == np.maximum(distance - 1, 0)[:, np.newaxis])
     return Topology(rows=topology.rows, real=allowed)

@@ -1,6 +1,7 @@
 """The paired-benchmark script's statistics and verdicts on fixed numbers,
 and its run reader on a stand-in command; no benchmark is run."""
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -96,3 +97,49 @@ def test_the_seed_run_length_and_pair_count_are_not_options(flag, capsys):
         bench_pairs.main(["parent", "change", "--out", "out.json", flag, "4"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# A stand-in benchmark: each run prints the metrics its directory's
+# ``metrics.json`` holds as its JSON last line.
+STAND_IN = (
+    "import json; metrics = json.load(open('metrics.json')); "
+    "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
+    "'metrics': {k: {'value': v} for k, v in metrics.items()}}))"
+)
+
+
+def _stand_in_trees(tmp_path, parent_metrics, change_metrics):
+    spec = {
+        "command": [sys.executable, "-c", STAND_IN],
+        "workloads": [{"name": "small"}, {"name": "large"}],
+        "end_to_end": [
+            {"name": "run_s", "bound": 0.25, "better": "lower"},
+            {"name": "final_tv", "bound": 0.25, "better": "lower"},
+        ],
+    }
+    trees = []
+    for side, metrics in (("parent", parent_metrics), ("change", change_metrics)):
+        tree = tmp_path / side
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        (tree / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
+        trees.append(str(tree))
+    return trees
+
+
+def test_main_exits_1_and_names_each_worse_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    trees = _stand_in_trees(tmp_path, {"run_s": 1.0, "final_tv": 0.1}, {"run_s": 1.5, "final_tv": 0.1})
+    assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["worse: small run_s", "worse: large run_s"]
+    summary = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["small"]["metrics"]["final_tv"]["verdict"] == "not worse"
+    assert summary["large"]["metrics"]["run_s"]["verdict"] == "worse"
+
+
+def test_main_exits_0_when_no_run_is_bad_and_no_verdict_worse(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    trees = _stand_in_trees(tmp_path, {"run_s": 1.0, "final_tv": 0.1}, {"run_s": 0.9, "final_tv": 0.1})
+    assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().err == ""

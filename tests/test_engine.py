@@ -1,7 +1,9 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from swarmguide import (
     build_grid_topology,
     dsmc_recurrent,
     initial_swarm,
+    iter_run,
     load_scenario,
     make_topology,
     partition_states,
@@ -499,6 +502,75 @@ def test_move_draws_hashed_in_blocks_change_nothing(monkeypatch, algorithm):
             assert snap.density.tobytes() == runs[0][1][k].density.tobytes()
 
 
+# 3x3 bins with transient bins and a removal inside the run.
+STREAM_SCENARIO = Scenario(
+    3, 3, 1, 600, 6, "dsmc", 13, "monte-carlo", ((1, 2, 0), (0, 3, 1), (0, 0, 4)),
+    events=(Event(step=3, fraction=0.25),),
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_stream_of_step_records_is_the_run(algorithm, mode):
+    # Each record is a metrics row of run_scenario; its values densify to
+    # the matrix the hook sees for the step it drove, and its density is
+    # the snapshot's.  A feedback matrix changes every step, the baseline
+    # only at row 1, its first.
+    scenario = replace(STREAM_SCENARIO, algorithm=algorithm, mode=mode)
+    hooked = []
+    metrics, snapshots = run_scenario(
+        scenario, snapshot_steps=range(scenario.steps + 1), matrix_hook=lambda k, mat: hooked.append((k, mat.tobytes()))
+    )
+    rows = []
+    for rec in iter_run(scenario):
+        rows.append((rec.step, rec.total_variation, rec.transitions, rec.population))
+        assert rec.changed == (rec.step > 0 and (algorithm == "dsmc" or rec.step == 1))
+        assert rec.density.tobytes() == snapshots[rec.step].density.tobytes()
+        assert (rec.swarm is None) == (mode == "deterministic")
+        if rec.step == 0:
+            assert rec.values is None
+        else:
+            assert hooked[rec.step - 1] == (rec.step - 1, rec.topology.densify(rec.values).tobytes())
+    assert rows == list(zip(metrics.steps, metrics.total_variation, metrics.transitions, metrics.num_agents))
+    assert metrics.num_agents[2:4] == [600, 450]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_reader_that_stops_at_a_record_runs_no_further(monkeypatch, mode):
+    # ``export-matrix`` takes record s + 1, whose matrix drove step s: the
+    # run synthesizes s + 1 matrices and no more.
+    synthesize, calls = engine_module.dsmc_recurrent, []
+
+    def counting(*args):
+        calls.append(args)
+        return synthesize(*args)
+
+    monkeypatch.setattr(engine_module, "dsmc_recurrent", counting)
+    scenario = replace(STREAM_SCENARIO, mode=mode)
+    for s in range(scenario.steps):
+        calls.clear()
+        record = next(islice(iter_run(scenario), s + 1, None))
+        assert record.step == s + 1
+        assert len(calls) == s + 1
+
+
+def test_the_hook_fold_holds_one_dense_matrix_at_a_time(monkeypatch):
+    # The fold drops the last dense matrix before it densifies the next: a
+    # fold that densified first would hold two m x m arrays at its peak.
+    bases, densify = [], Topology.densify
+
+    def hook(k, matrix):
+        bases.append(weakref.ref(matrix.base))
+
+    def densify_after_the_last_is_gone(self, values):
+        assert all(ref() is None for ref in bases), "an earlier dense matrix is still alive"
+        return densify(self, values)
+
+    monkeypatch.setattr(Topology, "densify", densify_after_the_last_is_gone)
+    run_scenario(STREAM_SCENARIO, matrix_hook=hook)
+    assert len(bases) == STREAM_SCENARIO.steps
+
+
 def test_run_scenario_baseline_reuses_one_matrix():
     captured = []
     s = Scenario(2, 2, 1, 50, 3, "mh", 5, "deterministic", ((1, 1), (6, 12)))
@@ -702,6 +774,13 @@ def test_nothing_a_run_hands_its_matrix_to_can_make_it_writeable(monkeypatch, al
     monkeypatch.setattr(_kernels, "advance_agents", unlocking_advance)
     with pytest.raises(ValueError, match="WRITEABLE"):
         run_scenario(replace(RING_SCENARIO, algorithm=algorithm, mode="monte-carlo"))
+
+    # A reader of the record stream gets the same view of the buffer.
+    for mode in MODES:
+        records = iter_run(replace(RING_SCENARIO, algorithm=algorithm, mode=mode))
+        assert next(records).values is None
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            next(records).values.flags.writeable = True
 
 
 def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):

@@ -18,8 +18,9 @@ side's median and quartiles, the pairs the change won and the tied
 pairs (a tie counts for neither side), and a verdict from that metric's
 ``bound`` and ``better`` in ``BENCHMARK.json`` (see ``verdict``).  A run that
 exits non-zero, prints no result or reports ``correct: false`` is listed
-under ``bad_runs``, and the script then exits 1.  It imports nothing from
-``perfbench/``.
+under ``bad_runs``.  The script exits 1 when any run is bad or any verdict
+is ``worse``, and names each worse workload and metric on stderr.  It
+imports nothing from ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -165,14 +166,17 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    worse = False
     for workload, parts in summary.items():
         for name, s in parts["metrics"].items():
             print(f"{workload} {name}: parent {s['parent']['median']!r} -> change {s['change']['median']!r}, "
                   f"change won {s['change_won']}/{s['pairs']}, {s['verdict']}")
+            if s["verdict"] == "worse":
+                print(f"worse: {workload} {name}", file=sys.stderr)
+                worse = True
     if bad:
         print(f"{len(bad)} runs failed or were not correct", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if bad or worse else 0
 
 
 if __name__ == "__main__":
