@@ -16,44 +16,47 @@ simulation outputs do not depend on how agents are batched.  Every
 stencil column sum, in synthesis, in the baseline chain and in the audit,
 is ``column_sums``.
 
-Both samplers read one table type, ``Tables``: the (w + 1) x m cumulative
-table, built slot by slot, and, where ``build_guide`` attached one, a
-guide table.  Draws lie in [0, 1), as ``uniform_stream`` gives them, and
-the table rule keeps them on each column's support: every entry at or
-above min(total, 1) reads exactly 1.0.  Whether its total rounded above 1
-or below, a column then reads 1.0 from its last positive slot on, so no
-draw passes that slot and no search needs a round-off clamp.  A column's
-entries depend on that column alone, so a caller whose matrix changes in
-a few columns a step keeps its ``sampler_tables`` and assigns those
-columns of a fresh ``cum``.
+Both samplers read one table type, ``Tables``: the (w + 1) x m table of
+cumulative bounds, built slot by slot, and, where ``build_guide`` attached
+one, a guide table.  A draw is an integer k in [0, 2^53), the uniform
+z = k 2^-53, as ``uniform_stream`` gives it, and every comparison is an
+integer one.  The cumulative entries c are summed in floats, and the table
+rule keeps draws on each column's support: every entry at or above
+min(total, 1) reads exactly 1.0.  Whether its total rounded above 1 or
+below, a column then reads 1.0 from its last positive slot on.  Each entry
+is then held as its bound K = ceil(c 2^53), both steps exact, and z passes
+c exactly when K <= k.  A bound of 1.0 is 2^53, above every draw, so no
+draw passes a column's last positive slot and no search needs a round-off
+clamp.  A column's bounds depend on that column alone, so a caller whose
+matrix changes in a few columns a step keeps its ``sampler_tables`` and
+assigns those columns of a fresh ``cum``.
 
 Unguided, ``advance_agents`` samples in two passes, because feedback
 synthesis leaves most agents where they are.  First the stay test: with s
 bin b's stay slot, the real slot listing b itself (``Topology.stay``,
-derived once per stencil), and cum its cumulative row (cum[-1] read as 0),
-an agent in b with cum[s-1] <= z < cum[s] stays.  That is what the full
-search returns: the cumulative row never decreases, so exactly s entries
-are <= z.  A slot with an empty window, such as a zero self slot or one
+derived once per stencil), and K its row of bounds (K[-1] read as 0), an
+agent in b with K[s-1] <= k < K[s] stays.  That is what the full search
+returns: the bounds never decrease down a column, so exactly s of them
+are <= k.  A slot with an empty window, such as a zero self slot or one
 past the last positive slot, settles nobody; a padded slot ahead of the
 self slot also lists b, but its window is empty too, so either slot gives
-the same destinations.  The windows are read from the cumulative table
-each call, two m-long gathers.  Then only the movers search their
-column, in blocks of ``_SEARCH_BLOCK`` agents: one gather of the movers'
-columns from the cumulative table and one count of the entries at or
-below each draw.  So no agents x w temporary is ever built, only block x w
-ones.
+the same destinations.  The windows are read from the bounds each call,
+two m-long gathers.  Then only the movers search their column, in blocks
+of ``_SEARCH_BLOCK`` agents: one gather of the movers' columns from the
+bounds and one count of the bounds at or below each draw.  So no agents x
+w temporary is ever built, only block x w ones.
 
 A matrix that drives many steps, the fixed Metropolis-Hastings chain, moves
 most agents, so the stay test settles few.  ``build_guide`` attaches a
 guide table (Chen and Asau's indexed search) to its tables once instead:
-it splits [0, 1) into a power-of-two number of cells per bin,
+it splits the draws of a bin into a power-of-two number of cells,
 ``GUIDE_CELLS`` for a matrix, and holds one destination per cell, m x 64
 int64 entries (about 5 MB at 10^4 bins).  It is exact, not an
-approximation.  Draws are multiples of 2^-53, so ``int(z * cells)`` is
-exact, and the full search's answer never decreases as the draw grows.
-So a cell with no cumulative boundary strictly inside has one answer for
-all its draws.  A cell with one holds -1, and only the agents whose draw
-falls there (about 3% on letter-E) run the search.
+approximation: a draw's cell is its top bits, ``k >> (53 - log2 cells)``,
+and the full search's answer never decreases as the draw grows.  So a cell
+with no bound strictly inside has one answer for all its draws.  A cell
+with one holds -1, and only the agents whose draw falls there (about 3% on
+letter-E) run the search.
 
 Initial placement samples one fixed distribution over all m bins, a single
 column whose stencil is every bin.  ``placement_guide`` builds its table
@@ -71,18 +74,20 @@ from typing import NamedTuple
 import numpy as np
 
 
-GUIDE_CELLS = 64  # guide cells per bin of a matrix, a power of two so that z * GUIDE_CELLS is exact
+GUIDE_CELLS = 64  # guide cells per bin of a matrix, a power of two so that a cell is a draw's top bits
 _PLACE_BLOCK = 1 << 16  # agents per block in ``place``
 _SEARCH_BLOCK = 1 << 16  # movers per block in ``_search``: a block x w table, 13 MB at w = 25
 
 
 class Tables(NamedTuple):
-    """The sampler tables of one matrix: ``cum[s + 1, j]``, the cumulative
-    probability of column j through slot s (``cum[0]`` is 0), each entry
-    at or above min(total, 1) read as 1.0 (the table rule), and, from
-    ``build_guide``, ``table[j, c]``, the destination of every draw of bin
-    j in [c, c + 1) / cells, with ``cells = table.shape[1]``, or -1 where a
-    cumulative boundary lies strictly inside that cell."""
+    """The sampler tables of one matrix: ``cum[s + 1, j]``, the bound
+    K = ceil(c 2^53) of the cumulative probability c of column j through
+    slot s (``cum[0]`` is 0), each c at or above min(total, 1) read as 1.0
+    (the table rule), so K = 2^53, and, from ``build_guide``,
+    ``table[j, c]``, the destination of every draw of bin j in
+    [c, c + 1) 2^53 / cells, with ``cells = table.shape[1]``, or -1 where a
+    bound lies strictly inside that cell.  A draw k passes entry s + 1 of
+    column j exactly when ``cum[s + 1, j] <= k``."""
 
     cum: np.ndarray
     table: np.ndarray | None = None
@@ -101,16 +106,24 @@ def sampler_tables(values: np.ndarray) -> Tables:
         for s in range(1, w):
             np.add(cum[s], values[:, s], out=cum[s + 1])
     # Every entry at or above min(total, 1) reads 1.0: each column ends at
-    # exactly 1.0 from its last positive slot on, so no draw in [0, 1)
-    # passes the end of its support, whichever way its total rounded.
+    # exactly 1.0 from its last positive slot on, whose bound 2^53 no draw
+    # reaches, whichever way its total rounded.
     np.copyto(cum[1:], 1.0, where=cum[1:] >= np.minimum(cum[-1], 1.0))
-    return Tables(cum=cum)
+    # The bounds K = ceil(c 2^53), both steps exact: k 2^-53 >= c exactly
+    # when k >= K.
+    cum *= 2.0**53
+    return Tables(cum=np.ceil(cum, out=cum).astype(np.int64))
+
+
+def _cell_shift(cells: int) -> int:
+    """The right shift that takes a draw to its cell among ``cells``, a
+    power of two: a cell spans 2**shift draws."""
+    return 54 - cells.bit_length()
 
 
 def _search(from_bin: np.ndarray, draw: np.ndarray, cum: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Destinations by the full search: the slot is the number of cumulative
-    entries at or below the draw, counted over one gather of each block's
-    columns."""
+    """Destinations by the full search: the slot is the number of bounds at
+    or below the draw, counted over one gather of each block's columns."""
     hits = np.empty(from_bin.size, dtype=np.int64)
     for lo in range(0, from_bin.size, _SEARCH_BLOCK):
         block = from_bin[lo:lo + _SEARCH_BLOCK]
@@ -124,24 +137,22 @@ def build_guide(values: np.ndarray, rows: np.ndarray, cells: int = GUIDE_CELLS) 
     guide table attached, for ``advance_agents`` to sample it through, step
     after step, with ``cells`` guide cells per bin, a power of two.
 
-    A draw z = k 2^-53 passes cumulative entry b when b <= z, that is when
-    k >= K = ceil(b 2^53), so boundaries and cells are compared as
-    integers.  Cell c of a bin spans the draw indices [c, c + 1) 2^shift,
-    with 2^shift = 2^53 / cells; with no K strictly inside, every draw in
-    it gets the search's answer at its first draw.  A column's last
-    boundary, 1.0 by the table rule, closes its last cell.
+    Cell c of a bin spans the draws [c, c + 1) 2^shift, with 2^shift =
+    2^53 / cells; with no bound K strictly inside, every draw in it gets
+    the search's answer at its first draw.  A column's last bound, 2^53 by
+    the table rule, closes its last cell.
     """
-    shift = 53 - (cells.bit_length() - 1)  # a cell spans 2**shift draws
+    shift = _cell_shift(cells)
     cum = sampler_tables(values).cum
     m = values.shape[0]
-    first = np.ceil(cum[1:] * 2.0**53).astype(np.int64)  # K, w x m, ascending down each column
-    cell = first >> shift  # the cell holding K; cells for an entry of 1.0
-    # Slot s answers the cells from the one holding boundary s - 1 up to the
-    # one holding boundary s.
+    bound = cum[1:]  # K, w x m, ascending down each column
+    cell = bound >> shift  # the cell holding K; cells for a bound of 2^53
+    # Slot s answers the cells from the one holding bound s - 1 up to the
+    # one holding bound s.
     table = np.repeat(rows.ravel(), np.diff(cell, axis=0, prepend=0).T.ravel()).reshape(m, cells)
-    # A cell with a boundary strictly inside is left to the search; one on
-    # its first draw is passed by all of it.
-    inside = first & ((1 << shift) - 1) != 0
+    # A cell with a bound strictly inside is left to the search; one on its
+    # first draw is passed by all of it.
+    inside = bound & ((1 << shift) - 1) != 0
     table.reshape(-1)[(np.arange(m) * cells + cell)[inside]] = -1
     return Tables(cum=cum, table=table)
 
@@ -156,57 +167,57 @@ def placement_guide(density: np.ndarray) -> Tables:
     return build_guide(density[np.newaxis], bins, 1 << (GUIDE_CELLS * m - 1).bit_length())
 
 
-def place(z: np.ndarray, guide: Tables) -> np.ndarray:
-    """The bins of draws ``z`` from the distribution of ``guide``, a
-    ``placement_guide``, for draws that are multiples of 2^-53.
+def place(k: np.ndarray, guide: Tables) -> np.ndarray:
+    """The bins of draws ``k`` in [0, 2^53) from the distribution of
+    ``guide``, a ``placement_guide``.
 
-    Bit for bit ``np.minimum(np.searchsorted(cum, z, side="right"), last)``
-    over the cumulative density ``cum`` and its last positive bin ``last``
-    for draws in [0, 1); the guide's column, under the table rule, needs no
-    clamp.  The cells are read in blocks, so no temporary besides the
-    result is as large as ``z``.
+    Bit for bit ``np.minimum(np.searchsorted(cum, k * 2.0**-53,
+    side="right"), last)`` over the cumulative density ``cum`` and its last
+    positive bin ``last``; the guide's column, under the table rule, needs
+    no clamp.  The cells are read in blocks, so no temporary besides the
+    result is as large as ``k``.
     """
-    table, cells = guide.table[0], guide.table.shape[1]
-    out = np.empty(z.size, dtype=np.int64)
-    for lo in range(0, z.size, _PLACE_BLOCK):
-        out[lo:lo + _PLACE_BLOCK] = table.take((z[lo:lo + _PLACE_BLOCK] * cells).astype(np.int64))
+    table, shift = guide.table[0], _cell_shift(guide.table.shape[1])
+    out = np.empty(k.size, dtype=np.int64)
+    for lo in range(0, k.size, _PLACE_BLOCK):
+        out[lo:lo + _PLACE_BLOCK] = table.take(k[lo:lo + _PLACE_BLOCK] >> shift)
     split = np.nonzero(out < 0)[0]
-    out[split] = np.searchsorted(guide.cum[1:, 0], z[split], side="right")
+    out[split] = np.searchsorted(guide.cum[1:, 0], k[split], side="right")
     return out
 
 
 def advance_agents(
-    bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray,
+    bins: np.ndarray, k: np.ndarray, values: np.ndarray, rows: np.ndarray,
     stay: np.ndarray, guide: Tables | None = None,
 ) -> np.ndarray:
     """Move each agent through the matrix column of its current bin.
 
-    ``bins`` holds current bin indices and ``z`` one uniform per agent.
-    ``values[j]`` is column j of a column-stochastic matrix over the
-    ascending destinations ``rows[j]``, padded with zeros; ``rows[j]``
-    lists bin j itself, as in every stencil.  Agent k lands on the first
-    destination whose cumulative probability exceeds z[k], in [0, 1).  The
-    table rule of ``Tables`` ends each column at 1.0 from its last positive
-    entry on, so round-off never takes an agent off the column's support.
+    ``bins`` holds current bin indices and ``k`` one draw per agent, an
+    integer in [0, 2^53) standing for the uniform k 2^-53.  ``values[j]``
+    is column j of a column-stochastic matrix over the ascending
+    destinations ``rows[j]``, padded with zeros; ``rows[j]`` lists bin j
+    itself, as in every stencil.  Agent a lands on the first destination
+    whose cumulative probability exceeds k[a] 2^-53.  The table rule of
+    ``Tables`` ends each column at 1.0 from its last positive entry on, so
+    round-off never takes an agent off the column's support.
 
     ``guide``, when given, is ``sampler_tables(values)``, kept by a caller
     whose matrix changes in a few columns a step, or ``build_guide(values,
     rows)``; without it the tables are built for this call.  Unguided, the
     agents whose draw falls in the window of their bin's ``stay`` slot, the
     real slot listing the bin itself (``Topology.stay``), are settled first,
-    the window read from the cumulative table.  Only the others search their
-    column, in blocks.  Guided, with draws that are multiples of 2^-53, as
-    ``uniform_stream`` gives, one lookup settles every agent outside the -1
+    the window read from the bounds.  Only the others search their column,
+    in blocks.  Guided, one lookup settles every agent outside the -1
     cells, and only those search.
     """
     tables = sampler_tables(values) if guide is None else guide
     if tables.table is not None:
         cells = tables.table.shape[1]
-        cell = (z * cells).astype(np.int64)
+        cell = k >> _cell_shift(cells)
         cell += bins * cells
         out = tables.table.take(cell)
         open_cells = np.nonzero(out < 0)[0]
-        out[open_cells] = _search(bins[open_cells], z[open_cells], tables.cum, rows)
+        out[open_cells] = _search(bins[open_cells], k[open_cells], tables.cum, rows)
         return out
     # Stay window [lo, hi) of each bin: cum[stay[j], j] and the entry one
     # slot row below it.
@@ -214,9 +225,9 @@ def advance_agents(
     at = stay * m
     at += np.arange(m)
     lo, hi = tables.cum.take(at), tables.cum.take(at + m)
-    movers = np.nonzero((z < lo.take(bins)) | (z >= hi.take(bins)))[0]
+    movers = np.nonzero((k < lo.take(bins)) | (k >= hi.take(bins)))[0]
     out = bins.copy()
-    out[movers] = _search(bins[movers], z[movers], tables.cum, rows)
+    out[movers] = _search(bins[movers], k[movers], tables.cum, rows)
     return out
 
 

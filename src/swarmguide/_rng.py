@@ -1,8 +1,10 @@
 """Counter-based uniform random streams.
 
-Every draw is a pure hash of (master seed, stream tag, step, agent id), so a
-simulation produces the same numbers no matter how agents are batched or in
-what order they are evaluated.  Removing an agent never perturbs the draws of
+A draw is a 53-bit integer k in [0, 2^53), the uniform k 2^-53 in [0, 1)
+held exactly, so samplers compare it against integer bounds and no draw is
+ever converted to a float.  Every draw is a pure hash of (master seed,
+stream tag, step, agent id), so a simulation produces the same numbers no
+matter how agents are batched or in what order they are evaluated.  Removing an agent never perturbs the draws of
 the survivors because each agent keeps its id for life.
 
 Because a draw depends on nothing a run computes, the draws of later rounds
@@ -51,10 +53,12 @@ def round_key(seed: int, stream: int, step: int) -> int:
 
 
 def uniform_stream(seed: int, stream: int, step: int | range, ids: np.ndarray) -> np.ndarray:
-    """One uniform draw in [0, 1) per agent id for the given round or rounds.
+    """One uniform draw per agent id for the given round or rounds: an
+    integer k in [0, 2^53), the top 53 bits of the hash, which stands for
+    the uniform k 2^-53 in [0, 1).
 
     ``ids`` is an integer array of persistent agent identifiers.  For one
-    ``step`` the result is a float64 array of the same length, independent
+    ``step`` the result is an int64 array of the same length, independent
     of id order: entry k depends only on (seed, stream, step, ids[k]).  For
     a ``range`` of steps it is a 2-D array with one such row per step, row i
     the same bytes as the one-step call for ``step[i]``.  A block holds two
@@ -79,8 +83,6 @@ def uniform_stream(seed: int, stream: int, step: int | range, ids: np.ndarray) -
     z ^= np.right_shift(z, _U64[27], out=shifted)
     z *= _MIX_B_U64
     z ^= np.right_shift(z, _U64[31], out=shifted)
-    del shifted  # so that no more than z and the result are alive at once
-    # Top 53 bits scale to the unit interval without rounding bias.
-    out = np.right_shift(z, _U64[11], out=z).astype(np.float64)
-    out *= 2.0**-53
+    # The top 53 bits, in place; below 2^63, so the same bytes read as int64.
+    out = np.right_shift(z, _U64[11], out=z).view(np.int64)
     return out if isinstance(step, range) else out[0]

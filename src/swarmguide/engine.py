@@ -48,7 +48,11 @@ audits the matrix of step k - 1 -> k and steps through it; then it applies
 the events at step k and yields row k, a ``StepRecord``.  A Monte Carlo run
 hashes its move draws ahead, ``_DRAW_BLOCK`` // agents rounds per
 ``uniform_stream`` call, each block ending before the next event step; the
-draws, and so the run, are the same for any block size.
+draws, and so the run, are the same for any block size.  A draw stays the
+hash's 53-bit integer from the hash to the destination: placement, moves
+and removals compare integers, and the sampler tables hold integer bounds
+(see ``swarmguide._kernels``).  The run walks its events, sorted by step,
+once.
 """
 from __future__ import annotations
 
@@ -126,11 +130,13 @@ MAX_STEPS = 1_000_000
 
 # Move draws hashed per ``uniform_stream`` call in a Monte Carlo run, as
 # rounds x agents (``_kernels._SEARCH_BLOCK`` bounds the sampler's blocks
-# alike): 128 KB a uint64 or float block.  A block of a few rounds pays the
-# hash's fixed cost per call (11-22 us at 100 ids on a 2-vCPU x86_64 host)
-# once for them all; blocks of larger arrays cost more per round than single
-# rounds did.  A swarm of at least this many agents hashes one round per call.
-_DRAW_BLOCK = 1 << 14
+# alike).  The hash holds two 64-bit integer arrays of rounds x agents at its
+# peak, the draws and a shift scratch: 512 KB at 2^15, inside a 2 MB L2 cache.  A
+# block of a few rounds pays the hash's fixed cost per call (11-22 us at 100
+# ids on a 2-vCPU x86_64 host) once for them all; 2^16 measured 10% slower
+# than 2^15 on the letter-E ``mh`` run, its blocks no longer in L2.  A swarm
+# of at least this many agents hashes one round per call.
+_DRAW_BLOCK = 1 << 15
 
 
 def check_grid_size(rows: int, cols: int, hop: int | None = None):
@@ -356,17 +362,18 @@ class MetricsSeries:
 def initial_swarm(scenario: Scenario) -> SwarmState:
     """Place agents by inverse-CDF sampling of the initial density.
 
-    Agent k lands on the first bin whose cumulative initial density exceeds
-    its placement draw, in [0, 1); the sampler's table reads 1.0 from the
-    last bin with positive density on, so round-off never passes that bin.
+    Agent a lands on the first bin whose cumulative initial density exceeds
+    its placement draw k 2^-53, k an integer in [0, 2^53); the sampler's
+    table reads 1.0 from the last bin with positive density on, so
+    round-off never passes that bin.
     The draws are read through an exact guide table,
     ``_kernels.placement_guide``.  The initial density is valid by
     construction (see ``Scenario``), so is not checked.
     """
     x0 = scenario.initial_density()
     ids = np.arange(scenario.agents, dtype=np.uint64)
-    z = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
-    assignments = _kernels.place(z, _kernels.placement_guide(x0))
+    k = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
+    assignments = _kernels.place(k, _kernels.placement_guide(x0))
     return SwarmState(assignments=assignments, agent_ids=ids, seed=scenario.seed)
 
 
@@ -384,19 +391,20 @@ def step_agents(
     ``stencil`` passes as ``stencil.sparsify(M)``), and the caller has
     audited it, as a run audits every matrix it steps through; every agent
     sits in a bin in [0, stencil.m).  Neither is checked.  Each agent draws
-    its own uniform from the move stream for ``step``, in [0, 1), and walks
-    the cumulative column of its current bin, stopping at the first
-    destination whose cumulative probability exceeds the draw; the column
-    reads 1.0 from its last positive slot on.  The stay test reads
-    ``stencil.stay``, derived once per stencil.  Agents are independent, so
-    evaluation order and batching cannot change the result.  A caller may
-    pass the sampler tables of ``values`` as ``guide``: a matrix that drives
-    many steps its ``_kernels.build_guide(values, stencil.rows)``, built
-    once, and one that changes in a few columns a step its
+    its own integer k in [0, 2^53) from the move stream for ``step`` and
+    walks the cumulative column of its current bin, stopping at the first
+    destination whose cumulative probability exceeds k 2^-53, compared as
+    integers; the column reads 1.0 from its last positive slot on.  The
+    stay test reads ``stencil.stay``, derived once per stencil.  Agents are
+    independent, so evaluation order and batching cannot change the
+    result.  A caller may pass the sampler tables of ``values`` as
+    ``guide``: a matrix that drives many steps its
+    ``_kernels.build_guide(values, stencil.rows)``, built once, and one
+    that changes in a few columns a step its
     ``_kernels.sampler_tables(values)``, whose changed columns it assigns
     from a fresh ``cum``.  The moves are the same either way.  A caller
     that hashed the round ahead, in a block of rounds, passes its row as
-    ``z``: the draws
+    ``z``: the integer draws
     ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
     would give, one per agent (not checked).  Without ``z`` the round is
     hashed here.
@@ -496,14 +504,17 @@ def iter_run(scenario: Scenario):
     # chain's guided, the feedback matrix's assigned in its recurrent columns.
     tables = d_chsn = None
 
-    def audited(recurrent_values, when: str, whole: bool):
-        """Write the recurrent rows into the buffer and audit the matrix,
-        whole or, once the whole has passed, in the rows written."""
+    def audited(recurrent_values, k: int, whole: bool):
+        """Write the recurrent rows of the matrix that drives step k - 1 -> k,
+        or every step when k is 0, into the buffer and audit the matrix,
+        whole or, once the whole has passed, in the rows written.  The
+        failure message names the step only when the audit fails."""
         buffer[recurrent] = recurrent_values
         # The recurrent rows of the audit stencil mark the recurrent
         # destinations only, as ``neighbours`` does.
         report = validate_markov(values, audit) if whole else validate_markov(recurrent_values, neighbours)
         if not report.ok():
+            when = f"at step {k - 1}" if k else "before step 0"
             raise RuntimeError(
                 f"synthesized matrix failed validation {when}: column sum deviation "
                 f"{report.max_column_sum_deviation!r}, min entry {report.min_entry!r}, "
@@ -518,7 +529,7 @@ def iter_run(scenario: Scenario):
     else:
         # One fixed matrix, audited once; agents sample it through tables
         # built once.
-        audited(mh_recurrent(desired_r, neighbours), "before step 0", whole=True)
+        audited(mh_recurrent(desired_r, neighbours), 0, whole=True)
         if monte_carlo:
             tables = _kernels.build_guide(values, topology.rows)
 
@@ -531,20 +542,23 @@ def iter_run(scenario: Scenario):
     # a block at a time.  A block ends before the next event step, whose
     # removals change the ids that draw.
     draws, first = (), 0
+    # The events, sorted by step, are walked once: events[:done] are applied.
+    events, done = scenario.events, 0
 
     # Pass k steps from k - 1 to k, applies the events at k and yields row k.
     for k in range(scenario.steps + 1):
         if k > 0:
             if feedback:
                 synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn)
-                audited(synthesized, f"at step {k - 1}", whole=k == 1)
+                audited(synthesized, k, whole=k == 1)
                 if monte_carlo:
                     tables.cum[:, recurrent] = _kernels.sampler_tables(synthesized).cum
             if monte_carlo:
                 if k - 1 == first + len(draws):
                     first, draws = k - 1, ()  # the spent block goes before the next is made
-                    stop = min([first + max(1, _DRAW_BLOCK // swarm.num_agents), scenario.steps]
-                               + [ev.step for ev in scenario.events if ev.step > first])
+                    # The next event is at step k or later, and none is past the run.
+                    next_event = events[done].step if done < len(events) else scenario.steps
+                    stop = min(first + max(1, _DRAW_BLOCK // swarm.num_agents), next_event)
                     draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
                 moved = step_agents(swarm, values, k - 1, topology, tables, z=draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
@@ -554,7 +568,10 @@ def iter_run(scenario: Scenario):
                 transitions = float(population * float(np.cumsum(x * (1.0 - values.take(topology.own_slots)))[-1]))
                 x = propagate_density(x, values, topology)
 
-        arrivals = [ev for ev in scenario.events if ev.step == k]
+        start = done
+        while done < len(events) and events[done].step == k:
+            done += 1
+        arrivals = events[start:done]
         if monte_carlo:
             for ev in arrivals:
                 swarm = apply_event(swarm, ev)

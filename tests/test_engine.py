@@ -186,7 +186,7 @@ def test_initial_swarm_round_off_lands_on_a_populated_bin(monkeypatch):
     )
     assert np.cumsum(s.initial_density())[-1] < 1.0
     monkeypatch.setattr(
-        engine_module, "uniform_stream", lambda seed, stream, step, ids: np.full(ids.size, 1.0 - 2.0**-53)
+        engine_module, "uniform_stream", lambda seed, stream, step, ids: np.full(ids.size, 2**53 - 1)
     )
     assert initial_swarm(s).assignments.tolist() == [2, 2, 2]
 
@@ -216,7 +216,7 @@ def test_initial_swarm_peak_is_no_higher_than_one_searchsorted(side, searchsorte
         tracemalloc.stop()
     assert peak <= searchsorted_peak
     cum = np.cumsum(s.initial_density())
-    z = uniform_stream(3, PLACEMENT_STREAM, 0, swarm.agent_ids)
+    z = uniform_stream(3, PLACEMENT_STREAM, 0, swarm.agent_ids) * 2.0**-53
     assert np.array_equal(swarm.assignments, np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum()))
 
 
@@ -456,11 +456,12 @@ def test_run_scenario_event_schedule(mode):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_move_draws_hashed_in_blocks_change_nothing(monkeypatch, algorithm):
-    # 4096 agents hash 4 rounds per call at the default budget: the removal
-    # at step 4 falls on a block boundary.  The 2048 left hash 8, but the
-    # event at step 9 ends their block after 5; the 1536 left hash 10.  A
-    # budget of 1 hashes one round per call, one of 2^22 each span between
-    # events in one call.
+    # 4096 agents hash 4 rounds per call at a budget of 2^14: the removal at
+    # step 4 falls on a block boundary.  The 2048 left hash 8, but the event
+    # at step 9 ends their block after 5; the 1536 left hash 10.  At the
+    # default budget of 2^15 they hash 21, so the last block ends with the
+    # run.  A budget of 1 hashes one round per call, one of 2^22 each span
+    # between events in one call.
     scenario = Scenario(
         3, 3, 1, 4096, 20, algorithm, 21, "monte-carlo", ((1, 2, 3), (0, 4, 5), (0, 0, 7)),
         events=(
@@ -468,10 +469,11 @@ def test_move_draws_hashed_in_blocks_change_nothing(monkeypatch, algorithm):
             Event(step=9, fraction=0.25),
         ),
     )
-    assert engine_module._DRAW_BLOCK == 1 << 14
+    assert engine_module._DRAW_BLOCK == 1 << 15
     expected_blocks = {
         1: [range(r, r + 1) for r in range(20)],
         1 << 14: [range(0, 4), range(4, 9), range(9, 19), range(19, 20)],
+        1 << 15: [range(0, 4), range(4, 9), range(9, 20)],
         1 << 22: [range(0, 4), range(4, 9), range(9, 20)],
     }
     hash_block = engine_module.uniform_stream

@@ -33,9 +33,9 @@ def test_advance_numpy_matches_scalar_oracle():
         cum = np.cumsum(mat, axis=0)
         n = int(rng.integers(1, 200))
         bins = rng.integers(0, topo.m, size=n)
-        z = rng.random(n)
-        got = _kernels.advance_agents(bins, z, *dense_layout(mat))
-        assert np.array_equal(got, advance_oracle(bins, z, cum))
+        k = (rng.random(n) * 2.0**53).astype(np.int64)
+        got = _kernels.advance_agents(bins, k, *dense_layout(mat))
+        assert np.array_equal(got, advance_oracle(bins, k * 2.0**-53, cum))
 
 
 def _random_stencil_values(rng, stencil, zero_prob=0.3):
@@ -55,11 +55,12 @@ def test_stencil_advance_matches_oracle_on_densified_columns():
         cum = np.cumsum(stencil.densify(values), axis=0)
         n = int(rng.integers(1, 300))
         bins = rng.integers(0, stencil.m, size=n)
-        # Include the extreme draws: 0 and the largest double below 1.
+        # Include the extreme draws: 0 and 2^53 - 1.
         z = np.concatenate([rng.random(n - min(n, 2)), [0.0, 1.0 - 2.0**-53][: min(n, 2)]])
-        got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay)
+        k = (z * 2.0**53).astype(np.int64)
+        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay)
         assert np.array_equal(got, advance_oracle(bins, z, cum))
-        assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+        assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
         assert stencil.real[bins, np.argmax(stencil.rows[bins] == got[:, np.newaxis], axis=1)].all()
 
 
@@ -71,14 +72,14 @@ def test_advance_agents_builds_no_agents_by_slots_temporary():
     assert stencil.rows.shape == (900, 25)
     values = _random_stencil_values(rng, stencil, zero_prob=0.0)
     bins = rng.integers(0, stencil.m, size=10**6)
-    z = rng.random(10**6)
+    k = (rng.random(10**6) * 2.0**53).astype(np.int64)
     # The same bound holds for the path through a prebuilt guide, built
     # before tracing as a run builds it at set-up.
     guide = _kernels.build_guide(values, stencil.rows)
     for prebuilt in (None, guide):
         tracemalloc.start()
         try:
-            _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
+            _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=prebuilt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -102,12 +103,12 @@ def test_guide_table_hand_case():
     assert guide.table[3].tolist() == [0] * 16 + [-1] + [1] * 47
     cells = np.arange(64)
     bins = np.repeat(np.arange(4), 2 * 64)
-    z = np.tile(np.concatenate([cells / 64, (cells + 1) / 64 - 2.0**-53]), 4)
-    expected = advance_by_bin_oracle(bins, z, values, rows)
+    k = np.tile(np.concatenate([cells << 47, ((cells + 1) << 47) - 1]), 4)
+    expected = advance_by_bin_oracle(bins, k, values, rows)
     # The guide path never reads the stay slots; bin 3's row does not list
     # bin 3, so it is given slot 0.
     stay = np.array([0, 1, 2, 0])
-    assert np.array_equal(_kernels.advance_agents(bins, z, values, rows, stay, guide=guide), expected)
+    assert np.array_equal(_kernels.advance_agents(bins, k, values, rows, stay, guide=guide), expected)
     # The first and last draws of each cell land on its table entry; those
     # of the cells left to the search land on either side of the boundary.
     for ends in expected.reshape(4, 2, 64).transpose(1, 0, 2):
@@ -129,10 +130,10 @@ def test_placement_guide_at_max_bins_fits_in_8_mb():
     assert guide.table.nbytes <= peak <= 8 * 2**20
     # More draws than one block of ``place``, so that blocks meet.
     rng = np.random.default_rng(27)
-    z = np.floor(rng.random(3 * _kernels._PLACE_BLOCK + 5) * 2.0**53) * 2.0**-53
+    k = np.floor(rng.random(3 * _kernels._PLACE_BLOCK + 5) * 2.0**53).astype(np.int64)
     cum = np.cumsum(density)
-    expected = np.minimum(np.searchsorted(cum, z, side="right"), (cum < cum[-1]).sum())
-    assert np.array_equal(_kernels.place(z, guide), expected)
+    expected = np.minimum(np.searchsorted(cum, k * 2.0**-53, side="right"), (cum < cum[-1]).sum())
+    assert np.array_equal(_kernels.place(k, guide), expected)
 
 
 def test_advance_clamps_to_last_bin():
@@ -140,8 +141,8 @@ def test_advance_clamps_to_last_bin():
     values = np.array([[0.5, 0.5 - 1e-12]])
     rows = np.array([[0, 1]])
     bins = np.zeros(4, dtype=np.int64)
-    z = np.array([0.0, 0.49, 0.6, 1.0 - 1e-13])
-    got = _kernels.advance_agents(bins, z, values, rows, np.array([0]))
+    k = (np.array([0.0, 0.49, 0.6, 1.0 - 1e-13]) * 2.0**53).astype(np.int64)
+    got = _kernels.advance_agents(bins, k, values, rows, np.array([0]))
     assert got.tolist() == [0, 0, 1, 1]
 
 
@@ -156,10 +157,10 @@ def test_advance_round_off_stays_on_the_column_support():
     cum = np.cumsum(mat, axis=0)
     assert cum[-1, 0] < 1.0
     bins = np.zeros(3, dtype=np.int64)
-    z = np.array([0.5, 0.99, 1.0 - 2.0**-53])
-    got = _kernels.advance_agents(bins, z, *dense_layout(mat))
+    k = (np.array([0.5, 0.99, 1.0 - 2.0**-53]) * 2.0**53).astype(np.int64)
+    got = _kernels.advance_agents(bins, k, *dense_layout(mat))
     assert got.tolist() == [1, 2, 2]
-    assert np.array_equal(got, advance_oracle(bins, z, cum))
+    assert np.array_equal(got, advance_oracle(bins, k * 2.0**-53, cum))
 
     # The same column on a 2x3 grid, where corner bin 0 has one padded slot.
     stencil = build_grid_topology(2, 3, 1)
@@ -168,9 +169,9 @@ def test_advance_round_off_stays_on_the_column_support():
     values[np.arange(6), np.argmax(stencil.rows == np.arange(6)[:, np.newaxis], axis=1)] = 1.0
     values[0] = [*col[:3], 0.0]
     assert np.cumsum(values[0])[-1] == cum[-1, 0]
-    got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay)
+    got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay)
     assert got.tolist() == [1, 3, 3]
-    assert np.array_equal(got, advance_oracle(bins, z, np.cumsum(stencil.densify(values), axis=0)))
+    assert np.array_equal(got, advance_oracle(bins, k * 2.0**-53, np.cumsum(stencil.densify(values), axis=0)))
 
 
 def test_synth_zero_density_bins_keep_identity_columns():

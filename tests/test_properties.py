@@ -12,7 +12,9 @@ placement, with the mover search also cut into small blocks; the same
 columns with subnormals and signed zeros, for the slot-order column sum
 and the sampler's cumulative table; columns whose total rounds above 1
 after an earlier entry reached 1.0, or below 1 with the self slot last,
-for the table rule under both samplers and placement; sequences of
+for the table rule under both samplers and placement; integer draws on
+both sides of every cumulative bound, for both samplers and placement
+against float comparisons; sequences of
 recurrent rows written into the transient columns, for the sampler tables
 a run keeps across steps; densities with empty bins, for the density
 step; deterministic runs, replayed one dense product at a time; and
@@ -22,6 +24,9 @@ and NumPy values.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,12 +349,12 @@ def test_column_sums_equal_the_cumulative_sum_byte_for_byte(case, seed):
     values = np.select([kind == 1, kind == 2], [tiny, np.copysign(0.0, tiny)], values)
     assert _kernels.column_sums(values).tobytes() == np.cumsum(values, axis=1)[:, -1].tobytes()
     # So does the sampler's cumulative table, for a stencil and for one long
-    # column, as placement builds it, but for the table rule: every entry at
-    # or above min(total, 1) reads 1.0.
+    # column, as placement builds it, but for the table rule (every entry at
+    # or above min(total, 1) reads 1.0), held as the bounds ceil(c 2^53).
     for columns in (values, values[:1]):
         cum = np.cumsum(columns, axis=1)
         cum[cum >= np.minimum(cum[:, -1:], 1.0)] = 1.0
-        assert _kernels.sampler_tables(columns).cum[1:].T.tobytes() == cum.tobytes()
+        assert _kernels.sampler_tables(columns).cum[1:].T.tobytes() == _bounds(cum).tobytes()
 
 
 @st.composite
@@ -428,20 +433,28 @@ def test_density_step_equals_the_all_rows_bincount(case):
     assert propagate_density(x, values, stencil).tobytes() == whole.tobytes()
 
 
+def _bounds(cum):
+    # The integer draw bounds ceil(c 2^53) of float cumulative entries c.
+    return np.ceil(cum * 2.0**53).astype(np.int64)
+
+
 def _edge_draws(rng, stencil, values, bins):
-    # Per agent, a uniform draw or an edge of one of its bin's two stay
-    # windows: that of the first slot listing the bin itself, which may be a
-    # padded slot with an empty window, and that of the real self slot.
-    cum = np.cumsum(values, axis=1)
+    # Per agent, an integer draw in [0, 2^53): uniform, or an edge of one of
+    # its bin's two stay windows, the first draw at or above a window end or
+    # the draw below it.  The windows are that of the first slot listing the
+    # bin itself, which may be a padded slot with an empty window, and that
+    # of the real self slot.
+    bound = np.ceil(np.cumsum(values, axis=1) * 2.0**53)
     first = np.argmax(stencil.rows == np.arange(stencil.m)[:, np.newaxis], axis=1)
     edges = []
     for slot in (first[bins], stencil.stay[bins]):
-        hi = cum[bins, slot]
-        lo = np.where(slot > 0, cum[bins, slot - 1], 0.0)
-        edges += [lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0)]
-    options = np.stack([rng.random(bins.size), *edges, np.zeros(bins.size), np.full(bins.size, 1.0 - 2.0**-53)])
+        hi = bound[bins, slot]
+        lo = np.where(slot > 0, bound[bins, slot - 1], 0.0)
+        edges += [lo, lo - 1.0, hi, hi - 1.0]
+    top = 2.0**53 - 1.0
+    options = np.stack([np.floor(rng.random(bins.size) * 2.0**53), *edges, np.zeros(bins.size), np.full(bins.size, top)])
     pick = rng.integers(0, options.shape[0], size=bins.size)
-    return np.minimum(options[pick, np.arange(bins.size)], 1.0 - 2.0**-53)
+    return np.clip(options[pick, np.arange(bins.size)], 0.0, top).astype(np.int64)
 
 
 @SETTINGS
@@ -450,18 +463,18 @@ def test_sampler_equals_the_per_bin_oracle_and_stays_on_the_stencil(case, agents
     stencil, values = case
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
-    z = _edge_draws(rng, stencil, values, bins)
+    k = _edge_draws(rng, stencil, values, bins)
     # Unguided tables built for the call, or kept by the caller.
     for kept in (None, _kernels.sampler_tables(values)):
-        got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=kept)
-        assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=kept)
+        assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
         # No move leaves the stencil: every agent lands on a real slot of its bin.
         assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
 
 
 def _guide_draws(rng, values, bins):
-    # Per agent, a draw on the 2^-53 grid, as the move stream makes them:
-    # uniform, 0, the largest below 1, a cell edge c/64 or the draw below
+    # Per agent, an integer draw in [0, 2^53), as the move stream makes
+    # them: uniform, 0, the largest, a cell edge c 2^47 or the draw below
     # it, or the first draw at or above one of its bin's cumulative
     # boundaries or the draw below that.
     top = 2.0**53 - 1.0
@@ -472,7 +485,7 @@ def _guide_draws(rng, values, bins):
         edge, edge - 1.0, boundary, boundary - 1.0,
     ])
     pick = rng.integers(0, options.shape[0], size=bins.size)
-    return np.clip(options[pick, np.arange(bins.size)], 0.0, top) * 2.0**-53
+    return np.clip(options[pick, np.arange(bins.size)], 0.0, top).astype(np.int64)
 
 
 @SETTINGS
@@ -482,14 +495,14 @@ def test_guided_sampler_equals_the_per_bin_oracle(case, agents, seed):
     rng = np.random.default_rng(seed)
     guide = _kernels.build_guide(values, stencil.rows)
     bins = rng.integers(0, stencil.m, size=agents)
-    z = _guide_draws(rng, values, bins)
-    got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=guide)
-    assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+    k = _guide_draws(rng, values, bins)
+    got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=guide)
+    assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
     # Every settled cell holds the oracle's answer at its first and last
     # draws; that answer never decreases as the draw grows, so it holds at
     # every draw in between.
     cell_bins, cells = np.nonzero(guide.table >= 0)
-    for end in (cells * 2.0**-6, (cells + 1) * 2.0**-6 - 2.0**-53):
+    for end in (cells << 47, ((cells + 1) << 47) - 1):
         assert np.array_equal(guide.table[cell_bins, cells], advance_by_bin_oracle(cell_bins, end, values, stencil.rows))
 
 
@@ -505,9 +518,9 @@ def test_samplers_equal_the_per_bin_oracle_across_search_blocks(case, agents, bl
     cases = ((edges, None), (edges, kept), (_guide_draws(rng, values, bins), _kernels.build_guide(values, stencil.rows)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "_SEARCH_BLOCK", block)
-        for z, prebuilt in cases:
-            got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
-            assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+        for k, prebuilt in cases:
+            got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=prebuilt)
+            assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
 
 
 @st.composite
@@ -548,8 +561,8 @@ def test_placement_guide_equals_the_clamped_searchsorted(weights, agents, seed):
         np.floor(rng.random(agents) * 2.0**53), np.zeros(agents), np.full(agents, top),
         edge, edge - 1.0, boundary, boundary - 1.0,
     ])
-    z = np.clip(options[rng.integers(0, options.shape[0], agents), np.arange(agents)], 0.0, top) * 2.0**-53
-    assert np.array_equal(_kernels.place(z, guide), oracle(z))
+    k = np.clip(options[rng.integers(0, options.shape[0], agents), np.arange(agents)], 0.0, top).astype(np.int64)
+    assert np.array_equal(_kernels.place(k, guide), oracle(k * 2.0**-53))
     # Every settled cell holds the oracle's answer at its first and last
     # draws, and so at every draw in between.
     settled = np.nonzero(guide.table[0] >= 0)[0]
@@ -604,22 +617,49 @@ def test_table_rule_columns_sample_as_the_clamped_oracles(case, agents, seed):
     cum = np.cumsum(values, axis=1)
     cum[cum >= np.minimum(cum[:, -1:], 1.0)] = 1.0
     tables = _kernels.sampler_tables(values)
-    assert tables.cum[1:].T.tobytes() == cum.tobytes() and (tables.cum[-1] == 1.0).all()
+    assert tables.cum[1:].T.tobytes() == _bounds(cum).tobytes() and (tables.cum[-1] == 2**53).all()
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
     edges, gridded = _edge_draws(rng, stencil, values, bins), _guide_draws(rng, values, bins)
-    for z, prebuilt in ((edges, None), (edges, tables), (gridded, _kernels.build_guide(values, stencil.rows))):
-        got = _kernels.advance_agents(bins, z, values, stencil.rows, stencil.stay, guide=prebuilt)
-        assert np.array_equal(got, advance_by_bin_oracle(bins, z, values, stencil.rows))
+    for k, prebuilt in ((edges, None), (edges, tables), (gridded, _kernels.build_guide(values, stencil.rows))):
+        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=prebuilt)
+        assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
     # Each column, spread over all m bins, as a placement density.
     for j in range(stencil.m):
         density = np.zeros(stencil.m)
         np.add.at(density, stencil.rows[j], values[j])
         guide = _kernels.placement_guide(density)
-        assert np.array_equal(_kernels.place(gridded, guide), placement_oracle(density, gridded))
-        cell_edges = np.arange(guide.table.shape[1] + 1) / guide.table.shape[1]
-        z = np.clip(np.concatenate([cell_edges, cell_edges - 2.0**-53]), 0.0, 1.0 - 2.0**-53)
-        assert np.array_equal(_kernels.place(z, guide), placement_oracle(density, z))
+        assert np.array_equal(_kernels.place(gridded, guide), placement_oracle(density, gridded * 2.0**-53))
+        cell_edges = np.arange(guide.table.shape[1] + 1) * (2**53 // guide.table.shape[1])
+        k = np.clip(np.concatenate([cell_edges, cell_edges - 1]), 0, 2**53 - 1)
+        assert np.array_equal(_kernels.place(k, guide), placement_oracle(density, k * 2.0**-53))
+
+
+@SETTINGS
+@given(st.one_of(sampler_cases(), table_rule_cases()))
+def test_integer_bounds_sample_as_float_draws_on_both_sides_of_every_bound(case):
+    # K, the least draw k with k 2^-53 >= c, found in exact rational
+    # arithmetic for every table-rule cumulative entry c, is the sampler's
+    # bound.  At the draws K - 1 and K of every bound of every column, the
+    # stay-first and guided samplers and placement land where the float
+    # comparisons c <= z do at z = k 2^-53.
+    stencil, values = case
+    cum = np.cumsum(values, axis=1)
+    cum[cum >= np.minimum(cum[:, -1:], 1.0)] = 1.0
+    bound = np.array([[math.ceil(Fraction(c) * 2**53) for c in col] for col in cum.tolist()])
+    assert np.array_equal(_kernels.sampler_tables(values).cum[1:].T, bound)
+    m, w = values.shape
+    bins = np.repeat(np.arange(m), 2 * w)
+    k = np.clip(np.stack([bound - 1, bound], axis=-1).ravel(), 0, 2**53 - 1)
+    passed = (cum[bins] <= (k * 2.0**-53)[:, np.newaxis]).sum(axis=1)
+    expected = stencil.rows[bins, passed]
+    for tables in (None, _kernels.sampler_tables(values), _kernels.build_guide(values, stencil.rows)):
+        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=tables)
+        assert np.array_equal(got, expected)
+    # Each column as a placement density over its w slots.
+    for j in range(m):
+        here = bins == j
+        assert np.array_equal(_kernels.place(k[here], _kernels.placement_guide(values[j])), passed[here])
 
 
 def _grids(rows, cols):

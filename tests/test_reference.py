@@ -4,13 +4,16 @@ built from the oracles, on random scenarios.
 Hypothesis draws grids up to 6x6 at hop 1-3, target maps with a connected
 support and zero bins around it, optional initial maps, 0-3 removal events
 (step 0 and the last step among their steps), 1-300 agents and 1-40 steps,
-in each algorithm x mode pair.  The pieces have property tests of their
+in each algorithm x mode pair, and one scenario with a removal at every
+step, which cuts every draw block to one round.  The pieces have property tests of their
 own; this checks how a run joins them: the draw blocks and their cut at
 event steps, the sampler tables kept across steps, the transient columns
 in the values buffer, and events after the step's move.  Runs are
 derandomized, so the suite sees the same examples every time.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +59,13 @@ def runs(draw, algorithm: str, mode: str):
     )
 
 
+# A removal at every step, step 0 and the last included, two at step 6.
+EVERY_STEP = Scenario(
+    3, 4, 1, 400, 12, "dsmc", 29, "monte-carlo", ((0, 1, 2, 0), (1, 3, 5, 0), (0, 0, 2, 0)),
+    events=tuple(Event(step=k, fraction=0.05 + 0.01 * (k % 3)) for k in range(13)) + (Event(step=6, fraction=0.1),),
+)
+
+
 def _check_monte_carlo(scenario):
     metrics, snapshots = run_scenario(scenario, snapshot_steps=(scenario.steps,))
     reference, _, final = reference_run(scenario)
@@ -79,6 +89,7 @@ def test_runs_equal_the_dense_reference_run(algorithm, mode):
     # densities agree within 1e-15 and its TV within 1e-12.
     check = _check_monte_carlo if mode == "monte-carlo" else _check_deterministic
     SETTINGS(given(runs(algorithm, mode))(check))()
+    check(replace(EVERY_STEP, algorithm=algorithm, mode=mode))
 
 
 @SETTINGS

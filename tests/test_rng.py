@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,9 +46,11 @@ def test_streams_steps_and_seeds_are_separated():
 
 def test_unit_interval_and_rough_uniformity():
     ids = np.arange(200_000, dtype=np.uint64)
-    z = uniform_stream(123, MOVE_STREAM, 5, ids)
-    assert z.min() >= 0.0
-    assert z.max() < 1.0
+    k = uniform_stream(123, MOVE_STREAM, 5, ids)
+    assert k.dtype == np.int64
+    assert k.min() >= 0
+    assert k.max() < 2**53
+    z = k * 2.0**-53
     # Four-sigma bands for the mean and variance of 200k uniforms.
     assert abs(z.mean() - 0.5) < 4.0 / np.sqrt(12.0 * z.size)
     assert abs(z.var() - 1.0 / 12.0) < 0.002
@@ -84,11 +87,24 @@ def test_round_key_distinguishes_arguments():
 def test_scalar_and_vector_hash_agree():
     # The vectorized finalizer must match the scalar one bit for bit.
     ids = np.array([0, 1, 2, 77, 2**40], dtype=np.uint64)
-    z = uniform_stream(7, MOVE_STREAM, 13, ids)
+    k = uniform_stream(7, MOVE_STREAM, 13, ids)
     key = round_key(7, MOVE_STREAM, 13)
     for pos, agent in enumerate(ids.tolist()):
         h = mix64(((agent * 0x9E3779B97F4A7C15) & (2**64 - 1)) ^ key)
-        assert z[pos] == (h >> 11) * 2.0**-53
+        assert k[pos] == h >> 11
+
+
+@pytest.mark.parametrize("seed, stream, step, agent, expected", [
+    (0, PLACEMENT_STREAM, 0, 0, 891656350581802),
+    (7, MOVE_STREAM, 13, 77, 4751662621866341),
+    (42, REMOVAL_STREAM, 250, 2**40, 3061270925937271),
+    (2**64 - 1, MOVE_STREAM, 10**6, 12345, 4772727529560778),
+    (3, PLACEMENT_STREAM, 0, 4999, 816901784605846),
+])
+def test_draws_are_the_hash_bits_of_the_float_draws(seed, stream, step, agent, expected):
+    # Each draw is the integer k the earlier float draws z held as k 2^-53,
+    # recorded as int(z * 2**53) when draws were still floats.
+    assert uniform_stream(seed, stream, step, np.array([agent], dtype=np.uint64)).tolist() == [expected]
 
 
 def test_draws_leave_the_ids_untouched():
@@ -100,9 +116,8 @@ def test_draws_leave_the_ids_untouched():
 
 
 def test_draws_hold_two_agents_sized_arrays_at_most():
-    # Besides the caller's ids, the hash buffer and the float result: 16 MB
-    # for 10^6 ids under tracemalloc.  With the shift scratch buffer still
-    # alive during the float conversion the peak was 24 MB.
+    # Besides the caller's ids, the hash buffer, which becomes the result,
+    # and the shift scratch: 16 MB for 10^6 ids under tracemalloc.
     ids = np.arange(10**6, dtype=np.uint64)
     tracemalloc.start()
     try:
@@ -114,7 +129,7 @@ def test_draws_hold_two_agents_sized_arrays_at_most():
 
 
 def test_a_block_holds_two_block_sized_arrays_at_most():
-    # A block of K rounds: the hash buffer and the float result, K x ids
+    # A block of K rounds: the hash buffer and the shift scratch, K x ids
     # each.  The Weyl base of the ids is formed in the block's first row,
     # not in an array of its own.
     ids = np.arange(10**6, dtype=np.uint64)
@@ -147,11 +162,11 @@ def test_every_row_of_a_block_is_the_one_step_call(seed, stream, first, rounds, 
     elif pick == "empty":
         ids = ids[:0]
     block = uniform_stream(seed, stream, range(first, first + rounds), ids)
-    assert block.shape == (rounds, ids.size) and block.dtype == np.float64
+    assert block.shape == (rounds, ids.size) and block.dtype == np.int64
     for i in range(rounds):
         assert block[i].tobytes() == uniform_stream(seed, stream, first + i, ids).tobytes()
         # And the scalar hash of the round's key, for the first few ids.
         key = round_key(seed, stream, first + i)
         for pos, agent in enumerate(ids[:4].tolist()):
             h = mix64(((agent * 0x9E3779B97F4A7C15) & (2**64 - 1)) ^ key)
-            assert block[i, pos] == (h >> 11) * 2.0**-53
+            assert block[i, pos] == h >> 11

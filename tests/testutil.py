@@ -153,12 +153,14 @@ def advance_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarr
 
 
 def advance_by_bin_oracle(
-    bins: np.ndarray, z: np.ndarray, values: np.ndarray, rows: np.ndarray, stay=None, guide=None
+    bins: np.ndarray, k: np.ndarray, values: np.ndarray, rows: np.ndarray, stay=None, guide=None
 ) -> np.ndarray:
     """Agent moves from stencil values by one binary search per occupied bin
-    over that bin's dense cumulative column, with the same round-off rule as
-    ``advance_oracle``; a drop-in for ``_kernels.advance_agents``, whose
-    stay slots and prebuilt ``guide`` it ignores."""
+    over that bin's dense float cumulative column, at the float draws
+    z = k 2^-53, with the same round-off rule as ``advance_oracle``; a
+    drop-in for ``_kernels.advance_agents``, integer draws k in [0, 2^53)
+    included, whose stay slots and prebuilt ``guide`` it ignores."""
+    z = k * 2.0**-53
     m = values.shape[0]
     out = np.empty_like(bins)
     for j in np.unique(bins):
@@ -487,16 +489,16 @@ def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
     x = scenario.initial_density()
     if monte_carlo:
         ids = np.arange(population, dtype=np.uint64)
-        z = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
-        swarm = SwarmState(assignments=placement_oracle(x, z), agent_ids=ids, seed=scenario.seed)
+        draws = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
+        swarm = SwarmState(assignments=placement_oracle(x, draws * 2.0**-53), agent_ids=ids, seed=scenario.seed)
     metrics, densities, transitions = MetricsSeries(), [], 0.0
     for k in range(scenario.steps + 1):
         if k > 0:
             step = matrix(x)
             if monte_carlo:
-                z = uniform_stream(scenario.seed, MOVE_STREAM, k - 1, swarm.agent_ids)
+                draws = uniform_stream(scenario.seed, MOVE_STREAM, k - 1, swarm.agent_ids)
                 values, rows, _ = dense_layout(step)
-                moved = advance_by_bin_oracle(swarm.assignments, z, values, rows)
+                moved = advance_by_bin_oracle(swarm.assignments, draws, values, rows)
                 transitions = np.count_nonzero(moved != swarm.assignments)
                 swarm = SwarmState(assignments=moved, agent_ids=swarm.agent_ids, seed=scenario.seed)
             else:
@@ -506,8 +508,8 @@ def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
             if ev.step != k:
                 continue
             if monte_carlo:
-                z = uniform_stream(scenario.seed, REMOVAL_STREAM, k, swarm.agent_ids)
-                swarm = stable_removal_oracle(swarm, ev, z)
+                draws = uniform_stream(scenario.seed, REMOVAL_STREAM, k, swarm.agent_ids)
+                swarm = stable_removal_oracle(swarm, ev, draws)
             else:
                 population -= math.floor(ev.fraction * population)
         if monte_carlo:
