@@ -5,93 +5,26 @@ The package builds, from a bin topology and a desired density alone, a
 per-step transition matrix that every agent can evaluate locally; simulates
 swarms of independent agents under it; and verifies convergence with
 eigenvalue certificates.
+
+Each module's ``__all__`` declares its public names; the package exports
+their union.
 """
-from .analysis import (
-    SpectralReport,
-    contraction_certificate,
-    convergence_rate_bounds,
-    linear_error_update,
-)
-from .density import (
-    check_density,
-    empirical_density,
-    total_variation,
-)
-from .engine import (
-    Event,
-    MetricsSeries,
-    Scenario,
-    Snapshot,
-    StepRecord,
-    SwarmState,
-    apply_event,
-    initial_swarm,
-    iter_run,
-    propagate_density,
-    run_scenario,
-    step_agents,
-)
-from .graph import (
-    Partition,
-    Topology,
-    build_grid_topology,
-    laplacian_of,
-    make_topology,
-    partition_states,
-)
-from .synthesis import (
-    ValidationReport,
-    assemble,
-    choose_d_chsn,
-    dsmc_column,
-    dsmc_recurrent,
-    metropolis_hastings,
-    mh_recurrent,
-    transient_matrix,
-    validate_markov,
-)
-from .cli import ScenarioFormatError, load_scenario, parse_scenario, render_scenario
+from . import analysis, cli, density, engine, graph, synthesis
+from .analysis import *
+from .density import *
+from .engine import *
+from .graph import *
+from .synthesis import *
+from .cli import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "SpectralReport",
-    "contraction_certificate",
-    "convergence_rate_bounds",
-    "linear_error_update",
-    "check_density",
-    "empirical_density",
-    "total_variation",
-    "Event",
-    "MetricsSeries",
-    "Scenario",
-    "Snapshot",
-    "StepRecord",
-    "SwarmState",
-    "apply_event",
-    "initial_swarm",
-    "iter_run",
-    "propagate_density",
-    "run_scenario",
-    "step_agents",
-    "Partition",
-    "Topology",
-    "build_grid_topology",
-    "laplacian_of",
-    "make_topology",
-    "partition_states",
-    "ValidationReport",
-    "assemble",
-    "choose_d_chsn",
-    "dsmc_column",
-    "dsmc_recurrent",
-    "metropolis_hastings",
-    "mh_recurrent",
-    "transient_matrix",
-    "validate_markov",
-    "ScenarioFormatError",
-    "load_scenario",
-    "parse_scenario",
-    "render_scenario",
+    *analysis.__all__,
+    *density.__all__,
+    *engine.__all__,
+    *graph.__all__,
+    *synthesis.__all__,
+    *cli.__all__,
 ]

@@ -76,10 +76,6 @@ from .graph import build_grid_topology, make_topology
 from .synthesis import choose_d_chsn
 
 __all__ = [
-    "MAX_AGENTS",
-    "MAX_BINS",
-    "MAX_STENCIL_SLOTS",
-    "MAX_STEPS",
     "MAX_VERIFY_BINS",
     "ScenarioFormatError",
     "parse_scenario",
@@ -145,7 +141,8 @@ def parse_scenario(text: str) -> Scenario:
     values: dict[str, int | str] = {}
     events: list[tuple[int, Event]] = []  # (line, event)
     grids: dict[str, tuple] = {}
-    numbered = enumerate(text.split("\n"), 1)
+    # Line ends read as a text-mode file reads them: \r\n and a lone \r are \n.
+    numbered = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
     for lineno, raw in numbered:
         stripped = raw.strip()
         if not stripped:

@@ -11,7 +11,7 @@ __all__ = [
     "empirical_density",
 ]
 
-# Absolute slack allowed between a density's sum and 1.
+# Absolute slack allowed between 1 and the sum of a density or of a matrix column.
 SUM_TOL = 1e-9
 
 

@@ -274,11 +274,13 @@ class Scenario:
             object.__setattr__(self, name, tuple(map(tuple, w.tolist())))
         if isinstance(self.events, Event):
             raise ValueError(f"events must be a sequence of Event instances, got {self.events!r}")
-        for ev in self.events:
+        # Read once: an iterator given as events is used up by the first pass.
+        events = tuple(self.events)
+        for ev in events:
             if not isinstance(ev, Event):
                 raise ValueError(f"events must be Event instances, got {ev!r}")
             ev.require_within(self.steps)
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda ev: ev.step)))
+        object.__setattr__(self, "events", tuple(sorted(events, key=lambda ev: ev.step)))
 
     def desired_density(self) -> np.ndarray:
         return _normalised(self.weights)

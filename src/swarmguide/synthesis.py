@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .density import SUM_TOL
 from .graph import Partition, Topology, partition_states
 
 __all__ = [
-    "COLUMN_SUM_TOL",
     "ValidationReport",
     "choose_d_chsn",
     "dsmc_recurrent",
@@ -48,9 +48,6 @@ __all__ = [
     "mh_recurrent",
     "validate_markov",
 ]
-
-# Absolute slack allowed between a column sum and 1.
-COLUMN_SUM_TOL = 1e-9
 
 
 def choose_d_chsn(stencil: Topology) -> float:
@@ -275,7 +272,7 @@ class ValidationReport:
 
     def ok(self) -> bool:
         return (
-            self.max_column_sum_deviation <= COLUMN_SUM_TOL
+            self.max_column_sum_deviation <= SUM_TOL
             and self.min_entry >= 0.0
             and not self.mask_violations
         )

@@ -108,6 +108,17 @@ STAND_IN = (
 )
 
 
+# The stand-in parent's source: 3 + 2 lines in ``src/swarmguide/*.py``,
+# beside files ``wc -l src/swarmguide/*.py`` does not count.  The stand-in
+# change has no source.
+PARENT_SOURCE = {
+    "src/swarmguide/a.py": "x = 1\ny = 2\nz = 3\n",
+    "src/swarmguide/b.py": "def f():\n    return 1\n",
+    "src/swarmguide/notes.txt": "not\ncounted\n",
+    "src/swarmguide/sub/c.py": "not counted\n",
+}
+
+
 def _stand_in_trees(tmp_path, parent_metrics, change_metrics):
     spec = {
         "command": [sys.executable, "-c", STAND_IN],
@@ -123,6 +134,9 @@ def _stand_in_trees(tmp_path, parent_metrics, change_metrics):
         tree.mkdir()
         (tree / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
         (tree / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
+        for name, text in (PARENT_SOURCE if side == "parent" else {}).items():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(text, encoding="utf-8")
         trees.append(str(tree))
     return trees
 
@@ -133,7 +147,9 @@ def test_main_exits_1_and_names_each_worse_metric(tmp_path, monkeypatch, capsys)
     assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["worse: small run_s", "worse: large run_s"]
-    summary = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["summary"]
+    record = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert record["src_lines"] == {"parent": 5, "change": 0}
+    summary = record["summary"]
     assert summary["small"]["metrics"]["final_tv"]["verdict"] == "not worse"
     assert summary["large"]["metrics"]["run_s"]["verdict"] == "worse"
 
@@ -143,3 +159,4 @@ def test_main_exits_0_when_no_run_is_bad_and_no_verdict_worse(tmp_path, monkeypa
     trees = _stand_in_trees(tmp_path, {"run_s": 1.0, "final_tv": 0.1}, {"run_s": 0.9, "final_tv": 0.1})
     assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 0
     assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["src_lines"] == {"parent": 5, "change": 0}

@@ -36,15 +36,29 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
 
 
+def test_each_public_name_is_declared_once():
+    # A name is listed only by the module that defines it, and the package
+    # exports the union of its modules' lists.
+    modules = [m for m in _modules() if m is not swarmguide and hasattr(m, "__all__")]
+    declared = [name for m in modules for name in m.__all__]
+    assert len(declared) == len(set(declared)), sorted({n for n in declared if declared.count(n) > 1})
+    assert sorted(swarmguide.__all__) == sorted(["__version__", *declared])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(swarmguide, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_removed_wrappers_stay_gone():
     # The stencil (``Topology``) and a float ``d_chsn`` replaced the first
     # three; an exact symmetry check on the stencil replaced the next two;
     # ``Scenario`` normalises its own validated grids, replacing
     # ``from_weight_map``; ``partition_states`` decides connectivity; one
-    # sampler table type, ``_kernels.Tables``, replaced the last three.
+    # sampler table type, ``_kernels.Tables``, replaced the next three; a
+    # column is a density, so ``density.SUM_TOL`` bounds its sum.
     names = (
         "LaplacianView", "SynthesisParams", "error_vector", "symmetric_eigenvalues", "SYMMETRY_TOL",
         "from_weight_map", "is_strongly_connected", "StayTables", "stay_tables", "Guide",
+        "COLUMN_SUM_TOL",
     )
     for module in _modules():
         for name in names:

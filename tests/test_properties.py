@@ -26,6 +26,7 @@ Runs are derandomized, so the suite sees the same examples every time.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -704,7 +705,10 @@ def scenarios(draw):
 @SETTINGS
 @given(scenarios())
 def test_scenario_text_round_trips(scenario):
-    assert parse_scenario(render_scenario(scenario)) == scenario
+    text = render_scenario(scenario)
+    # Any line end parses as load_scenario reads a file: \n, \r\n or \r.
+    for end in ("\n", "\r\n", "\r"):
+        assert parse_scenario(text.replace("\n", end)) == scenario
 
 
 # The forms a library caller may give a weight grid in, each from the grid
@@ -736,6 +740,8 @@ def test_scenario_stores_one_form_whatever_form_it_is_given(scenario, form):
     assert built == scenario
     assert hash(built) == hash(scenario)
     assert parse_scenario(render_scenario(built)) == built
+    # Events given as an iterator are read once, not used up by validation.
+    assert replace(built, events=iter(scenario.events)) == scenario
     assert all(type(getattr(built, name)) is int for name in integers)
     assert type(built.events) is tuple
     assert all(type(ev.step) is int for ev in built.events)

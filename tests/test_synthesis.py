@@ -15,7 +15,8 @@ from swarmguide import (
     transient_matrix,
     validate_markov,
 )
-from swarmguide.synthesis import COLUMN_SUM_TOL, _block_order
+from swarmguide.density import SUM_TOL
+from swarmguide.synthesis import _block_order
 
 from testutil import (
     adjacency_of,
@@ -418,6 +419,6 @@ def test_validate_markov_audits_stencil_values_like_their_dense_matrix():
 
 def test_validate_markov_tolerance_is_column_sum_tol():
     topo = build_grid_topology(1, 2, 1)
-    for excess, ok in ((0.5 * COLUMN_SUM_TOL, True), (2.0 * COLUMN_SUM_TOL, False)):
+    for excess, ok in ((0.5 * SUM_TOL, True), (2.0 * SUM_TOL, False)):
         mat = np.array([[0.5, 0.5], [0.5 + excess, 0.5]])
         assert validate_markov(topo.sparsify(mat), topo).ok() == ok

@@ -20,7 +20,8 @@ pairs (a tie counts for neither side), and a verdict from that metric's
 exits non-zero, prints no result or reports ``correct: false`` is listed
 under ``bad_runs``.  The script exits 1 when any run is bad or any verdict
 is ``worse``, and names each worse workload and metric on stderr.  It
-imports nothing from ``perfbench/``.
+also records each tree's source size, ``src_lines`` (see ``src_lines``).
+It imports nothing from ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -99,6 +100,12 @@ def summarize(parent: list[float], change: list[float], bound: float, better: st
     }
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in ``tree``'s ``src/swarmguide/*.py``, as ``wc -l`` counts
+    them; 0 where the tree has no such file."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "swarmguide").glob("*.py"))
+
+
 def run_once(command: list[str], directory: Path, workload: str) -> dict:
     """One benchmark process in ``directory``; its exit code and JSON result."""
     proc = subprocess.run([*command, "--workload", workload], cwd=directory, capture_output=True, text=True)
@@ -161,6 +168,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "method": "one process at a time, alternating which side runs first (even pairs: parent first)",
         "machine": f"{platform.machine()}, Python {platform.python_version()}",
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "summary": summary,
         "bad_runs": bad,
         "runs": runs,
