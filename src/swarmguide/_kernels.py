@@ -29,7 +29,7 @@ c exactly when K <= k.  A bound of 1.0 is 2^53, above every draw, so no
 draw passes a column's last positive slot and no search needs a round-off
 clamp.  A column's bounds depend on that column alone, so a caller whose
 matrix changes in a few columns a step keeps its ``sampler_tables`` and
-assigns those columns of a fresh ``cum``.
+assigns those columns of a fresh ``cum``; the samplers build no tables.
 
 Unguided, ``advance_agents`` samples in two passes, because feedback
 synthesis leaves most agents where they are.  First the stay test: with s
@@ -187,8 +187,7 @@ def place(k: np.ndarray, guide: Tables) -> np.ndarray:
 
 
 def advance_agents(
-    bins: np.ndarray, k: np.ndarray, values: np.ndarray, rows: np.ndarray,
-    stay: np.ndarray, guide: Tables | None = None,
+    bins: np.ndarray, k: np.ndarray, values: np.ndarray, rows: np.ndarray, stay: np.ndarray, tables: Tables,
 ) -> np.ndarray:
     """Move each agent through the matrix column of its current bin.
 
@@ -201,16 +200,14 @@ def advance_agents(
     ``Tables`` ends each column at 1.0 from its last positive entry on, so
     round-off never takes an agent off the column's support.
 
-    ``guide``, when given, is ``sampler_tables(values)``, kept by a caller
-    whose matrix changes in a few columns a step, or ``build_guide(values,
-    rows)``; without it the tables are built for this call.  Unguided, the
-    agents whose draw falls in the window of their bin's ``stay`` slot, the
-    real slot listing the bin itself (``Topology.stay``), are settled first,
-    the window read from the bounds.  Only the others search their column,
-    in blocks.  Guided, one lookup settles every agent outside the -1
-    cells, and only those search.
+    ``tables`` are the sampler tables of ``values``: ``sampler_tables(values)``
+    or ``build_guide(values, rows)``.  Unguided, the agents whose draw falls
+    in the window of their bin's ``stay`` slot, the real slot listing the
+    bin itself (``Topology.stay``), are settled first, the window read from
+    the bounds.  Only the others search their column, in blocks.  Guided,
+    one lookup settles every agent outside the -1 cells, and only those
+    search.
     """
-    tables = sampler_tables(values) if guide is None else guide
     if tables.table is not None:
         cells = tables.table.shape[1]
         cell = k >> _cell_shift(cells)

@@ -141,8 +141,8 @@ def parse_scenario(text: str) -> Scenario:
     values: dict[str, int | str] = {}
     events: list[tuple[int, Event]] = []  # (line, event)
     grids: dict[str, tuple] = {}
-    # Line ends read as a text-mode file reads them: \r\n and a lone \r are \n.
-    numbered = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
+    # Read as a utf-8-sig text-mode file reads: one leading BOM skipped, \r\n and a lone \r as \n.
+    numbered = enumerate(text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
     for lineno, raw in numbered:
         stripped = raw.strip()
         if not stripped:
@@ -199,7 +199,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def render_scenario(scenario: Scenario) -> str:

@@ -38,12 +38,10 @@ def total_variation(a, b) -> float:
     return 0.5 * float(np.abs(np.subtract(a, b)).sum())
 
 
-def empirical_density(swarm, m: int) -> np.ndarray:
+def empirical_density(assignments: np.ndarray, m: int) -> np.ndarray:
     """Fraction of agents in each of ``m`` bins.
 
-    ``swarm`` is anything with an integer ``assignments`` array, or that
-    array itself.  It holds at least one agent, each in [0, m), as a run's
-    swarms do (a removal always leaves one); this is not checked.
+    ``assignments`` holds each agent's bin, as a swarm's do: at least one
+    agent (a removal always leaves one), each in [0, m); not checked.
     """
-    assignments = getattr(swarm, "assignments", swarm)
     return np.bincount(assignments, minlength=m) / assignments.size

@@ -27,10 +27,11 @@ them, against the recurrent stencil, whose real slots are the audit
 stencil's in those rows, at O(m_r w).  The run alone writes the buffer;
 the views it hands out, the hook's dense matrix included, are read-only and
 refuse ``flags.writeable = True``.  Agents and densities step from its
-stencil values.  A Monte Carlo run builds its sampler tables (``_kernels.Tables``) once, at set-up: the baseline's after
-its audit, a guide table included, and a feedback run's from the buffer
-before its first recurrent rows are written, then assigned in the recurrent
-columns from each step's synthesized rows.  Initial placement reads the
+stencil values.  A Monte Carlo run builds its sampler tables
+(``_kernels.Tables``) once, at set-up: the baseline's after its audit, a
+guide table included, and a feedback run's from the buffer before its
+first recurrent rows are written, then assigned in the recurrent columns
+from each step's synthesized rows.  Initial placement reads the
 initial density through a guide of its own, ``_kernels.placement_guide``,
 and a removal event finds its victims with one partition of the removal
 draws.  The density step adds each destination's sources in ascending
@@ -47,12 +48,12 @@ Time indexing: row k of the metrics describes the swarm after k transitions.
 audits the matrix of step k - 1 -> k and steps through it; then it applies
 the events at step k and yields row k, a ``StepRecord``.  A Monte Carlo run
 hashes its move draws ahead, ``_DRAW_BLOCK`` // agents rounds per
-``uniform_stream`` call, each block ending before the next event step; the
-draws, and so the run, are the same for any block size.  A draw stays the
-hash's 53-bit integer from the hash to the destination: placement, moves
-and removals compare integers, and the sampler tables hold integer bounds
-(see ``swarmguide._kernels``).  The run walks its events, sorted by step,
-once.
+``uniform_stream`` call, each block ending before the next event step, and
+hands ``step_agents`` each round's row with its tables; the draws, and so
+the run, are the same for any block size.  A draw stays the hash's 53-bit
+integer from the hash to the destination: placement, moves and removals
+compare integers, and the sampler tables hold integer bounds (see
+``swarmguide._kernels``).  The run walks its events, sorted by step, once.
 """
 from __future__ import annotations
 
@@ -380,40 +381,24 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
 
 
 def step_agents(
-    swarm: SwarmState,
-    values: np.ndarray,
-    step: int,
-    stencil: Topology,
-    guide: _kernels.Tables | None = None,
-    z: np.ndarray | None = None,
+    swarm: SwarmState, values: np.ndarray, stencil: Topology, tables: _kernels.Tables, z: np.ndarray,
 ) -> SwarmState:
     """Advance every agent one transition through the matrix column of its bin.
 
     ``values`` holds the matrix in ``stencil``'s slots (a dense matrix M over
-    ``stencil`` passes as ``stencil.sparsify(M)``), and the caller has
-    audited it, as a run audits every matrix it steps through; every agent
-    sits in a bin in [0, stencil.m).  Neither is checked.  Each agent draws
-    its own integer k in [0, 2^53) from the move stream for ``step`` and
-    walks the cumulative column of its current bin, stopping at the first
-    destination whose cumulative probability exceeds k 2^-53, compared as
-    integers; the column reads 1.0 from its last positive slot on.  The
-    stay test reads ``stencil.stay``, derived once per stencil.  Agents are
-    independent, so evaluation order and batching cannot change the
-    result.  A caller may pass the sampler tables of ``values`` as
-    ``guide``: a matrix that drives many steps its
-    ``_kernels.build_guide(values, stencil.rows)``, built once, and one
-    that changes in a few columns a step its
-    ``_kernels.sampler_tables(values)``, whose changed columns it assigns
-    from a fresh ``cum``.  The moves are the same either way.  A caller
-    that hashed the round ahead, in a block of rounds, passes its row as
-    ``z``: the integer draws
-    ``uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)``
-    would give, one per agent (not checked).  Without ``z`` the round is
-    hashed here.
+    ``stencil`` passes as ``stencil.sparsify(M)``), audited by the caller, as
+    a run audits every matrix it steps through, and ``tables`` its sampler
+    tables, ``_kernels.sampler_tables(values)`` or, for a matrix that drives
+    many steps, ``_kernels.build_guide(values, stencil.rows)``; the moves are
+    the same either way.  ``z`` is the round's row of the move stream, one
+    integer draw per agent, ``uniform_stream(swarm.seed, MOVE_STREAM, step,
+    swarm.agent_ids)``, and every agent sits in a bin in [0, stencil.m);
+    none of this is checked.  Each agent lands on the first destination of
+    its bin's column whose cumulative probability exceeds its z 2^-53 (see
+    ``_kernels.advance_agents``).  Agents are independent, so evaluation
+    order and batching cannot change the result.
     """
-    if z is None:
-        z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
-    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, stencil.stay, guide=guide)
+    assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, stencil.stay, tables)
     return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
 
 
@@ -506,15 +491,15 @@ def iter_run(scenario: Scenario):
     # chain's guided, the feedback matrix's assigned in its recurrent columns.
     tables = d_chsn = None
 
-    def audited(recurrent_values, k: int, whole: bool):
+    def audited(recurrent_values, k: int):
         """Write the recurrent rows of the matrix that drives step k - 1 -> k,
-        or every step when k is 0, into the buffer and audit the matrix,
-        whole or, once the whole has passed, in the rows written.  The
+        or every step when k is 0, into the buffer and audit the matrix, whole
+        if it is the run's first (k <= 1), else in the rows written.  The
         failure message names the step only when the audit fails."""
         buffer[recurrent] = recurrent_values
         # The recurrent rows of the audit stencil mark the recurrent
         # destinations only, as ``neighbours`` does.
-        report = validate_markov(values, audit) if whole else validate_markov(recurrent_values, neighbours)
+        report = validate_markov(values, audit) if k <= 1 else validate_markov(recurrent_values, neighbours)
         if not report.ok():
             when = f"at step {k - 1}" if k else "before step 0"
             raise RuntimeError(
@@ -531,7 +516,7 @@ def iter_run(scenario: Scenario):
     else:
         # One fixed matrix, audited once; agents sample it through tables
         # built once.
-        audited(mh_recurrent(desired_r, neighbours), 0, whole=True)
+        audited(mh_recurrent(desired_r, neighbours), 0)
         if monte_carlo:
             tables = _kernels.build_guide(values, topology.rows)
 
@@ -552,7 +537,7 @@ def iter_run(scenario: Scenario):
         if k > 0:
             if feedback:
                 synthesized = dsmc_recurrent(x[recurrent], desired_r, neighbours, d_chsn)
-                audited(synthesized, k, whole=k == 1)
+                audited(synthesized, k)
                 if monte_carlo:
                     tables.cum[:, recurrent] = _kernels.sampler_tables(synthesized).cum
             if monte_carlo:
@@ -562,7 +547,7 @@ def iter_run(scenario: Scenario):
                     next_event = events[done].step if done < len(events) else scenario.steps
                     stop = min(first + max(1, _DRAW_BLOCK // swarm.num_agents), next_event)
                     draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
-                moved = step_agents(swarm, values, k - 1, topology, tables, z=draws[k - 1 - first])
+                moved = step_agents(swarm, values, topology, tables, draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved
             else:
@@ -577,7 +562,7 @@ def iter_run(scenario: Scenario):
         if monte_carlo:
             for ev in arrivals:
                 swarm = apply_event(swarm, ev)
-            x = empirical_density(swarm, topology.m)
+            x = empirical_density(swarm.assignments, topology.m)
             population = swarm.num_agents
         else:
             for ev in arrivals:

@@ -145,8 +145,9 @@ def test_main_exits_1_and_names_each_worse_metric(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
     trees = _stand_in_trees(tmp_path, {"run_s": 1.0, "final_tv": 0.1}, {"run_s": 1.5, "final_tv": 0.1})
     assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.splitlines() == ["worse: small run_s", "worse: large run_s"]
+    assert out.splitlines()[-1] == "src_lines parent 5 -> change 0"
     record = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
     assert record["src_lines"] == {"parent": 5, "change": 0}
     summary = record["summary"]
@@ -158,5 +159,7 @@ def test_main_exits_0_when_no_run_is_bad_and_no_verdict_worse(tmp_path, monkeypa
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
     trees = _stand_in_trees(tmp_path, {"run_s": 1.0, "final_tv": 0.1}, {"run_s": 0.9, "final_tv": 0.1})
     assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 0
-    assert capsys.readouterr().err == ""
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1] == "src_lines parent 5 -> change 0"
     assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["src_lines"] == {"parent": 5, "change": 0}

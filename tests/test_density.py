@@ -3,6 +3,7 @@ import pytest
 
 from swarmguide import (
     Scenario,
+    SwarmState,
     check_density,
     empirical_density,
     total_variation,
@@ -78,9 +79,7 @@ def test_empirical_density_matches_counting_oracle():
         assert abs(d.sum() - 1.0) < 1e-12
 
 
-def test_empirical_density_accepts_swarm_like_objects():
-    class Holder:
-        assignments = np.array([0, 0, 1])
-
-    d = empirical_density(Holder(), 3)
+def test_empirical_density_of_a_swarms_assignments():
+    swarm = SwarmState(np.array([0, 0, 1]), np.arange(3, dtype=np.uint64), seed=0)
+    d = empirical_density(swarm.assignments, 3)
     assert np.allclose(d, [2 / 3, 1 / 3, 0.0], atol=1e-15)

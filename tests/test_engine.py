@@ -225,10 +225,17 @@ def complete_graph(m: int):
     return make_topology(np.ones((m, m), dtype=bool))
 
 
+def step_round(swarm, values, step, t):
+    """``step_agents`` as a run calls it at ``step``: through the tables of
+    ``values`` with the swarm's move draws of that round."""
+    z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
+    return step_agents(swarm, values, t, _kernels.sampler_tables(values), z)
+
+
 def test_step_agents_identity_keeps_everyone_in_place():
     swarm = SwarmState(np.array([0, 1, 2, 2]), np.arange(4, dtype=np.uint64), seed=5)
     t = complete_graph(3)
-    moved = step_agents(swarm, t.sparsify(np.eye(3)), 0, t)
+    moved = step_round(swarm, t.sparsify(np.eye(3)), 0, t)
     assert np.array_equal(moved.assignments, swarm.assignments)
 
 
@@ -238,7 +245,7 @@ def test_step_agents_permutation_matrix_relabels():
     mat[1, 0] = mat[2, 1] = mat[0, 2] = 1.0
     swarm = SwarmState(np.array([0, 1, 2]), np.arange(3, dtype=np.uint64), seed=5)
     t = complete_graph(3)
-    moved = step_agents(swarm, t.sparsify(mat), 0, t)
+    moved = step_round(swarm, t.sparsify(mat), 0, t)
     assert moved.assignments.tolist() == [1, 2, 0]
 
 
@@ -249,23 +256,25 @@ def test_step_agents_subset_sees_same_moves():
     t = complete_graph(2)
     values = t.sparsify(np.array([[0.3, 0.6], [0.7, 0.4]]))
     full = SwarmState(rng.integers(0, 2, size=30), np.arange(30, dtype=np.uint64), seed=9)
-    moved_full = step_agents(full, values, 4, t)
+    moved_full = step_round(full, values, 4, t)
     pick = np.array([3, 7, 11, 29])
     sub = SwarmState(full.assignments[pick], full.agent_ids[pick], seed=9)
-    moved_sub = step_agents(sub, values, 4, t)
+    moved_sub = step_round(sub, values, 4, t)
     assert np.array_equal(moved_sub.assignments, moved_full.assignments[pick])
 
 
 def test_step_agents_takes_the_draws_of_its_round_hashed_ahead():
+    # A run hashes its move draws a block of rounds ahead; each block row
+    # steps the swarm as that round's own one-step draws do.
     rng = np.random.default_rng(8)
     t = complete_graph(3)
     values = t.sparsify(np.array([[0.2, 0.5, 0.1], [0.3, 0.1, 0.6], [0.5, 0.4, 0.3]]))
     swarm = SwarmState(rng.integers(0, 3, size=40), rng.permutation(np.arange(60, dtype=np.uint64))[:40], seed=4)
     block = uniform_stream(4, MOVE_STREAM, range(5, 8), swarm.agent_ids)
+    tables = _kernels.sampler_tables(values)
     for i, step in enumerate(range(5, 8)):
-        own = step_agents(swarm, values, step, t)
-        assert np.array_equal(step_agents(swarm, values, step, t, z=block[i]).assignments, own.assignments)
-
+        own = step_round(swarm, values, step, t)
+        assert np.array_equal(step_agents(swarm, values, t, tables, block[i]).assignments, own.assignments)
 
 def test_propagate_density_hand_case_and_conservation():
     t = complete_graph(2)
@@ -371,9 +380,9 @@ def test_removal_does_not_disturb_survivor_streams():
     values = t.sparsify(np.array([[0.5, 0.5], [0.5, 0.5]]))
     full = SwarmState(np.zeros(20, dtype=np.int64), np.arange(20, dtype=np.uint64), seed=3)
     culled = apply_event(full, Event(step=0, fraction=0.4))
-    moved_culled = step_agents(culled, values, 1, t)
+    moved_culled = step_round(culled, values, 1, t)
     fresh = SwarmState(np.zeros(culled.num_agents, dtype=np.int64), culled.agent_ids.copy(), seed=3)
-    moved_fresh = step_agents(fresh, values, 1, t)
+    moved_fresh = step_round(fresh, values, 1, t)
     assert np.array_equal(moved_culled.assignments, moved_fresh.assignments)
 
 
@@ -751,7 +760,7 @@ def test_nothing_a_run_hands_its_matrix_to_can_write_into_it(monkeypatch, algori
         with pytest.raises(ValueError, match="read-only"):
             run_scenario(replace(RING_SCENARIO, algorithm=algorithm, mode=mode), matrix_hook=scribble)
 
-    def scribbling_advance(bins, z, values, rows, stay, guide=None):
+    def scribbling_advance(bins, z, values, rows, stay, tables):
         values[0, 0] = 0.5
 
     monkeypatch.setattr(_kernels, "advance_agents", scribbling_advance)
@@ -770,7 +779,7 @@ def test_nothing_a_run_hands_its_matrix_to_can_make_it_writeable(monkeypatch, al
         with pytest.raises(ValueError, match="WRITEABLE"):
             run_scenario(replace(RING_SCENARIO, algorithm=algorithm, mode=mode), matrix_hook=unlock)
 
-    def unlocking_advance(bins, z, values, rows, stay, guide=None):
+    def unlocking_advance(bins, z, values, rows, stay, tables):
         values.flags.writeable = True
 
     monkeypatch.setattr(_kernels, "advance_agents", unlocking_advance)
@@ -800,14 +809,14 @@ def test_stencil_values_equal_the_assembled_matrix_on_letter_e(monkeypatch):
         blocks.append(neighbours.densify(values))
         return values
 
-    def recording_advance(bins, z, values, rows, stay, guide=None):
+    def recording_advance(bins, z, values, rows, stay, tables):
         # A feedback matrix is sampled through its unguided tables, kept
         # across steps; they equal the tables of the whole matrix.
         whole = _kernels.sampler_tables(values)
-        assert guide.table is None
-        assert guide.cum.tobytes() == whole.cum.tobytes()
+        assert tables.table is None
+        assert tables.cum.tobytes() == whole.cum.tobytes()
         sampled.append((values.copy(), rows))
-        return advance(bins, z, values, rows, stay, guide=guide)
+        return advance(bins, z, values, rows, stay, tables)
 
     advance = _kernels.advance_agents
     monkeypatch.setattr(engine_module, "dsmc_recurrent", recording_synthesis)
@@ -836,9 +845,9 @@ def test_only_the_monte_carlo_baseline_builds_a_guide_and_only_once(monkeypatch,
         builds.append(build(values, rows, cells))
         return builds[-1]
 
-    def recording_advance(bins, z, values, rows, stay, guide=None):
-        guides.append(guide)
-        return advance(bins, z, values, rows, stay, guide=guide)
+    def recording_advance(bins, z, values, rows, stay, tables):
+        guides.append(tables)
+        return advance(bins, z, values, rows, stay, tables)
 
     monkeypatch.setattr(_kernels, "build_guide", counting_build)
     monkeypatch.setattr(_kernels, "advance_agents", recording_advance)
@@ -865,9 +874,9 @@ def test_a_monte_carlo_dsmc_run_derives_the_stay_slots_once(monkeypatch):
         derived.append(self)
         return derive(self)
 
-    def recording_advance(bins, z, values, rows, stay, guide=None):
+    def recording_advance(bins, z, values, rows, stay, tables):
         stays.append(stay)
-        return advance(bins, z, values, rows, stay, guide=guide)
+        return advance(bins, z, values, rows, stay, tables)
 
     stay = cached_property(counting_derive)
     stay.__set_name__(graph_module.Topology, "stay")

@@ -24,6 +24,11 @@ def _random_instance(rng, zero_frac=0.3):
     return v - x, x, stencil, float(stencil.max_degree + 1)
 
 
+def _advance(bins, k, values, rows, stay):
+    """The unguided sampler, through the tables of ``values``."""
+    return _kernels.advance_agents(bins, k, values, rows, stay, _kernels.sampler_tables(values))
+
+
 def test_advance_numpy_matches_scalar_oracle():
     # A dense matrix is the stencil layout with every bin listing all bins.
     rng = np.random.default_rng(21)
@@ -34,7 +39,7 @@ def test_advance_numpy_matches_scalar_oracle():
         n = int(rng.integers(1, 200))
         bins = rng.integers(0, topo.m, size=n)
         k = (rng.random(n) * 2.0**53).astype(np.int64)
-        got = _kernels.advance_agents(bins, k, *dense_layout(mat))
+        got = _advance(bins, k, *dense_layout(mat))
         assert np.array_equal(got, advance_oracle(bins, k * 2.0**-53, cum))
 
 
@@ -58,7 +63,7 @@ def test_stencil_advance_matches_oracle_on_densified_columns():
         # Include the extreme draws: 0 and 2^53 - 1.
         z = np.concatenate([rng.random(n - min(n, 2)), [0.0, 1.0 - 2.0**-53][: min(n, 2)]])
         k = (z * 2.0**53).astype(np.int64)
-        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay)
+        got = _advance(bins, k, values, stencil.rows, stencil.stay)
         assert np.array_equal(got, advance_oracle(bins, z, cum))
         assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
         assert stencil.real[bins, np.argmax(stencil.rows[bins] == got[:, np.newaxis], axis=1)].all()
@@ -73,13 +78,12 @@ def test_advance_agents_builds_no_agents_by_slots_temporary():
     values = _random_stencil_values(rng, stencil, zero_prob=0.0)
     bins = rng.integers(0, stencil.m, size=10**6)
     k = (rng.random(10**6) * 2.0**53).astype(np.int64)
-    # The same bound holds for the path through a prebuilt guide, built
-    # before tracing as a run builds it at set-up.
-    guide = _kernels.build_guide(values, stencil.rows)
-    for prebuilt in (None, guide):
+    # Unguided and through a guide, each built before tracing as a run
+    # builds its tables at set-up.
+    for tables in (_kernels.sampler_tables(values), _kernels.build_guide(values, stencil.rows)):
         tracemalloc.start()
         try:
-            _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=prebuilt)
+            _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -108,7 +112,7 @@ def test_guide_table_hand_case():
     # The guide path never reads the stay slots; bin 3's row does not list
     # bin 3, so it is given slot 0.
     stay = np.array([0, 1, 2, 0])
-    assert np.array_equal(_kernels.advance_agents(bins, k, values, rows, stay, guide=guide), expected)
+    assert np.array_equal(_kernels.advance_agents(bins, k, values, rows, stay, guide), expected)
     # The first and last draws of each cell land on its table entry; those
     # of the cells left to the search land on either side of the boundary.
     for ends in expected.reshape(4, 2, 64).transpose(1, 0, 2):
@@ -142,7 +146,7 @@ def test_advance_clamps_to_last_bin():
     rows = np.array([[0, 1]])
     bins = np.zeros(4, dtype=np.int64)
     k = (np.array([0.0, 0.49, 0.6, 1.0 - 1e-13]) * 2.0**53).astype(np.int64)
-    got = _kernels.advance_agents(bins, k, values, rows, np.array([0]))
+    got = _advance(bins, k, values, rows, np.array([0]))
     assert got.tolist() == [0, 0, 1, 1]
 
 
@@ -158,7 +162,7 @@ def test_advance_round_off_stays_on_the_column_support():
     assert cum[-1, 0] < 1.0
     bins = np.zeros(3, dtype=np.int64)
     k = (np.array([0.5, 0.99, 1.0 - 2.0**-53]) * 2.0**53).astype(np.int64)
-    got = _kernels.advance_agents(bins, k, *dense_layout(mat))
+    got = _advance(bins, k, *dense_layout(mat))
     assert got.tolist() == [1, 2, 2]
     assert np.array_equal(got, advance_oracle(bins, k * 2.0**-53, cum))
 
@@ -169,7 +173,7 @@ def test_advance_round_off_stays_on_the_column_support():
     values[np.arange(6), np.argmax(stencil.rows == np.arange(6)[:, np.newaxis], axis=1)] = 1.0
     values[0] = [*col[:3], 0.0]
     assert np.cumsum(values[0])[-1] == cum[-1, 0]
-    got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay)
+    got = _advance(bins, k, values, stencil.rows, stencil.stay)
     assert got.tolist() == [1, 3, 3]
     assert np.array_equal(got, advance_oracle(bins, k * 2.0**-53, np.cumsum(stencil.densify(values), axis=0)))
 

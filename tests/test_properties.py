@@ -465,12 +465,11 @@ def test_sampler_equals_the_per_bin_oracle_and_stays_on_the_stencil(case, agents
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
     k = _edge_draws(rng, stencil, values, bins)
-    # Unguided tables built for the call, or kept by the caller.
-    for kept in (None, _kernels.sampler_tables(values)):
-        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=kept)
-        assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
-        # No move leaves the stencil: every agent lands on a real slot of its bin.
-        assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
+    tables = _kernels.sampler_tables(values)
+    got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, tables)
+    assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
+    # No move leaves the stencil: every agent lands on a real slot of its bin.
+    assert ((stencil.rows[bins] == got[:, np.newaxis]) & stencil.real[bins]).any(axis=1).all()
 
 
 def _guide_draws(rng, values, bins):
@@ -497,7 +496,7 @@ def test_guided_sampler_equals_the_per_bin_oracle(case, agents, seed):
     guide = _kernels.build_guide(values, stencil.rows)
     bins = rng.integers(0, stencil.m, size=agents)
     k = _guide_draws(rng, values, bins)
-    got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=guide)
+    got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide)
     assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
     # Every settled cell holds the oracle's answer at its first and last
     # draws; that answer never decreases as the draw grows, so it holds at
@@ -515,12 +514,14 @@ def test_samplers_equal_the_per_bin_oracle_across_search_blocks(case, agents, bl
     stencil, values = case
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
-    edges, kept = _edge_draws(rng, stencil, values, bins), _kernels.sampler_tables(values)
-    cases = ((edges, None), (edges, kept), (_guide_draws(rng, values, bins), _kernels.build_guide(values, stencil.rows)))
+    cases = (
+        (_edge_draws(rng, stencil, values, bins), _kernels.sampler_tables(values)),
+        (_guide_draws(rng, values, bins), _kernels.build_guide(values, stencil.rows)),
+    )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "_SEARCH_BLOCK", block)
-        for k, prebuilt in cases:
-            got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=prebuilt)
+        for k, tables in cases:
+            got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, tables)
             assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
 
 
@@ -622,8 +623,8 @@ def test_table_rule_columns_sample_as_the_clamped_oracles(case, agents, seed):
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, stencil.m, size=agents)
     edges, gridded = _edge_draws(rng, stencil, values, bins), _guide_draws(rng, values, bins)
-    for k, prebuilt in ((edges, None), (edges, tables), (gridded, _kernels.build_guide(values, stencil.rows))):
-        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=prebuilt)
+    for k, prebuilt in ((edges, tables), (gridded, _kernels.build_guide(values, stencil.rows))):
+        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, prebuilt)
         assert np.array_equal(got, advance_by_bin_oracle(bins, k, values, stencil.rows))
     # Each column, spread over all m bins, as a placement density.
     for j in range(stencil.m):
@@ -654,8 +655,8 @@ def test_integer_bounds_sample_as_float_draws_on_both_sides_of_every_bound(case)
     k = np.clip(np.stack([bound - 1, bound], axis=-1).ravel(), 0, 2**53 - 1)
     passed = (cum[bins] <= (k * 2.0**-53)[:, np.newaxis]).sum(axis=1)
     expected = stencil.rows[bins, passed]
-    for tables in (None, _kernels.sampler_tables(values), _kernels.build_guide(values, stencil.rows)):
-        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, guide=tables)
+    for tables in (_kernels.sampler_tables(values), _kernels.build_guide(values, stencil.rows)):
+        got = _kernels.advance_agents(bins, k, values, stencil.rows, stencil.stay, tables)
         assert np.array_equal(got, expected)
     # Each column as a placement density over its w slots.
     for j in range(m):
@@ -706,9 +707,11 @@ def scenarios(draw):
 @given(scenarios())
 def test_scenario_text_round_trips(scenario):
     text = render_scenario(scenario)
-    # Any line end parses as load_scenario reads a file: \n, \r\n or \r.
+    # Any line end parses as load_scenario reads a file: \n, \r\n or \r,
+    # and so does text that starts with a byte-order mark.
     for end in ("\n", "\r\n", "\r"):
         assert parse_scenario(text.replace("\n", end)) == scenario
+        assert parse_scenario("\ufeff" + text.replace("\n", end)) == scenario
 
 
 # The forms a library caller may give a weight grid in, each from the grid

@@ -153,13 +153,13 @@ def advance_oracle(bins: np.ndarray, z: np.ndarray, cum: np.ndarray) -> np.ndarr
 
 
 def advance_by_bin_oracle(
-    bins: np.ndarray, k: np.ndarray, values: np.ndarray, rows: np.ndarray, stay=None, guide=None
+    bins: np.ndarray, k: np.ndarray, values: np.ndarray, rows: np.ndarray, stay=None, tables=None
 ) -> np.ndarray:
     """Agent moves from stencil values by one binary search per occupied bin
     over that bin's dense float cumulative column, at the float draws
     z = k 2^-53, with the same round-off rule as ``advance_oracle``; a
-    drop-in for ``_kernels.advance_agents``, integer draws k in [0, 2^53)
-    included, whose stay slots and prebuilt ``guide`` it ignores."""
+    positional drop-in for ``_kernels.advance_agents``, integer draws k in
+    [0, 2^53) included, whose stay slots and sampler ``tables`` it ignores."""
     z = k * 2.0**-53
     m = values.shape[0]
     out = np.empty_like(bins)

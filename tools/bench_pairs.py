@@ -20,7 +20,8 @@ pairs (a tie counts for neither side), and a verdict from that metric's
 exits non-zero, prints no result or reports ``correct: false`` is listed
 under ``bad_runs``.  The script exits 1 when any run is bad or any verdict
 is ``worse``, and names each worse workload and metric on stderr.  It
-also records each tree's source size, ``src_lines`` (see ``src_lines``).
+also records each tree's source size, ``src_lines`` (see ``src_lines``),
+and prints both sizes after the verdicts.
 It imports nothing from ``perfbench/``.
 """
 from __future__ import annotations
@@ -182,6 +183,7 @@ def main(argv=None) -> int:
             if s["verdict"] == "worse":
                 print(f"worse: {workload} {name}", file=sys.stderr)
                 worse = True
+    print(f"src_lines parent {record['src_lines']['parent']} -> change {record['src_lines']['change']}")
     if bad:
         print(f"{len(bad)} runs failed or were not correct", file=sys.stderr)
     return 1 if bad or worse else 0
