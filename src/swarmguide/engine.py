@@ -50,10 +50,12 @@ the events at step k and yields row k, a ``StepRecord``.  A Monte Carlo run
 hashes its move draws ahead, ``_DRAW_BLOCK`` // agents rounds per
 ``uniform_stream`` call, each block ending before the next event step, and
 hands ``step_agents`` each round's row with its tables; the draws, and so
-the run, are the same for any block size.  A draw stays the hash's 53-bit
-integer from the hash to the destination: placement, moves and removals
-compare integers, and the sampler tables hold integer bounds (see
-``swarmguide._kernels``).  The run walks its events, sorted by step, once.
+the run, are the same for any block size.  At an event step it hashes each
+event's removal draws, next to those blocks, and hands them to
+``apply_event`` alike.  A draw stays the hash's 53-bit integer from the hash
+to the destination: placement, moves and removals compare integers, and the
+sampler tables hold integer bounds (see ``swarmguide._kernels``).  The run
+walks its events, sorted by step, once.
 """
 from __future__ import annotations
 
@@ -300,16 +302,15 @@ def _normalised(grid) -> np.ndarray:
 
 @dataclass
 class SwarmState:
-    """Agent positions plus the seed lineage for their random streams.
+    """Agent positions and the ids that key their random streams.
 
     ``agent_ids`` are permanent: survivors keep their ids across removal
-    events, so each agent's stream stays reproducible from
+    events, so each agent's draws stay reproducible from the run's
     (seed, stream, step, id) no matter what happened to the others.
     """
 
     assignments: np.ndarray
     agent_ids: np.ndarray
-    seed: int
 
     @property
     def num_agents(self) -> int:
@@ -377,7 +378,7 @@ def initial_swarm(scenario: Scenario) -> SwarmState:
     ids = np.arange(scenario.agents, dtype=np.uint64)
     k = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
     assignments = _kernels.place(k, _kernels.placement_guide(x0))
-    return SwarmState(assignments=assignments, agent_ids=ids, seed=scenario.seed)
+    return SwarmState(assignments=assignments, agent_ids=ids)
 
 
 def step_agents(
@@ -391,15 +392,15 @@ def step_agents(
     tables, ``_kernels.sampler_tables(values)`` or, for a matrix that drives
     many steps, ``_kernels.build_guide(values, stencil.rows)``; the moves are
     the same either way.  ``z`` is the round's row of the move stream, one
-    integer draw per agent, ``uniform_stream(swarm.seed, MOVE_STREAM, step,
-    swarm.agent_ids)``, and every agent sits in a bin in [0, stencil.m);
-    none of this is checked.  Each agent lands on the first destination of
-    its bin's column whose cumulative probability exceeds its z 2^-53 (see
-    ``_kernels.advance_agents``).  Agents are independent, so evaluation
-    order and batching cannot change the result.
+    integer draw per agent, ``uniform_stream(seed, MOVE_STREAM, step,
+    swarm.agent_ids)`` for the run's seed, and every agent sits in a bin in
+    [0, stencil.m); none of this is checked.  Each agent lands on the first
+    destination of its bin's column whose cumulative probability exceeds
+    its z 2^-53 (see ``_kernels.advance_agents``).  Agents are independent,
+    so evaluation order and batching cannot change the result.
     """
     assignments = _kernels.advance_agents(swarm.assignments, z, values, stencil.rows, stencil.stay, tables)
-    return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids, seed=swarm.seed)
+    return SwarmState(assignments=assignments, agent_ids=swarm.agent_ids)
 
 
 def propagate_density(x, values: np.ndarray, stencil: Topology) -> np.ndarray:
@@ -420,30 +421,27 @@ def propagate_density(x, values: np.ndarray, stencil: Topology) -> np.ndarray:
     return np.bincount(stencil.rows.take(sources, axis=0).ravel(), weights=flow, minlength=stencil.m)
 
 
-def apply_event(swarm: SwarmState, event: Event) -> SwarmState:
+def apply_event(swarm: SwarmState, event: Event, z: np.ndarray) -> SwarmState:
     """Apply a removal event; survivors keep their ids and their streams.
 
-    Removes floor(fraction * population) agents, chosen by ranking each
-    agent's removal-stream draw for the event step, so the victims are a
-    uniform sample independent of everything the move stream did.  The
-    victims are the ``doomed`` lowest draws, ties broken by position, which
-    is the set ``np.argsort(z, kind="stable")[:doomed]`` picks, found in
-    linear time: every draw below the ``doomed``-th smallest goes, and the
-    draws equal to it go in ascending position until ``doomed`` are gone.
+    Removes floor(fraction * population) agents, chosen by ranking ``z``,
+    the event step's row of the removal stream, one integer draw per agent,
+    ``uniform_stream(seed, REMOVAL_STREAM, event.step, swarm.agent_ids)``
+    for the run's seed (not checked); so the victims are a uniform sample
+    independent of everything the move stream did.  The victims are the
+    ``doomed`` lowest draws, ties broken by position, which is the set
+    ``np.argsort(z, kind="stable")[:doomed]`` picks, found in linear time:
+    every draw below the ``doomed``-th smallest goes, and the draws equal to
+    it go in ascending position until ``doomed`` are gone.
     """
     doomed = math.floor(event.fraction * swarm.num_agents)
     if doomed == 0:
         return swarm
-    z = uniform_stream(swarm.seed, REMOVAL_STREAM, event.step, swarm.agent_ids)
     cut = np.partition(z, doomed - 1)[doomed - 1]  # the doomed-th lowest draw
     keep = z >= cut
     ties = np.nonzero(z == cut)[0]
     keep[ties[: doomed - np.count_nonzero(~keep)]] = False
-    return SwarmState(
-        assignments=swarm.assignments[keep],
-        agent_ids=swarm.agent_ids[keep],
-        seed=swarm.seed,
-    )
+    return SwarmState(assignments=swarm.assignments[keep], agent_ids=swarm.agent_ids[keep])
 
 
 class StepRecord(NamedTuple):
@@ -523,6 +521,8 @@ def iter_run(scenario: Scenario):
     # Monte Carlo row 0 reads its density from the placed agents.
     swarm = initial_swarm(scenario) if monte_carlo else None
     x = None if monte_carlo else scenario.initial_density()
+    # The deterministic step's stays: each bin's ``stay`` slot, flattened.
+    stays = topology.stay + topology.rows.shape[1] * np.arange(topology.m)
     population = scenario.agents
     transitions = 0.0
     # Monte Carlo move draws, rounds first to first + len(draws) - 1, hashed
@@ -546,13 +546,13 @@ def iter_run(scenario: Scenario):
                     # The next event is at step k or later, and none is past the run.
                     next_event = events[done].step if done < len(events) else scenario.steps
                     stop = min(first + max(1, _DRAW_BLOCK // swarm.num_agents), next_event)
-                    draws = uniform_stream(swarm.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
+                    draws = uniform_stream(scenario.seed, MOVE_STREAM, range(first, stop), swarm.agent_ids)
                 moved = step_agents(swarm, values, topology, tables, draws[k - 1 - first])
                 transitions = np.count_nonzero(moved.assignments != swarm.assignments)
                 swarm = moved
             else:
                 # The leavers: all but the self slots' stays, summed over bins in order.
-                transitions = float(population * float(np.cumsum(x * (1.0 - values.take(topology.own_slots)))[-1]))
+                transitions = float(population * float(np.cumsum(x * (1.0 - values.take(stays)))[-1]))
                 x = propagate_density(x, values, topology)
 
         start = done
@@ -561,7 +561,7 @@ def iter_run(scenario: Scenario):
         arrivals = events[start:done]
         if monte_carlo:
             for ev in arrivals:
-                swarm = apply_event(swarm, ev)
+                swarm = apply_event(swarm, ev, uniform_stream(scenario.seed, REMOVAL_STREAM, ev.step, swarm.agent_ids))
             x = empirical_density(swarm.assignments, topology.m)
             population = swarm.num_agents
         else:

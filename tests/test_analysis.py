@@ -37,6 +37,9 @@ def test_linear_error_update_preserves_zero_sum():
 def test_linear_error_update_rejects_bad_inputs():
     with pytest.raises(ValueError, match="sum to zero"):
         linear_error_update(np.array([0.5, 0.5, 0.0, 0.0]), RING, 3.0)
+    # A sum far below 1 but far above round-off is refused too.
+    with pytest.raises(ValueError, match="sum to zero"):
+        linear_error_update(np.array([0.5, -0.5, 1e-6, 0.0]), RING, 3.0)
     with pytest.raises(ValueError, match="exceed the maximum degree"):
         linear_error_update(np.array([0.5, -0.5, 0.0, 0.0]), RING, 2.0)
     with pytest.raises(ValueError, match="does not match"):

@@ -119,9 +119,15 @@ PARENT_SOURCE = {
 }
 
 
-def _stand_in_trees(tmp_path, parent_metrics, change_metrics):
+# The stand-in benchmark's files: ``BENCHMARK.json`` declares ``bench``, and
+# each tree's ``bench/__pycache__`` holds bytes of its own, never compared.
+BENCH_FILES = {"bench/run.py": "print()\n", "bench/data/sizes.txt": "10\n"}
+
+
+def _stand_in_trees(tmp_path, parent_metrics, change_metrics, change_bench=BENCH_FILES):
     spec = {
         "command": [sys.executable, "-c", STAND_IN],
+        "paths": ["bench"],
         "workloads": [{"name": "small"}, {"name": "large"}],
         "end_to_end": [
             {"name": "run_s", "bound": 0.25, "better": "lower"},
@@ -134,7 +140,9 @@ def _stand_in_trees(tmp_path, parent_metrics, change_metrics):
         tree.mkdir()
         (tree / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
         (tree / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
-        for name, text in (PARENT_SOURCE if side == "parent" else {}).items():
+        bench = BENCH_FILES if side == "parent" else change_bench
+        files = {**bench, f"bench/__pycache__/run.{side}.pyc": side, **(PARENT_SOURCE if side == "parent" else {})}
+        for name, text in files.items():
             (tree / name).parent.mkdir(parents=True, exist_ok=True)
             (tree / name).write_text(text, encoding="utf-8")
         trees.append(str(tree))
@@ -147,9 +155,10 @@ def test_main_exits_1_and_names_each_worse_metric(tmp_path, monkeypatch, capsys)
     assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 1
     out, err = capsys.readouterr()
     assert err.splitlines() == ["worse: small run_s", "worse: large run_s"]
-    assert out.splitlines()[-1] == "src_lines parent 5 -> change 0"
+    assert out.splitlines()[-2:] == ["benchmark files identical", "src_lines parent 5 -> change 0"]
     record = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
     assert record["src_lines"] == {"parent": 5, "change": 0}
+    assert record["benchmark_same"] is True
     summary = record["summary"]
     assert summary["small"]["metrics"]["final_tv"]["verdict"] == "not worse"
     assert summary["large"]["metrics"]["run_s"]["verdict"] == "worse"
@@ -161,5 +170,28 @@ def test_main_exits_0_when_no_run_is_bad_and_no_verdict_worse(tmp_path, monkeypa
     assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.splitlines()[-1] == "src_lines parent 5 -> change 0"
-    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["src_lines"] == {"parent": 5, "change": 0}
+    assert out.splitlines()[-2:] == ["benchmark files identical", "src_lines parent 5 -> change 0"]
+    record = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert (record["src_lines"], record["benchmark_same"]) == ({"parent": 5, "change": 0}, True)
+
+
+@pytest.mark.parametrize(
+    "change_bench,differing",
+    [
+        ({**BENCH_FILES, "bench/run.py": "print(1)\n"}, "bench/run.py"),
+        ({"bench/run.py": "print()\n"}, "bench/data/sizes.txt"),
+        ({**BENCH_FILES, "bench/data/extra.txt": "\n"}, "bench/data/extra.txt"),
+    ],
+)
+def test_main_names_differing_benchmark_files_and_keeps_its_exit_code(
+    tmp_path, monkeypatch, capsys, change_bench, differing
+):
+    # A file changed, gone or added under a declared path differs; the
+    # verdicts alone decide the exit code.
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    trees = _stand_in_trees(tmp_path, {"run_s": 1.0, "final_tv": 0.1}, {"run_s": 0.9, "final_tv": 0.1}, change_bench)
+    assert bench_pairs.main([*trees, "--out", str(tmp_path / "out.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-2:] == [f"benchmark files differ: {differing}", "src_lines parent 5 -> change 0"]
+    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["benchmark_same"] is False

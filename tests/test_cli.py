@@ -414,6 +414,8 @@ def test_cmd_compare_refuses_an_unknown_algorithm_before_any_run(tmp_path, capsy
         (["--algorithms", ","], "error: no algorithms given\n"),
         (["--checkpoints", "0,x"], "error: checkpoints must be comma-separated integers, got '0,x'\n"),
         (["--algorithms", "dsmc,mh,dsmc"], "error: algorithm 'dsmc' given more than once\n"),
+        # MINI runs 3 steps, so its metrics have rows 0 to 3 and no row 4.
+        (["--checkpoints", "4"], "error: checkpoint 4 outside [0, 3]\n"),
     ],
 )
 def test_cmd_compare_refuses_empty_algorithms_and_bad_checkpoints(tmp_path, capsys, flags, message):
@@ -602,8 +604,9 @@ def test_write_text_rewrites_the_same_file_to_exactly_the_new_bytes(tmp_path):
     cli._write_text(path, "0123456789\n" * 3)
     path.chmod(0o640)
     inode = path.stat().st_ino
-    # Over a longer file, over a shorter one, and to nothing.
-    for text in ("short\n", "a longer text than the one before it, \u00e9\n" * 2, ""):
+    # Over a longer file, over one exactly a byte longer, over a shorter one,
+    # and to nothing.
+    for text in ("short\n", "long\n", "a longer text than the one before it, \u00e9\n" * 2, ""):
         cli._write_text(path, text)
         assert path.read_bytes() == text.encode("utf-8")
         assert path.stat().st_ino == inode

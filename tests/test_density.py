@@ -80,6 +80,6 @@ def test_empirical_density_matches_counting_oracle():
 
 
 def test_empirical_density_of_a_swarms_assignments():
-    swarm = SwarmState(np.array([0, 0, 1]), np.arange(3, dtype=np.uint64), seed=0)
+    swarm = SwarmState(np.array([0, 0, 1]), np.arange(3, dtype=np.uint64))
     d = empirical_density(swarm.assignments, 3)
     assert np.allclose(d, [2 / 3, 1 / 3, 0.0], atol=1e-15)

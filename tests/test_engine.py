@@ -31,7 +31,7 @@ from swarmguide import (
     step_agents,
     total_variation,
 )
-from swarmguide._rng import MOVE_STREAM, PLACEMENT_STREAM, uniform_stream
+from swarmguide._rng import MOVE_STREAM, PLACEMENT_STREAM, REMOVAL_STREAM, uniform_stream
 from swarmguide.density import check_density
 from swarmguide.engine import ALGORITHMS, MAX_AGENTS, MAX_BINS, MAX_STENCIL_SLOTS, MAX_STEPS, MODES
 from swarmguide.synthesis import _audit_stencil, _transient_values
@@ -225,17 +225,23 @@ def complete_graph(m: int):
     return make_topology(np.ones((m, m), dtype=bool))
 
 
-def step_round(swarm, values, step, t):
-    """``step_agents`` as a run calls it at ``step``: through the tables of
-    ``values`` with the swarm's move draws of that round."""
-    z = uniform_stream(swarm.seed, MOVE_STREAM, step, swarm.agent_ids)
+def step_round(swarm, values, step, t, seed):
+    """``step_agents`` as a run of ``seed`` calls it at ``step``: through the
+    tables of ``values`` with the swarm's move draws of that round."""
+    z = uniform_stream(seed, MOVE_STREAM, step, swarm.agent_ids)
     return step_agents(swarm, values, t, _kernels.sampler_tables(values), z)
 
 
+def remove(swarm, event, seed):
+    """``apply_event`` as a run of ``seed`` calls it, with the swarm's
+    removal draws at the event step."""
+    return apply_event(swarm, event, uniform_stream(seed, REMOVAL_STREAM, event.step, swarm.agent_ids))
+
+
 def test_step_agents_identity_keeps_everyone_in_place():
-    swarm = SwarmState(np.array([0, 1, 2, 2]), np.arange(4, dtype=np.uint64), seed=5)
+    swarm = SwarmState(np.array([0, 1, 2, 2]), np.arange(4, dtype=np.uint64))
     t = complete_graph(3)
-    moved = step_round(swarm, t.sparsify(np.eye(3)), 0, t)
+    moved = step_round(swarm, t.sparsify(np.eye(3)), 0, t, 5)
     assert np.array_equal(moved.assignments, swarm.assignments)
 
 
@@ -243,9 +249,9 @@ def test_step_agents_permutation_matrix_relabels():
     # Column j sends everyone to bin (j+1) mod 3.
     mat = np.zeros((3, 3))
     mat[1, 0] = mat[2, 1] = mat[0, 2] = 1.0
-    swarm = SwarmState(np.array([0, 1, 2]), np.arange(3, dtype=np.uint64), seed=5)
+    swarm = SwarmState(np.array([0, 1, 2]), np.arange(3, dtype=np.uint64))
     t = complete_graph(3)
-    moved = step_round(swarm, t.sparsify(mat), 0, t)
+    moved = step_round(swarm, t.sparsify(mat), 0, t, 5)
     assert moved.assignments.tolist() == [1, 2, 0]
 
 
@@ -255,11 +261,11 @@ def test_step_agents_subset_sees_same_moves():
     rng = np.random.default_rng(51)
     t = complete_graph(2)
     values = t.sparsify(np.array([[0.3, 0.6], [0.7, 0.4]]))
-    full = SwarmState(rng.integers(0, 2, size=30), np.arange(30, dtype=np.uint64), seed=9)
-    moved_full = step_round(full, values, 4, t)
+    full = SwarmState(rng.integers(0, 2, size=30), np.arange(30, dtype=np.uint64))
+    moved_full = step_round(full, values, 4, t, 9)
     pick = np.array([3, 7, 11, 29])
-    sub = SwarmState(full.assignments[pick], full.agent_ids[pick], seed=9)
-    moved_sub = step_round(sub, values, 4, t)
+    sub = SwarmState(full.assignments[pick], full.agent_ids[pick])
+    moved_sub = step_round(sub, values, 4, t, 9)
     assert np.array_equal(moved_sub.assignments, moved_full.assignments[pick])
 
 
@@ -269,11 +275,11 @@ def test_step_agents_takes_the_draws_of_its_round_hashed_ahead():
     rng = np.random.default_rng(8)
     t = complete_graph(3)
     values = t.sparsify(np.array([[0.2, 0.5, 0.1], [0.3, 0.1, 0.6], [0.5, 0.4, 0.3]]))
-    swarm = SwarmState(rng.integers(0, 3, size=40), rng.permutation(np.arange(60, dtype=np.uint64))[:40], seed=4)
+    swarm = SwarmState(rng.integers(0, 3, size=40), rng.permutation(np.arange(60, dtype=np.uint64))[:40])
     block = uniform_stream(4, MOVE_STREAM, range(5, 8), swarm.agent_ids)
     tables = _kernels.sampler_tables(values)
     for i, step in enumerate(range(5, 8)):
-        own = step_round(swarm, values, step, t)
+        own = step_round(swarm, values, step, t, 4)
         assert np.array_equal(step_agents(swarm, values, t, tables, block[i]).assignments, own.assignments)
 
 def test_propagate_density_hand_case_and_conservation():
@@ -292,59 +298,55 @@ def test_propagate_density_hand_case_and_conservation():
 
 
 def test_apply_event_removes_floor_of_fraction():
-    swarm = SwarmState(np.arange(10) % 3, np.arange(10, dtype=np.uint64), seed=13)
+    swarm = SwarmState(np.arange(10) % 3, np.arange(10, dtype=np.uint64))
     before = {int(i): int(b) for i, b in zip(swarm.agent_ids, swarm.assignments)}
-    out = apply_event(swarm, Event(step=2, fraction=0.25))
+    out = remove(swarm, Event(step=2, fraction=0.25), 13)
     assert out.num_agents == 8  # floor(2.5) = 2 removed
     # Survivors keep identity and position.
     assert set(out.agent_ids.tolist()) < set(swarm.agent_ids.tolist())
     for i, b in zip(out.agent_ids, out.assignments):
         assert before[int(i)] == int(b)
     # Deterministic: the same event picks the same victims.
-    again = apply_event(swarm, Event(step=2, fraction=0.25))
+    again = remove(swarm, Event(step=2, fraction=0.25), 13)
     assert np.array_equal(again.agent_ids, out.agent_ids)
 
 
-def test_apply_event_picks_the_stable_sort_victims(monkeypatch):
+def test_apply_event_picks_the_stable_sort_victims():
     # Draws on a coarse grid tie everywhere: below the cut, at it and above
     # it.  The victims are the lowest draws, ties at the cut taken in
     # ascending position, exactly as a stable sort ranks them.
     rng = np.random.default_rng(53)
-    draws = {}
-    monkeypatch.setattr(engine_module, "uniform_stream", lambda seed, stream, step, ids: draws["z"])
-    swarm = SwarmState(np.arange(12) % 5, np.arange(100, 112, dtype=np.uint64), seed=1)
+    swarm = SwarmState(np.arange(12) % 5, np.arange(100, 112, dtype=np.uint64))
     hand = np.array([0.5, 0.25, 0.75, 0.25, 0.5, 0.0, 0.5, 0.75, 0.5, 0.25, 0.0, 0.5])
     # Five draws lie below 0.5 and five tie at it: removing 7 takes the
     # first two of the ties, at positions 0 and 4.
-    draws["z"] = hand
-    out = apply_event(swarm, Event(step=3, fraction=7 / 12))
+    out = apply_event(swarm, Event(step=3, fraction=7 / 12), hand)
     assert out.agent_ids.tolist() == [102, 106, 107, 108, 111]
     cases = [(hand, f) for f in (0.1, 0.2, 0.25, 0.5, 0.99)]
     for _ in range(200):
         n = int(rng.integers(1, 60))
         cases.append((rng.integers(0, int(rng.integers(1, 6)), n) / 4.0, float(rng.uniform(0.01, 0.99))))
     for z, fraction in cases:
-        swarm = SwarmState(rng.integers(0, 9, z.size), rng.permutation(z.size).astype(np.uint64), seed=1)
-        draws["z"] = z
+        swarm = SwarmState(rng.integers(0, 9, z.size), rng.permutation(z.size).astype(np.uint64))
         event = Event(step=3, fraction=fraction)
-        got, expected = apply_event(swarm, event), stable_removal_oracle(swarm, event, z)
+        got, expected = apply_event(swarm, event, z), stable_removal_oracle(swarm, event, z)
         assert np.array_equal(got.agent_ids, expected.agent_ids)
         assert np.array_equal(got.assignments, expected.assignments)
 
 
 def test_apply_event_small_swarm_can_remove_nobody():
-    swarm = SwarmState(np.array([0]), np.arange(1, dtype=np.uint64), seed=0)
-    out = apply_event(swarm, Event(step=0, fraction=0.5))
+    swarm = SwarmState(np.array([0]), np.arange(1, dtype=np.uint64))
+    out = remove(swarm, Event(step=0, fraction=0.5), 0)
     assert out.num_agents == 1
 
 
 def test_apply_event_rejects_bad_events():
     # An event is refused when it is built, so apply_event never sees one.
-    swarm = SwarmState(np.array([0]), np.arange(1, dtype=np.uint64), seed=0)
+    swarm = SwarmState(np.array([0]), np.arange(1, dtype=np.uint64))
     with pytest.raises(ValueError, match="fraction"):
-        apply_event(swarm, Event(step=0, fraction=0.0))
+        remove(swarm, Event(step=0, fraction=0.0), 0)
     with pytest.raises(ValueError, match="fraction"):
-        apply_event(swarm, Event(step=0, fraction=1.0))
+        remove(swarm, Event(step=0, fraction=1.0), 0)
 
 
 @pytest.mark.parametrize("step", [1.5, 1.0, True, "1", None])
@@ -378,11 +380,11 @@ def test_removal_does_not_disturb_survivor_streams():
     # never existed.
     t = complete_graph(2)
     values = t.sparsify(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    full = SwarmState(np.zeros(20, dtype=np.int64), np.arange(20, dtype=np.uint64), seed=3)
-    culled = apply_event(full, Event(step=0, fraction=0.4))
-    moved_culled = step_round(culled, values, 1, t)
-    fresh = SwarmState(np.zeros(culled.num_agents, dtype=np.int64), culled.agent_ids.copy(), seed=3)
-    moved_fresh = step_round(fresh, values, 1, t)
+    full = SwarmState(np.zeros(20, dtype=np.int64), np.arange(20, dtype=np.uint64))
+    culled = remove(full, Event(step=0, fraction=0.4), 3)
+    moved_culled = step_round(culled, values, 1, t, 3)
+    fresh = SwarmState(np.zeros(culled.num_agents, dtype=np.int64), culled.agent_ids.copy())
+    moved_fresh = step_round(fresh, values, 1, t, 3)
     assert np.array_equal(moved_culled.assignments, moved_fresh.assignments)
 
 

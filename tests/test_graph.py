@@ -81,8 +81,8 @@ def test_restricted_stencil_is_the_induced_subgraph_slot_for_slot():
             # Slot s of row k is slot s of row bins[k], renumbered.
             assert np.array_equal(bins[sub.rows[k][sub.real[k]]], full.rows[bins[k]][sub.real[k]])
             assert np.flatnonzero(sub.own[k]).size == 1 and sub.rows[k][sub.own[k]][0] == k
-        # So the flat index of the own slots holds one per row, in row order.
-        assert np.array_equal(sub.own_slots, np.arange(bins.size) * sub.rows.shape[1] + sub.stay)
+        # So ``stay``, flattened, is the flat index of the own slots, one per row in row order.
+        assert np.array_equal(np.flatnonzero(sub.own), np.arange(bins.size) * sub.rows.shape[1] + sub.stay)
         assert sub.max_degree == induced.sum(axis=1).max() - 1
 
 

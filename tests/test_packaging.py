@@ -71,10 +71,11 @@ def test_removed_wrappers_stay_gone():
     assert not hasattr(swarmguide._kernels.Tables, "rewrite")
     # Removal is the one kind of event, so an Event carries no kind.
     assert [f.name for f in dataclasses.fields(swarmguide.Event)] == ["step", "fraction"]
-    # A Monte Carlo step goes one way: the sampler seams take the run's
-    # tables, draws and assignments, and build or hash nothing themselves.
+    # A Monte Carlo step goes one way: the sampler and removal seams take the
+    # run's tables, draws and assignments, and build or hash nothing themselves.
     seams = {
         swarmguide.step_agents: ["swarm", "values", "stencil", "tables", "z"],
+        swarmguide.apply_event: ["swarm", "event", "z"],
         swarmguide._kernels.advance_agents: ["bins", "k", "values", "rows", "stay", "tables"],
         swarmguide.empirical_density: ["assignments", "m"],
     }
@@ -82,6 +83,10 @@ def test_removed_wrappers_stay_gone():
         parameters = inspect.signature(seam).parameters.values()
         assert [p.name for p in parameters] == names, seam.__name__
         assert all(p.default is inspect.Parameter.empty for p in parameters), seam.__name__
+    # So a swarm carries no seed: only the run hashes draws.  The self slot
+    # has one index, ``Topology.stay``.
+    assert [f.name for f in dataclasses.fields(swarmguide.SwarmState)] == ["assignments", "agent_ids"]
+    assert not hasattr(swarmguide.Topology, "own_slots")
 
 
 def test_partition_holds_the_recurrent_bins_and_each_bins_distance_only():

@@ -434,7 +434,7 @@ def stable_removal_oracle(swarm: SwarmState, event: Event, z: np.ndarray) -> Swa
     doomed = math.floor(event.fraction * swarm.num_agents)
     keep = np.ones(swarm.num_agents, dtype=bool)
     keep[np.argsort(z, kind="stable")[:doomed]] = False
-    return SwarmState(assignments=swarm.assignments[keep], agent_ids=swarm.agent_ids[keep], seed=swarm.seed)
+    return SwarmState(assignments=swarm.assignments[keep], agent_ids=swarm.agent_ids[keep])
 
 
 def snapshot_csv_oracle(scenario, snapshot) -> str:
@@ -490,7 +490,7 @@ def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
     if monte_carlo:
         ids = np.arange(population, dtype=np.uint64)
         draws = uniform_stream(scenario.seed, PLACEMENT_STREAM, 0, ids)
-        swarm = SwarmState(assignments=placement_oracle(x, draws * 2.0**-53), agent_ids=ids, seed=scenario.seed)
+        swarm = SwarmState(assignments=placement_oracle(x, draws * 2.0**-53), agent_ids=ids)
     metrics, densities, transitions = MetricsSeries(), [], 0.0
     for k in range(scenario.steps + 1):
         if k > 0:
@@ -500,7 +500,7 @@ def reference_run(scenario) -> tuple[MetricsSeries, np.ndarray, Snapshot]:
                 values, rows, _ = dense_layout(step)
                 moved = advance_by_bin_oracle(swarm.assignments, draws, values, rows)
                 transitions = np.count_nonzero(moved != swarm.assignments)
-                swarm = SwarmState(assignments=moved, agent_ids=swarm.agent_ids, seed=scenario.seed)
+                swarm = SwarmState(assignments=moved, agent_ids=swarm.agent_ids)
             else:
                 transitions = population * float(np.cumsum(x * (1.0 - step.diagonal()))[-1])
                 x = np.cumsum(step * x[np.newaxis, :], axis=1)[:, -1]

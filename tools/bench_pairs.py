@@ -20,8 +20,11 @@ pairs (a tie counts for neither side), and a verdict from that metric's
 exits non-zero, prints no result or reports ``correct: false`` is listed
 under ``bad_runs``.  The script exits 1 when any run is bad or any verdict
 is ``worse``, and names each worse workload and metric on stderr.  It
-also records each tree's source size, ``src_lines`` (see ``src_lines``),
-and prints both sizes after the verdicts.
+also records whether the two trees run the same benchmark,
+``benchmark_same`` (see ``benchmark_differences``), and each tree's source
+size, ``src_lines`` (see ``src_lines``), and prints both after the
+verdicts, the sizes last.  Differing benchmark files leave the exit code
+as it is: a change to the benchmark compares two harnesses on purpose.
 It imports nothing from ``perfbench/``.
 """
 from __future__ import annotations
@@ -107,6 +110,27 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "swarmguide").glob("*.py"))
 
 
+def _bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.is_file() else None
+
+
+def benchmark_differences(parent: Path, change: Path, paths) -> list[str]:
+    """The benchmark files that differ between the two trees, sorted:
+    ``BENCHMARK.json`` and every file under ``paths`` (relative to each
+    tree, as ``BENCHMARK.json`` lists them) but those in ``__pycache__``.
+    A file in one tree only differs.  Empty when the trees' benchmarks are
+    byte-identical."""
+    names = {"BENCHMARK.json"}
+    for tree in (parent, change):
+        for declared in paths:
+            root = tree / declared
+            for path in [root] if root.is_file() else root.rglob("*"):
+                name = path.relative_to(tree)
+                if path.is_file() and "__pycache__" not in name.parts:
+                    names.add(name.as_posix())
+    return sorted(name for name in names if _bytes(parent / name) != _bytes(change / name))
+
+
 def run_once(command: list[str], directory: Path, workload: str) -> dict:
     """One benchmark process in ``directory``; its exit code and JSON result."""
     proc = subprocess.run([*command, "--workload", workload], cwd=directory, capture_output=True, text=True)
@@ -162,6 +186,7 @@ def main(argv=None) -> int:
             parent, change = ([by_pair[pair, side][name] for pair in complete] for side in SIDES)
             summary[workload]["metrics"][name] = summarize(parent, change, metric["bound"], metric["better"])
 
+    differing = benchmark_differences(args.parent, args.change, spec.get("paths", ()))
     record = {
         "command": " ".join([*spec["command"], "--workload", "<workload>"]),
         "parent": str(args.parent),
@@ -169,6 +194,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "method": "one process at a time, alternating which side runs first (even pairs: parent first)",
         "machine": f"{platform.machine()}, Python {platform.python_version()}",
+        "benchmark_same": not differing,
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "summary": summary,
         "bad_runs": bad,
@@ -183,6 +209,7 @@ def main(argv=None) -> int:
             if s["verdict"] == "worse":
                 print(f"worse: {workload} {name}", file=sys.stderr)
                 worse = True
+    print(f"benchmark files differ: {', '.join(differing)}" if differing else "benchmark files identical")
     print(f"src_lines parent {record['src_lines']['parent']} -> change {record['src_lines']['change']}")
     if bad:
         print(f"{len(bad)} runs failed or were not correct", file=sys.stderr)
